@@ -28,7 +28,12 @@ from .core import (
     WeightFunction,
     performative_risk_exact,
 )
-from .errors import ArgumentError, ConfigurationError, WeightInvariantError
+from .errors import (
+    ArgumentError,
+    ConfigurationError,
+    ModelMismatchError,
+    WeightInvariantError,
+)
 from .predictor import (
     AdditivePredictor,
     _resolve_term,
@@ -158,7 +163,7 @@ def resolve_evaluation_scenario(pred, scenario: Scenario) -> Scenario:
         try:
             for term in pred.terms:
                 _resolve_term(term, scenario)
-        except Exception:
+        except ModelMismatchError:
             return augment_scenario(scenario)
     return scenario
 

@@ -40,7 +40,7 @@ import numpy as np
 from .core import Hypothesis, Loss, Scenario
 from .errors import ArgumentError, LearnerContractError
 from .predictor import induced_rule, prediction_matrix
-from .rct import RctDataset, ips_risk_estimate, model_risk_estimate
+from .rct import RctDataset, encode, ips_risk_estimate, model_risk_estimate
 
 EXACT = "exact"
 EMPIRICAL = "empirical"
@@ -348,12 +348,21 @@ class CscInstance:
 
     def mean_cost(self, rule: Hypothesis) -> float:
         """Average cost this instance assigns to following the rule."""
-        cols = np.fromiter(
-            (self.decision_labels.index(rule.decide(x)) for x in self.xs),
-            dtype=np.int64,
-            count=self.n,
+        vocab, codes = encode(self.xs)
+        chosen = np.fromiter(
+            (self.decision_labels.index(rule.decide(x)) for x in vocab),
+            dtype=np.intp,
+            count=len(vocab),
         )
+        cols = chosen[codes]
         return float(np.add.reduce(self.costs[np.arange(self.n), cols]) / self.n)
+
+
+def _scenario_indices(column, index: dict) -> np.ndarray:
+    """Per entry, the scenario index of a dataset column's identifier."""
+    vocab, codes = encode(column)
+    lookup = np.fromiter((index[v] for v in vocab), dtype=np.intp, count=len(vocab))
+    return lookup[codes]
 
 
 def build_csc_instance(
@@ -375,13 +384,10 @@ def build_csc_instance(
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays_for(scenario, loss)
     n = labeled.n
-    xi = np.fromiter((arrays.x_index[x] for x in labeled.xs), dtype=np.int64, count=n)
-    ji = np.fromiter(
-        (arrays.y_index[yh] for yh in labeled.yhats), dtype=np.int64, count=n
-    )
-    ys = np.asarray(labeled.ys, dtype=np.float64)
+    xi = _scenario_indices(labeled.xs, arrays.x_index)
+    ji = _scenario_indices(labeled.yhats, arrays.y_index)
     modeled = base[xi, ji] + delta[xi, ji] * matrix[xi, ji]
-    realized = base[xi, ji] + delta[xi, ji] * ys
+    realized = base[xi, ji] + delta[xi, ji] * labeled.outcomes
     scale = 4.0 * scenario.k * scenario.lmax
     costs = np.zeros((n, scenario.k), dtype=np.float64)
     costs[np.arange(n), ji] = sigma * (modeled - realized) / scale

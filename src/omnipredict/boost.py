@@ -54,6 +54,7 @@ from .predictor import (
     Fingerprint,
     UpdateTerm,
     apply_term,
+    induced_rule,
     prediction_matrix,
 )
 from .rct import RctDataset, ips_risk_estimate, model_risk_estimate
@@ -178,8 +179,6 @@ def _poi_violation_empirical(matrix, scenario, eps, emp: _EmpiricalData):
 
 
 def _doi_violation_empirical(matrix, scenario, eps, emp: _EmpiricalData, t: int):
-    from .predictor import induced_rule
-
     fresh = emp.fresh_slice(t)
     for loss in scenario.losses:
         rule = induced_rule(matrix, loss, scenario)
@@ -201,8 +200,10 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
     modes report termination="bound_exceeded" instead, since noisy
     audits can legitimately fail to settle.
     """
-    if config.epsilon <= 0:
-        raise ArgumentError("epsilon must be positive")
+    if not (math.isfinite(config.epsilon) and config.epsilon > 0):
+        raise ArgumentError(
+            f"epsilon must be a positive finite number, got {config.epsilon!r}"
+        )
     if config.mode not in MODES:
         raise ArgumentError(f"unknown training mode {config.mode!r}")
     eps = float(config.epsilon)

@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -62,6 +63,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _epsilon(text: str) -> float:
+    """argparse type for --epsilon: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
 
 
 def _resolve_threads(value) -> int:
@@ -336,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a predictor until audits pass")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=MODES, default=EXACT)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data", help="RCT JSONL, required by estimated modes")
     p.add_argument("--poi-n", type=int, help="labeled prefix for rule audits")
@@ -355,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=MODES, default=EXACT)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_epsilon, default=None)
     p.add_argument("--data", help="RCT JSONL, required by estimated modes")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_audit)
@@ -377,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_epsilon, default=None)
     p.add_argument("--mixtures", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_adapt_verify)

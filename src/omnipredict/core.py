@@ -335,8 +335,10 @@ class Scenario:
     weights: Optional[WeightClass] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigurationError(
+                f"epsilon must be a positive finite number, got {self.epsilon!r}"
+            )
         if len(self.losses) == 0:
             raise ConfigurationError("scenario needs at least one loss")
         if len(self.hypotheses) == 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DecisionSpace, Hypothesis, Loss, Scenario
-from .errors import ArgumentError, ModelMismatchError
+from .errors import ArgumentError, ConfigurationError, ModelMismatchError
 
 EXTERNAL = "external"
 INDUCED = "induced"
@@ -91,21 +91,21 @@ def base_predictor(scenario: Scenario, epsilon: float, adapt: bool = False) -> A
 def _resolve_term(term: UpdateTerm, scenario: Scenario):
     try:
         scenario.loss_by_name(term.loss_name)
-    except Exception:
+    except ConfigurationError:
         raise ModelMismatchError(
             f"update term references unknown loss {term.loss_name!r}"
         ) from None
     if term.target_kind == EXTERNAL:
         try:
             scenario.hypothesis_by_name(term.target_name)
-        except Exception:
+        except ConfigurationError:
             raise ModelMismatchError(
                 f"update term references unknown hypothesis {term.target_name!r}"
             ) from None
     else:
         try:
             scenario.loss_by_name(term.target_name)
-        except Exception:
+        except ConfigurationError:
             raise ModelMismatchError(
                 f"induced update term references unknown loss {term.target_name!r}"
             ) from None

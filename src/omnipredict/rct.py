@@ -28,18 +28,44 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Hypothesis, InputDistribution, Loss, Scenario
+from .core import Hypothesis, Loss, Scenario
 from .errors import ArgumentError, DataFormatError
 from .predictor import prediction_matrix
 
 GENERATOR_TAG = "pcg64-icdf-1"
 
 
-@dataclass(frozen=True)
-class RctSample:
-    x: str
-    yhat: str
-    y: int
+class Column(tuple):
+    """Immutable column of identifiers that carries its integer codes.
+
+    codes is (vocabulary, indices): the distinct values in order of first
+    appearance, and per entry the position of its value in the
+    vocabulary. The estimators look rules and losses up once per
+    vocabulary entry and gather over the indices, not once per sample.
+    """
+
+    @cached_property
+    def codes(self) -> tuple[tuple[str, ...], np.ndarray]:
+        index: dict[str, int] = {}
+        indices = np.fromiter(
+            (index.setdefault(v, len(index)) for v in self),
+            dtype=np.intp,
+            count=len(self),
+        )
+        return tuple(index), indices
+
+    def slice(self, start: int, stop: int) -> "Column":
+        """Contiguous part whose codes are views of this column's codes."""
+        part = Column(self[start:stop])
+        vocabulary, indices = self.codes
+        part.__dict__["codes"] = (vocabulary, indices[start:stop])
+        return part
+
+
+def encode(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Codes of a sequence of identifiers; a Column computes them once."""
+    column = values if isinstance(values, Column) else Column(values)
+    return column.codes
 
 
 @dataclass(frozen=True)
@@ -62,30 +88,39 @@ class RctDataset:
     def __post_init__(self):
         if not (len(self.xs) == len(self.yhats) == len(self.ys) == self.meta.n):
             raise ArgumentError("dataset columns and meta.n disagree on length")
+        for name in ("xs", "yhats"):
+            if not isinstance(getattr(self, name), Column):
+                object.__setattr__(self, name, Column(getattr(self, name)))
 
     @property
     def n(self) -> int:
         return self.meta.n
 
     @cached_property
-    def samples(self) -> tuple[RctSample, ...]:
-        return tuple(
-            RctSample(x=x, yhat=yh, y=y)
-            for x, yh, y in zip(self.xs, self.yhats, self.ys)
-        )
+    def outcomes(self) -> np.ndarray:
+        """The outcome column as a 0/1 int8 array."""
+        return np.array(self.ys, dtype=np.int8)
 
     def slice(self, start: int, stop: int) -> "RctDataset":
-        """Contiguous sub-dataset; provenance is kept, n is adjusted."""
-        xs = self.xs[start:stop]
+        """Contiguous sub-dataset; provenance is kept, n is adjusted.
+
+        The slice's codes and outcomes are views of this dataset's.
+        """
+        xs = self.xs.slice(start, stop)
         meta = RctMeta(
             scenario=self.meta.scenario,
             seed=self.meta.seed,
             n=len(xs),
             gen=self.meta.gen,
         )
-        return RctDataset(
-            xs=xs, yhats=self.yhats[start:stop], ys=self.ys[start:stop], meta=meta
+        part = RctDataset(
+            xs=xs,
+            yhats=self.yhats.slice(start, stop),
+            ys=self.ys[start:stop],
+            meta=meta,
         )
+        part.__dict__["outcomes"] = self.outcomes[start:stop]
+        return part
 
 
 def generate_rct(scenario: Scenario, n: int, seed: int) -> RctDataset:
@@ -110,8 +145,8 @@ def generate_rct(scenario: Scenario, n: int, seed: int) -> RctDataset:
     features = scenario.features.points
     labels = scenario.decisions.labels
     return RctDataset(
-        xs=tuple(features[i] for i in x_idx),
-        yhats=tuple(labels[j] for j in yhat_idx),
+        xs=Column(features[i] for i in x_idx),
+        yhats=Column(labels[j] for j in yhat_idx),
         ys=tuple(int(v) for v in y),
         meta=RctMeta(scenario=scenario.name, seed=int(seed), n=n, gen=GENERATOR_TAG),
     )
@@ -126,22 +161,27 @@ def ips_risk_estimate(data: RctDataset, h: Hypothesis, loss: Loss, k: int) -> fl
     """
     if data.n == 0:
         raise ArgumentError("cannot estimate risk from an empty dataset")
-    decisions: dict[str, str] = {}
-    values: dict[tuple[str, str], tuple[float, float]] = {}
-    total = []
-    for x, yh, y in zip(data.xs, data.yhats, data.ys):
-        chosen = decisions.get(x)
-        if chosen is None:
-            chosen = decisions.setdefault(x, h.decide(x))
-        if chosen != yh:
-            continue
-        pair = values.get((x, yh))
-        if pair is None:
-            pair = values.setdefault(
-                (x, yh), (loss.values(x, yh, 0), loss.values(x, yh, 1))
-            )
-        total.append(pair[y])
-    return (k / data.n) * math.fsum(total)
+    x_vocab, x_codes = data.xs.codes
+    yhat_vocab, yhat_codes = data.yhats.codes
+    logged = {yh: j for j, yh in enumerate(yhat_vocab)}
+    chosen = [h.decide(x) for x in x_vocab]
+    # per feature: the logged-decision code of h(x), or -1 if never logged
+    chosen_code = np.array([logged.get(yh, -1) for yh in chosen], dtype=np.intp)
+    # realized loss at (x, h(x)) for outcome 0 and 1; a row whose h(x) no
+    # sample logged is never read, so its loss entry is not looked up
+    realized = np.array(
+        [
+            (loss.values(x, yh, 0), loss.values(x, yh, 1))
+            if yh in logged
+            else (0.0, 0.0)
+            for x, yh in zip(x_vocab, chosen)
+        ],
+        dtype=np.float64,
+    )
+    match = chosen_code[x_codes] == yhat_codes
+    total = realized[x_codes[match], data.outcomes[match]]
+    # fsum is correctly rounded, so the order of the terms does not matter
+    return (k / data.n) * math.fsum(total.tolist())
 
 
 def model_risk_estimate(
@@ -157,13 +197,13 @@ def model_risk_estimate(
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays_for(scenario, loss)
-    rule_idx = arrays.rule_indices(rule)
+    vocab, codes = encode(xs)
     x_idx = np.fromiter(
-        (arrays.x_index[x] for x in xs), dtype=np.int64, count=len(xs)
+        (arrays.x_index[x] for x in vocab), dtype=np.intp, count=len(vocab)
     )
-    chosen = rule_idx[x_idx]
-    vals = base[x_idx, chosen] + delta[x_idx, chosen] * matrix[x_idx, chosen]
-    return float(np.add.reduce(vals) / len(xs))
+    chosen = arrays.rule_indices(rule)[x_idx]
+    per_x = base[x_idx, chosen] + delta[x_idx, chosen] * matrix[x_idx, chosen]
+    return float(np.add.reduce(per_x[codes]) / len(xs))
 
 
 def required_sample_size(
@@ -204,8 +244,10 @@ def write_jsonl(data: RctDataset, path) -> None:
 def read_jsonl(path, scenario: Scenario) -> RctDataset:
     """Read a dataset file, validating identifiers against the scenario.
 
-    Malformed lines and unknown identifiers raise DataFormatError naming
-    the 1-indexed line. An empty file yields an empty dataset, which the
+    Malformed lines, unknown identifiers, outcomes other than the
+    integers 0 and 1, and a metadata line naming another scenario raise
+    DataFormatError naming the 1-indexed line. The metadata line is
+    optional. An empty file yields an empty dataset, which the
     estimators reject.
     """
     xs: list[str] = []
@@ -238,6 +280,11 @@ def read_jsonl(path, scenario: Scenario) -> RctDataset:
                     )
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DataFormatError(f"{path}:1: bad metadata: {exc}")
+                if meta.scenario != scenario.name:
+                    raise DataFormatError(
+                        f"{path}:1: dataset was drawn for scenario "
+                        f"{meta.scenario!r}, not {scenario.name!r}"
+                    )
                 continue
             if not isinstance(obj, dict):
                 raise DataFormatError(f"{path}:{lineno}: sample must be an object")
@@ -249,13 +296,17 @@ def read_jsonl(path, scenario: Scenario) -> RctDataset:
                 raise DataFormatError(f"{path}:{lineno}: unknown feature {x!r}")
             if yh not in labels:
                 raise DataFormatError(f"{path}:{lineno}: unknown decision {yh!r}")
-            if y not in (0, 1):
-                raise DataFormatError(f"{path}:{lineno}: outcome must be 0 or 1")
+            # bool is an int subclass and 1.0 == 1, so test the exact type
+            if type(y) is not int or y not in (0, 1):
+                raise DataFormatError(
+                    f"{path}:{lineno}: outcome must be the integer 0 or 1, "
+                    f"got {y!r}"
+                )
             xs.append(x)
             yhats.append(yh)
-            ys.append(int(y))
+            ys.append(y)
     if meta is None:
         meta = RctMeta(scenario=scenario.name, seed=None, n=len(xs), gen="")
     if meta.n != len(xs):
         meta = RctMeta(scenario=meta.scenario, seed=meta.seed, n=len(xs), gen=meta.gen)
-    return RctDataset(xs=tuple(xs), yhats=tuple(yhats), ys=tuple(ys), meta=meta)
+    return RctDataset(xs=Column(xs), yhats=Column(yhats), ys=tuple(ys), meta=meta)

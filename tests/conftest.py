@@ -160,6 +160,28 @@ def dyadic_scenario_and_data(rng, name="dyadic"):
     return scenario, data, matrix
 
 
+def partial_trial_data(rng, scenario, n):
+    """Seeded random trial rows that leave out one feature and one decision.
+
+    Features and decisions are drawn uniformly from all but one randomly
+    chosen feature and one randomly chosen decision, so the kernels meet
+    features missing from the data and a decision no sample logged.
+    Returns the dataset and the decision left out.
+    """
+    pts = scenario.features.points
+    labels = scenario.decisions.labels
+    skip_x = int(rng.integers(0, len(pts)))
+    skip_y = int(rng.integers(0, len(labels)))
+    present = [x for i, x in enumerate(pts) if i != skip_x]
+    logged = [y for j, y in enumerate(labels) if j != skip_y]
+    xs = tuple(present[int(i)] for i in rng.integers(0, len(present), size=n))
+    yhats = tuple(logged[int(j)] for j in rng.integers(0, len(logged), size=n))
+    ys = tuple(int(v) for v in rng.integers(0, 2, size=n))
+    meta = om.RctMeta(scenario=scenario.name, seed=None, n=n, gen="partial")
+    data = om.RctDataset(xs=xs, yhats=yhats, ys=ys, meta=meta)
+    return data, labels[skip_y]
+
+
 def near_nature_matrix(rng, scenario, gap=0.019):
     """Prediction matrix within `gap` of the true outcome model everywhere."""
     pts = scenario.features.points

@@ -13,6 +13,7 @@ from conftest import (
     dyadic_scenario_and_data,
     io_loss_scenario,
     near_nature_matrix,
+    partial_trial_data,
     random_matrix,
     random_scenario,
 )
@@ -219,6 +220,70 @@ class TestEmpiricalAudits:
                     nature_side = om.ips_risk_estimate(data, h, loss, sc.k)
                     assert got[(h.name, loss.name)] == pytest.approx(
                         model_side - nature_side, abs=1e-12)
+
+
+def csc_costs_reference(labeled, pred, loss, sigma, scenario):
+    """Cost rows built with per-sample index lookups, the loop the
+    encoded columns replaced."""
+    matrix = om.prediction_matrix(pred, scenario)
+    arrays = scenario.arrays
+    base, delta = arrays.loss_arrays_for(scenario, loss)
+    n = labeled.n
+    xi = np.fromiter((arrays.x_index[x] for x in labeled.xs), dtype=np.int64, count=n)
+    ji = np.fromiter(
+        (arrays.y_index[yh] for yh in labeled.yhats), dtype=np.int64, count=n
+    )
+    ys = np.asarray(labeled.ys, dtype=np.float64)
+    modeled = base[xi, ji] + delta[xi, ji] * matrix[xi, ji]
+    realized = base[xi, ji] + delta[xi, ji] * ys
+    scale = 4.0 * scenario.k * scenario.lmax
+    costs = np.zeros((n, scenario.k), dtype=np.float64)
+    costs[np.arange(n), ji] = sigma * (modeled - realized) / scale
+    return costs
+
+
+def mean_cost_reference(instance, rule):
+    """One rule lookup per sample, as before the columns were encoded."""
+    cols = np.fromiter(
+        (instance.decision_labels.index(rule.decide(x)) for x in instance.xs),
+        dtype=np.int64,
+        count=instance.n,
+    )
+    return float(np.add.reduce(instance.costs[np.arange(instance.n), cols])
+                 / instance.n)
+
+
+class TestCscKernelsMatchPerSampleLoops:
+    def test_instances_and_mean_costs(self):
+        rng = np.random.default_rng(211)
+        for _ in range(15):
+            sc = random_scenario(rng)
+            q = random_matrix(rng, sc)
+            data, unlogged = partial_trial_data(rng, sc, int(rng.integers(1, 400)))
+            a = int(rng.integers(0, data.n))
+            part = data.slice(a, data.n)
+            always = om.Hypothesis(
+                name="always", mapping={x: unlogged for x in sc.features.points})
+            for d in (data, part):
+                for loss in sc.losses:
+                    for sigma in (-1, 1):
+                        inst = om.build_csc_instance(d, q, loss, sigma, sc)
+                        want = csc_costs_reference(d, q, loss, sigma, sc)
+                        assert inst.costs.tobytes() == want.tobytes()
+                        plain = om.CscInstance(
+                            xs=tuple(d.xs), decision_labels=inst.decision_labels,
+                            costs=inst.costs)
+                        for h in sc.hypotheses + (always,):
+                            ref = mean_cost_reference(inst, h)
+                            assert inst.mean_cost(h) == ref
+                            assert plain.mean_cost(h) == ref
+
+    def test_empty_dataset_rejected(self, beta_scenario):
+        sc = beta_scenario
+        empty = om.generate_rct(sc, 10, 0).slice(4, 4)
+        pred = om.base_predictor(sc, 0.05)
+        with pytest.raises(om.ArgumentError):
+            om.build_csc_instance(empty, pred, sc.losses[0], 1, sc)
 
 
 class TestCostSensitive:

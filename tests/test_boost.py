@@ -162,8 +162,9 @@ class TestExactTraining:
 
 class TestConfigValidation:
     def test_bad_epsilon(self, beta_scenario):
-        with pytest.raises(om.ArgumentError):
-            om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.0))
+        for eps in (0.0, -0.05, math.nan, math.inf):
+            with pytest.raises(om.ArgumentError):
+                om.poi_boost(beta_scenario, om.BoostConfig(epsilon=eps))
 
     def test_bad_mode(self, beta_scenario):
         with pytest.raises(om.ArgumentError):

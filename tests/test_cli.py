@@ -212,7 +212,49 @@ class TestTrain:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0"])
+    def test_unusable_epsilon_is_usage_error(self, workdir, eps):
+        out = workdir / "eps.json"
+        code, _, err = run("train", "--config", BETA, f"--epsilon={eps}",
+                           "--out", str(out))
+        assert code == 1
+        assert "--epsilon" in err and "positive finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestAudit:
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_unusable_epsilon_is_usage_error(self, model_path, eps):
+        code, out, err = run("audit", "--config", BETA, "--model", model_path,
+                             "--epsilon", eps)
+        assert code == 1
+        assert "positive finite" in err and out == ""
+
+    @pytest.mark.parametrize("outcome", ["true", "1.0"])
+    def test_non_integer_outcome_in_data_file(self, workdir, model_path,
+                                              outcome):
+        bad = workdir / "float_y.jsonl"
+        bad.write_text('{"x":"+1","yhat":"+1","y":1}\n'
+                       f'{{"x":"-1","yhat":"+1","y":{outcome}}}\n')
+        code, _, err = run("audit", "--config", BETA, "--model", model_path,
+                           "--mode", "empirical", "--data", str(bad))
+        assert code == 2
+        assert f"{bad}:2" in err
+
+    def test_data_from_another_scenario(self, workdir, model_path):
+        data = workdir / "foreign.jsonl"
+        assert run("rct-gen", "--config", BETA, "--n", "50", "--seed", "1",
+                   "--out", str(data))[0] == 0
+        lines = data.read_text().splitlines()
+        lines[0] = lines[0].replace('"beta-0.25"', '"some-other-scenario"')
+        data.write_text("\n".join(lines) + "\n")
+        for mode in ("empirical", "csc"):
+            code, _, err = run("audit", "--config", BETA, "--model", model_path,
+                               "--mode", mode, "--data", str(data))
+            assert code == 2
+            assert "some-other-scenario" in err
+
     def test_clean_model_passes(self, model_path):
         code, out, _ = run("audit", "--config", BETA, "--model", model_path)
         assert code == 0
@@ -374,6 +416,12 @@ class TestAdaptVerify:
         assert code == 3
         assert json.loads(out)["pass"] is False
 
+    def test_unusable_epsilon_is_usage_error(self, adapt_model_path):
+        code, _, err = run("adapt-verify", "--config", BETA_W,
+                           "--model", adapt_model_path, "--epsilon", "nan")
+        assert code == 1
+        assert "positive finite" in err
+
     def test_requires_weight_class(self, model_path):
         code, _, _ = run("adapt-verify", "--config", BETA, "--model", model_path)
         assert code == 2
@@ -408,6 +456,23 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "beta-0.25" in proc.stdout
+
+    def test_package_main(self):
+        # python -m omnipredict from the source tree, without an install
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "omnipredict", "scenario-show",
+             "--config", BETA],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "beta-0.25" in proc.stdout
+        proc = subprocess.run(
+            [sys.executable, "-m", "omnipredict", "scenario-show",
+             "--config", str(REPO / "scenarios" / "missing.json")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
 
     def test_console_script(self):
         # the [project.scripts] entry, run the way pip's generated wrapper

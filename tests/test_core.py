@@ -331,9 +331,10 @@ class TestValidation:
 
     def test_epsilon_positive(self):
         kw = self._base()
-        kw["epsilon"] = 0.0
-        with pytest.raises(om.ConfigurationError):
-            om.Scenario(**kw)
+        for eps in (0.0, -0.1, math.nan, math.inf):
+            kw["epsilon"] = eps
+            with pytest.raises(om.ConfigurationError):
+                om.Scenario(**kw)
 
     def test_weight_function_invariants(self):
         kw = self._base()

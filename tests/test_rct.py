@@ -1,13 +1,19 @@
 """Trial-data generation, inverse-propensity estimates, file round trips."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import omnipredict as om
 
-from conftest import dyadic_scenario_and_data, random_scenario
+from conftest import (
+    dyadic_scenario_and_data,
+    partial_trial_data,
+    random_matrix,
+    random_scenario,
+)
 
 
 def manual_dataset(scenario, rows):
@@ -149,6 +155,110 @@ class TestModelRiskEstimate:
             om.model_risk_estimate([], pred, h, beta_scenario.losses[0], beta_scenario)
 
 
+def ips_reference(data, h, loss, k):
+    """The per-sample loop the array kernel replaced, kept as reference."""
+    if data.n == 0:
+        raise om.ArgumentError("cannot estimate risk from an empty dataset")
+    total = []
+    for x, yh, y in zip(data.xs, data.yhats, data.ys):
+        if h.decide(x) == yh:
+            total.append(loss.values(x, yh, y))
+    return (k / data.n) * math.fsum(total)
+
+
+def model_risk_reference(xs, pred, rule, loss, scenario):
+    """Per-sample index remapping, as before the features were encoded."""
+    matrix = om.prediction_matrix(pred, scenario)
+    arrays = scenario.arrays
+    base, delta = arrays.loss_arrays_for(scenario, loss)
+    rule_idx = arrays.rule_indices(rule)
+    x_idx = np.fromiter(
+        (arrays.x_index[x] for x in xs), dtype=np.int64, count=len(xs)
+    )
+    chosen = rule_idx[x_idx]
+    vals = base[x_idx, chosen] + delta[x_idx, chosen] * matrix[x_idx, chosen]
+    return float(np.add.reduce(vals) / len(xs))
+
+
+def rules_to_check(scenario, unlogged):
+    """The scenario's rules plus one that always picks `unlogged`."""
+    always = om.Hypothesis(
+        name="always", mapping={x: unlogged for x in scenario.features.points})
+    return scenario.hypotheses + (always,)
+
+
+class TestKernelsMatchPerSampleLoops:
+    """The gathers over encoded columns give the loops' results bit for bit."""
+
+    def test_ips_on_partial_data_and_slices(self):
+        rng = np.random.default_rng(101)
+        for _ in range(15):
+            sc = random_scenario(rng)
+            data, unlogged = partial_trial_data(rng, sc, int(rng.integers(1, 400)))
+            a = int(rng.integers(0, data.n))
+            b = int(rng.integers(a + 1, data.n + 1))
+            part = data.slice(a, b)
+            for d in (data, part, part.slice(0, max(1, (b - a) // 2))):
+                for h in rules_to_check(sc, unlogged):
+                    for loss in sc.losses:
+                        got = om.ips_risk_estimate(d, h, loss, sc.k)
+                        assert got == ips_reference(d, h, loss, sc.k)
+
+    def test_rule_on_unlogged_decision_gives_zero(self):
+        rng = np.random.default_rng(103)
+        sc = random_scenario(rng)
+        data, unlogged = partial_trial_data(rng, sc, 300)
+        always = rules_to_check(sc, unlogged)[-1]
+        assert om.ips_risk_estimate(data, always, sc.losses[0], sc.k) == 0.0
+
+    def test_ips_on_generated_data(self):
+        rng = np.random.default_rng(107)
+        for _ in range(10):
+            sc = random_scenario(rng)
+            data = om.generate_rct(sc, 500, int(rng.integers(0, 1000)))
+            for h in sc.hypotheses:
+                for loss in sc.losses:
+                    assert (om.ips_risk_estimate(data, h, loss, sc.k)
+                            == ips_reference(data, h, loss, sc.k))
+
+    def test_model_risk_on_list_tuple_column_and_slice(self):
+        rng = np.random.default_rng(109)
+        for _ in range(15):
+            sc = random_scenario(rng)
+            q = random_matrix(rng, sc)
+            data, unlogged = partial_trial_data(rng, sc, int(rng.integers(1, 400)))
+            part = data.slice(0, max(1, data.n // 3))
+            for h in rules_to_check(sc, unlogged):
+                for loss in sc.losses:
+                    for xs in (data.xs, part.xs):
+                        want = model_risk_reference(xs, q, h, loss, sc)
+                        assert om.model_risk_estimate(xs, q, h, loss, sc) == want
+                        assert om.model_risk_estimate(
+                            list(xs), q, h, loss, sc) == want
+                        assert om.model_risk_estimate(
+                            tuple(xs), q, h, loss, sc) == want
+
+    def test_slices_share_the_parent_codes(self, beta_scenario):
+        d = om.generate_rct(beta_scenario, 100, 4)
+        s = d.slice(10, 30)
+        assert np.shares_memory(s.xs.codes[1], d.xs.codes[1])
+        assert np.shares_memory(s.yhats.codes[1], d.yhats.codes[1])
+        assert np.shares_memory(s.outcomes, d.outcomes)
+        assert s.outcomes.tolist() == list(d.ys[10:30])
+
+    def test_empty_inputs_rejected(self, beta_scenario):
+        sc = beta_scenario
+        h, loss = sc.hypotheses[0], sc.losses[0]
+        empty = om.generate_rct(sc, 50, 0).slice(20, 20)
+        assert empty.n == 0
+        with pytest.raises(om.ArgumentError):
+            om.ips_risk_estimate(empty, h, loss, sc.k)
+        pred = om.base_predictor(sc, 0.05)
+        for xs in ([], (), empty.xs):
+            with pytest.raises(om.ArgumentError):
+                om.model_risk_estimate(xs, pred, h, loss, sc)
+
+
 class TestRequiredSampleSize:
     def test_reference_value(self):
         assert om.required_sample_size(1.0, 2, 2, 2, 0.05, 0.1) == 14023
@@ -222,6 +332,47 @@ class TestJsonlFiles:
         with pytest.raises(om.DataFormatError) as exc:
             om.read_jsonl(path, beta_scenario)
         assert ":2" in str(exc.value)
+
+    @pytest.mark.parametrize("outcome", ["true", "false", "1.0", "0.0", '"1"'])
+    def test_non_integer_outcome_names_line(self, beta_scenario, tmp_path,
+                                            outcome):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"x":"+1","yhat":"+1","y":1}\n'
+                        f'{{"x":"-1","yhat":"+1","y":{outcome}}}\n')
+        with pytest.raises(om.DataFormatError) as exc:
+            om.read_jsonl(path, beta_scenario)
+        assert f"{path}:2" in str(exc.value)
+
+    def test_foreign_scenario_header_rejected(self, beta_scenario, tmp_path):
+        d = om.generate_rct(beta_scenario, 5, 0)
+        path = tmp_path / "foreign.jsonl"
+        om.write_jsonl(d, path)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"beta-0.25"', '"some-other-scenario"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(om.DataFormatError) as exc:
+            om.read_jsonl(path, beta_scenario)
+        msg = str(exc.value)
+        assert f"{path}:1" in msg
+        assert "some-other-scenario" in msg and "beta-0.25" in msg
+
+    def test_headerless_file_takes_the_scenario_name(self, beta_scenario,
+                                                     tmp_path):
+        path = tmp_path / "bare.jsonl"
+        path.write_text('{"x":"+1","yhat":"-1","y":0}\n'
+                        '{"x":"-1","yhat":"-1","y":1}\n')
+        d = om.read_jsonl(path, beta_scenario)
+        assert d.n == 2 and d.ys == (0, 1)
+        assert d.meta.scenario == "beta-0.25"
+
+    def test_augmented_scenario_reads_base_data(self, tmp_path):
+        base = om.load_scenario(
+            Path(__file__).resolve().parent.parent / "scenarios"
+            / "beta025_weights.json")
+        d = om.generate_rct(base, 20, 3)
+        path = tmp_path / "trial.jsonl"
+        om.write_jsonl(d, path)
+        assert om.read_jsonl(path, om.augment_scenario(base)) == d
 
     def test_empty_file_gives_empty_dataset(self, beta_scenario, tmp_path):
         path = tmp_path / "empty.jsonl"
