@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    MASS_TOLERANCE,
     InputDistribution,
     Loss,
     Scenario,
@@ -28,19 +29,14 @@ from .core import (
     WeightFunction,
     performative_risk_exact,
 )
-from .errors import (
-    ArgumentError,
-    ConfigurationError,
-    ModelMismatchError,
-    WeightInvariantError,
-)
+from .errors import ArgumentError, ConfigurationError, WeightInvariantError
 from .predictor import (
     AdditivePredictor,
-    _resolve_term,
+    deserialize,
     induced_rule,
     prediction_matrix,
+    read_model_document,
 )
-from .core import MASS_TOLERANCE
 
 __all__ = [
     "WeightFunction",
@@ -54,7 +50,8 @@ __all__ = [
     "induced_rule_shift_invariance_check",
     "AdaptReport",
     "DistributionCheck",
-    "resolve_evaluation_scenario",
+    "model_scenario",
+    "load_model_with_scenario",
 ]
 
 
@@ -151,21 +148,27 @@ def mixture_distribution(
     return InputDistribution(probabilities=masses)
 
 
-def resolve_evaluation_scenario(pred, scenario: Scenario) -> Scenario:
-    """Scenario to evaluate a predictor against, honoring its fingerprint.
+def model_scenario(scenario: Scenario, adapt: bool) -> Scenario:
+    """The scenario a model's terms resolve in.
 
-    A predictor trained on augmented losses references names like
-    "loss@weight" that only resolve after augmentation; if such a
-    predictor is handed the base scenario, the augmented one is built
-    from its weight class.
+    A model trained with adapt=True names augmented losses like
+    "loss@weight", which exist only in augment_scenario(scenario).
     """
-    if isinstance(pred, AdditivePredictor) and pred.fingerprint.adapt:
-        try:
-            for term in pred.terms:
-                _resolve_term(term, scenario)
-        except ModelMismatchError:
-            return augment_scenario(scenario)
-    return scenario
+    return augment_scenario(scenario) if adapt else scenario
+
+
+def load_model_with_scenario(path, scenario: Scenario):
+    """Read a model file; returns (predictor, the scenario it resolves in)."""
+    doc = read_model_document(path)
+    fp = doc.get("fingerprint") if isinstance(doc, dict) else None
+    target = model_scenario(scenario, isinstance(fp, dict) and bool(fp.get("adapt")))
+    return deserialize(doc, target), target
+
+
+def _model_matrix(pred, scenario: Scenario):
+    """The prediction matrix of pred, a model or a matrix, over scenario."""
+    adapt = isinstance(pred, AdditivePredictor) and pred.fingerprint.adapt
+    return prediction_matrix(pred, model_scenario(scenario, adapt))
 
 
 @dataclass(frozen=True)
@@ -242,8 +245,7 @@ def verify_universal_adaptability(
         raise ConfigurationError("universal adaptability needs a weight class")
     if n_mixtures < 0:
         raise ArgumentError("n_mixtures must be nonnegative")
-    eval_scenario = resolve_evaluation_scenario(pred, scenario)
-    matrix = prediction_matrix(pred, eval_scenario)
+    matrix = _model_matrix(pred, scenario)
     rules = [(loss, induced_rule(matrix, loss, scenario)) for loss in scenario.losses]
 
     weights = scenario.weights
@@ -308,8 +310,7 @@ def induced_rule_shift_invariance_check(pred, scenario: Scenario) -> InvarianceR
     """
     if scenario.weights is None:
         raise ConfigurationError("rule invariance needs a weight class")
-    eval_scenario = resolve_evaluation_scenario(pred, scenario)
-    matrix = prediction_matrix(pred, eval_scenario)
+    matrix = _model_matrix(pred, scenario)
     augmented = augment_losses(
         scenario.losses, scenario.weights, scenario.features.points
     )

@@ -26,14 +26,18 @@ classification that needs only two learner calls per loss.
 Enumeration order is canonical everywhere (hypothesis-major then
 loss-minor; decisions in index order), and the reported violation is
 always the canonically first one, so identical inputs give identical
-results regardless of internal parallelism.
+results regardless of internal parallelism. Every audit yields
+(target, err) entries in that order, and first_violation and
+audit_report turn them into its verdict; training reads the same
+entries, lazily, only up to the first violation.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +49,7 @@ from .rct import RctDataset, encode, ips_risk_estimate, model_risk_estimate
 EXACT = "exact"
 EMPIRICAL = "empirical"
 CSC = "csc"
+MODES = (EXACT, EMPIRICAL, CSC)
 
 
 @dataclass(frozen=True)
@@ -56,15 +61,6 @@ class AuditTarget:
     loss: Optional[str] = None
     decision: Optional[str] = None
     weights: Optional[tuple[float, ...]] = None
-
-    def describe(self) -> str:
-        if self.kind == "poi":
-            return f"poi(h={self.hypothesis}, loss={self.loss})"
-        if self.kind == "doi":
-            return f"doi(loss={self.loss})"
-        if self.kind == "ma":
-            return f"ma(h={self.hypothesis}, yhat={self.decision})"
-        return f"dc(w={list(self.weights)}, yhat={self.decision})"
 
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind}
@@ -191,44 +187,97 @@ def doi_errs(matrix_or_pred, scenario: Scenario, threads: int = 1) -> np.ndarray
     return errs
 
 
-def _first_poi_violation(errs: np.ndarray, scenario: Scenario, eps: float):
-    flags = np.abs(errs) >= eps
-    if not flags.any():
-        return None
-    hi, li = np.argwhere(flags)[0]
-    target = AuditTarget(
-        kind="poi",
-        hypothesis=scenario.hypotheses[hi].name,
-        loss=scenario.losses[li].name,
-    )
-    return Violation(target=target, err=float(errs[hi, li]))
+def first_violation(entries: Iterable, eps: float) -> Optional[Violation]:
+    """The first (target, err) pair with |err| >= eps, or None. Reading
+    stops there, so a lazy source computes no err after it."""
+    for target, err in entries:
+        if abs(err) >= eps:
+            return Violation(target=target, err=err)
+    return None
 
 
-def _first_doi_violation(errs: np.ndarray, scenario: Scenario, eps: float):
-    flags = np.abs(errs) >= eps
-    if not flags.any():
-        return None
-    li = int(np.argwhere(flags)[0][0])
-    target = AuditTarget(kind="doi", loss=scenario.losses[li].name)
-    return Violation(target=target, err=float(errs[li]))
-
-
-def _poi_entries(errs: np.ndarray, scenario: Scenario):
-    return tuple(
-        (
-            AuditTarget(kind="poi", hypothesis=h.name, loss=l.name),
-            float(errs[hi, li]),
-        )
-        for hi, h in enumerate(scenario.hypotheses)
-        for li, l in enumerate(scenario.losses)
+def audit_report(
+    mode: str, eps: float, entries: Iterable, violation: Optional[Violation] = None
+) -> AuditReport:
+    """Report over every (target, err) pair; the violation, unless given,
+    is the first one among them."""
+    entries = tuple(entries)
+    if violation is None:
+        violation = first_violation(entries, eps)
+    return AuditReport(
+        mode=mode,
+        eps=eps,
+        entries=entries,
+        passed=violation is None,
+        violation=violation,
     )
 
 
-def _doi_entries(errs: np.ndarray, scenario: Scenario):
-    return tuple(
-        (AuditTarget(kind="doi", loss=l.name), float(errs[li]))
-        for li, l in enumerate(scenario.losses)
+def _verdict(mode: str, eps: float, entries: Iterable):
+    report = audit_report(mode, eps, entries)
+    return report.violation, report
+
+
+def _rule_entries(scenario: Scenario, errs: Iterable[float]):
+    """(hypothesis, loss) targets, hypothesis-major, zipped with errs."""
+    targets = (
+        AuditTarget(kind="poi", hypothesis=h.name, loss=loss.name)
+        for h, loss in itertools.product(scenario.hypotheses, scenario.losses)
     )
+    return zip(targets, errs)
+
+
+def _decision_entries(scenario: Scenario, errs: Iterable[float]):
+    targets = (AuditTarget(kind="doi", loss=loss.name) for loss in scenario.losses)
+    return zip(targets, errs)
+
+
+def poi_entries_exact(pred, scenario: Scenario, threads: int = 1):
+    errs = poi_err_matrix(pred, scenario, threads=threads)
+    return _rule_entries(scenario, errs.ravel().tolist())
+
+
+def doi_entries_exact(pred, scenario: Scenario, threads: int = 1):
+    return _decision_entries(scenario, doi_errs(pred, scenario, threads).tolist())
+
+
+def ips_rule_risks(labeled: RctDataset, scenario: Scenario):
+    """Lazy IPS estimates of Nature's risk per (hypothesis, loss) pair."""
+    return (
+        ips_risk_estimate(labeled, h, loss, scenario.k)
+        for h, loss in itertools.product(scenario.hypotheses, scenario.losses)
+    )
+
+
+def poi_entries_empirical(
+    pred, unlabeled: Sequence[str], scenario: Scenario, nature: Iterable[float]
+):
+    """Lazy estimated rule-audit entries; nature is in ips_rule_risks order."""
+    matrix = prediction_matrix(pred, scenario)
+    pairs = itertools.product(scenario.hypotheses, scenario.losses)
+    errs = (
+        model_risk_estimate(unlabeled, matrix, h, loss, scenario) - nature_risk
+        for (h, loss), nature_risk in zip(pairs, nature)
+    )
+    return _rule_entries(scenario, errs)
+
+
+def doi_entries_empirical(
+    pred, labeled: RctDataset, unlabeled: Sequence[str], scenario: Scenario
+):
+    """Lazy estimated decision-audit entries.
+
+    The rules themselves are computed analytically from the predictor;
+    only Nature's side of each risk is estimated from the trial data.
+    """
+    matrix = prediction_matrix(pred, scenario)
+
+    def err(loss: Loss) -> float:
+        rule = induced_rule(matrix, loss, scenario)
+        model = model_risk_estimate(unlabeled, matrix, rule, loss, scenario)
+        return model - ips_risk_estimate(labeled, rule, loss, scenario.k)
+
+    return _decision_entries(scenario, map(err, scenario.losses))
 
 
 def audit_poi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
@@ -237,30 +286,12 @@ def audit_poi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
     Returns (violation, report): the canonically first target with
     |err| >= eps, or None, plus the full report.
     """
-    errs = poi_err_matrix(pred, scenario, threads=threads)
-    violation = _first_poi_violation(errs, scenario, eps)
-    report = AuditReport(
-        mode=EXACT,
-        eps=eps,
-        entries=_poi_entries(errs, scenario),
-        passed=violation is None,
-        violation=violation,
-    )
-    return violation, report
+    return _verdict(EXACT, eps, poi_entries_exact(pred, scenario, threads))
 
 
 def audit_doi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
     """Audit each loss under the predictor's own loss-optimal rule."""
-    errs = doi_errs(pred, scenario, threads=threads)
-    violation = _first_doi_violation(errs, scenario, eps)
-    report = AuditReport(
-        mode=EXACT,
-        eps=eps,
-        entries=_doi_entries(errs, scenario),
-        passed=violation is None,
-        violation=violation,
-    )
-    return violation, report
+    return _verdict(EXACT, eps, doi_entries_exact(pred, scenario, threads))
 
 
 def audit_poi_empirical(
@@ -274,25 +305,9 @@ def audit_poi_empirical(
     on the model side."""
     if labeled.n == 0 or len(unlabeled) == 0:
         raise ArgumentError("empirical audit needs nonempty labeled and unlabeled data")
-    entries = []
-    violation = None
-    for h in scenario.hypotheses:
-        for loss in scenario.losses:
-            model = model_risk_estimate(unlabeled, pred, h, loss, scenario)
-            nature = ips_risk_estimate(labeled, h, loss, scenario.k)
-            err = model - nature
-            target = AuditTarget(kind="poi", hypothesis=h.name, loss=loss.name)
-            entries.append((target, err))
-            if violation is None and abs(err) >= eps:
-                violation = Violation(target=target, err=err)
-    report = AuditReport(
-        mode=EMPIRICAL,
-        eps=eps,
-        entries=tuple(entries),
-        passed=violation is None,
-        violation=violation,
-    )
-    return violation, report
+    nature = ips_rule_risks(labeled, scenario)
+    entries = poi_entries_empirical(pred, unlabeled, scenario, nature)
+    return _verdict(EMPIRICAL, eps, entries)
 
 
 def audit_doi_empirical(
@@ -302,32 +317,11 @@ def audit_doi_empirical(
     scenario: Scenario,
     eps: float,
 ):
-    """Estimated decision audit under the predictor's own optimal rules.
-
-    The rules themselves are computed analytically from the predictor;
-    only Nature's side of each risk is estimated from the trial data.
-    """
+    """Estimated decision audit under the predictor's own optimal rules."""
     if labeled.n == 0 or len(unlabeled) == 0:
         raise ArgumentError("empirical audit needs nonempty labeled and unlabeled data")
-    entries = []
-    violation = None
-    for loss in scenario.losses:
-        rule = induced_rule(pred, loss, scenario)
-        model = model_risk_estimate(unlabeled, pred, rule, loss, scenario)
-        nature = ips_risk_estimate(labeled, rule, loss, scenario.k)
-        err = model - nature
-        target = AuditTarget(kind="doi", loss=loss.name)
-        entries.append((target, err))
-        if violation is None and abs(err) >= eps:
-            violation = Violation(target=target, err=err)
-    report = AuditReport(
-        mode=EMPIRICAL,
-        eps=eps,
-        entries=tuple(entries),
-        passed=violation is None,
-        violation=violation,
-    )
-    return violation, report
+    entries = doi_entries_empirical(pred, labeled, unlabeled, scenario)
+    return _verdict(EMPIRICAL, eps, entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,6 +451,17 @@ def audit_via_csc(
     return None
 
 
+def audit_poi_csc(pred, labeled: RctDataset, scenario: Scenario, eps: float):
+    """audit_via_csc with baseline_weak_learner over the scenario's rules.
+
+    The report lists no entries: the learner names only the hypothesis
+    it finds, and that err may lie below eps when k = 1.
+    """
+    learner = lambda inst, rho: baseline_weak_learner(inst, scenario.hypotheses, rho)
+    violation = audit_via_csc(pred, labeled, scenario.losses, learner, eps, scenario)
+    return violation, audit_report(CSC, eps, (), violation)
+
+
 def multiaccuracy_errs(matrix_or_pred, scenario: Scenario) -> np.ndarray:
     """Per (hypothesis, decision) agreement value, true minus modeled.
 
@@ -479,22 +484,11 @@ def audit_multiaccuracy(pred, scenario: Scenario, eps: float) -> AuditReport:
     """Check modeled outcome probabilities against the true ones on every
     hypothesis-selected region; pass iff all magnitudes are below eps."""
     values = multiaccuracy_errs(pred, scenario)
-    entries = []
-    violation = None
-    for hi, h in enumerate(scenario.hypotheses):
-        for j, yhat in enumerate(scenario.decisions.labels):
-            target = AuditTarget(kind="ma", hypothesis=h.name, decision=yhat)
-            err = float(values[hi, j])
-            entries.append((target, err))
-            if violation is None and abs(err) >= eps:
-                violation = Violation(target=target, err=err)
-    return AuditReport(
-        mode=EXACT,
-        eps=eps,
-        entries=tuple(entries),
-        passed=violation is None,
-        violation=violation,
+    targets = (
+        AuditTarget(kind="ma", hypothesis=h.name, decision=yhat)
+        for h, yhat in itertools.product(scenario.hypotheses, scenario.decisions.labels)
     )
+    return audit_report(EXACT, eps, zip(targets, values.ravel().tolist()))
 
 
 DEFAULT_GRID_STEPS = 9
@@ -563,18 +557,8 @@ def audit_decision_calibration(
                 best_val[j] = vals[local]
                 best_combo[j] = tuple(float(v) for v in combo[local])
 
-    entries = []
-    violation = None
-    for j, yhat in enumerate(scenario.decisions.labels):
-        target = AuditTarget(kind="dc", decision=yhat, weights=best_combo[j])
-        err = float(best_val[j])
-        entries.append((target, err))
-        if violation is None and abs(err) >= eps:
-            violation = Violation(target=target, err=err)
-    return AuditReport(
-        mode=EXACT,
-        eps=eps,
-        entries=tuple(entries),
-        passed=violation is None,
-        violation=violation,
+    targets = (
+        AuditTarget(kind="dc", decision=yhat, weights=best_combo[j])
+        for j, yhat in enumerate(scenario.decisions.labels)
     )
+    return audit_report(EXACT, eps, zip(targets, best_val.tolist()))

@@ -26,7 +26,6 @@ loss on instances built from the same fixed prefix.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -36,14 +35,18 @@ from typing import Optional
 import numpy as np
 
 from .audit import (
+    CSC,
+    EMPIRICAL,
+    EXACT,
+    MODES,
     AuditTarget,
-    Violation,
-    audit_via_csc,
-    baseline_weak_learner,
-    doi_errs,
-    poi_err_matrix,
-    _first_doi_violation,
-    _first_poi_violation,
+    audit_poi_csc,
+    doi_entries_empirical,
+    doi_entries_exact,
+    first_violation,
+    ips_rule_risks,
+    poi_entries_empirical,
+    poi_entries_exact,
 )
 from .core import Scenario
 from .errors import ArgumentError, BoundExceededError, ConfigurationError
@@ -54,15 +57,9 @@ from .predictor import (
     Fingerprint,
     UpdateTerm,
     apply_term,
-    induced_rule,
     prediction_matrix,
 )
-from .rct import RctDataset, ips_risk_estimate, model_risk_estimate
-
-EXACT = "exact"
-EMPIRICAL = "empirical"
-CSC = "csc"
-MODES = (EXACT, EMPIRICAL, CSC)
+from .rct import RctDataset
 
 
 @dataclass(frozen=True)
@@ -150,11 +147,7 @@ class _EmpiricalData:
         self.cursor = config.poi_n
         # Rule-audit Nature-side estimates never depend on the predictor,
         # so they are computed once from the fixed prefix.
-        self.nature_side = {
-            (h.name, l.name): ips_risk_estimate(self.fixed, h, l, scenario.k)
-            for h in scenario.hypotheses
-            for l in scenario.losses
-        }
+        self.nature_side = tuple(ips_rule_risks(self.fixed, scenario))
 
     def fresh_slice(self, t: int) -> RctDataset:
         start, stop = self.cursor, self.cursor + self.doi_n
@@ -165,30 +158,6 @@ class _EmpiricalData:
             )
         self.cursor = stop
         return self.data.slice(start, stop)
-
-
-def _poi_violation_empirical(matrix, scenario, eps, emp: _EmpiricalData):
-    for h in scenario.hypotheses:
-        for loss in scenario.losses:
-            model = model_risk_estimate(emp.unlabeled, matrix, h, loss, scenario)
-            err = model - emp.nature_side[(h.name, loss.name)]
-            if abs(err) >= eps:
-                target = AuditTarget(kind="poi", hypothesis=h.name, loss=loss.name)
-                return Violation(target=target, err=err)
-    return None
-
-
-def _doi_violation_empirical(matrix, scenario, eps, emp: _EmpiricalData, t: int):
-    fresh = emp.fresh_slice(t)
-    for loss in scenario.losses:
-        rule = induced_rule(matrix, loss, scenario)
-        model = model_risk_estimate(emp.unlabeled, matrix, rule, loss, scenario)
-        nature = ips_risk_estimate(fresh, rule, loss, scenario.k)
-        err = model - nature
-        if abs(err) >= eps:
-            target = AuditTarget(kind="doi", loss=loss.name)
-            return Violation(target=target, err=err)
-    return None
 
 
 def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
@@ -228,30 +197,25 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
     termination = "converged"
 
     for t in itertools.count(1):
-        violation = None
         stage = "poi"
         if config.mode == EXACT:
-            errs = poi_err_matrix(matrix, scenario, threads=config.threads)
-            violation = _first_poi_violation(errs, scenario, eps)
-            if violation is None:
-                stage = "doi"
-                errs = doi_errs(matrix, scenario, threads=config.threads)
-                violation = _first_doi_violation(errs, scenario, eps)
+            entries = poi_entries_exact(matrix, scenario, config.threads)
+            violation = first_violation(entries, eps)
         elif config.mode == EMPIRICAL:
-            violation = _poi_violation_empirical(matrix, scenario, eps, emp)
-            if violation is None:
-                stage = "doi"
-                violation = _doi_violation_empirical(matrix, scenario, eps, emp, t)
+            entries = poi_entries_empirical(
+                matrix, emp.unlabeled, scenario, emp.nature_side
+            )
+            violation = first_violation(entries, eps)
         else:
-            learner = lambda inst, rho: baseline_weak_learner(
-                inst, scenario.hypotheses, rho
-            )
-            violation = audit_via_csc(
-                matrix, emp.fixed, scenario.losses, learner, eps, scenario
-            )
-            if violation is None:
-                stage = "doi"
-                violation = _doi_violation_empirical(matrix, scenario, eps, emp, t)
+            violation, _ = audit_poi_csc(matrix, emp.fixed, scenario, eps)
+        if violation is None:
+            stage = "doi"
+            if config.mode == EXACT:
+                entries = doi_entries_exact(matrix, scenario, config.threads)
+            else:
+                fresh = emp.fresh_slice(t)
+                entries = doi_entries_empirical(matrix, fresh, emp.unlabeled, scenario)
+            violation = first_violation(entries, eps)
 
         if violation is None:
             termination = "converged"

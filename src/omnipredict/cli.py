@@ -17,23 +17,26 @@ import sys
 
 from .adapt import (
     MixtureSpec,
-    augment_scenario,
     induced_rule_shift_invariance_check,
+    load_model_with_scenario,
     mixture_distribution,
+    model_scenario,
     shift_distribution,
     verify_universal_adaptability,
 )
 from .audit import (
-    AuditReport,
+    CSC,
+    EMPIRICAL,
+    EXACT,
+    MODES,
     audit_doi_empirical,
     audit_doi_exact,
+    audit_poi_csc,
     audit_poi_empirical,
     audit_poi_exact,
-    audit_via_csc,
-    baseline_weak_learner,
 )
-from .boost import CSC, EMPIRICAL, EXACT, MODES, BoostConfig, poi_boost, write_trace
-from .core import Scenario, load_scenario, performative_risk_exact
+from .boost import BoostConfig, poi_boost, write_trace
+from .core import load_scenario, performative_risk_exact
 from .errors import (
     ArgumentError,
     BoundExceededError,
@@ -42,13 +45,7 @@ from .errors import (
     LearnerContractError,
     ModelMismatchError,
 )
-from .predictor import (
-    deserialize,
-    induced_rule,
-    prediction_matrix,
-    read_model_document,
-    save_model,
-)
+from .predictor import induced_rule, prediction_matrix, save_model
 from .rct import generate_rct, read_jsonl, write_jsonl
 
 EXIT_OK = 0
@@ -92,23 +89,6 @@ def _resolve_threads(value) -> int:
     return value
 
 
-def _load_model_for(path, scenario: Scenario):
-    """Deserialize a model file against the scenario it belongs to.
-
-    Models trained on augmented losses carry adapt=true in their
-    fingerprint and only resolve against the augmented scenario, which
-    is rebuilt here from the base scenario's weight class.
-    """
-    doc = read_model_document(path)
-    adapt = False
-    if isinstance(doc, dict):
-        fp = doc.get("fingerprint")
-        if isinstance(fp, dict):
-            adapt = bool(fp.get("adapt", False))
-    target = augment_scenario(scenario) if adapt else scenario
-    return deserialize(doc, target), target
-
-
 def cmd_scenario_show(args) -> int:
     scenario = load_scenario(args.config)
     print(f"scenario: {scenario.name}")
@@ -149,7 +129,7 @@ def cmd_rct_gen(args) -> int:
 def cmd_train(args) -> int:
     threads = _resolve_threads(args.threads)
     scenario = load_scenario(args.config)
-    train_scenario = augment_scenario(scenario) if args.adapt else scenario
+    train_scenario = model_scenario(scenario, args.adapt)
     if args.mode in (EMPIRICAL, CSC) and args.data is None:
         raise ArgumentError(f"--data is required in {args.mode} mode")
     data = None
@@ -199,35 +179,24 @@ def cmd_train(args) -> int:
 def cmd_audit(args) -> int:
     threads = _resolve_threads(args.threads)
     scenario = load_scenario(args.config)
-    pred, audit_scenario = _load_model_for(args.model, scenario)
+    pred, audit_scenario = load_model_with_scenario(args.model, scenario)
     eps = args.epsilon if args.epsilon is not None else scenario.epsilon
     if args.mode in (EMPIRICAL, CSC) and args.data is None:
         raise ArgumentError(f"--data is required in {args.mode} mode")
 
+    matrix = prediction_matrix(pred, audit_scenario)
     if args.mode == EXACT:
-        _, poi_report = audit_poi_exact(pred, audit_scenario, eps, threads=threads)
-        _, doi_report = audit_doi_exact(pred, audit_scenario, eps, threads=threads)
+        _, poi_report = audit_poi_exact(matrix, audit_scenario, eps, threads=threads)
+        _, doi_report = audit_doi_exact(matrix, audit_scenario, eps, threads=threads)
     else:
         data = read_jsonl(args.data, audit_scenario)
         if args.mode == EMPIRICAL:
             _, poi_report = audit_poi_empirical(
-                pred, data, data.xs, audit_scenario, eps
+                matrix, data, data.xs, audit_scenario, eps
             )
         else:
-            learner = lambda inst, rho: baseline_weak_learner(
-                inst, audit_scenario.hypotheses, rho
-            )
-            violation = audit_via_csc(
-                pred, data, audit_scenario.losses, learner, eps, audit_scenario
-            )
-            poi_report = AuditReport(
-                mode=CSC,
-                eps=eps,
-                entries=(),
-                passed=violation is None,
-                violation=violation,
-            )
-        _, doi_report = audit_doi_empirical(pred, data, data.xs, audit_scenario, eps)
+            _, poi_report = audit_poi_csc(matrix, data, audit_scenario, eps)
+        _, doi_report = audit_doi_empirical(matrix, data, data.xs, audit_scenario, eps)
 
     passed = poi_report.passed and doi_report.passed
     print(
@@ -261,7 +230,7 @@ def _parse_mixture_flag(text: str) -> MixtureSpec:
 
 def cmd_eval(args) -> int:
     scenario = load_scenario(args.config)
-    pred, eval_scenario = _load_model_for(args.model, scenario)
+    pred, eval_scenario = load_model_with_scenario(args.model, scenario)
     dist = scenario.input_distribution
     if args.shift is not None:
         if scenario.weights is None:
@@ -316,12 +285,13 @@ def cmd_adapt_verify(args) -> int:
         raise ConfigurationError(
             "adapt-verify needs a scenario with a weight class"
         )
-    pred, _ = _load_model_for(args.model, scenario)
+    pred, replay_scenario = load_model_with_scenario(args.model, scenario)
+    matrix = prediction_matrix(pred, replay_scenario)
     eps = args.epsilon if args.epsilon is not None else scenario.epsilon
     report = verify_universal_adaptability(
-        pred, scenario, eps, n_mixtures=args.mixtures, seed=args.seed
+        matrix, scenario, eps, n_mixtures=args.mixtures, seed=args.seed
     )
-    invariance = induced_rule_shift_invariance_check(pred, scenario)
+    invariance = induced_rule_shift_invariance_check(matrix, scenario)
     report = dataclasses.replace(report, rule_invariance=invariance)
     print(json.dumps(report.to_json_dict(), indent=2))
     return EXIT_OK if report.passed else EXIT_FAIL

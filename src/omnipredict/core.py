@@ -90,8 +90,10 @@ class InputDistribution:
                     f"input distribution assigns mass to unknown feature {x!r}"
                 )
         masses = [float(v) for v in self.probabilities.values()]
-        if any(m < 0 for m in masses):
-            raise ConfigurationError("input distribution has a negative mass")
+        if not all(math.isfinite(m) and m >= 0 for m in masses):
+            raise ConfigurationError(
+                "input distribution has a negative or non-finite mass"
+            )
         total = math.fsum(masses)
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ConfigurationError(
@@ -152,8 +154,10 @@ class Loss:
         return float(row[yhat][y])
 
     def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> None:
-        if self.lmax <= 0:
-            raise ConfigurationError(f"loss {self.name!r} must have lmax > 0")
+        if not (math.isfinite(self.lmax) and self.lmax > 0):
+            raise ConfigurationError(
+                f"loss {self.name!r} must have a finite lmax > 0, got {self.lmax!r}"
+            )
         for x in features.points:
             for yhat in decisions.labels:
                 for y in (0, 1):
@@ -163,15 +167,13 @@ class Loss:
                             f"loss {self.name!r} value {v!r} at "
                             f"({x!r}, {yhat!r}, y={y}) is outside [0, {self.lmax}]"
                         )
-        if self.input_oblivious:
-            first = self.table[features.points[0]]
-            for x in features.points[1:]:
-                for yhat in decisions.labels:
-                    if tuple(self.table[x][yhat]) != tuple(first[yhat]):
-                        raise ConfigurationError(
-                            f"loss {self.name!r} is flagged input-oblivious but "
-                            f"differs between features at decision {yhat!r}"
-                        )
+        if self.input_oblivious and not _table_is_input_oblivious(
+            self.table, features, decisions
+        ):
+            raise ConfigurationError(
+                f"loss {self.name!r} is flagged input-oblivious but "
+                "differs between features"
+            )
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,10 @@ class WeightFunction:
         return float(self.mapping[x])
 
     def validate(self, features: FeatureSpace, dist: InputDistribution) -> None:
-        if self.wmax <= 0:
+        if not (math.isfinite(self.wmax) and self.wmax > 0):
             raise WeightInvariantError(
-                f"weight function {self.name!r} must have wmax > 0"
+                f"weight function {self.name!r} must have a finite wmax > 0, "
+                f"got {self.wmax!r}"
             )
         for x in features.points:
             w = self.weight(x)

@@ -247,8 +247,9 @@ def read_jsonl(path, scenario: Scenario) -> RctDataset:
     Malformed lines, unknown identifiers, outcomes other than the
     integers 0 and 1, and a metadata line naming another scenario raise
     DataFormatError naming the 1-indexed line. The metadata line is
-    optional. An empty file yields an empty dataset, which the
-    estimators reject.
+    optional; when present, its n must equal the number of samples, so
+    a truncated file is rejected. An empty file yields an empty dataset,
+    which the estimators reject.
     """
     xs: list[str] = []
     yhats: list[str] = []
@@ -307,6 +308,9 @@ def read_jsonl(path, scenario: Scenario) -> RctDataset:
             ys.append(y)
     if meta is None:
         meta = RctMeta(scenario=scenario.name, seed=None, n=len(xs), gen="")
-    if meta.n != len(xs):
-        meta = RctMeta(scenario=meta.scenario, seed=meta.seed, n=len(xs), gen=meta.gen)
+    elif meta.n != len(xs):
+        raise DataFormatError(
+            f"{path}: metadata declares n={meta.n} but the file holds "
+            f"{len(xs)} samples"
+        )
     return RctDataset(xs=Column(xs), yhats=Column(yhats), ys=tuple(ys), meta=meta)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import omnipredict as om
+from omnipredict import audit
+from omnipredict.audit import first_violation
 
 from conftest import (
     dyadic_scenario_and_data,
@@ -222,6 +224,57 @@ class TestEmpiricalAudits:
                         model_side - nature_side, abs=1e-12)
 
 
+class TestFirstViolation:
+    def test_stops_reading_at_the_first_hit(self):
+        read = []
+
+        def entries():
+            for i, err in enumerate([0.01, -0.2, 0.5, 0.9]):
+                read.append(i)
+                yield om.AuditTarget(kind="doi", loss=f"l{i}"), err
+
+        v = first_violation(entries(), 0.1)
+        assert (v.target.loss, v.err) == ("l1", -0.2)
+        assert read == [0, 1]
+
+    def test_bar_is_inclusive(self):
+        t = om.AuditTarget(kind="doi", loss="l")
+        assert first_violation([(t, -0.1)], 0.1).err == -0.1
+        assert first_violation([(t, 0.0999), (t, math.nan)], 0.1) is None
+        assert first_violation([], 0.1) is None
+
+    def test_lazy_rule_audit_estimates_only_up_to_the_hit(
+            self, beta_scenario, monkeypatch):
+        # the flat predictor's first (hypothesis, loss) pair already
+        # violates, so training's rule audit estimates one model risk
+        sc = beta_scenario
+        data = om.generate_rct(sc, 4000, 0)
+        nature = list(audit.ips_rule_risks(data, sc))
+        calls = []
+        real = audit.model_risk_estimate
+        monkeypatch.setattr(audit, "model_risk_estimate",
+                            lambda *a: calls.append(a) or real(*a))
+        entries = audit.poi_entries_empirical(
+            om.base_predictor(sc, 0.05), data.xs, sc, nature)
+        v = first_violation(entries, 0.1)
+        assert (v.target.hypothesis, v.target.loss) == ("h_plus", "steer_to_one")
+        assert len(calls) == 1
+
+    def test_every_audit_reports_its_first_violation(self, beta_scenario):
+        sc = beta_scenario
+        flat = om.base_predictor(sc, 0.05)
+        reports = [
+            om.audit_poi_exact(flat, sc, 0.1)[1],
+            om.audit_doi_exact(flat, sc, 0.01)[1],
+            om.audit_multiaccuracy(flat, sc, 0.1),
+            om.audit_decision_calibration(flat, sc, 0.1, grid_steps=3),
+        ]
+        for rep in reports:
+            assert rep.violation == first_violation(rep.entries, rep.eps)
+            assert rep.passed is (rep.violation is None)
+        assert not reports[0].passed
+
+
 def csc_costs_reference(labeled, pred, loss, sigma, scenario):
     """Cost rows built with per-sample index lookups, the loop the
     encoded columns replaced."""
@@ -287,6 +340,18 @@ class TestCscKernelsMatchPerSampleLoops:
 
 
 class TestCostSensitive:
+    def test_csc_rule_audit_uses_the_baseline_learner(self, beta_scenario):
+        sc = beta_scenario
+        data = population_beta_dataset(sc)
+        flat = om.base_predictor(sc, 0.05)
+        learner = lambda inst, rho: om.baseline_weak_learner(
+            inst, sc.hypotheses, rho)
+        expected = om.audit_via_csc(flat, data, sc.losses, learner, 0.1, sc)
+        v, rep = audit.audit_poi_csc(flat, data, sc, 0.1)
+        assert v is not None and v == expected
+        assert rep.mode == "csc" and rep.entries == () and not rep.passed
+        assert rep.violation == v
+
     def test_hand_costs_single_sample(self, beta_scenario):
         sc = beta_scenario
         pred = om.base_predictor(sc, 0.05)

@@ -202,6 +202,27 @@ class TestEstimatedTraining:
         v, _ = om.audit_poi_exact(res.predictor, sc, 0.15)
         assert v is None
 
+    def test_empirical_predictor_passes_the_audit_it_trained_against(
+            self, beta_scenario):
+        # training and audit_poi_empirical read one rule: the fixed prefix
+        # that cleared training's last rule audit clears the audit too
+        sc = beta_scenario
+        data = om.generate_rct(sc, 20000, 0)
+        res = om.poi_boost(sc, om.BoostConfig(
+            epsilon=0.05, mode="empirical", data=data, poi_n=10000, doi_n=150))
+        assert res.termination == "converged" and res.trace.updates > 0
+        v, rep = om.audit_poi_empirical(
+            res.predictor, data.slice(0, 10000), data.xs, sc, 0.05)
+        assert v is None and rep.passed
+        # and the first update's err is that audit's first violation
+        # for the flat predictor training starts from
+        first = res.trace.records[0]
+        _, flat = om.audit_poi_empirical(
+            om.base_predictor(sc, 0.05), data.slice(0, 10000), data.xs, sc, 0.05)
+        assert first.stage == "poi"
+        assert (first.target, first.err) == (
+            flat.violation.target, flat.violation.err)
+
     def test_csc_converges_on_beta(self, beta_scenario):
         sc = beta_scenario
         data = om.generate_rct(sc, 24000, 7)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import omnipredict as om
-from omnipredict import cli
+from omnipredict import adapt, cli, predictor
 
 REPO = Path(__file__).resolve().parent.parent
 BETA = str(REPO / "scenarios" / "beta025.json")
@@ -211,6 +212,38 @@ class TestTrain:
         assert "exhausted" in err
         assert not out.exists()
 
+
+    def test_truncated_data_is_config_error(self, workdir):
+        data = workdir / "cut.jsonl"
+        assert run("rct-gen", "--config", BETA, "--n", "10", "--seed", "0",
+                   "--out", str(data))[0] == 0
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:6]) + "\n")  # header, 5 samples
+        out = workdir / "cut.json"
+        code, _, err = run("train", "--config", BETA, "--mode", "empirical",
+                           "--epsilon", "0.05", "--data", str(data),
+                           "--out", str(out))
+        assert code == 2
+        assert str(data) in err and "n=10" in err and "5 samples" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, extra", [
+        (lambda doc: doc["input_distribution"].update({"-1": math.nan}), ()),
+        (lambda doc: doc["losses"][0].update(lmax=math.inf), ()),
+        (lambda doc: doc["weights"][0].update(wmax=math.inf), ("--adapt",)),
+    ], ids=["nan-mass", "inf-lmax", "inf-wmax"])
+    def test_non_finite_scenario_number_is_config_error(self, workdir, edit,
+                                                        extra):
+        doc = json.loads(Path(BETA_W).read_text())
+        edit(doc)
+        config = workdir / "non_finite.json"
+        config.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+        out = workdir / "non_finite_model.json"
+        code, _, err = run("train", "--config", str(config), "--epsilon",
+                           "0.05", "--out", str(out), *extra)
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0"])
     def test_unusable_epsilon_is_usage_error(self, workdir, eps):
@@ -426,6 +459,25 @@ class TestAdaptVerify:
         code, _, _ = run("adapt-verify", "--config", BETA, "--model", model_path)
         assert code == 2
 
+    def test_builds_the_augmented_scenario_and_replays_once(
+            self, adapt_model_path, monkeypatch):
+        calls = {"augment": 0, "replay": 0}
+        augment, replay = adapt.augment_scenario, predictor.evaluate_all
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(adapt, "augment_scenario",
+                            counted("augment", augment))
+        monkeypatch.setattr(predictor, "evaluate_all", counted("replay", replay))
+        code, out, _ = run("adapt-verify", "--config", BETA_W,
+                           "--model", adapt_model_path)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert calls == {"augment": 1, "replay": 1}
+
 
 class TestThreads:
     def test_env_fallback(self, model_path, monkeypatch):
@@ -450,10 +502,13 @@ class TestThreads:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "omnipredict.cli", "scenario-show",
              "--config", BETA],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "beta-0.25" in proc.stdout
 

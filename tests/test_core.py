@@ -281,9 +281,11 @@ class TestValidation:
         kw["input_distribution"] = om.InputDistribution(probabilities={"a": 0.5, "b": 0.6})
         with pytest.raises(om.ConfigurationError):
             om.Scenario(**kw)
-        kw["input_distribution"] = om.InputDistribution(probabilities={"a": -0.2, "b": 1.2})
-        with pytest.raises(om.ConfigurationError):
-            om.Scenario(**kw)
+        for masses in ({"a": -0.2, "b": 1.2}, {"a": math.nan, "b": 0.5},
+                       {"a": math.inf, "b": 0.5}):
+            kw["input_distribution"] = om.InputDistribution(probabilities=masses)
+            with pytest.raises(om.ConfigurationError):
+                om.Scenario(**kw)
 
     def test_loss_value_outside_bound(self):
         kw = self._base()
@@ -295,6 +297,18 @@ class TestValidation:
         with pytest.raises(om.ConfigurationError) as exc:
             om.Scenario(**kw)
         assert "big" in str(exc.value)
+
+    def test_loss_bound_positive_finite(self):
+        kw = self._base()
+        feats, decs = kw["features"], kw["decisions"]
+        for lmax in (0.0, math.inf, math.nan):
+            kw["losses"] = (om.Loss(name="unbounded", lmax=lmax,
+                                    table={x: {y: (1.0, 0.0) for y in decs.labels}
+                                           for x in feats.points},
+                                    input_oblivious=False),)
+            with pytest.raises(om.ConfigurationError) as exc:
+                om.Scenario(**kw)
+            assert "unbounded" in str(exc.value)
 
     def test_negative_loss_value(self):
         kw = self._base()
@@ -342,10 +356,12 @@ class TestValidation:
             om.WeightFunction(name="w", mapping={"a": 0.5, "b": 1.6}, wmax=2.0),))
         with pytest.raises(om.WeightInvariantError):
             om.Scenario(**kw)
-        kw["weights"] = om.WeightClass(weights=(
-            om.WeightFunction(name="w", mapping={"a": 0.5, "b": 1.5}, wmax=1.0),))
-        with pytest.raises(om.WeightInvariantError):
-            om.Scenario(**kw)
+        for wmax in (1.0, math.inf, math.nan):
+            kw["weights"] = om.WeightClass(weights=(
+                om.WeightFunction(name="w", mapping={"a": 0.5, "b": 1.5},
+                                  wmax=wmax),))
+            with pytest.raises(om.WeightInvariantError):
+                om.Scenario(**kw)
         kw["weights"] = om.WeightClass(weights=(
             om.WeightFunction(name="w", mapping={"a": 0.5, "b": 1.5}, wmax=2.0),))
         om.Scenario(**kw)  # valid: mean 1 under the distribution, inside [0, wmax]

@@ -356,6 +356,16 @@ class TestJsonlFiles:
         assert f"{path}:1" in msg
         assert "some-other-scenario" in msg and "beta-0.25" in msg
 
+    def test_truncated_file_rejected(self, beta_scenario, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        om.write_jsonl(om.generate_rct(beta_scenario, 10, 0), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:6]) + "\n")  # header, 5 samples
+        with pytest.raises(om.DataFormatError) as exc:
+            om.read_jsonl(path, beta_scenario)
+        msg = str(exc.value)
+        assert str(path) in msg and "n=10" in msg and "5 samples" in msg
+
     def test_headerless_file_takes_the_scenario_name(self, beta_scenario,
                                                      tmp_path):
         path = tmp_path / "bare.jsonl"
