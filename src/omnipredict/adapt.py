@@ -27,7 +27,6 @@ from .core import (
     Scenario,
     WeightClass,
     WeightFunction,
-    performative_risk_exact,
 )
 from .errors import ArgumentError, ConfigurationError, WeightInvariantError
 from .predictor import (
@@ -46,6 +45,8 @@ __all__ = [
     "augment_scenario",
     "shift_distribution",
     "mixture_distribution",
+    "rule_terms",
+    "optimality",
     "verify_universal_adaptability",
     "induced_rule_shift_invariance_check",
     "AdaptReport",
@@ -70,8 +71,8 @@ class MixtureSpec:
             raise ArgumentError(
                 "mixture components must be (weight name, coefficient) pairs"
             ) from None
-        if any(lam < 0 for _, lam in pairs):
-            raise ArgumentError("mixture coefficients must be nonnegative")
+        if not all(math.isfinite(lam) and lam >= 0 for _, lam in pairs):
+            raise ArgumentError("mixture coefficients must be finite and nonnegative")
         total = math.fsum(lam for _, lam in pairs)
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ArgumentError(
@@ -79,9 +80,7 @@ class MixtureSpec:
             )
 
 
-def augment_losses(
-    losses: tuple[Loss, ...], weights: WeightClass, features
-) -> tuple[Loss, ...]:
+def augment_losses(losses: tuple[Loss, ...], weights: WeightClass) -> tuple[Loss, ...]:
     """Every loss rescaled pointwise by every weight function.
 
     The augmented loss named "loss@weight" has values w(x) * loss(x, yhat, y),
@@ -115,10 +114,7 @@ def augment_scenario(scenario: Scenario) -> Scenario:
         raise ConfigurationError(
             "scenario has no weight class, so losses cannot be augmented"
         )
-    new_losses = augment_losses(
-        scenario.losses, scenario.weights, scenario.features.points
-    )
-    return replace(scenario, losses=new_losses)
+    return replace(scenario, losses=augment_losses(scenario.losses, scenario.weights))
 
 
 def shift_distribution(dist: InputDistribution, w: WeightFunction) -> InputDistribution:
@@ -169,6 +165,44 @@ def _model_matrix(pred, scenario: Scenario):
     """The prediction matrix of pred, a model or a matrix, over scenario."""
     adapt = isinstance(pred, AdditivePredictor) and pred.fingerprint.adapt
     return prediction_matrix(pred, model_scenario(scenario, adapt))
+
+
+def rule_terms(matrix, scenario: Scenario):
+    """The hypotheses, then the loss-optimal rule of matrix per loss.
+
+    Returns (rule names, terms); terms[j][r, i] is rule r's expected
+    loss j at the i-th feature under Nature, before its mass weighs it.
+    """
+    arrays = scenario.arrays
+    rules = scenario.hypotheses + tuple(
+        induced_rule(matrix, loss, scenario) for loss in scenario.losses
+    )
+    index = np.stack([arrays.rule_indices(rule) for rule in rules])
+    xs = np.arange(index.shape[1])
+    terms = [
+        (arrays.loss_base[name] + arrays.loss_delta[name] * arrays.nature)[xs, index]
+        for name in (loss.name for loss in scenario.losses)
+    ]
+    return tuple(rule.name for rule in rules), terms
+
+
+def optimality(terms, scenario: Scenario, dist: InputDistribution, eps: float):
+    """Exact risks of the rule_terms rules on dist, and their 2*eps verdict.
+
+    Returns (risks, best, slack, passed), indexed by loss j. risks[j][r]
+    is rule r's risk, bit-identical to core's scalar reference: the same
+    per-feature terms, summed by the correctly rounded math.fsum. best[j]
+    is the least hypothesis risk; slack[j] is the loss-optimal rule's
+    risk minus best[j], which passes within 2*eps plus a 1e-12 grace for
+    rounding.
+    """
+    mass = np.array([dist.mass(x) for x in scenario.features.points])
+    keep = mass != 0.0
+    risks = [[math.fsum(r) for r in (mass[keep] * t[:, keep]).tolist()] for t in terms]
+    h = len(scenario.hypotheses)
+    best = [min(row[:h]) for row in risks]
+    slack = [row[h + j] - b for j, (row, b) in enumerate(zip(risks, best))]
+    return risks, best, slack, [s <= 2.0 * eps + 1e-12 for s in slack]
 
 
 @dataclass(frozen=True)
@@ -222,9 +256,6 @@ class InvarianceReport:
     mismatches: tuple[tuple[str, str, str], ...]  # (loss, weight, feature)
 
 
-_SLACK_GRACE = 1e-12
-
-
 def verify_universal_adaptability(
     pred,
     scenario: Scenario,
@@ -245,9 +276,7 @@ def verify_universal_adaptability(
         raise ConfigurationError("universal adaptability needs a weight class")
     if n_mixtures < 0:
         raise ArgumentError("n_mixtures must be nonnegative")
-    matrix = _model_matrix(pred, scenario)
-    rules = [(loss, induced_rule(matrix, loss, scenario)) for loss in scenario.losses]
-
+    _, terms = rule_terms(_model_matrix(pred, scenario), scenario)
     weights = scenario.weights
     distributions = [
         (f"weight:{w.name}", shift_distribution(scenario.input_distribution, w))
@@ -272,26 +301,13 @@ def verify_universal_adaptability(
             )
         )
 
+    h = len(scenario.hypotheses)
     checks = []
     for name, dist in distributions:
-        per_loss = []
-        worst = -math.inf
-        for loss, rule in rules:
-            risk = performative_risk_exact(rule, scenario.nature, loss, dist)
-            rival = min(
-                performative_risk_exact(h, scenario.nature, loss, dist)
-                for h in scenario.hypotheses
-            )
-            per_loss.append((loss.name, risk, rival))
-            worst = max(worst, risk - rival)
-        checks.append(
-            DistributionCheck(
-                name=name,
-                worst_slack=worst,
-                passed=worst <= 2.0 * eps + _SLACK_GRACE,
-                per_loss=tuple(per_loss),
-            )
-        )
+        risks, best, slack, passed = optimality(terms, scenario, dist, eps)
+        own = [row[h + j] for j, row in enumerate(risks)]
+        per_loss = tuple(zip((l.name for l in scenario.losses), own, best))
+        checks.append(DistributionCheck(name, max(slack), all(passed), per_loss))
     return AdaptReport(
         eps=eps,
         checks=tuple(checks),
@@ -311,9 +327,7 @@ def induced_rule_shift_invariance_check(pred, scenario: Scenario) -> InvarianceR
     if scenario.weights is None:
         raise ConfigurationError("rule invariance needs a weight class")
     matrix = _model_matrix(pred, scenario)
-    augmented = augment_losses(
-        scenario.losses, scenario.weights, scenario.features.points
-    )
+    augmented = augment_losses(scenario.losses, scenario.weights)
     by_name = {loss.name: loss for loss in augmented}
     mismatches = []
     for loss in scenario.losses:

@@ -74,7 +74,6 @@ class BoostConfig:
 
     epsilon: float
     mode: str = EXACT
-    seed: int = 0
     max_iter_override: Optional[int] = None
     data: Optional[RctDataset] = None
     poi_n: Optional[int] = None

@@ -21,6 +21,8 @@ from .adapt import (
     load_model_with_scenario,
     mixture_distribution,
     model_scenario,
+    optimality,
+    rule_terms,
     shift_distribution,
     verify_universal_adaptability,
 )
@@ -36,7 +38,7 @@ from .audit import (
     audit_poi_exact,
 )
 from .boost import BoostConfig, poi_boost, write_trace
-from .core import load_scenario, performative_risk_exact
+from .core import load_scenario
 from .errors import (
     ArgumentError,
     BoundExceededError,
@@ -45,7 +47,7 @@ from .errors import (
     LearnerContractError,
     ModelMismatchError,
 )
-from .predictor import induced_rule, prediction_matrix, save_model
+from .predictor import prediction_matrix, save_model
 from .rct import generate_rct, read_jsonl, write_jsonl
 
 EXIT_OK = 0
@@ -145,7 +147,6 @@ def cmd_train(args) -> int:
     config = BoostConfig(
         epsilon=args.epsilon,
         mode=args.mode,
-        seed=args.seed,
         data=data,
         poi_n=poi_n,
         doi_n=doi_n,
@@ -244,32 +245,14 @@ def cmd_eval(args) -> int:
         spec = _parse_mixture_flag(args.mixture)
         dist = mixture_distribution(dist, scenario.weights, spec)
 
-    matrix = prediction_matrix(pred, eval_scenario)
-    two_eps = 2.0 * pred.fingerprint.epsilon
-    grace = 1e-12
-    induced = [(loss, induced_rule(matrix, loss, scenario)) for loss in scenario.losses]
-    best = {
-        loss.name: min(
-            performative_risk_exact(h, scenario.nature, loss, dist)
-            for h in scenario.hypotheses
-        )
-        for loss in scenario.losses
-    }
-
+    names, terms = rule_terms(prediction_matrix(pred, eval_scenario), scenario)
+    risks, _, _, passed = optimality(terms, scenario, dist, pred.fingerprint.epsilon)
+    h = len(scenario.hypotheses)
     rows = []
-    for h in scenario.hypotheses:
-        for loss in scenario.losses:
-            risk = performative_risk_exact(h, scenario.nature, loss, dist)
-            rows.append((h.name, loss.name, repr(risk), ""))
-    for own_loss, rule in induced:
-        for loss in scenario.losses:
-            risk = performative_risk_exact(rule, scenario.nature, loss, dist)
-            verdict = ""
-            if loss.name == own_loss.name:
-                verdict = (
-                    "true" if risk <= best[loss.name] + two_eps + grace else "false"
-                )
-            rows.append((rule.name, loss.name, repr(risk), verdict))
+    for r, name in enumerate(names):
+        for j, loss in enumerate(scenario.losses):
+            verdict = "" if r != h + j else "true" if passed[j] else "false"
+            rows.append((name, loss.name, repr(risks[j][r]), verdict))
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -321,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=MODES, default=EXACT)
     p.add_argument("--epsilon", type=_epsilon, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data", help="RCT JSONL, required by estimated modes")
     p.add_argument("--poi-n", type=int, help="labeled prefix for rule audits")
     p.add_argument("--doi-n", type=int, help="fresh samples per decision audit")
@@ -353,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mixture", help="mixture of shifts as name:coeff,name:coeff"
     )
     p.add_argument("--out", required=True, help="CSV path")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(

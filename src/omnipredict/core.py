@@ -49,12 +49,6 @@ class DecisionSpace:
     def k(self) -> int:
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ConfigurationError(f"unknown decision {label!r}") from None
-
 
 @dataclass(frozen=True)
 class FeatureSpace:
@@ -84,8 +78,9 @@ class InputDistribution:
         return float(self.probabilities.get(x, 0.0))
 
     def validate(self, features: FeatureSpace) -> None:
+        points = set(features.points)
         for x in self.probabilities:
-            if x not in features.points:
+            if x not in points:
                 raise ConfigurationError(
                     f"input distribution assigns mass to unknown feature {x!r}"
                 )

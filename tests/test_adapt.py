@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import omnipredict as om
+from omnipredict import adapt
 
 from conftest import random_scenario
 
@@ -32,7 +33,7 @@ def unit_weight(scenario, wmax=1.0):
 class TestAugmentLosses:
     def test_identity_weight_preserves_values(self, beta_scenario):
         w = om.WeightClass(weights=(unit_weight(beta_scenario),))
-        out = om.augment_losses(beta_scenario.losses, w, beta_scenario.features)
+        out = om.augment_losses(beta_scenario.losses, w)
         for orig, aug in zip(beta_scenario.losses, out):
             assert aug.name == f"{orig.name}@unit"
             assert aug.lmax == orig.lmax
@@ -41,7 +42,7 @@ class TestAugmentLosses:
 
     def test_count_and_order(self, weighted_scenario):
         sc = weighted_scenario
-        out = om.augment_losses(sc.losses, sc.weights, sc.features)
+        out = om.augment_losses(sc.losses, sc.weights)
         assert [l.name for l in out] == [
             "steer_to_one@uniform", "steer_to_one@focus_minus",
             "steer_to_one@focus_plus", "steer_to_zero@uniform",
@@ -52,7 +53,7 @@ class TestAugmentLosses:
     def test_pointwise_rescaling(self, beta_scenario):
         w15 = om.WeightFunction(name="tilt", mapping={"-1": 0.5, "+1": 1.5}, wmax=2.0)
         cls = om.WeightClass(weights=(w15,))
-        out = om.augment_losses(beta_scenario.losses, cls, beta_scenario.features)
+        out = om.augment_losses(beta_scenario.losses, cls)
         steer = next(l for l in out if l.name == "steer_to_one@tilt")
         assert steer.values("+1", "+1", 0) == 1.5
         assert steer.values("+1", "+1", 1) == 0.0
@@ -139,6 +140,8 @@ class TestMixtures:
         with pytest.raises(om.ArgumentError):
             om.MixtureSpec(components=(("a", -0.2), ("b", 1.2)))
         with pytest.raises(om.ArgumentError):
+            om.MixtureSpec(components=(("a", math.nan), ("b", 1.0)))
+        with pytest.raises(om.ArgumentError):
             om.MixtureSpec(components=("uniform", "focus_minus"))
 
     def test_unknown_component_name(self, weighted_scenario):
@@ -187,12 +190,37 @@ class TestVerifier:
             rule = om.induced_rule(matrix, loss, sc)
             want = om.performative_risk_exact(
                 rule, sc.nature.table, loss, sc.input_distribution)
-            assert risk == pytest.approx(want, abs=1e-12)
+            assert risk == want
             want_best = min(
                 om.performative_risk_exact(h, sc.nature.table, loss,
                                            sc.input_distribution)
                 for h in sc.hypotheses)
-            assert best == pytest.approx(want_best, abs=1e-12)
+            assert best == want_best
+
+    def test_optimality_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2210)
+        for _ in range(10):
+            sc = random_scenario(rng, n_hyps=(1, 4))
+            n = len(sc.features.points)
+            matrix = rng.random((n, sc.k))
+            rules = sc.hypotheses + tuple(
+                om.induced_rule(matrix, loss, sc) for loss in sc.losses)
+            names, terms = adapt.rule_terms(matrix, sc)
+            assert names == tuple(r.name for r in rules)
+            # a zero mass drops its feature, as the reference skips it
+            masses = rng.random(n) * (rng.random(n) < 0.7)
+            masses[0] += 0.1
+            dist = om.InputDistribution(probabilities=dict(
+                zip(sc.features.points, (masses / masses.sum()).tolist())))
+            eps = float(rng.uniform(0.0, 0.2))
+            risks, best, slack, passed = adapt.optimality(terms, sc, dist, eps)
+            h = len(sc.hypotheses)
+            for j, loss in enumerate(sc.losses):
+                assert risks[j] == [om.performative_risk_exact(
+                    rule, sc.nature, loss, dist) for rule in rules]
+                assert best[j] == min(risks[j][:h])
+                assert slack[j] == risks[j][h + j] - best[j]
+                assert passed[j] == (slack[j] <= 2 * eps + 1e-12)
 
     def test_identity_class_reduces_to_plain_check(self, beta_scenario):
         sc = dataclasses.replace(
@@ -237,7 +265,7 @@ class TestRuleInvariance:
         plain = om.induced_rule(beta_nature_matrix,
                                 sc.loss_by_name("steer_to_one"), sc)
         assert plain.mapping["+1"] == "+1"
-        aug = om.augment_losses(sc.losses, sc.weights, sc.features)
+        aug = om.augment_losses(sc.losses, sc.weights)
         tilted = next(l for l in aug if l.name == "steer_to_one@focus_minus")
         shifted_rule = om.induced_rule(beta_nature_matrix, tilted, sc)
         assert shifted_rule.mapping["+1"] == "-1"  # tie falls to first label

@@ -148,11 +148,6 @@ class TestExactTraining:
                     for h in sc.hypotheses)
                 assert risk <= best + 2 * eps + 1e-12
 
-    def test_exact_mode_is_seed_independent(self, beta_scenario):
-        a = om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.05, seed=1))
-        b = om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.05, seed=99))
-        assert om.serialize(a.predictor) == om.serialize(b.predictor)
-
     def test_threads_do_not_change_training(self, beta_scenario):
         a = om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.05, threads=1))
         b = om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.05, threads=4))

@@ -79,6 +79,12 @@ class TestParsing:
                          "--out", "x.jsonl")
         assert code == 1
 
+    def test_removed_flags(self, workdir, model_path):
+        assert run("train", "--config", BETA, "--epsilon", "0.05", "--seed", "1",
+                   "--out", str(workdir / "seeded.json"))[0] == 1
+        assert run("eval", "--config", BETA, "--model", model_path,
+                   "--threads", "2", "--out", str(workdir / "t.csv"))[0] == 1
+
 
 class TestScenarioShow:
     def test_summary_contents(self):
@@ -407,11 +413,63 @@ class TestEval:
 
     def test_bad_mixture_flag(self, workdir, adapt_model_path):
         for flag in ("focus_minus:0.5", "focus_minus:0.6,focus_plus:0.6",
-                     "focus_minus", "focus_minus:x,focus_plus:y"):
+                     "focus_minus", "focus_minus:x,focus_plus:y",
+                     "uniform:nan,focus_plus:1"):
             code, _, _ = run("eval", "--config", BETA_W,
                              "--model", adapt_model_path,
                              "--mixture", flag, "--out", str(workdir / "y.csv"))
             assert code == 1, flag
+
+    def test_rows_are_exact_risks_and_verdicts_match_adapt_verify(
+            self, workdir, adapt_model_path):
+        # a plain model stamped with a tighter epsilon than it was trained
+        # to fails on some shifts and for some losses, so both verdicts occur
+        stamped = workdir / "stamped.json"
+        assert run("train", "--config", BETA_W, "--epsilon", "0.3",
+                   "--out", str(stamped))[0] == 0
+        doc = json.loads(stamped.read_text())
+        doc["fingerprint"]["epsilon"] = 0.05
+        stamped.write_text(json.dumps(doc))
+        sc = om.load_scenario(BETA_W)
+        mixture = "focus_minus:0.25,focus_plus:0.75"
+        spec = om.MixtureSpec(components=(("focus_minus", 0.25),
+                                          ("focus_plus", 0.75)))
+        flags = [(), ("--mixture", mixture)] + [
+            ("--shift", w.name) for w in sc.weights.weights]
+        verdicts = []
+        for model in (adapt_model_path, str(stamped)):
+            pred, target = adapt.load_model_with_scenario(model, sc)
+            matrix = om.prediction_matrix(pred, target)
+            rules = {h.name: h for h in sc.hypotheses}
+            rules.update((f"f~({l.name})", om.induced_rule(matrix, l, sc))
+                         for l in sc.losses)
+            code, out, _ = run("adapt-verify", "--config", BETA_W,
+                               "--model", model, "--epsilon", "0.05",
+                               "--mixtures", "0")
+            assert code in (0, 3)
+            verified = {d["name"]: d["pass"]
+                        for d in json.loads(out)["distributions"]}
+            for flag in flags:
+                out_csv = workdir / "exact.csv"
+                assert run("eval", "--config", BETA_W, "--model", model,
+                           *flag, "--out", str(out_csv))[0] == 0
+                dist = sc.input_distribution
+                if flag[:1] == ("--shift",):
+                    dist = om.shift_distribution(dist, sc.weights.by_name(flag[1]))
+                elif flag:
+                    dist = om.mixture_distribution(dist, sc.weights, spec)
+                rows = [line.split(",")
+                        for line in out_csv.read_text().splitlines()[1:]]
+                for rule, loss, risk, _ in rows:
+                    assert float(risk) == om.performative_risk_exact(
+                        rules[rule], sc.nature, sc.loss_by_name(loss), dist)
+                if flag[:1] == ("--shift",):
+                    own = [r[3] for r in rows if r[3]]
+                    assert len(own) == len(sc.losses)
+                    verdicts += own
+                    passed = own == ["true"] * len(own)
+                    assert passed == verified[f"weight:{flag[1]}"], (model, flag)
+        assert set(verdicts) == {"true", "false"}
 
     def test_shift_and_mixture_conflict(self, workdir, adapt_model_path):
         code, _, _ = run("eval", "--config", BETA_W, "--model", adapt_model_path,
