@@ -83,9 +83,8 @@ class MixtureSpec:
 def augment_losses(losses: tuple[Loss, ...], weights: WeightClass) -> tuple[Loss, ...]:
     """Every loss rescaled pointwise by every weight function.
 
-    The augmented loss named "loss@weight" has values w(x) * loss(x, yhat, y),
-    bound loss.lmax * wmax (class-level wmax), and is never input-oblivious
-    since the weight varies with the feature.
+    The augmented loss named "loss@weight" has values w(x) * loss(x, yhat, y)
+    and bound loss.lmax * wmax (class-level wmax).
     """
     augmented = []
     for loss in losses:
@@ -102,7 +101,6 @@ def augment_losses(losses: tuple[Loss, ...], weights: WeightClass) -> tuple[Loss
                     name=f"{loss.name}@{w.name}",
                     lmax=loss.lmax * weights.wmax,
                     table=table,
-                    input_oblivious=False,
                 )
             )
     return tuple(augmented)
@@ -137,6 +135,11 @@ def mixture_distribution(
         name: shift_distribution(dist, weights.by_name(name))
         for name, _ in spec.components
     }
+    return _mix(dist, shifted, spec)
+
+
+def _mix(dist: InputDistribution, shifted, spec: MixtureSpec) -> InputDistribution:
+    """spec's mix of shifted (weight name -> distribution), one fsum per feature."""
     masses = {
         x: math.fsum(lam * shifted[name].mass(x) for name, lam in spec.components)
         for x in dist.probabilities
@@ -278,10 +281,9 @@ def verify_universal_adaptability(
         raise ArgumentError("n_mixtures must be nonnegative")
     _, terms = rule_terms(_model_matrix(pred, scenario), scenario)
     weights = scenario.weights
-    distributions = [
-        (f"weight:{w.name}", shift_distribution(scenario.input_distribution, w))
-        for w in weights.weights
-    ]
+    dist = scenario.input_distribution
+    shifted = {w.name: shift_distribution(dist, w) for w in weights.weights}
+    distributions = [(f"weight:{name}", d) for name, d in shifted.items()]
     rng = np.random.Generator(np.random.PCG64(seed))
     for i in range(n_mixtures):
         raw = rng.random(len(weights.weights))
@@ -294,12 +296,7 @@ def verify_universal_adaptability(
                 (w.name, float(v / total)) for w, v in zip(weights.weights, raw)
             )
         )
-        distributions.append(
-            (
-                f"mixture:{seed}:{i}",
-                mixture_distribution(scenario.input_distribution, weights, spec),
-            )
-        )
+        distributions.append((f"mixture:{seed}:{i}", _mix(dist, shifted, spec)))
 
     h = len(scenario.hypotheses)
     checks = []
@@ -323,18 +320,25 @@ def induced_rule_shift_invariance_check(pred, scenario: Scenario) -> InvarianceR
     positive weight. Zero-weight features are excluded: there the
     reweighted objective is identically zero and the argmin is fixed by
     tie-breaking alone.
+
+    Both rules are argmins over the scenario's loss and weight arrays.
+    The reweighted outcome values are w(x) * v0 and w(x) * v1, as
+    augment_losses writes them, and its gap is their difference.
     """
     if scenario.weights is None:
         raise ConfigurationError("rule invariance needs a weight class")
     matrix = _model_matrix(pred, scenario)
-    augmented = augment_losses(scenario.losses, scenario.weights)
-    by_name = {loss.name: loss for loss in augmented}
+    arrays = scenario.arrays
+    points = scenario.features.points
     mismatches = []
     for loss in scenario.losses:
-        plain = induced_rule(matrix, loss, scenario)
+        values = arrays.loss_values[loss.name]
+        v0, v1 = values[:, :, 0], values[:, :, 1]
+        plain = np.argmin(v0 + (v1 - v0) * matrix, axis=1)
         for w in scenario.weights.weights:
-            shifted = induced_rule(matrix, by_name[f"{loss.name}@{w.name}"], scenario)
-            for x in scenario.features.points:
-                if w.weight(x) > 0 and plain.decide(x) != shifted.decide(x):
-                    mismatches.append((loss.name, w.name, x))
+            weight = arrays.weights[w.name]
+            a0, a1 = weight[:, np.newaxis] * v0, weight[:, np.newaxis] * v1
+            shifted = np.argmin(a0 + (a1 - a0) * matrix, axis=1)
+            for i in np.flatnonzero((weight > 0) & (plain != shifted)):
+                mismatches.append((loss.name, w.name, points[i]))
     return InvarianceReport(passed=len(mismatches) == 0, mismatches=tuple(mismatches))

@@ -82,10 +82,6 @@ class Violation:
     target: AuditTarget
     err: float
 
-    @property
-    def magnitude(self) -> float:
-        return abs(self.err)
-
 
 @dataclass(frozen=True)
 class AuditReport:

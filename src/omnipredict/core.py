@@ -63,6 +63,29 @@ class FeatureSpace:
             raise ConfigurationError("feature identifiers must be distinct")
 
 
+def _read(table, xs, ys, lookup):
+    """table[x] for x in xs, or [table[x][y] for y in ys] when ys is given.
+    On a hole, lookup (the part's scalar accessor) raises the part's error
+    for the first absent cell in canonical order."""
+    try:
+        rows = [table[x] for x in xs]
+        return rows if ys is None else [[row[y] for y in ys] for row in rows]
+    except KeyError:
+        for x in xs:
+            if ys is None:
+                lookup(x)
+            else:
+                for y in ys:
+                    lookup(x, y)
+        raise
+
+
+def _first_outside(values: np.ndarray, lo: float, hi: float):
+    """First index outside [lo, hi] (NaN counts) in canonical order, or None."""
+    bad = ~((values >= lo) & (values <= hi))
+    return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
+
+
 @dataclass(frozen=True)
 class InputDistribution:
     """Probability mass over the feature space.
@@ -77,26 +100,26 @@ class InputDistribution:
     def mass(self, x: str) -> float:
         return float(self.probabilities.get(x, 0.0))
 
-    def validate(self, features: FeatureSpace) -> None:
+    def validate(self, features: FeatureSpace) -> np.ndarray:
+        """The masses in canonical feature order, checked."""
         points = set(features.points)
         for x in self.probabilities:
             if x not in points:
                 raise ConfigurationError(
                     f"input distribution assigns mass to unknown feature {x!r}"
                 )
-        masses = [float(v) for v in self.probabilities.values()]
-        if not all(math.isfinite(m) and m >= 0 for m in masses):
+        get = self.probabilities.get
+        masses = np.array([get(x, 0.0) for x in features.points], dtype=np.float64)
+        if not np.all(np.isfinite(masses) & (masses >= 0)):
             raise ConfigurationError(
                 "input distribution has a negative or non-finite mass"
             )
-        total = math.fsum(masses)
+        total = math.fsum(masses.tolist())
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ConfigurationError(
                 f"input distribution masses sum to {total!r}, expected 1"
             )
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(x for x, m in self.probabilities.items() if m > 0)
+        return masses
 
 
 @dataclass(frozen=True)
@@ -113,15 +136,18 @@ class NatureModel:
             )
         return float(row[yhat])
 
-    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> None:
-        for x in features.points:
-            for yhat in decisions.labels:
-                p = self.prob(x, yhat)  # raises if the entry is missing
-                if not 0.0 <= p <= 1.0:
-                    raise ConfigurationError(
-                        f"outcome probability {p!r} at ({x!r}, {yhat!r}) "
-                        "is outside [0, 1]"
-                    )
+    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
+        """The (|X|, k) probabilities in canonical order, checked."""
+        cells = _read(self.table, features.points, decisions.labels, self.prob)
+        probs = np.array(cells, dtype=np.float64)
+        bad = _first_outside(probs, 0.0, 1.0)
+        if bad is not None:
+            raise ConfigurationError(
+                f"outcome probability {float(probs[bad])!r} at "
+                f"({features.points[bad[0]]!r}, {decisions.labels[bad[1]]!r}) "
+                "is outside [0, 1]"
+            )
+        return probs
 
 
 @dataclass(frozen=True)
@@ -129,15 +155,19 @@ class Loss:
     """Bounded loss over (feature, decision, outcome).
 
     The table maps feature -> decision -> (value at y=0, value at y=1).
-    Values must lie in [0, lmax]; this is checked by full enumeration
-    when a scenario is built. A loss is input-oblivious when its values
-    do not depend on the feature.
+    A scenario reads it once into an (|X|, k, 2) array and checks there
+    that every value lies in [0, lmax].
     """
 
     name: str
     lmax: float
     table: Mapping[str, Mapping[str, tuple[float, float]]]
-    input_oblivious: bool = False
+
+    @property
+    def input_oblivious(self) -> bool:
+        """Whether the values ignore the feature: all rows are equal."""
+        rows = [{y: tuple(v) for y, v in row.items()} for row in self.table.values()]
+        return all(row == rows[0] for row in rows)
 
     def values(self, x: str, yhat: str, y: int) -> float:
         row = self.table.get(x)
@@ -148,27 +178,28 @@ class Loss:
             )
         return float(row[yhat][y])
 
-    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> None:
+    def to_array(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
+        """The (|X|, k, 2) values; [i, j, y] is the value at outcome y."""
+        lookup = lambda x, yhat: self.values(x, yhat, 0)
+        cells = _read(self.table, features.points, decisions.labels, lookup)
+        return np.array(cells, dtype=np.float64)
+
+    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
+        """to_array, checked against lmax."""
         if not (math.isfinite(self.lmax) and self.lmax > 0):
             raise ConfigurationError(
                 f"loss {self.name!r} must have a finite lmax > 0, got {self.lmax!r}"
             )
-        for x in features.points:
-            for yhat in decisions.labels:
-                for y in (0, 1):
-                    v = self.values(x, yhat, y)
-                    if not 0.0 <= v <= self.lmax:
-                        raise ConfigurationError(
-                            f"loss {self.name!r} value {v!r} at "
-                            f"({x!r}, {yhat!r}, y={y}) is outside [0, {self.lmax}]"
-                        )
-        if self.input_oblivious and not _table_is_input_oblivious(
-            self.table, features, decisions
-        ):
+        values = self.to_array(features, decisions)
+        bad = _first_outside(values, 0.0, self.lmax)
+        if bad is not None:
+            i, j, y = bad
             raise ConfigurationError(
-                f"loss {self.name!r} is flagged input-oblivious but "
-                "differs between features"
+                f"loss {self.name!r} value {float(values[bad])!r} at "
+                f"({features.points[i]!r}, {decisions.labels[j]!r}, y={y}) "
+                f"is outside [0, {self.lmax}]"
             )
+        return values
 
 
 @dataclass(frozen=True)
@@ -186,13 +217,19 @@ class Hypothesis:
                 f"rule {self.name!r} has no decision for feature {x!r}"
             ) from None
 
-    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> None:
-        for x in features.points:
-            yhat = self.decide(x)
-            if yhat not in decisions.labels:
-                raise ConfigurationError(
-                    f"rule {self.name!r} maps {x!r} to unknown decision {yhat!r}"
-                )
+    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
+        """The decision index of every feature in canonical order, checked."""
+        index = {y: j for j, y in enumerate(decisions.labels)}
+        labels = _read(self.mapping, features.points, None, self.decide)
+        indices = np.array([index.get(y, -1) for y in labels], dtype=np.int64)
+        bad = _first_outside(indices, 0, decisions.k - 1)
+        if bad is not None:
+            x = features.points[bad[0]]
+            raise ConfigurationError(
+                f"rule {self.name!r} maps {x!r} to unknown decision "
+                f"{self.mapping[x]!r}"
+            )
+        return indices
 
 
 @dataclass(frozen=True)
@@ -214,25 +251,29 @@ class WeightFunction:
             )
         return float(self.mapping[x])
 
-    def validate(self, features: FeatureSpace, dist: InputDistribution) -> None:
+    def validate(self, features: FeatureSpace, masses: np.ndarray) -> np.ndarray:
+        """The weights in canonical feature order, checked; masses are the
+        input distribution's."""
         if not (math.isfinite(self.wmax) and self.wmax > 0):
             raise WeightInvariantError(
                 f"weight function {self.name!r} must have a finite wmax > 0, "
                 f"got {self.wmax!r}"
             )
-        for x in features.points:
-            w = self.weight(x)
-            if not 0.0 <= w <= self.wmax:
-                raise WeightInvariantError(
-                    f"weight function {self.name!r} value {w!r} at {x!r} "
-                    f"is outside [0, {self.wmax}]"
-                )
-        mean = math.fsum(dist.mass(x) * self.weight(x) for x in features.points)
+        cells = _read(self.mapping, features.points, None, self.weight)
+        weights = np.array(cells, dtype=np.float64)
+        bad = _first_outside(weights, 0.0, self.wmax)
+        if bad is not None:
+            raise WeightInvariantError(
+                f"weight function {self.name!r} value {float(weights[bad])!r} at "
+                f"{features.points[bad[0]]!r} is outside [0, {self.wmax}]"
+            )
+        mean = math.fsum((masses * weights).tolist())
         if abs(mean - 1.0) > MASS_TOLERANCE:
             raise WeightInvariantError(
                 f"weight function {self.name!r} has mean {mean!r} under the "
                 "input distribution, expected 1"
             )
+        return weights
 
 
 @dataclass(frozen=True)
@@ -259,57 +300,38 @@ class WeightClass:
         raise ArgumentError(f"unknown weight function {name!r}")
 
 
-class _ScenarioArrays:
-    """Dense numpy views of a scenario, index-aligned to canonical order.
+def _split(values: np.ndarray):
+    """(value at y=0, value at y=1 minus value at y=0) of a loss array."""
+    return values[:, :, 0], values[:, :, 1] - values[:, :, 0]
 
-    Reductions use np.add.reduce (pairwise summation in numpy's core),
-    never BLAS, so results do not depend on thread counts.
+
+class _ScenarioArrays:
+    """The checked arrays of a scenario, index-aligned to canonical order.
+
+    dist (|X|,) and nature (|X|, k); by name, loss_values (|X|, k, 2)
+    with its loss_base and loss_delta (|X|, k), hyp_index (|X|,) and
+    weights (|X|,). Reductions use np.add.reduce (pairwise summation in
+    numpy's core), never BLAS, so results do not depend on thread counts.
     """
 
-    def __init__(self, scenario: "Scenario"):
-        xs = scenario.features.points
-        ys = scenario.decisions.labels
-        self.x_index = {x: i for i, x in enumerate(xs)}
-        self.y_index = {y: j for j, y in enumerate(ys)}
-        self.dist = np.array(
-            [scenario.input_distribution.mass(x) for x in xs], dtype=np.float64
-        )
-        self.nature = np.array(
-            [[scenario.nature.prob(x, y) for y in ys] for x in xs], dtype=np.float64
-        )
-        self.loss_base = {}
-        self.loss_delta = {}
-        for loss in scenario.losses:
-            at0 = np.array(
-                [[loss.values(x, y, 0) for y in ys] for x in xs], dtype=np.float64
-            )
-            at1 = np.array(
-                [[loss.values(x, y, 1) for y in ys] for x in xs], dtype=np.float64
-            )
-            self.loss_base[loss.name] = at0
-            self.loss_delta[loss.name] = at1 - at0
-        self.hyp_index = {
-            h.name: np.array(
-                [self.y_index[h.decide(x)] for x in xs], dtype=np.int64
-            )
-            for h in scenario.hypotheses
-        }
+    def __init__(self, scenario, dist, nature, losses, rules, weights):
+        self.features, self.decisions = scenario.features, scenario.decisions
+        self.x_index = {x: i for i, x in enumerate(self.features.points)}
+        self.y_index = {y: j for j, y in enumerate(self.decisions.labels)}
+        self.dist, self.nature, self.loss_values = dist, nature, losses
+        self.hyp_index, self.weights = rules, weights
+        self.loss_base, self.loss_delta = {}, {}
+        for name, values in losses.items():
+            self.loss_base[name], self.loss_delta[name] = _split(values)
 
-    def rule_indices(self, rule: Hypothesis | Mapping[str, str]) -> np.ndarray:
-        mapping = rule.mapping if isinstance(rule, Hypothesis) else rule
-        return np.array(
-            [self.y_index[mapping[x]] for x in self.x_index], dtype=np.int64
-        )
+    def rule_indices(self, rule: Hypothesis) -> np.ndarray:
+        return rule.validate(self.features, self.decisions)
 
     def loss_arrays_for(self, scenario: "Scenario", loss: Loss):
         """Base/delta arrays for a loss that may not belong to the scenario."""
         if loss.name in self.loss_base and loss in scenario.losses:
             return self.loss_base[loss.name], self.loss_delta[loss.name]
-        xs = scenario.features.points
-        ys = scenario.decisions.labels
-        at0 = np.array([[loss.values(x, y, 0) for y in ys] for x in xs])
-        at1 = np.array([[loss.values(x, y, 1) for y in ys] for x in xs])
-        return at0, at1 - at0
+        return _split(loss.to_array(self.features, self.decisions))
 
 
 @dataclass(frozen=True)
@@ -318,8 +340,9 @@ class Scenario:
 
     Bundles the spaces, the input distribution, the outcome model, the
     loss collection, the comparison rules, and the tolerance epsilon.
-    Construction validates every component by full enumeration, so any
-    scenario object in hand is safe to compute with.
+    Construction reads every component's table into its array once and
+    checks that array, so any scenario object in hand is safe to compute
+    with; `arrays` holds the checked arrays.
     """
 
     name: str
@@ -341,22 +364,21 @@ class Scenario:
             raise ConfigurationError("scenario needs at least one loss")
         if len(self.hypotheses) == 0:
             raise ConfigurationError("scenario needs at least one hypothesis")
-        self.input_distribution.validate(self.features)
-        self.nature.validate(self.features, self.decisions)
+        features, decisions = self.features, self.decisions
+        dist = self.input_distribution.validate(features)
+        nature = self.nature.validate(features, decisions)
         loss_names = [l.name for l in self.losses]
         if len(set(loss_names)) != len(loss_names):
             raise ConfigurationError("loss names must be distinct")
-        for loss in self.losses:
-            loss.validate(self.features, self.decisions)
+        losses = {l.name: l.validate(features, decisions) for l in self.losses}
         hyp_names = [h.name for h in self.hypotheses]
         if len(set(hyp_names)) != len(hyp_names):
             raise ConfigurationError("hypothesis names must be distinct")
-        for h in self.hypotheses:
-            h.validate(self.features, self.decisions)
-        if self.weights is not None:
-            for w in self.weights.weights:
-                w.validate(self.features, self.input_distribution)
-        object.__setattr__(self, "_arrays", _ScenarioArrays(self))
+        rules = {h.name: h.validate(features, decisions) for h in self.hypotheses}
+        functions = () if self.weights is None else self.weights.weights
+        weights = {w.name: w.validate(features, dist) for w in functions}
+        arrays = _ScenarioArrays(self, dist, nature, losses, rules, weights)
+        object.__setattr__(self, "_arrays", arrays)
 
     @property
     def k(self) -> int:
@@ -458,7 +480,7 @@ def io_loss(
     """Input-oblivious loss from per-decision (value at y=0, value at y=1)."""
     row = {yhat: (float(v0), float(v1)) for yhat, (v0, v1) in per_decision.items()}
     table = {x: dict(row) for x in features.points}
-    return Loss(name=name, lmax=float(lmax), table=table, input_oblivious=True)
+    return Loss(name=name, lmax=float(lmax), table=table)
 
 
 def builtin_loss(
@@ -579,15 +601,7 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
                 table[str(x)] = {
                     str(y): (float(pair[0]), float(pair[1])) for y, pair in row.items()
                 }
-            oblivious = _table_is_input_oblivious(table, features, decisions)
-            losses.append(
-                Loss(
-                    name=loss_name,
-                    lmax=lmax,
-                    table=table,
-                    input_oblivious=oblivious,
-                )
-            )
+            losses.append(Loss(name=loss_name, lmax=lmax, table=table))
     hypotheses = []
     for entry in _require(doc, "hypotheses", "scenario"):
         hyp_name = str(_require(entry, "name", "hypothesis entry"))
@@ -627,18 +641,6 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
     )
 
 
-def _table_is_input_oblivious(table, features: FeatureSpace, decisions: DecisionSpace):
-    try:
-        first = table[features.points[0]]
-        for x in features.points[1:]:
-            for yhat in decisions.labels:
-                if tuple(table[x][yhat]) != tuple(first[yhat]):
-                    return False
-    except KeyError:
-        return False  # totality errors surface during validation instead
-    return True
-
-
 def load_scenario(path) -> Scenario:
     """Read a scenario JSON file and validate it."""
     try:
@@ -655,45 +657,36 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Document form of a scenario (losses are written as full tables)."""
+    """Document form of a scenario, read from its arrays (losses are
+    written as full tables)."""
+    xs, ys = scenario.features.points, scenario.decisions.labels
+    arrays, labels = scenario.arrays, np.array(ys)
+
+    def column(array):  # feature -> entry
+        return dict(zip(xs, array.tolist()))
+
+    def rows(array):  # feature -> decision -> entry
+        return {x: dict(zip(ys, row)) for x, row in zip(xs, array.tolist())}
+
     doc = {
         "name": scenario.name,
-        "features": list(scenario.features.points),
-        "decisions": list(scenario.decisions.labels),
-        "input_distribution": {
-            x: scenario.input_distribution.mass(x) for x in scenario.features.points
-        },
-        "nature": {
-            x: {y: scenario.nature.prob(x, y) for y in scenario.decisions.labels}
-            for x in scenario.features.points
-        },
+        "features": list(xs),
+        "decisions": list(ys),
+        "input_distribution": column(arrays.dist),
+        "nature": rows(arrays.nature),
         "losses": [
-            {
-                "name": loss.name,
-                "lmax": loss.lmax,
-                "table": {
-                    x: {
-                        y: list(loss.table[x][y])
-                        for y in scenario.decisions.labels
-                    }
-                    for x in scenario.features.points
-                },
-            }
-            for loss in scenario.losses
+            {"name": l.name, "lmax": l.lmax, "table": rows(arrays.loss_values[l.name])}
+            for l in scenario.losses
         ],
         "hypotheses": [
-            {"name": h.name, "map": {x: h.decide(x) for x in scenario.features.points}}
+            {"name": h.name, "map": column(labels[arrays.hyp_index[h.name]])}
             for h in scenario.hypotheses
         ],
         "epsilon": scenario.epsilon,
     }
     if scenario.weights is not None:
         doc["weights"] = [
-            {
-                "name": w.name,
-                "map": {x: w.weight(x) for x in scenario.features.points},
-                "wmax": w.wmax,
-            }
+            {"name": w.name, "map": column(arrays.weights[w.name]), "wmax": w.wmax}
             for w in scenario.weights.weights
         ]
     return doc

@@ -15,12 +15,13 @@ that existed when that term was appended.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DecisionSpace, Hypothesis, Loss, Scenario
-from .errors import ArgumentError, ConfigurationError, ModelMismatchError
+from .errors import ArgumentError, ModelMismatchError
 
 EXTERNAL = "external"
 INDUCED = "induced"
@@ -89,26 +90,19 @@ def base_predictor(scenario: Scenario, epsilon: float, adapt: bool = False) -> A
 
 
 def _resolve_term(term: UpdateTerm, scenario: Scenario):
-    try:
-        scenario.loss_by_name(term.loss_name)
-    except ConfigurationError:
+    arrays = scenario.arrays
+    if term.loss_name not in arrays.loss_values:
         raise ModelMismatchError(
             f"update term references unknown loss {term.loss_name!r}"
-        ) from None
-    if term.target_kind == EXTERNAL:
-        try:
-            scenario.hypothesis_by_name(term.target_name)
-        except ConfigurationError:
-            raise ModelMismatchError(
-                f"update term references unknown hypothesis {term.target_name!r}"
-            ) from None
-    else:
-        try:
-            scenario.loss_by_name(term.target_name)
-        except ConfigurationError:
-            raise ModelMismatchError(
-                f"induced update term references unknown loss {term.target_name!r}"
-            ) from None
+        )
+    if term.target_kind == EXTERNAL and term.target_name not in arrays.hyp_index:
+        raise ModelMismatchError(
+            f"update term references unknown hypothesis {term.target_name!r}"
+        )
+    if term.target_kind == INDUCED and term.target_name not in arrays.loss_values:
+        raise ModelMismatchError(
+            f"induced update term references unknown loss {term.target_name!r}"
+        )
 
 
 def apply_term(matrix: np.ndarray, term: UpdateTerm, scenario: Scenario) -> np.ndarray:
@@ -166,7 +160,7 @@ def prediction_matrix(pred, scenario: Scenario) -> np.ndarray:
         raise ArgumentError(
             f"prediction matrix has shape {matrix.shape}, expected {expected}"
         )
-    if np.any(matrix < 0.0) or np.any(matrix > 1.0):
+    if not np.all((matrix >= 0.0) & (matrix <= 1.0)):  # NaN fails too
         raise ArgumentError("prediction matrix entries must lie in [0, 1]")
     return matrix
 
@@ -235,8 +229,9 @@ def serialize(pred: AdditivePredictor) -> dict:
 def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
     """Rebuild a predictor and check it belongs to the given scenario.
 
-    The fingerprint's scenario name and lmax must match, and every term
-    reference must resolve; otherwise the model file is unusable here.
+    The fingerprint's scenario name and lmax must match, its epsilon must
+    be positive and every number finite, and every term reference must
+    resolve; otherwise the model file is unusable here.
     """
     try:
         fp_doc = doc["fingerprint"]
@@ -258,6 +253,16 @@ def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelMismatchError(f"model document is malformed: {exc}") from exc
+    eps, lmax = fingerprint.epsilon, fingerprint.lmax
+    if not (math.isfinite(eps) and eps > 0):
+        raise ModelMismatchError(f"model epsilon must be positive and finite: {eps!r}")
+    if not math.isfinite(lmax):
+        raise ModelMismatchError(f"model lmax must be finite: {lmax!r}")
+    for i, term in enumerate(terms):
+        if not math.isfinite(term.eta):
+            raise ModelMismatchError(
+                f"model term {i} has a non-finite eta: {term.eta!r}"
+            )
     if fingerprint.scenario != scenario.name:
         raise ModelMismatchError(
             f"model was trained on scenario {fingerprint.scenario!r}, "

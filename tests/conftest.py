@@ -54,7 +54,6 @@ def random_scenario(rng, max_x=8, max_k=4, n_losses=(1, 3), n_hyps=(2, 4),
                 }
                 for x in features.points
             },
-            input_oblivious=False,
         )
         for li in range(int(rng.integers(n_losses[0], n_losses[1] + 1)))
     )
@@ -121,7 +120,6 @@ def dyadic_scenario_and_data(rng, name="dyadic"):
                 }
                 for x in features.points
             },
-            input_oblivious=False,
         )
         for li in range(int(rng.integers(1, 3)))
     )

@@ -38,7 +38,7 @@ class TestAugmentLosses:
             assert aug.name == f"{orig.name}@unit"
             assert aug.lmax == orig.lmax
             assert aug.table == orig.table
-            assert not aug.input_oblivious
+            assert aug.input_oblivious is orig.input_oblivious
 
     def test_count_and_order(self, weighted_scenario):
         sc = weighted_scenario

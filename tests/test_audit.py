@@ -372,8 +372,7 @@ class TestCostSensitive:
         sc = beta_scenario
         flat = om.Loss(name="flat", lmax=1.0,
                        table={x: {y: (0.4, 0.4) for y in sc.decisions.labels}
-                              for x in sc.features.points},
-                       input_oblivious=True)
+                              for x in sc.features.points})
         data = om.generate_rct(sc, 64, 0)
         pred = om.base_predictor(sc, 0.05)
         inst = om.build_csc_instance(data, pred, flat, 1, sc)
@@ -635,8 +634,7 @@ class TestDecisionCalibration:
                 x: {f"d{j}": 0.5 for j in range(4)} for x in sc.features.points}),
             losses=(om.Loss(name="l", lmax=1.0,
                             table={x: {f"d{j}": (0.1, 0.9) for j in range(4)}
-                                   for x in sc.features.points},
-                            input_oblivious=False),),
+                                   for x in sc.features.points}),),
             hypotheses=(om.Hypothesis(
                 name="h", mapping={x: "d0" for x in sc.features.points}),))
         q = rng.random((len(sc.features.points), 4))

@@ -355,6 +355,57 @@ class TestAudit:
         assert ":2" in err
 
 
+def tampered_model(workdir, source, name, edit):
+    """A copy of a model file with edit applied to its document."""
+    doc = json.loads(Path(source).read_text())
+    edit(doc)
+    path = workdir / name
+    path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+    return str(path)
+
+
+class TestNonFiniteModelNumbers:
+    def test_nan_eta_is_config_error(self, workdir, model_path):
+        # abs(nan) >= eps is false, so a NaN err used to pass the audit
+        def edit(doc):
+            doc["terms"][0]["eta"] = math.nan
+
+        model = tampered_model(workdir, model_path, "nan_eta.json", edit)
+        code, out, err = run("audit", "--config", BETA, "--model", model)
+        assert code == 2 and out == ""
+        assert "eta" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.05],
+                             ids=["inf", "nan", "zero", "negative"])
+    def test_unusable_epsilon_is_config_error(self, workdir, loose_model_path,
+                                              eps):
+        # an empty model has risk 1/2 for both losses; eval's 2*eps rule
+        # called it optimal under an infinite epsilon
+        assert json.loads(Path(loose_model_path).read_text())["terms"] == []
+
+        def edit(doc):
+            doc["fingerprint"]["epsilon"] = eps
+
+        model = tampered_model(workdir, loose_model_path, "bad_eps.json", edit)
+        out_csv = workdir / "bad_eps.csv"
+        out_csv.unlink(missing_ok=True)
+        code, _, err = run("eval", "--config", BETA, "--model", model,
+                           "--out", str(out_csv))
+        assert code == 2
+        assert "epsilon" in err and "Traceback" not in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("lmax", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lmax_is_config_error(self, workdir, model_path, lmax):
+        def edit(doc):
+            doc["fingerprint"]["lmax"] = lmax
+
+        model = tampered_model(workdir, model_path, "bad_lmax.json", edit)
+        code, out, err = run("audit", "--config", BETA, "--model", model)
+        assert code == 2 and out == ""
+        assert "lmax" in err and "Traceback" not in err
+
+
 class TestEval:
     def test_table_contents(self, workdir, model_path):
         out_csv = workdir / "table.csv"
@@ -535,6 +586,28 @@ class TestAdaptVerify:
                            "--model", adapt_model_path)
         assert code == 0 and json.loads(out)["pass"] is True
         assert calls == {"augment": 1, "replay": 1}
+
+    def test_shifts_each_weight_once_and_augments_losses_once(
+            self, adapt_model_path, monkeypatch):
+        # 3 weights and 10 mixtures: the mixtures reuse the 3 shifts, and
+        # the invariance check reads the scenario's arrays, so the only
+        # augment_losses call is the one that loads the adapt model
+        calls = {"shift": 0, "augment_losses": 0}
+        shift, augment = adapt.shift_distribution, adapt.augment_losses
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(adapt, "shift_distribution", counted("shift", shift))
+        monkeypatch.setattr(adapt, "augment_losses",
+                            counted("augment_losses", augment))
+        code, out, _ = run("adapt-verify", "--config", BETA_W,
+                           "--model", adapt_model_path)
+        assert code == 0 and len(json.loads(out)["distributions"]) == 13
+        assert calls == {"shift": 3, "augment_losses": 1}
 
 
 class TestThreads:

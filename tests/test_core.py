@@ -1,7 +1,10 @@
 """Scenario model, closed-form risks, and optimal rules."""
 
+import importlib
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omnipredict as om
+from omnipredict.core import MASS_TOLERANCE
 
 from conftest import all_rules, random_scenario
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def beta_loss(scenario, name):
@@ -36,14 +42,14 @@ class TestExpectedLossGiven:
         feats = om.FeatureSpace(points=("a",))
         decs = om.DecisionSpace(labels=("d",))
         loss = om.Loss(name="m", lmax=1.0,
-                       table={"a": {"d": (0.2, 0.8)}}, input_oblivious=False)
+                       table={"a": {"d": (0.2, 0.8)}})
         assert om.expected_loss_given("a", "d", 0.5, loss) == pytest.approx(0.5, abs=1e-15)
 
     @given(l0=st.floats(0, 1), l1=st.floats(0, 1), p=st.floats(0, 1))
     def test_within_hull(self, l0, l1, p):
         feats = om.FeatureSpace(points=("a",))
         loss = om.Loss(name="m", lmax=1.0,
-                       table={"a": {"d": (l0, l1)}}, input_oblivious=False)
+                       table={"a": {"d": (l0, l1)}})
         v = om.expected_loss_given("a", "d", p, loss)
         assert min(l0, l1) - 1e-12 <= v <= max(l0, l1) + 1e-12
         # linear interpolation between the two outcome values
@@ -69,8 +75,7 @@ class TestPerformativeRisk:
         sc = beta_scenario
         loss = om.Loss(name="const", lmax=1.0,
                        table={x: {y: (0.7, 0.7) for y in sc.decisions.labels}
-                              for x in sc.features.points},
-                       input_oblivious=True)
+                              for x in sc.features.points})
         for h in sc.hypotheses:
             r = om.performative_risk_exact(h, sc.nature.table, loss, sc.input_distribution)
             assert r == pytest.approx(0.7, abs=1e-15)
@@ -155,7 +160,7 @@ class TestOptimalRule:
                     for y, (v0, v1) in row.items()}
                 for x, row in loss.table.items()
             }
-            scaled = om.Loss(name="scaled", lmax=4.0, table=table, input_oblivious=False)
+            scaled = om.Loss(name="scaled", lmax=4.0, table=table)
             a = om.optimal_rule_from_model(sc.nature.table, loss, sc.decisions)
             b = om.optimal_rule_from_model(sc.nature.table, scaled, sc.decisions)
             assert a.mapping == b.mapping
@@ -211,8 +216,7 @@ class TestLossHelpers:
             assert l.input_oblivious
         skew = om.Loss(name="skew", lmax=1.0,
                        table={"-1": {"-1": (0.0, 0.0), "+1": (0.0, 0.0)},
-                              "+1": {"-1": (1.0, 1.0), "+1": (0.0, 0.0)}},
-                       input_oblivious=False)
+                              "+1": {"-1": (1.0, 1.0), "+1": (0.0, 0.0)}})
         assert not skew.input_oblivious
 
 
@@ -292,8 +296,7 @@ class TestValidation:
         feats, decs = kw["features"], kw["decisions"]
         kw["losses"] = (om.Loss(name="big", lmax=1.0,
                                 table={x: {y: (2.0, 0.0) for y in decs.labels}
-                                       for x in feats.points},
-                                input_oblivious=False),)
+                                       for x in feats.points}),)
         with pytest.raises(om.ConfigurationError) as exc:
             om.Scenario(**kw)
         assert "big" in str(exc.value)
@@ -304,8 +307,7 @@ class TestValidation:
         for lmax in (0.0, math.inf, math.nan):
             kw["losses"] = (om.Loss(name="unbounded", lmax=lmax,
                                     table={x: {y: (1.0, 0.0) for y in decs.labels}
-                                           for x in feats.points},
-                                    input_oblivious=False),)
+                                           for x in feats.points}),)
             with pytest.raises(om.ConfigurationError) as exc:
                 om.Scenario(**kw)
             assert "unbounded" in str(exc.value)
@@ -315,8 +317,7 @@ class TestValidation:
         feats, decs = kw["features"], kw["decisions"]
         kw["losses"] = (om.Loss(name="neg", lmax=1.0,
                                 table={x: {y: (-0.1, 0.0) for y in decs.labels}
-                                       for x in feats.points},
-                                input_oblivious=False),)
+                                       for x in feats.points}),)
         with pytest.raises(om.ConfigurationError):
             om.Scenario(**kw)
 
@@ -365,3 +366,375 @@ class TestValidation:
         kw["weights"] = om.WeightClass(weights=(
             om.WeightFunction(name="w", mapping={"a": 0.5, "b": 1.5}, wmax=2.0),))
         om.Scenario(**kw)  # valid: mean 1 under the distribution, inside [0, wmax]
+
+
+# The per-cell validation loops a scenario ran before it checked arrays,
+# with their accessors inlined: the reference for the vectorized checks.
+def reference_distribution(dist, features):
+    points = set(features.points)
+    for x in dist.probabilities:
+        if x not in points:
+            raise om.ConfigurationError(
+                f"input distribution assigns mass to unknown feature {x!r}"
+            )
+    masses = [float(v) for v in dist.probabilities.values()]
+    if not all(math.isfinite(m) and m >= 0 for m in masses):
+        raise om.ConfigurationError(
+            "input distribution has a negative or non-finite mass"
+        )
+    total = math.fsum(masses)
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise om.ConfigurationError(
+            f"input distribution masses sum to {total!r}, expected 1"
+        )
+
+
+def reference_nature(nature, features, decisions):
+    for x in features.points:
+        for yhat in decisions.labels:
+            row = nature.table.get(x)
+            if row is None or yhat not in row:
+                raise om.ConfigurationError(
+                    f"outcome model has no entry for feature {x!r}, decision {yhat!r}"
+                )
+            p = float(row[yhat])
+            if not 0.0 <= p <= 1.0:
+                raise om.ConfigurationError(
+                    f"outcome probability {p!r} at ({x!r}, {yhat!r}) "
+                    "is outside [0, 1]"
+                )
+
+
+def reference_loss(loss, features, decisions):
+    if not (math.isfinite(loss.lmax) and loss.lmax > 0):
+        raise om.ConfigurationError(
+            f"loss {loss.name!r} must have a finite lmax > 0, got {loss.lmax!r}"
+        )
+    for x in features.points:
+        for yhat in decisions.labels:
+            for y in (0, 1):
+                row = loss.table.get(x)
+                if row is None or yhat not in row:
+                    raise om.ConfigurationError(
+                        f"loss {loss.name!r} has no entry for feature {x!r}, "
+                        f"decision {yhat!r}"
+                    )
+                v = float(row[yhat][y])
+                if not 0.0 <= v <= loss.lmax:
+                    raise om.ConfigurationError(
+                        f"loss {loss.name!r} value {v!r} at "
+                        f"({x!r}, {yhat!r}, y={y}) is outside [0, {loss.lmax}]"
+                    )
+
+
+def reference_rule(h, features, decisions):
+    for x in features.points:
+        if x not in h.mapping:
+            raise om.ConfigurationError(
+                f"rule {h.name!r} has no decision for feature {x!r}"
+            )
+        yhat = h.mapping[x]
+        if yhat not in decisions.labels:
+            raise om.ConfigurationError(
+                f"rule {h.name!r} maps {x!r} to unknown decision {yhat!r}"
+            )
+
+
+def reference_weight(w, features, dist):
+    if not (math.isfinite(w.wmax) and w.wmax > 0):
+        raise om.WeightInvariantError(
+            f"weight function {w.name!r} must have a finite wmax > 0, "
+            f"got {w.wmax!r}"
+        )
+
+    def weight(x):
+        if x not in w.mapping:
+            raise om.ConfigurationError(
+                f"weight function {w.name!r} has no value for feature {x!r}"
+            )
+        return float(w.mapping[x])
+
+    for x in features.points:
+        v = weight(x)
+        if not 0.0 <= v <= w.wmax:
+            raise om.WeightInvariantError(
+                f"weight function {w.name!r} value {v!r} at {x!r} "
+                f"is outside [0, {w.wmax}]"
+            )
+    mean = math.fsum(
+        float(dist.probabilities.get(x, 0.0)) * weight(x) for x in features.points
+    )
+    if abs(mean - 1.0) > MASS_TOLERANCE:
+        raise om.WeightInvariantError(
+            f"weight function {w.name!r} has mean {mean!r} under the "
+            "input distribution, expected 1"
+        )
+
+
+def reference_validate(kw):
+    """The per-cell checks in the order Scenario construction runs them."""
+    features, decisions = kw["features"], kw["decisions"]
+    reference_distribution(kw["input_distribution"], features)
+    reference_nature(kw["nature"], features, decisions)
+    for loss in kw["losses"]:
+        reference_loss(loss, features, decisions)
+    for h in kw["hypotheses"]:
+        reference_rule(h, features, decisions)
+    for w in kw["weights"].weights:
+        reference_weight(w, features, kw["input_distribution"])
+
+
+def reference_arrays(sc):
+    """The arrays as a per-cell enumeration builds them."""
+    xs, ys = sc.features.points, sc.decisions.labels
+    y_index = {y: j for j, y in enumerate(ys)}
+    arrays = {
+        "dist": np.array([sc.input_distribution.mass(x) for x in xs], dtype=np.float64),
+        "nature": np.array([[sc.nature.prob(x, y) for y in ys] for x in xs],
+                           dtype=np.float64),
+    }
+    for loss in sc.losses:
+        at0 = np.array([[loss.values(x, y, 0) for y in ys] for x in xs],
+                       dtype=np.float64)
+        at1 = np.array([[loss.values(x, y, 1) for y in ys] for x in xs],
+                       dtype=np.float64)
+        arrays[f"base:{loss.name}"] = at0
+        arrays[f"delta:{loss.name}"] = at1 - at0
+    for h in sc.hypotheses:
+        arrays[f"rule:{h.name}"] = np.array([y_index[h.decide(x)] for x in xs],
+                                            dtype=np.int64)
+    for w in sc.weights.weights:
+        arrays[f"weight:{w.name}"] = np.array([w.weight(x) for x in xs],
+                                              dtype=np.float64)
+    return arrays
+
+
+def raw_tables(rng):
+    """Plain-dict tables of a valid random scenario with weights, lmax 2."""
+    n_x, k = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+    xs = [f"x{i}" for i in range(n_x)]
+    ys = [f"d{j}" for j in range(k)]
+    raw = rng.random(n_x) + 0.1
+    masses = {x: float(m) for x, m in zip(xs, raw / raw.sum())}
+    weights = []
+    for name in ("wa", "wb"):
+        v = rng.random(n_x) + 0.5
+        v = v / math.fsum(masses[x] * float(u) for x, u in zip(xs, v))
+        weights.append((name, {x: float(u) for x, u in zip(xs, v)}, 3.0))
+    return dict(
+        xs=xs,
+        ys=ys,
+        masses=masses,
+        nature={x: {y: float(rng.random()) for y in ys} for x in xs},
+        losses=[
+            (f"l{i}", 2.0, {x: {y: (2.0 * float(rng.random()), 2.0 * float(rng.random()))
+                                for y in ys} for x in xs})
+            for i in range(int(rng.integers(2, 4)))
+        ],
+        rules=[
+            (f"h{i}", {x: ys[int(rng.integers(0, k))] for x in xs})
+            for i in range(int(rng.integers(2, 4)))
+        ],
+        weights=weights,
+    )
+
+
+def scenario_parts(t):
+    return dict(
+        name="cells",
+        features=om.FeatureSpace(points=tuple(t["xs"])),
+        decisions=om.DecisionSpace(labels=tuple(t["ys"])),
+        input_distribution=om.InputDistribution(probabilities=t["masses"]),
+        nature=om.NatureModel(table=t["nature"]),
+        losses=tuple(om.Loss(name=n, lmax=m, table=tab) for n, m, tab in t["losses"]),
+        hypotheses=tuple(om.Hypothesis(name=n, mapping=m) for n, m in t["rules"]),
+        epsilon=0.1,
+        weights=om.WeightClass(weights=tuple(
+            om.WeightFunction(name=n, mapping=m, wmax=wmax)
+            for n, m, wmax in t["weights"]
+        )),
+    )
+
+
+def later_cell(rng, t):
+    """A (feature, decision) pair other than the canonically first one."""
+    cells = [(x, y) for x in t["xs"] for y in t["ys"]][1:]
+    return cells[int(rng.integers(0, len(cells)))]
+
+
+def later_feature(rng, t):
+    return t["xs"][int(rng.integers(1, len(t["xs"])))]
+
+
+def set_loss_value(value):
+    def fault(rng, t):
+        x, y = later_cell(rng, t)
+        v0, v1 = t["losses"][-1][2][x][y]
+        t["losses"][-1][2][x][y] = (v0, value) if rng.random() < 0.5 else (value, v1)
+    return fault
+
+
+def set_nature(value):
+    def fault(rng, t):
+        x, y = later_cell(rng, t)
+        t["nature"][x][y] = value
+    return fault
+
+
+def set_mass(value):
+    def fault(rng, t):
+        t["masses"][later_feature(rng, t)] = value
+    return fault
+
+
+def set_weight(value):
+    def fault(rng, t):
+        t["weights"][-1][1][later_feature(rng, t)] = value
+    return fault
+
+
+def drop_nature_cell(rng, t):
+    x, y = later_cell(rng, t)
+    del t["nature"][x][y]
+
+
+def drop_nature_row(rng, t):
+    del t["nature"][later_feature(rng, t)]
+
+
+def drop_loss_cell(rng, t):
+    x, y = later_cell(rng, t)
+    del t["losses"][-1][2][x][y]
+
+
+def drop_rule_cell(rng, t):
+    del t["rules"][-1][1][later_feature(rng, t)]
+
+
+def drop_weight_cell(rng, t):
+    del t["weights"][-1][1][later_feature(rng, t)]
+
+
+def unknown_feature(rng, t):
+    t["masses"]["zz"] = 0.0
+
+
+def unknown_decision(rng, t):
+    t["rules"][-1][1][later_feature(rng, t)] = "zz"
+
+
+def weight_mean(rng, t):
+    mapping = t["weights"][-1][1]
+    for x in mapping:
+        mapping[x] *= 1.01
+
+
+def mass_sum(rng, t):
+    x = later_feature(rng, t)
+    t["masses"][x] *= 1.5
+
+
+FAULTS = {
+    "missing-nature-cell": drop_nature_cell,
+    "missing-nature-row": drop_nature_row,
+    "missing-loss-cell": drop_loss_cell,
+    "missing-rule-cell": drop_rule_cell,
+    "missing-weight-cell": drop_weight_cell,
+    "unknown-distribution-feature": unknown_feature,
+    "nan-mass": set_mass(math.nan),
+    "negative-mass": set_mass(-0.1),
+    "infinite-mass": set_mass(math.inf),
+    "nan-nature": set_nature(math.nan),
+    "negative-nature": set_nature(-0.25),
+    "large-nature": set_nature(1.5),
+    "nan-loss": set_loss_value(math.nan),
+    "negative-loss": set_loss_value(-0.5),
+    "large-loss": set_loss_value(2.5),
+    "nan-weight": set_weight(math.nan),
+    "negative-weight": set_weight(-0.5),
+    "large-weight": set_weight(4.0),
+    "unknown-decision": unknown_decision,
+    "weight-mean": weight_mean,
+    "mass-sum": mass_sum,
+}
+
+
+def outcome(build):
+    try:
+        build()
+    except Exception as exc:  # compared, type and message, to the reference
+        return type(exc), str(exc)
+    return None
+
+
+class TestValidationMatchesPerCellReference:
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_single_fault_same_error(self, fault):
+        for seed in range(6):
+            rng = np.random.default_rng([41, seed])
+            t = raw_tables(rng)
+            FAULTS[fault](rng, t)
+            kw = scenario_parts(t)
+            want = outcome(lambda: reference_validate(kw))
+            assert want is not None and want[0] in (
+                om.ConfigurationError, om.WeightInvariantError)
+            assert outcome(lambda: om.Scenario(**kw)) == want
+
+    def test_fault_free_arrays_match_enumeration(self):
+        for seed in range(10):
+            rng = np.random.default_rng([43, seed])
+            kw = scenario_parts(raw_tables(rng))
+            assert outcome(lambda: reference_validate(kw)) is None
+            sc = om.Scenario(**kw)
+            arrays = sc.arrays
+            got = {"dist": arrays.dist, "nature": arrays.nature}
+            for loss in sc.losses:
+                got[f"base:{loss.name}"] = arrays.loss_base[loss.name]
+                got[f"delta:{loss.name}"] = arrays.loss_delta[loss.name]
+            for h in sc.hypotheses:
+                got[f"rule:{h.name}"] = arrays.hyp_index[h.name]
+                assert np.array_equal(arrays.rule_indices(h), arrays.hyp_index[h.name])
+            for w in sc.weights.weights:
+                got[f"weight:{w.name}"] = arrays.weights[w.name]
+            want = reference_arrays(sc)
+            assert got.keys() == want.keys()
+            for name, array in want.items():
+                assert got[name].dtype == array.dtype, name
+                assert np.array_equal(got[name], array), name
+
+    def test_foreign_loss_arrays_match_enumeration(self):
+        rng = np.random.default_rng(47)
+        sc = om.Scenario(**scenario_parts(raw_tables(rng)))
+        xs, ys = sc.features.points, sc.decisions.labels
+        foreign = om.Loss(name=sc.losses[0].name, lmax=5.0, table={
+            x: {y: (float(rng.random()), float(rng.random())) for y in ys} for x in xs
+        })
+        base, delta = sc.arrays.loss_arrays_for(sc, foreign)
+        at0 = np.array([[foreign.values(x, y, 0) for y in ys] for x in xs])
+        at1 = np.array([[foreign.values(x, y, 1) for y in ys] for x in xs])
+        assert np.array_equal(base, at0) and np.array_equal(delta, at1 - at0)
+        del foreign.table[xs[1]][ys[0]]
+        with pytest.raises(om.ConfigurationError, match="has no entry"):
+            sc.arrays.loss_arrays_for(sc, foreign)
+
+    def test_input_oblivious_is_read_from_the_table(self):
+        rng = np.random.default_rng(53)
+        t = raw_tables(rng)
+        row = t["losses"][0][2][t["xs"][0]]
+        flat = om.Loss(name="flat", lmax=2.0, table={x: dict(row) for x in t["xs"]})
+        assert flat.input_oblivious
+        assert not om.Loss(name="l", lmax=2.0, table=t["losses"][0][2]).input_oblivious
+
+
+class TestBenchmarkSpans:
+    def test_every_traced_name_resolves(self):
+        # the traced benchmark run wraps these functions by name
+        layers = runpy.run_path(str(REPO / "perfbench" / "layers.py"))
+        for span, (module_name, attrs) in layers["SPANS"].items():
+            module = importlib.import_module(module_name)
+            for attr in attrs:
+                owner_name, _, fn_name = attr.rpartition(".")
+                owner = getattr(module, owner_name) if owner_name else module
+                fn = owner.__dict__.get(fn_name) if owner_name else getattr(
+                    module, fn_name, None)
+                assert callable(fn), f"{span}: {module_name}.{attr}"

@@ -74,6 +74,16 @@ class TestEvaluate:
         with pytest.raises(om.ArgumentError):
             om.evaluate(pred, "zz", beta_scenario)
 
+    def test_nan_prediction_matrix_rejected(self, beta_scenario):
+        # NaN compares false both ways, so a check for entries below 0 or
+        # above 1 alone would let it through to the audits
+        for bad in ([[0.5, np.nan], [0.5, 0.5]], [[0.5, 0.5], [-0.1, 0.5]],
+                    [[0.5, 0.5], [0.5, np.inf]]):
+            with pytest.raises(om.ArgumentError):
+                om.prediction_matrix(bad, beta_scenario)
+        ok = om.prediction_matrix([[0.0, 1.0], [0.5, 0.5]], beta_scenario)
+        assert ok.tolist() == [[0.0, 1.0], [0.5, 0.5]]
+
     def test_unknown_term_references(self, beta_scenario):
         bad_loss = om.UpdateTerm(eta=0.1, loss_name="nope",
                                  target_kind="external", target_name="h_plus")
@@ -226,7 +236,7 @@ class TestInducedRule:
                     for y, (v0, v1) in row.items()}
                 for x, row in loss.table.items()
             }
-            scaled = om.Loss(name="scaled", lmax=3.5, table=table, input_oblivious=False)
+            scaled = om.Loss(name="scaled", lmax=3.5, table=table)
             assert (om.induced_rule(matrix, loss, sc).mapping
                     == om.induced_rule(matrix, scaled, sc).mapping)
 
