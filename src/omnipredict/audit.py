@@ -30,6 +30,15 @@ results regardless of internal parallelism. Every audit yields
 (target, err) entries in that order, and first_violation and
 audit_report turn them into its verdict; training reads the same
 entries, lazily, only up to the first violation.
+
+The exact rule audit is one bilinear kernel. Per call it forms, for
+each loss, the (|X|, k) product (dist * delta) * (modeled - true),
+|L|*|X|*k multiplies, then gathers it at each hypothesis's chosen cells
+through the flat indices x*k + h(x) kept in the scenario's rule_cells,
+and sums each hypothesis row with np.add.reduce. The full matrix that
+audit_poi_exact reads (poi_err_matrix, split over threads) and the lazy
+rows that training reads (poi_entries_exact) come from that one row
+function, so their errs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -131,6 +140,33 @@ def _run_row_chunks(fill: Callable[[slice], None], n_rows: int, threads: int) ->
         list(pool.map(fill, slices))
 
 
+def _rule_err_rows(matrix_or_pred, scenario: Scenario) -> Callable[[slice], np.ndarray]:
+    """The exact rule-audit kernel, as a function of a hypothesis slice.
+
+    Forms each loss's product (dist * delta) * (modeled - true) over the
+    (|X|, k) table once; the returned function gathers it at the cells
+    the sliced hypotheses choose and reduces each row, giving the
+    (rows, |L|) block of poi_err_matrix.
+    """
+    matrix = prediction_matrix(matrix_or_pred, scenario)
+    arrays = scenario.arrays
+    mismatch = matrix - arrays.nature
+    weight = arrays.dist[:, np.newaxis]
+    products = [
+        ((weight * arrays.loss_delta[loss.name]) * mismatch).ravel()
+        for loss in scenario.losses
+    ]
+
+    def rows(sel: slice) -> np.ndarray:
+        cells = arrays.rule_cells[sel]
+        errs = np.empty((len(cells), len(products)))
+        for li, product in enumerate(products):
+            errs[:, li] = np.add.reduce(product.take(cells), axis=1)
+        return errs
+
+    return rows
+
+
 def poi_err_matrix(matrix_or_pred, scenario: Scenario, threads: int = 1) -> np.ndarray:
     """Exact err for every (hypothesis, loss) pair, canonical order.
 
@@ -139,22 +175,11 @@ def poi_err_matrix(matrix_or_pred, scenario: Scenario, threads: int = 1) -> np.n
     loss(x, yhat, 1) - loss(x, yhat, 0). Equal to the model-side risk
     minus Nature-side risk of h under l.
     """
-    matrix = prediction_matrix(matrix_or_pred, scenario)
-    arrays = scenario.arrays
-    n_x = len(scenario.features.points)
-    cols = np.arange(n_x)
-    stacked = np.stack([arrays.hyp_index[h.name] for h in scenario.hypotheses])
+    rows = _rule_err_rows(matrix_or_pred, scenario)
     errs = np.empty((len(scenario.hypotheses), len(scenario.losses)))
-    mismatch = matrix - arrays.nature
 
-    def fill(rows: slice) -> None:
-        sel = stacked[rows]
-        gap_sel = mismatch[cols, sel]
-        for li, loss in enumerate(scenario.losses):
-            delta = arrays.loss_delta[loss.name]
-            errs[rows, li] = np.add.reduce(
-                arrays.dist * delta[cols, sel] * gap_sel, axis=1
-            )
+    def fill(sel: slice) -> None:
+        errs[sel] = rows(sel)
 
     _run_row_chunks(fill, len(scenario.hypotheses), threads)
     return errs
@@ -228,9 +253,14 @@ def _decision_entries(scenario: Scenario, errs: Iterable[float]):
     return zip(targets, errs)
 
 
-def poi_entries_exact(pred, scenario: Scenario, threads: int = 1):
-    errs = poi_err_matrix(pred, scenario, threads=threads)
-    return _rule_entries(scenario, errs.ravel().tolist())
+def poi_entries_exact(pred, scenario: Scenario):
+    """Exact rule-audit entries, computed lazily one hypothesis row at a
+    time, so a reader that stops at a violation computes no later row."""
+    rows = _rule_err_rows(pred, scenario)
+    errs = itertools.chain.from_iterable(
+        rows(slice(h, h + 1)).ravel().tolist() for h in range(len(scenario.hypotheses))
+    )
+    return _rule_entries(scenario, errs)
 
 
 def doi_entries_exact(pred, scenario: Scenario, threads: int = 1):
@@ -282,7 +312,8 @@ def audit_poi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
     Returns (violation, report): the canonically first target with
     |err| >= eps, or None, plus the full report.
     """
-    return _verdict(EXACT, eps, poi_entries_exact(pred, scenario, threads))
+    errs = poi_err_matrix(pred, scenario, threads=threads)
+    return _verdict(EXACT, eps, _rule_entries(scenario, errs.ravel().tolist()))
 
 
 def audit_doi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):

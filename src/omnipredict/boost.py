@@ -14,9 +14,11 @@ distance starts at most k/4, so at most ceil(k * lmax^2 / epsilon^2)
 updates can ever be applied.
 
 Audits run in one of three modes. Exact mode enumerates the scenario;
-exceeding the proven bound there is an internal inconsistency and
-raises. Empirical mode estimates Nature's side from randomized-trial
-data: one fixed prefix of the dataset serves every rule audit (those
+there an update that lowers the potential by less than epsilon^2 /
+lmax^2, or one past the proven bound, is an internal inconsistency and
+raises. Its rule audit computes errs one hypothesis at a time and stops
+at the first violation. Empirical mode estimates Nature's side from
+randomized-trial data: one fixed prefix of the dataset serves every rule audit (those
 estimates do not depend on the predictor), while each decision audit
 consumes a fresh slice, because its rules are chosen by the trained
 predictor itself; running out of slices is a configuration error. The
@@ -108,6 +110,10 @@ class BoostResult:
     termination: str  # "converged" | "bound_exceeded"
 
 
+# Rounding allowance on the per-update potential drop eps^2 / lmax^2.
+POTENTIAL_GRACE = 1e-12
+
+
 def iteration_bound(k: int, lmax: float, eps: float) -> int:
     """Largest number of updates training can ever apply."""
     if k < 1 or lmax <= 0 or eps <= 0:
@@ -164,7 +170,9 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
 
     Returns the predictor, a per-update trace, and the termination kind.
     Exact mode raises BoundExceededError (with the partial trace
-    attached) if the proven update bound is ever exceeded; estimated
+    attached) if the proven update bound is ever exceeded, or if an
+    update lowers the potential by less than epsilon^2 / lmax^2 (less
+    POTENTIAL_GRACE for rounding); estimated
     modes report termination="bound_exceeded" instead, since noisy
     audits can legitimately fail to settle.
     """
@@ -191,6 +199,10 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
     step = eps / (lmax * lmax)
     n_x = len(scenario.features.points)
     matrix = np.full((n_x, scenario.k), 0.5, dtype=np.float64)
+    # the termination proof needs each exact update to lower the
+    # potential by at least eps^2 / lmax^2
+    pot = potential(matrix, scenario) if config.mode == EXACT else None
+    min_drop = eps * eps / (lmax * lmax) - POTENTIAL_GRACE
     terms: list[UpdateTerm] = []
     records: list[TraceRecord] = []
     termination = "converged"
@@ -198,7 +210,7 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
     for t in itertools.count(1):
         stage = "poi"
         if config.mode == EXACT:
-            entries = poi_entries_exact(matrix, scenario, config.threads)
+            entries = poi_entries_exact(matrix, scenario)
             violation = first_violation(entries, eps)
         elif config.mode == EMPIRICAL:
             entries = poi_entries_empirical(
@@ -247,7 +259,7 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
             )
         matrix = apply_term(matrix, term, scenario)
         terms.append(term)
-        pot = None
+        prev = pot
         if config.mode == EXACT:
             pot = potential(matrix, scenario)
         records.append(
@@ -260,6 +272,12 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
                 potential=pot,
             )
         )
+        if pot is not None and prev - pot < min_drop:
+            raise BoundExceededError(
+                f"exact-mode update {t} lowered the potential by {prev - pot!r}, "
+                f"less than the proven {min_drop!r}; this should be impossible",
+                trace=BoostTrace(records=tuple(records)),
+            )
 
     predictor = AdditivePredictor(
         k=scenario.k,

@@ -310,8 +310,11 @@ class _ScenarioArrays:
 
     dist (|X|,) and nature (|X|, k); by name, loss_values (|X|, k, 2)
     with its loss_base and loss_delta (|X|, k), hyp_index (|X|,) and
-    weights (|X|,). Reductions use np.add.reduce (pairwise summation in
-    numpy's core), never BLAS, so results do not depend on thread counts.
+    weights (|X|,). rule_cells (|H|, |X|) holds, per hypothesis in
+    canonical order, the flat index x*k + h(x) of each feature's chosen
+    cell in a row-major (|X|, k) table. Reductions use np.add.reduce
+    (pairwise summation in numpy's core), never BLAS, so results do not
+    depend on thread counts.
     """
 
     def __init__(self, scenario, dist, nature, losses, rules, weights):
@@ -320,11 +323,20 @@ class _ScenarioArrays:
         self.y_index = {y: j for j, y in enumerate(self.decisions.labels)}
         self.dist, self.nature, self.loss_values = dist, nature, losses
         self.hyp_index, self.weights = rules, weights
+        self._own_rules = {id(h): (h, rules[h.name]) for h in scenario.hypotheses}
+        rows = np.arange(len(self.features.points)) * self.decisions.k
+        self.rule_cells = np.stack(list(rules.values())) + rows
         self.loss_base, self.loss_delta = {}, {}
         for name, values in losses.items():
             self.loss_base[name], self.loss_delta[name] = _split(values)
 
     def rule_indices(self, rule: Hypothesis) -> np.ndarray:
+        """The decision index per feature of rule. One of the scenario's
+        own hypothesis objects reads its checked array; any other rule,
+        such as an induced one, is validated here."""
+        own, indices = self._own_rules.get(id(rule), (None, None))
+        if own is rule:
+            return indices
         return rule.validate(self.features, self.decisions)
 
     def loss_arrays_for(self, scenario: "Scenario", loss: Loss):

@@ -293,3 +293,60 @@ class TestAugmentedTraining:
         # steps shrink by the squared augmented bound
         assert all(abs(r.eta) == pytest.approx(0.05 / 4.0, abs=1e-15)
                    for r in res.trace.records)
+
+
+def count_validations(monkeypatch):
+    calls = []
+    validate = om.Hypothesis.validate
+
+    def counted(self, features, decisions):
+        calls.append(self.name)
+        return validate(self, features, decisions)
+
+    monkeypatch.setattr(om.Hypothesis, "validate", counted)
+    return calls
+
+
+class TestRuleIndexReuse:
+    def test_own_hypotheses_read_their_checked_arrays(
+            self, weighted_scenario, monkeypatch):
+        sc = weighted_scenario
+        calls = count_validations(monkeypatch)
+        for h in sc.hypotheses:
+            got = sc.arrays.rule_indices(h)
+            assert got is sc.arrays.hyp_index[h.name]
+        assert calls == []
+
+    def test_foreign_rules_are_matched_by_identity(
+            self, weighted_scenario, monkeypatch):
+        # an equal rule under the same name is still validated: it is not
+        # the object the scenario checked
+        sc = weighted_scenario
+        own = sc.hypotheses[0]
+        twin = om.Hypothesis(name=own.name, mapping=dict(own.mapping))
+        impostor = om.Hypothesis(
+            name=own.name,
+            mapping={x: sc.decisions.labels[-1] for x in sc.features.points})
+        calls = count_validations(monkeypatch)
+        assert np.array_equal(sc.arrays.rule_indices(twin), sc.arrays.hyp_index[own.name])
+        assert np.array_equal(sc.arrays.rule_indices(impostor),
+                              np.full(len(sc.features.points), sc.k - 1))
+        assert calls == [own.name, own.name]
+
+    def test_rule_terms_validates_only_induced_rules(
+            self, weighted_scenario, adapt_model, monkeypatch):
+        wide = om.augment_scenario(weighted_scenario)
+        matrix = om.prediction_matrix(adapt_model, wide)
+        calls = count_validations(monkeypatch)
+        names, _ = adapt.rule_terms(matrix, wide)
+        assert len(calls) == len(wide.losses)
+        assert names[: len(wide.hypotheses)] == tuple(h.name for h in wide.hypotheses)
+
+    def test_model_risk_estimate_reads_own_rules(self, weighted_scenario, monkeypatch):
+        sc = weighted_scenario
+        xs = sc.features.points * 3
+        matrix = np.full((len(sc.features.points), sc.k), 0.5)
+        calls = count_validations(monkeypatch)
+        for h in sc.hypotheses:
+            om.model_risk_estimate(xs, matrix, h, sc.losses[0], sc)
+        assert calls == []

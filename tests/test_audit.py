@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omnipredict as om
 from omnipredict import audit
 from omnipredict.audit import first_violation
+from omnipredict.predictor import prediction_matrix
 
 from conftest import (
     dyadic_scenario_and_data,
@@ -116,6 +119,131 @@ class TestExactPoi:
         base = om.poi_err_matrix(q, sc, threads=1)
         for threads in (2, 4, 8):
             assert np.array_equal(base, om.poi_err_matrix(q, sc, threads=threads))
+
+
+def poi_err_matrix_reference(matrix_or_pred, scenario):
+    """The rule-audit kernel before the fused gather: per loss, gather
+    delta and the mismatch at (x, h(x)) for every hypothesis, then
+    multiply and reduce each row."""
+    matrix = prediction_matrix(matrix_or_pred, scenario)
+    arrays = scenario.arrays
+    cols = np.arange(len(scenario.features.points))
+    stacked = np.stack([arrays.hyp_index[h.name] for h in scenario.hypotheses])
+    errs = np.empty((len(scenario.hypotheses), len(scenario.losses)))
+    mismatch = matrix - arrays.nature
+    gap_sel = mismatch[cols, stacked]
+    for li, loss in enumerate(scenario.losses):
+        delta = arrays.loss_delta[loss.name]
+        errs[:, li] = np.add.reduce(
+            arrays.dist * delta[cols, stacked] * gap_sel, axis=1
+        )
+    return errs
+
+
+@st.composite
+def kernel_cases(draw):
+    """A scenario and a prediction matrix, often degenerate: one feature,
+    one decision, one hypothesis, zero masses, tied rules and decisions,
+    or a predictor equal to Nature."""
+    n_x = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 4))
+    n_losses = draw(st.integers(1, 3))
+    n_hyps = draw(st.integers(1, 5))
+    zero_masses = draw(st.booleans())
+    tied = draw(st.booleans())
+    at_truth = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs = tuple(f"x{i}" for i in range(n_x))
+    ys = tuple(f"d{j}" for j in range(k))
+    raw = rng.random(n_x) + 0.1
+    if zero_masses:
+        raw[rng.random(n_x) < 0.5] = 0.0
+        raw[rng.integers(0, n_x)] = 1.0
+    masses = raw / raw.sum()
+    nature = rng.random((n_x, k))
+    losses = []
+    for li in range(n_losses):
+        values = rng.random((n_x, k, 2))
+        if tied:
+            values[:] = values[:, :1, :]
+        losses.append(om.Loss(
+            name=f"l{li}", lmax=1.0,
+            table={x: {y: tuple(values[i, j].tolist()) for j, y in enumerate(ys)}
+                   for i, x in enumerate(xs)}))
+    choice = rng.integers(0, k, size=(n_hyps, n_x))
+    if tied:
+        choice[:] = choice[0]
+    hyps = tuple(
+        om.Hypothesis(name=f"h{hi}",
+                      mapping={x: ys[choice[hi, i]] for i, x in enumerate(xs)})
+        for hi in range(n_hyps))
+    sc = om.Scenario(
+        name="kernel",
+        features=om.FeatureSpace(points=xs),
+        decisions=om.DecisionSpace(labels=ys),
+        input_distribution=om.InputDistribution(
+            probabilities={x: float(m) for x, m in zip(xs, masses)}),
+        nature=om.NatureModel(table={
+            x: {y: float(nature[i, j]) for j, y in enumerate(ys)}
+            for i, x in enumerate(xs)}),
+        losses=tuple(losses),
+        hypotheses=hyps,
+        epsilon=0.1,
+    )
+    matrix = sc.arrays.nature.copy() if at_truth else rng.random((n_x, k))
+    return sc, matrix
+
+
+class TestFusedRuleKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_cases())
+    def test_matches_reference_bit_for_bit(self, case):
+        sc, q = case
+        want = poi_err_matrix_reference(q, sc)
+        for threads in (1, 2, 4):
+            assert np.array_equal(om.poi_err_matrix(q, sc, threads=threads), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_cases())
+    def test_lazy_entries_match_full_matrix(self, case):
+        sc, q = case
+        lazy = [e for _, e in audit.poi_entries_exact(q, sc)]
+        for threads in (1, 2, 4):
+            full = om.poi_err_matrix(q, sc, threads=threads).ravel()
+            assert np.array_equal(np.array(lazy), full)
+
+    def test_long_rows_match_reference(self):
+        # rows longer than numpy's 8192-element buffer and its pairwise
+        # summation blocks
+        rng = np.random.default_rng(61)
+        sc = random_scenario(rng, max_x=2, max_k=3, n_hyps=(3, 3))
+        n_x = 20_000
+        xs = tuple(f"x{i}" for i in range(n_x))
+        ys = sc.decisions.labels
+        masses = rng.random(n_x) + 0.1
+        masses /= masses.sum()
+        big = om.Scenario(
+            name="long",
+            features=om.FeatureSpace(points=xs),
+            decisions=sc.decisions,
+            input_distribution=om.InputDistribution(
+                probabilities={x: float(m) for x, m in zip(xs, masses)}),
+            nature=om.NatureModel(table={x: {y: float(rng.random()) for y in ys}
+                                         for x in xs}),
+            losses=(om.Loss(name="l", lmax=1.0, table={
+                x: {y: (float(rng.random()), float(rng.random())) for y in ys}
+                for x in xs}),),
+            hypotheses=tuple(
+                om.Hypothesis(name=f"h{hi}", mapping={
+                    x: ys[int(rng.integers(0, len(ys)))] for x in xs})
+                for hi in range(3)),
+            epsilon=0.1,
+        )
+        q = rng.random((n_x, big.k))
+        want = poi_err_matrix_reference(q, big)
+        assert np.array_equal(om.poi_err_matrix(q, big, threads=2), want)
+        lazy = [e for _, e in audit.poi_entries_exact(q, big)]
+        assert np.array_equal(np.array(lazy), want.ravel())
 
 
 class TestExactDoi:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import omnipredict as om
+from omnipredict import audit, boost
 
 from conftest import random_scenario
 
@@ -153,6 +154,81 @@ class TestExactTraining:
         b = om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.05, threads=4))
         assert om.serialize(a.predictor) == om.serialize(b.predictor)
         assert a.trace == b.trace
+
+
+def count_rows_read(monkeypatch):
+    """Record, per rule audit, the hypothesis rows training computes."""
+    audits = []
+    make_rows = audit._rule_err_rows
+
+    def counted(pred, scenario):
+        rows = make_rows(pred, scenario)
+        read = []
+        audits.append(read)
+
+        def wrapper(sel):
+            read.extend(range(sel.start, sel.stop))
+            return rows(sel)
+
+        return wrapper
+
+    monkeypatch.setattr(audit, "_rule_err_rows", counted)
+    return audits
+
+
+class TestRuleScanStopsAtFirstViolation:
+    def test_reads_no_row_past_the_violating_one(self, monkeypatch):
+        rng = np.random.default_rng(137)
+        early = 0
+        for _ in range(6):
+            sc = random_scenario(rng, n_hyps=(5, 9))
+            audits = count_rows_read(monkeypatch)
+            res = om.poi_boost(sc, om.BoostConfig(epsilon=sc.epsilon))
+            names = [h.name for h in sc.hypotheses]
+            every = list(range(len(names)))
+            want = [
+                every[: names.index(rec.target.hypothesis) + 1]
+                if rec.stage == "poi" else every
+                for rec in res.trace.records
+            ]
+            # the converged pass reads every row
+            assert audits == want + [every]
+            early += sum(len(read) < len(names) for read in audits)
+        assert early > 0
+
+    def test_training_matches_a_full_matrix_scan(self, monkeypatch):
+        rng = np.random.default_rng(139)
+        scenarios = [random_scenario(rng, n_hyps=(5, 9)) for _ in range(4)]
+        lazy = [om.poi_boost(sc, om.BoostConfig(epsilon=sc.epsilon))
+                for sc in scenarios]
+
+        def full_scan(pred, scenario):
+            errs = om.poi_err_matrix(pred, scenario).ravel().tolist()
+            return audit._rule_entries(scenario, errs)
+
+        monkeypatch.setattr(boost, "poi_entries_exact", full_scan)
+        for sc, res in zip(scenarios, lazy):
+            full = om.poi_boost(sc, om.BoostConfig(epsilon=sc.epsilon))
+            assert res.trace == full.trace and res.predictor == full.predictor
+
+
+class TestPotentialEnforced:
+    def test_update_that_misses_the_drop_raises(self, beta_scenario, monkeypatch):
+        monkeypatch.setattr(boost, "apply_term", lambda matrix, term, sc: matrix)
+        with pytest.raises(om.BoundExceededError, match="potential") as info:
+            om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.05))
+        trace = info.value.trace
+        assert trace.updates == 1
+        # the no-op update leaves the all-1/2 potential in place
+        assert trace.records[0].potential == pytest.approx(0.125, abs=1e-15)
+
+    def test_estimated_modes_are_not_held_to_it(self, beta_scenario, monkeypatch):
+        monkeypatch.setattr(boost, "apply_term", lambda matrix, term, sc: matrix)
+        data = om.generate_rct(beta_scenario, 4000, 0)
+        res = om.poi_boost(beta_scenario, om.BoostConfig(
+            epsilon=0.1, mode="empirical", data=data, poi_n=2000, doi_n=100))
+        assert res.termination == "bound_exceeded"
+        assert res.trace.updates == om.iteration_bound(2, 1.0, 0.1)
 
 
 class TestConfigValidation:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import omnipredict as om
-from omnipredict import adapt, cli, predictor
+from omnipredict import adapt, boost, cli, predictor
 
 REPO = Path(__file__).resolve().parent.parent
 BETA = str(REPO / "scenarios" / "beta025.json")
@@ -203,6 +203,22 @@ class TestTrain:
         assert code == 3
         assert "bound_exceeded" in err
         assert not out.exists()
+
+    def test_missed_potential_drop_fails_and_writes_trace(
+            self, workdir, monkeypatch):
+        # an update that leaves the predictor unchanged breaks the
+        # potential argument on its first step
+        monkeypatch.setattr(boost, "apply_term", lambda matrix, term, sc: matrix)
+        out = workdir / "stalled.json"
+        trace = workdir / "stalled.trace.jsonl"
+        code, _, err = run("train", "--config", BETA, "--epsilon", "0.05",
+                           "--out", str(out), "--trace", str(trace))
+        assert code == 3
+        assert "potential" in err
+        assert not out.exists()
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [r["t"] for r in records] == [1]
+        assert records[0]["potential"] == pytest.approx(0.125, abs=1e-15)
 
     def test_exhausted_data_is_config_error(self, workdir):
         # POI passes at the loose epsilon, then the first rule audit wants
