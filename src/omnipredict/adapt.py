@@ -279,6 +279,8 @@ def verify_universal_adaptability(
         raise ConfigurationError("universal adaptability needs a weight class")
     if n_mixtures < 0:
         raise ArgumentError("n_mixtures must be nonnegative")
+    if seed < 0:
+        raise ArgumentError(f"seed must be nonnegative, got {seed}")
     _, terms = rule_terms(_model_matrix(pred, scenario), scenario)
     weights = scenario.weights
     dist = scenario.input_distribution

@@ -38,12 +38,23 @@ through the flat indices x*k + h(x) kept in the scenario's rule_cells,
 and sums each hypothesis row with np.add.reduce. The full matrix that
 audit_poi_exact reads (poi_err_matrix, split over threads) and the lazy
 rows that training reads (poi_entries_exact) come from that one row
-function, so their errs agree bit for bit.
+function, so their errs agree bit for bit. The exact decision audit
+(doi_errs) gathers the same per-loss products at the cells of the
+predictor's own loss-optimal rule.
+
+Decision calibration tabulates each decision's score under each of the
+grid_steps^2 weight pairs once, finds every grid point's rule by a
+running minimum over those tables (grid_steps^(2k) * |X| * k
+comparisons), and reduces the region sums once per distinct induced
+partition in each chunk of grid points. Each chunk holds at most
+_DC_CELLS grid-point-by-feature cells, so memory does not grow with k
+or grid_steps.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -140,22 +151,27 @@ def _run_row_chunks(fill: Callable[[slice], None], n_rows: int, threads: int) ->
         list(pool.map(fill, slices))
 
 
-def _rule_err_rows(matrix_or_pred, scenario: Scenario) -> Callable[[slice], np.ndarray]:
-    """The exact rule-audit kernel, as a function of a hypothesis slice.
-
-    Forms each loss's product (dist * delta) * (modeled - true) over the
-    (|X|, k) table once; the returned function gathers it at the cells
-    the sliced hypotheses choose and reduces each row, giving the
-    (rows, |L|) block of poi_err_matrix.
-    """
-    matrix = prediction_matrix(matrix_or_pred, scenario)
+def _loss_products(matrix: np.ndarray, scenario: Scenario) -> list[np.ndarray]:
+    """Per loss, the product (dist * delta) * (modeled - true) over the
+    (|X|, k) table, flat, so cell (x, j) is at x * k + j."""
     arrays = scenario.arrays
     mismatch = matrix - arrays.nature
     weight = arrays.dist[:, np.newaxis]
-    products = [
+    return [
         ((weight * arrays.loss_delta[loss.name]) * mismatch).ravel()
         for loss in scenario.losses
     ]
+
+
+def _rule_err_rows(matrix_or_pred, scenario: Scenario) -> Callable[[slice], np.ndarray]:
+    """The exact rule-audit kernel, as a function of a hypothesis slice.
+
+    Forms each loss's product once; the returned function gathers it at
+    the cells the sliced hypotheses choose and reduces each row, giving
+    the (rows, |L|) block of poi_err_matrix.
+    """
+    arrays = scenario.arrays
+    products = _loss_products(prediction_matrix(matrix_or_pred, scenario), scenario)
 
     def rows(sel: slice) -> np.ndarray:
         cells = arrays.rule_cells[sel]
@@ -189,10 +205,9 @@ def doi_errs(matrix_or_pred, scenario: Scenario, threads: int = 1) -> np.ndarray
     """Exact err for each loss under the predictor's own optimal rule."""
     matrix = prediction_matrix(matrix_or_pred, scenario)
     arrays = scenario.arrays
-    n_x = len(scenario.features.points)
-    cols = np.arange(n_x)
+    products = _loss_products(matrix, scenario)
+    offsets = np.arange(len(scenario.features.points)) * scenario.k
     errs = np.empty(len(scenario.losses))
-    mismatch = matrix - arrays.nature
 
     def fill(rows: slice) -> None:
         for li in range(rows.start, rows.stop):
@@ -200,12 +215,17 @@ def doi_errs(matrix_or_pred, scenario: Scenario, threads: int = 1) -> np.ndarray
             base = arrays.loss_base[loss.name]
             delta = arrays.loss_delta[loss.name]
             sel = np.argmin(base + delta * matrix, axis=1)
-            errs[li] = np.add.reduce(
-                arrays.dist * delta[cols, sel] * mismatch[cols, sel]
-            )
+            errs[li] = np.add.reduce(products[li].take(offsets + sel))
 
     _run_row_chunks(fill, len(scenario.losses), threads)
     return errs
+
+
+def _check_eps(eps: float) -> None:
+    """Reject a tolerance under which no err could fail: NaN, infinite,
+    zero or negative."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ArgumentError(f"eps must be a positive finite number, got {eps!r}")
 
 
 def first_violation(entries: Iterable, eps: float) -> Optional[Violation]:
@@ -312,12 +332,14 @@ def audit_poi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
     Returns (violation, report): the canonically first target with
     |err| >= eps, or None, plus the full report.
     """
+    _check_eps(eps)
     errs = poi_err_matrix(pred, scenario, threads=threads)
     return _verdict(EXACT, eps, _rule_entries(scenario, errs.ravel().tolist()))
 
 
 def audit_doi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
     """Audit each loss under the predictor's own loss-optimal rule."""
+    _check_eps(eps)
     return _verdict(EXACT, eps, doi_entries_exact(pred, scenario, threads))
 
 
@@ -330,6 +352,7 @@ def audit_poi_empirical(
 ):
     """Estimated rule audit: trial data on Nature's side, features only
     on the model side."""
+    _check_eps(eps)
     if labeled.n == 0 or len(unlabeled) == 0:
         raise ArgumentError("empirical audit needs nonempty labeled and unlabeled data")
     nature = ips_rule_risks(labeled, scenario)
@@ -345,6 +368,7 @@ def audit_doi_empirical(
     eps: float,
 ):
     """Estimated decision audit under the predictor's own optimal rules."""
+    _check_eps(eps)
     if labeled.n == 0 or len(unlabeled) == 0:
         raise ArgumentError("empirical audit needs nonempty labeled and unlabeled data")
     entries = doi_entries_empirical(pred, labeled, unlabeled, scenario)
@@ -455,6 +479,7 @@ def audit_via_csc(
     cost by 4 k^2 lmax times the sign. Returns the first hit or None
     after exactly 2 * len(losses) calls.
     """
+    _check_eps(eps)
     k = scenario.k
     lmax = scenario.lmax
     rho = eps / (4.0 * lmax * k)
@@ -484,6 +509,7 @@ def audit_poi_csc(pred, labeled: RctDataset, scenario: Scenario, eps: float):
     The report lists no entries: the learner names only the hypothesis
     it finds, and that err may lie below eps when k = 1.
     """
+    _check_eps(eps)
     learner = lambda inst, rho: baseline_weak_learner(inst, scenario.hypotheses, rho)
     violation = audit_via_csc(pred, labeled, scenario.losses, learner, eps, scenario)
     return violation, audit_report(CSC, eps, (), violation)
@@ -510,6 +536,7 @@ def multiaccuracy_errs(matrix_or_pred, scenario: Scenario) -> np.ndarray:
 def audit_multiaccuracy(pred, scenario: Scenario, eps: float) -> AuditReport:
     """Check modeled outcome probabilities against the true ones on every
     hypothesis-selected region; pass iff all magnitudes are below eps."""
+    _check_eps(eps)
     values = multiaccuracy_errs(pred, scenario)
     targets = (
         AuditTarget(kind="ma", hypothesis=h.name, decision=yhat)
@@ -520,7 +547,10 @@ def audit_multiaccuracy(pred, scenario: Scenario, eps: float) -> AuditReport:
 
 DEFAULT_GRID_STEPS = 9
 _DEFAULT_K_LIMIT = 3
-_DC_CHUNK = 4096
+# Grid points times features handled at once by decision calibration;
+# its working set is a few arrays of this many cells, whatever k and
+# grid_steps are.
+_DC_CELLS = 1 << 18
 
 
 def audit_decision_calibration(
@@ -537,9 +567,18 @@ def audit_decision_calibration(
     predictor is computed pointwise, and the modeled-minus-true outcome
     probability is averaged over each decision's selected region. The
     report carries, per decision, the worst value over the whole grid
-    and the weight vector achieving it. Cost grows as grid_steps^(2k),
-    so k is capped at 3 unless explicitly overridden.
+    and the first grid point (in grid order) achieving it.
+
+    Each decision's score under each of the grid_steps^2 weight pairs is
+    tabulated once. Grid points are then scanned in chunks of _DC_CELLS
+    cells: a running minimum over the tabulated scores gives every
+    point's rule, which still costs grid_steps^(2k) * |X| * k
+    comparisons, so k is capped at 3 unless explicitly overridden. Many
+    points induce the same partition of X, and the region sums are
+    reduced once per distinct partition in each chunk, over full rows,
+    so every value is bit-identical to a per-point reduction.
     """
+    _check_eps(eps)
     if grid_steps < 3:
         raise ArgumentError(f"grid_steps must be at least 3, got {grid_steps}")
     k = scenario.k
@@ -550,42 +589,66 @@ def audit_decision_calibration(
         )
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
+    n_x = matrix.shape[0]
     grid = np.linspace(-1.0, 1.0, grid_steps)
-    total = grid_steps ** (2 * k)
-    gap = matrix - arrays.nature  # modeled minus true
-    weighted_gap = arrays.dist[:, np.newaxis] * gap
+    n_pairs = grid_steps * grid_steps
+    weighted_gap = arrays.dist[:, np.newaxis] * (matrix - arrays.nature)
+    # scores[j][p, x]: decision j's expected loss at x under weight pair
+    # p = a * grid_steps + b, weight grid[a] on outcome 0 and grid[b] on 1
+    w0 = np.repeat(grid, grid_steps)[:, np.newaxis]
+    w1 = np.tile(grid, grid_steps)[:, np.newaxis]
+    scores = [w0 * (1.0 - matrix[:, j]) + w1 * matrix[:, j] for j in range(k)]
+    # each partition row as one opaque item, so np.unique can sort rows
+    row_item = np.dtype((np.void, n_x))
 
+    # A grid point is a prefix (the pairs of decisions 0..k-2, base-n_pairs
+    # digits, most significant first) followed by decision k-1's pair.
+    # Chunks are runs of whole prefixes, or runs of one prefix's last
+    # pairs when a single prefix exceeds the cell budget.
+    n_prefixes = n_pairs ** (k - 1)
+    prefix_step = max(1, _DC_CELLS // (n_pairs * n_x))
+    last_step = min(n_pairs, max(1, _DC_CELLS // n_x))
     best_abs = np.full(k, -1.0)
     best_val = np.zeros(k)
-    best_combo = [None] * k
+    best_point = np.zeros(k, dtype=np.int64)
+    for a in range(0, n_prefixes, prefix_step):
+        prefixes = np.arange(a, min(a + prefix_step, n_prefixes))
+        # each prefix's minimum score and rule over decisions 0..k-2
+        least = np.full((len(prefixes), n_x), np.inf)
+        rule = np.zeros((len(prefixes), n_x), dtype=np.int8)
+        for j in range(k - 1):
+            pair = prefixes // n_pairs ** (k - 2 - j) % n_pairs
+            score = scores[j].take(pair, axis=0)
+            rule[score < least] = j  # strict, so ties keep the lowest index
+            np.minimum(least, score, out=least)
+        for c in range(0, n_pairs, last_step):
+            lower = scores[k - 1][np.newaxis, c : c + last_step] < least[:, np.newaxis]
+            chosen = np.where(lower, np.int8(k - 1), rule[:, np.newaxis]).reshape(-1, n_x)
+            _, first, inverse = np.unique(
+                chosen.view(row_item).ravel(), return_index=True, return_inverse=True
+            )
+            distinct = chosen[first]
+            vals = np.empty((len(first), k))
+            for j in range(k):
+                vals[:, j] = np.add.reduce((distinct == j) * weighted_gap[:, j], axis=1)
+            vals = vals[inverse.ravel()]
+            local = np.argmax(np.abs(vals), axis=0)
+            # the chunk's points are consecutive in grid order
+            start = a * n_pairs + c
+            for j in range(k):
+                val = vals[local[j], j]
+                if abs(val) > best_abs[j]:
+                    best_abs[j] = abs(val)
+                    best_val[j] = val
+                    best_point[j] = start + local[j]
 
-    digits = 2 * k
-    for start in range(0, total, _DC_CHUNK):
-        stop = min(start + _DC_CHUNK, total)
-        idx = np.arange(start, stop)
-        combo = np.empty((stop - start, digits))
-        rem = idx.copy()
-        for d in range(digits - 1, -1, -1):
-            combo[:, d] = grid[rem % grid_steps]
-            rem //= grid_steps
-        w0 = combo[:, 0::2]  # weight on outcome 0, per decision
-        w1 = combo[:, 1::2]
-        scores = (
-            w0[:, np.newaxis, :] * (1.0 - matrix[np.newaxis, :, :])
-            + w1[:, np.newaxis, :] * matrix[np.newaxis, :, :]
-        )
-        chosen = np.argmin(scores, axis=2)  # (chunk, n_x)
-        for j in range(k):
-            mask = chosen == j
-            vals = np.add.reduce(mask * weighted_gap[np.newaxis, :, j], axis=1)
-            local = int(np.argmax(np.abs(vals)))
-            if abs(vals[local]) > best_abs[j]:
-                best_abs[j] = abs(vals[local])
-                best_val[j] = vals[local]
-                best_combo[j] = tuple(float(v) for v in combo[local])
-
+    digits = (grid_steps,) * (2 * k)
     targets = (
-        AuditTarget(kind="dc", decision=yhat, weights=best_combo[j])
+        AuditTarget(
+            kind="dc",
+            decision=yhat,
+            weights=tuple(float(grid[d]) for d in np.unravel_index(best_point[j], digits)),
+        )
         for j, yhat in enumerate(scenario.decisions.labels)
     )
     return audit_report(EXACT, eps, zip(targets, best_val.tolist()))

@@ -77,6 +77,17 @@ def _epsilon(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _resolve_threads(value) -> int:
     if value is None:
         env = os.environ.get("OMNI_THREADS")
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rct-gen", help="generate randomized trial data")
     p.add_argument("--config", required=True)
     p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=cmd_rct_gen)
 
@@ -344,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--epsilon", type=_epsilon, default=None)
     p.add_argument("--mixtures", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_adapt_verify)
 
     return parser

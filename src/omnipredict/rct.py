@@ -132,6 +132,8 @@ def generate_rct(scenario: Scenario, n: int, seed: int) -> RctDataset:
     """
     if n < 1:
         raise ArgumentError(f"need n >= 1 samples, got {n}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be nonnegative, got {seed}")
     arrays = scenario.arrays
     k = scenario.k
     n_x = len(scenario.features.points)

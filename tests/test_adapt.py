@@ -244,6 +244,11 @@ class TestVerifier:
                                              seed=11)
         assert a == b
 
+    def test_rejects_negative_seed(self, weighted_scenario, adapt_model):
+        with pytest.raises(om.ArgumentError, match="seed"):
+            om.verify_universal_adaptability(adapt_model, weighted_scenario, 0.05,
+                                             seed=-1)
+
     def test_needs_weight_class(self, beta_scenario):
         pred = om.base_predictor(beta_scenario, 0.05)
         with pytest.raises(om.ConfigurationError):

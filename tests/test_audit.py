@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +142,24 @@ def poi_err_matrix_reference(matrix_or_pred, scenario):
     return errs
 
 
+def doi_errs_reference(matrix_or_pred, scenario):
+    """The decision-audit kernel before it read the fused product: per
+    loss, gather delta and the mismatch at the induced rule's cells."""
+    matrix = prediction_matrix(matrix_or_pred, scenario)
+    arrays = scenario.arrays
+    cols = np.arange(len(scenario.features.points))
+    mismatch = matrix - arrays.nature
+    errs = np.empty(len(scenario.losses))
+    for li, loss in enumerate(scenario.losses):
+        base = arrays.loss_base[loss.name]
+        delta = arrays.loss_delta[loss.name]
+        sel = np.argmin(base + delta * matrix, axis=1)
+        errs[li] = np.add.reduce(
+            arrays.dist * delta[cols, sel] * mismatch[cols, sel]
+        )
+    return errs
+
+
 @st.composite
 def kernel_cases(draw):
     """A scenario and a prediction matrix, often degenerate: one feature,
@@ -211,6 +231,14 @@ class TestFusedRuleKernel:
         for threads in (1, 2, 4):
             full = om.poi_err_matrix(q, sc, threads=threads).ravel()
             assert np.array_equal(np.array(lazy), full)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_cases())
+    def test_decision_errs_match_reference_bit_for_bit(self, case):
+        sc, q = case
+        want = doi_errs_reference(q, sc)
+        for threads in (1, 2):
+            assert np.array_equal(om.doi_errs(q, sc, threads=threads), want)
 
     def test_long_rows_match_reference(self):
         # rows longer than numpy's 8192-element buffer and its pairwise
@@ -350,6 +378,38 @@ class TestEmpiricalAudits:
                     nature_side = om.ips_risk_estimate(data, h, loss, sc.k)
                     assert got[(h.name, loss.name)] == pytest.approx(
                         model_side - nature_side, abs=1e-12)
+
+
+# Every public audit, called with eps; data is trial data for the
+# empirical and cost-sensitive ones.
+PUBLIC_AUDITS = {
+    "poi_exact": lambda pred, sc, data, eps: om.audit_poi_exact(pred, sc, eps),
+    "doi_exact": lambda pred, sc, data, eps: om.audit_doi_exact(pred, sc, eps),
+    "poi_empirical": lambda pred, sc, data, eps: om.audit_poi_empirical(
+        pred, data, data.xs, sc, eps),
+    "doi_empirical": lambda pred, sc, data, eps: om.audit_doi_empirical(
+        pred, data, data.xs, sc, eps),
+    "poi_csc": lambda pred, sc, data, eps: audit.audit_poi_csc(pred, data, sc, eps),
+    "via_csc": lambda pred, sc, data, eps: om.audit_via_csc(
+        pred, data, sc.losses, lambda inst, rho: None, eps, sc),
+    "multiaccuracy": lambda pred, sc, data, eps: om.audit_multiaccuracy(
+        pred, sc, eps),
+    "decision_calibration": lambda pred, sc, data, eps:
+        om.audit_decision_calibration(pred, sc, eps, grid_steps=3),
+}
+
+
+class TestUnusableEps:
+    # abs(err) >= eps is never true for a NaN or infinite eps, so every
+    # audit used to pass, even a predictor that fails at eps 0.05
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.05],
+                             ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("name", list(PUBLIC_AUDITS))
+    def test_rejected(self, beta_scenario, name, eps):
+        pred = om.base_predictor(beta_scenario, 0.05)
+        data = om.generate_rct(beta_scenario, 64, 0)
+        with pytest.raises(om.ArgumentError, match="positive finite"):
+            PUBLIC_AUDITS[name](pred, beta_scenario, data, eps)
 
 
 class TestFirstViolation:
@@ -670,6 +730,152 @@ class TestMultiaccuracy:
             assert rep.passed
             v, poi = om.audit_poi_exact(q, sc, 0.04)
             assert v is None and poi.passed
+
+
+def audit_decision_calibration_reference(pred, scenario, eps, grid_steps=9,
+                                         allow_large_k=False):
+    """The decision-calibration scan before partitions were deduplicated:
+    per chunk of 4096 grid points, the full (points, |X|, k) score tensor,
+    its argmin, and one region sum per grid point and decision."""
+    k = scenario.k
+    assert grid_steps >= 3 and (k <= 3 or allow_large_k)
+    matrix = prediction_matrix(pred, scenario)
+    arrays = scenario.arrays
+    grid = np.linspace(-1.0, 1.0, grid_steps)
+    total = grid_steps ** (2 * k)
+    gap = matrix - arrays.nature
+    weighted_gap = arrays.dist[:, np.newaxis] * gap
+    best_abs = np.full(k, -1.0)
+    best_val = np.zeros(k)
+    best_combo = [None] * k
+    digits = 2 * k
+    for start in range(0, total, 4096):
+        stop = min(start + 4096, total)
+        idx = np.arange(start, stop)
+        combo = np.empty((stop - start, digits))
+        rem = idx.copy()
+        for d in range(digits - 1, -1, -1):
+            combo[:, d] = grid[rem % grid_steps]
+            rem //= grid_steps
+        w0 = combo[:, 0::2]
+        w1 = combo[:, 1::2]
+        scores = (
+            w0[:, np.newaxis, :] * (1.0 - matrix[np.newaxis, :, :])
+            + w1[:, np.newaxis, :] * matrix[np.newaxis, :, :]
+        )
+        chosen = np.argmin(scores, axis=2)
+        for j in range(k):
+            mask = chosen == j
+            vals = np.add.reduce(mask * weighted_gap[np.newaxis, :, j], axis=1)
+            local = int(np.argmax(np.abs(vals)))
+            if abs(vals[local]) > best_abs[j]:
+                best_abs[j] = abs(vals[local])
+                best_val[j] = vals[local]
+                best_combo[j] = tuple(float(v) for v in combo[local])
+    targets = (
+        om.AuditTarget(kind="dc", decision=yhat, weights=best_combo[j])
+        for j, yhat in enumerate(scenario.decisions.labels)
+    )
+    return audit.audit_report(audit.EXACT, eps, zip(targets, best_val.tolist()))
+
+
+@st.composite
+def calibration_cases(draw):
+    """A kernel case with a predictor that often ties decisions (q = 1/2
+    everywhere, or q rounded to 0.1), and a grid of 3 steps up to the
+    most that keeps the scan under 20 000 points; k = 4 runs on grid 3."""
+    sc, q = draw(kernel_cases())
+    shape = draw(st.sampled_from(["as-drawn", "half", "rounded"]))
+    if shape == "half":
+        q = np.full_like(q, 0.5)
+    elif shape == "rounded":
+        q = np.round(q, 1)
+    top = {1: 9, 2: 9, 3: 5, 4: 3}[sc.k]
+    grid_steps = draw(st.integers(3, top))
+    return sc, q, grid_steps
+
+
+def wide_scenario(rng, n_x, k):
+    """Random masses and Nature over n_x features and k decisions, with
+    one loss and one rule, which decision calibration does not read."""
+    xs = tuple(f"x{i}" for i in range(n_x))
+    ys = tuple(f"d{j}" for j in range(k))
+    masses = rng.random(n_x) + 0.1
+    masses /= masses.sum()
+    return om.Scenario(
+        name="wide",
+        features=om.FeatureSpace(points=xs),
+        decisions=om.DecisionSpace(labels=ys),
+        input_distribution=om.InputDistribution(
+            probabilities={x: float(m) for x, m in zip(xs, masses)}),
+        nature=om.NatureModel(table={x: {y: float(rng.random()) for y in ys}
+                                     for x in xs}),
+        losses=(om.Loss(name="l", lmax=1.0, table={
+            x: {y: (0.0, 1.0) for y in ys} for x in xs}),),
+        hypotheses=(om.Hypothesis(name="h", mapping={x: ys[0] for x in xs}),),
+        epsilon=0.1,
+    )
+
+
+def _same_report(got, want):
+    got, want = got.to_json_dict(), want.to_json_dict()
+    assert got == want
+    # == takes -0.0 for 0.0; the printed report must match too
+    assert json.dumps(got) == json.dumps(want)
+
+
+class TestDistinctPartitionScan:
+    @settings(max_examples=120, deadline=None)
+    @given(calibration_cases())
+    def test_matches_reference_bit_for_bit(self, case):
+        sc, q, grid_steps = case
+        large = sc.k > 3
+        got = om.audit_decision_calibration(q, sc, 0.05, grid_steps=grid_steps,
+                                            allow_large_k=large)
+        want = audit_decision_calibration_reference(
+            q, sc, 0.05, grid_steps=grid_steps, allow_large_k=large)
+        _same_report(got, want)
+
+    @pytest.mark.parametrize("k, grid_steps", [(1, 4), (2, 3), (3, 3)])
+    def test_every_chunk_shape_matches_reference(self, monkeypatch, k, grid_steps):
+        # budgets from one grid point per chunk, through part of one
+        # prefix's last pairs, to several whole prefixes per chunk
+        rng = np.random.default_rng(137 + k)
+        n_x = 7
+        sc = wide_scenario(rng, n_x, k)
+        q = np.round(random_matrix(rng, sc), 1)
+        want = audit_decision_calibration_reference(q, sc, 0.05, grid_steps=grid_steps)
+        n_pairs = grid_steps * grid_steps
+        for cells in (1, 3 * n_x, n_pairs * n_x - 1, n_pairs * n_x,
+                      2 * n_pairs * n_x + 5):
+            monkeypatch.setattr(audit, "_DC_CELLS", cells)
+            _same_report(
+                om.audit_decision_calibration(q, sc, 0.05, grid_steps=grid_steps),
+                want)
+
+    def test_long_rows_match_reference(self):
+        # rows longer than numpy's 8192-element buffer, in chunks of a
+        # few grid points each
+        rng = np.random.default_rng(127)
+        sc = wide_scenario(rng, 20_000, 2)
+        q = np.round(random_matrix(rng, sc), 1)
+        _same_report(
+            om.audit_decision_calibration(q, sc, 0.05, grid_steps=3),
+            audit_decision_calibration_reference(q, sc, 0.05, grid_steps=3))
+
+    def test_memory_bounded_at_serving_size(self):
+        # |X| 500, k 3 and grid 5 is the benchmark's serving query: the
+        # per-point score tensor peaked at 159 MB there
+        rng = np.random.default_rng(131)
+        sc = wide_scenario(rng, 500, 3)
+        q = random_matrix(rng, sc)
+        tracemalloc.start()
+        try:
+            om.audit_decision_calibration(q, sc, 0.05, grid_steps=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestDecisionCalibration:

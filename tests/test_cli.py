@@ -130,6 +130,14 @@ class TestRctGen:
                          "--out", str(workdir / "zero.jsonl"))
         assert code == 1
 
+    def test_negative_seed_is_usage_error(self, workdir):
+        path = workdir / "neg_seed.jsonl"
+        code, _, err = run("rct-gen", "--config", BETA, "--n", "10",
+                           "--seed", "-1", "--out", str(path))
+        assert code == 1
+        assert "--seed" in err and "Traceback" not in err
+        assert not path.exists()
+
     def test_deterministic_bytes(self, workdir):
         a, b = workdir / "a.jsonl", workdir / "b.jsonl"
         for path in (a, b):
@@ -579,6 +587,12 @@ class TestAdaptVerify:
                            "--model", adapt_model_path, "--epsilon", "nan")
         assert code == 1
         assert "positive finite" in err
+
+    def test_negative_seed_is_usage_error(self, adapt_model_path):
+        code, out, err = run("adapt-verify", "--config", BETA_W,
+                             "--model", adapt_model_path, "--seed", "-1")
+        assert code == 1 and out == ""
+        assert "--seed" in err and "Traceback" not in err
 
     def test_requires_weight_class(self, model_path):
         code, _, _ = run("adapt-verify", "--config", BETA, "--model", model_path)

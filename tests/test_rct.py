@@ -58,6 +58,10 @@ class TestGeneration:
         with pytest.raises(om.ArgumentError):
             om.generate_rct(beta_scenario, 0, 0)
 
+    def test_rejects_negative_seed(self, beta_scenario):
+        with pytest.raises(om.ArgumentError, match="seed"):
+            om.generate_rct(beta_scenario, 10, -1)
+
     def test_slice_keeps_provenance(self, beta_scenario):
         d = om.generate_rct(beta_scenario, 100, 9)
         s = d.slice(10, 30)
