@@ -15,25 +15,26 @@ coefficients from a seeded generator, so reports are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import (
     MASS_TOLERANCE,
-    InputDistribution,
-    Loss,
     Scenario,
     WeightClass,
     WeightFunction,
+    _augmented,
+    augment_losses,
 )
-from .errors import ArgumentError, ConfigurationError, WeightInvariantError
+from .errors import ArgumentError, ConfigurationError, ModelMismatchError
 from .predictor import (
     AdditivePredictor,
     deserialize,
     induced_rule,
     prediction_matrix,
+    read_fingerprint,
     read_model_document,
 )
 
@@ -80,71 +81,43 @@ class MixtureSpec:
             )
 
 
-def augment_losses(losses: tuple[Loss, ...], weights: WeightClass) -> tuple[Loss, ...]:
-    """Every loss rescaled pointwise by every weight function.
-
-    The augmented loss named "loss@weight" has values w(x) * loss(x, yhat, y)
-    and bound loss.lmax * wmax (class-level wmax).
-    """
-    augmented = []
-    for loss in losses:
-        for w in weights.weights:
-            table = {
-                x: {
-                    yhat: (w.weight(x) * pair[0], w.weight(x) * pair[1])
-                    for yhat, pair in row.items()
-                }
-                for x, row in loss.table.items()
-            }
-            augmented.append(
-                Loss(
-                    name=f"{loss.name}@{w.name}",
-                    lmax=loss.lmax * weights.wmax,
-                    table=table,
-                )
-            )
-    return tuple(augmented)
-
-
 def augment_scenario(scenario: Scenario) -> Scenario:
-    """The same scenario with its losses replaced by the augmented ones."""
+    """The same scenario with its losses replaced by the augmented ones.
+
+    The augmented arrays are products of the scenario's checked arrays,
+    so nothing is read from the tables or checked again.
+    """
     if scenario.weights is None:
         raise ConfigurationError(
             "scenario has no weight class, so losses cannot be augmented"
         )
-    return replace(scenario, losses=augment_losses(scenario.losses, scenario.weights))
+    return _augmented(scenario)
 
 
-def shift_distribution(dist: InputDistribution, w: WeightFunction) -> InputDistribution:
-    """Input distribution reweighted pointwise by w; verifies unit mass."""
-    masses = {x: w.weight(x) * dist.mass(x) for x in dist.probabilities}
-    total = math.fsum(masses.values())
-    if abs(total - 1.0) > MASS_TOLERANCE:
-        raise WeightInvariantError(
-            f"weight {w.name!r} reweights the distribution to total mass "
-            f"{total!r}, expected 1"
-        )
-    return InputDistribution(probabilities=masses)
+def _weights(scenario: Scenario, name: str) -> np.ndarray:
+    weights = scenario.arrays.weights
+    if name not in weights:
+        raise ArgumentError(f"unknown weight function {name!r}")
+    return weights[name]
 
 
-def mixture_distribution(
-    dist: InputDistribution, weights: WeightClass, spec: MixtureSpec
-) -> InputDistribution:
-    """Pointwise convex combination of the mixture's shifted distributions."""
-    shifted = {
-        name: shift_distribution(dist, weights.by_name(name))
-        for name, _ in spec.components
-    }
-    return _mix(dist, shifted, spec)
+def shift_distribution(scenario: Scenario, name: str) -> np.ndarray:
+    """Masses of the input distribution reweighted by the named weight
+    function, in canonical feature order. They sum to 1 within
+    MASS_TOLERANCE: the weight's unit mean is checked when the scenario
+    is built."""
+    return scenario.arrays.dist * _weights(scenario, name)
 
 
-def _mix(dist: InputDistribution, shifted, spec: MixtureSpec) -> InputDistribution:
-    """spec's mix of shifted (weight name -> distribution), one fsum per feature."""
-    masses = {
-        x: math.fsum(lam * shifted[name].mass(x) for name, lam in spec.components)
-        for x in dist.probabilities
-    }
-    return InputDistribution(probabilities=masses)
+def mixture_distribution(scenario: Scenario, spec: MixtureSpec) -> np.ndarray:
+    """Masses of the mixture's convex combination of shifted
+    distributions, in canonical feature order: one math.fsum per feature
+    over the components."""
+    dist = scenario.arrays.dist
+    terms = np.array(
+        [float(lam) * (dist * _weights(scenario, w)) for w, lam in spec.components]
+    )
+    return np.array([math.fsum(column) for column in terms.T.tolist()])
 
 
 def model_scenario(scenario: Scenario, adapt: bool) -> Scenario:
@@ -159,9 +132,11 @@ def model_scenario(scenario: Scenario, adapt: bool) -> Scenario:
 def load_model_with_scenario(path, scenario: Scenario):
     """Read a model file; returns (predictor, the scenario it resolves in)."""
     doc = read_model_document(path)
-    fp = doc.get("fingerprint") if isinstance(doc, dict) else None
-    target = model_scenario(scenario, isinstance(fp, dict) and bool(fp.get("adapt")))
-    return deserialize(doc, target), target
+    try:
+        target = model_scenario(scenario, read_fingerprint(doc).adapt)
+        return deserialize(doc, target), target
+    except ModelMismatchError as exc:
+        raise ModelMismatchError(f"model file {path}: {exc}") from exc
 
 
 def _model_matrix(pred, scenario: Scenario):
@@ -189,8 +164,9 @@ def rule_terms(matrix, scenario: Scenario):
     return tuple(rule.name for rule in rules), terms
 
 
-def optimality(terms, scenario: Scenario, dist: InputDistribution, eps: float):
-    """Exact risks of the rule_terms rules on dist, and their 2*eps verdict.
+def optimality(terms, scenario: Scenario, mass: np.ndarray, eps: float):
+    """Exact risks of the rule_terms rules under the masses mass, in
+    canonical feature order, and their 2*eps verdict.
 
     Returns (risks, best, slack, passed), indexed by loss j. risks[j][r]
     is rule r's risk, bit-identical to core's scalar reference: the same
@@ -199,7 +175,6 @@ def optimality(terms, scenario: Scenario, dist: InputDistribution, eps: float):
     risk minus best[j], which passes within 2*eps plus a 1e-12 grace for
     rounding.
     """
-    mass = np.array([dist.mass(x) for x in scenario.features.points])
     keep = mass != 0.0
     risks = [[math.fsum(r) for r in (mass[keep] * t[:, keep]).tolist()] for t in terms]
     h = len(scenario.hypotheses)
@@ -283,9 +258,10 @@ def verify_universal_adaptability(
         raise ArgumentError(f"seed must be nonnegative, got {seed}")
     _, terms = rule_terms(_model_matrix(pred, scenario), scenario)
     weights = scenario.weights
-    dist = scenario.input_distribution
-    shifted = {w.name: shift_distribution(dist, w) for w in weights.weights}
-    distributions = [(f"weight:{name}", d) for name, d in shifted.items()]
+    distributions = [
+        (f"weight:{w.name}", shift_distribution(scenario, w.name))
+        for w in weights.weights
+    ]
     rng = np.random.Generator(np.random.PCG64(seed))
     for i in range(n_mixtures):
         raw = rng.random(len(weights.weights))
@@ -298,12 +274,14 @@ def verify_universal_adaptability(
                 (w.name, float(v / total)) for w, v in zip(weights.weights, raw)
             )
         )
-        distributions.append((f"mixture:{seed}:{i}", _mix(dist, shifted, spec)))
+        distributions.append(
+            (f"mixture:{seed}:{i}", mixture_distribution(scenario, spec))
+        )
 
     h = len(scenario.hypotheses)
     checks = []
-    for name, dist in distributions:
-        risks, best, slack, passed = optimality(terms, scenario, dist, eps)
+    for name, mass in distributions:
+        risks, best, slack, passed = optimality(terms, scenario, mass, eps)
         own = [row[h + j] for j, row in enumerate(risks)]
         per_loss = tuple(zip((l.name for l in scenario.losses), own, best))
         checks.append(DistributionCheck(name, max(slack), all(passed), per_loss))

@@ -427,7 +427,7 @@ def build_csc_instance(
         raise ArgumentError("cannot build an instance from an empty dataset")
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
-    base, delta = arrays.loss_arrays_for(scenario, loss)
+    base, delta = arrays.loss_arrays(loss)
     n = labeled.n
     xi = _scenario_indices(labeled.xs, arrays.x_index)
     ji = _scenario_indices(labeled.yhats, arrays.y_index)

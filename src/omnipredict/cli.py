@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from .adapt import (
@@ -77,29 +76,22 @@ def _epsilon(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type for --seed: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return value
+def _at_least(lo: int):
+    """argparse type: an integer of at least lo."""
 
-
-def _resolve_threads(value) -> int:
-    if value is None:
-        env = os.environ.get("OMNI_THREADS")
-        if env is None or env == "":
-            return 1
+    def parse(text: str) -> int:
         try:
-            value = int(env)
+            value = int(text)
         except ValueError:
-            raise ArgumentError(f"OMNI_THREADS={env!r} is not an integer")
-    if value < 1:
-        raise ArgumentError(f"--threads must be at least 1, got {value}")
-    return value
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text!r}")
+        return value
+
+    return parse
+
+
+_seed, _count = _at_least(0), _at_least(1)
 
 
 def cmd_scenario_show(args) -> int:
@@ -140,7 +132,6 @@ def cmd_rct_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    threads = _resolve_threads(args.threads)
     scenario = load_scenario(args.config)
     train_scenario = model_scenario(scenario, args.adapt)
     if args.mode in (EMPIRICAL, CSC) and args.data is None:
@@ -161,7 +152,7 @@ def cmd_train(args) -> int:
         data=data,
         poi_n=poi_n,
         doi_n=doi_n,
-        threads=threads,
+        threads=args.threads,
         adapt=args.adapt,
     )
     trace_path = args.trace if args.trace is not None else args.out + ".trace.jsonl"
@@ -189,14 +180,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    threads = _resolve_threads(args.threads)
     scenario = load_scenario(args.config)
     pred, audit_scenario = load_model_with_scenario(args.model, scenario)
     eps = args.epsilon if args.epsilon is not None else scenario.epsilon
     if args.mode in (EMPIRICAL, CSC) and args.data is None:
         raise ArgumentError(f"--data is required in {args.mode} mode")
 
-    matrix = prediction_matrix(pred, audit_scenario)
+    matrix, threads = prediction_matrix(pred, audit_scenario), args.threads
     if args.mode == EXACT:
         _, poi_report = audit_poi_exact(matrix, audit_scenario, eps, threads=threads)
         _, doi_report = audit_doi_exact(matrix, audit_scenario, eps, threads=threads)
@@ -243,21 +233,20 @@ def _parse_mixture_flag(text: str) -> MixtureSpec:
 def cmd_eval(args) -> int:
     scenario = load_scenario(args.config)
     pred, eval_scenario = load_model_with_scenario(args.model, scenario)
-    dist = scenario.input_distribution
+    mass = scenario.arrays.dist
     if args.shift is not None:
         if scenario.weights is None:
             raise ArgumentError(
                 f"--shift {args.shift!r}: scenario has no weight class"
             )
-        dist = shift_distribution(dist, scenario.weights.by_name(args.shift))
+        mass = shift_distribution(scenario, args.shift)
     elif args.mixture is not None:
         if scenario.weights is None:
             raise ArgumentError("--mixture: scenario has no weight class")
-        spec = _parse_mixture_flag(args.mixture)
-        dist = mixture_distribution(dist, scenario.weights, spec)
+        mass = mixture_distribution(scenario, _parse_mixture_flag(args.mixture))
 
     names, terms = rule_terms(prediction_matrix(pred, eval_scenario), scenario)
-    risks, _, _, passed = optimality(terms, scenario, dist, pred.fingerprint.epsilon)
+    risks, _, _, passed = optimality(terms, scenario, mass, pred.fingerprint.epsilon)
     h = len(scenario.hypotheses)
     rows = []
     for r, name in enumerate(names):
@@ -316,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=EXACT)
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--data", help="RCT JSONL, required by estimated modes")
-    p.add_argument("--poi-n", type=int, help="labeled prefix for rule audits")
-    p.add_argument("--doi-n", type=int, help="fresh samples per decision audit")
+    p.add_argument("--poi-n", type=_count, help="labeled prefix for rule audits")
+    p.add_argument("--doi-n", type=_count, help="fresh samples per decision audit")
     p.add_argument(
         "--adapt",
         action="store_true",
@@ -325,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--trace", help="trace JSONL path (default <out>.trace.jsonl)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_count, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("audit", help="audit a model, rule then decision checks")
@@ -334,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=EXACT)
     p.add_argument("--epsilon", type=_epsilon, default=None)
     p.add_argument("--data", help="RCT JSONL, required by estimated modes")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_count, default=1)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("eval", help="risk table for every rule and loss")

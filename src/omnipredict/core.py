@@ -18,11 +18,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def _read(table, xs, ys, lookup):
     On a hole, lookup (the part's scalar accessor) raises the part's error
     for the first absent cell in canonical order."""
     try:
-        rows = [table[x] for x in xs]
+        rows = list(map(table.__getitem__, xs))
         return rows if ys is None else [[row[y] for y in ys] for row in rows]
     except KeyError:
         for x in xs:
@@ -78,6 +79,33 @@ def _read(table, xs, ys, lookup):
                 for y in ys:
                     lookup(x, y)
         raise
+
+
+def _array(cells, shape: tuple, what: str, xs, ys=()) -> np.ndarray:
+    """cells, nested in canonical order, as a float64 array of shape
+    (|X|,), (|X|, k) or (|X|, k, 2). A cell of the wrong kind or shape,
+    such as a list or object where a number belongs or a loss cell
+    without exactly two values, raises ConfigurationError naming the
+    first such cell; null reads as NaN, which the range checks reject."""
+    try:
+        array = np.array(cells, dtype=np.float64)
+        if array.shape == shape:
+            return array
+    except (TypeError, ValueError):
+        pass
+    rows = cells if ys else [[cell] for cell in cells]
+    for x, row in zip(xs, rows):
+        for y, cell in zip(ys or (None,), row):
+            try:
+                fits = np.array(cell, dtype=np.float64).shape == shape[2:]
+            except (TypeError, ValueError):
+                fits = False
+            if not fits:
+                at = repr(x) if y is None else f"({x!r}, {y!r})"
+                raise ConfigurationError(
+                    f"{what} has a malformed cell at {at}: {cell!r}"
+                )
+    raise ConfigurationError(f"{what} does not have one cell per entry")
 
 
 def _first_outside(values: np.ndarray, lo: float, hi: float):
@@ -108,8 +136,8 @@ class InputDistribution:
                 raise ConfigurationError(
                     f"input distribution assigns mass to unknown feature {x!r}"
                 )
-        get = self.probabilities.get
-        masses = np.array([get(x, 0.0) for x in features.points], dtype=np.float64)
+        get, xs = self.probabilities.get, features.points
+        masses = _array([get(x, 0.0) for x in xs], (len(xs),), "input distribution", xs)
         if not np.all(np.isfinite(masses) & (masses >= 0)):
             raise ConfigurationError(
                 "input distribution has a negative or non-finite mass"
@@ -138,8 +166,9 @@ class NatureModel:
 
     def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
         """The (|X|, k) probabilities in canonical order, checked."""
-        cells = _read(self.table, features.points, decisions.labels, self.prob)
-        probs = np.array(cells, dtype=np.float64)
+        xs, ys = features.points, decisions.labels
+        cells = _read(self.table, xs, ys, self.prob)
+        probs = _array(cells, (len(xs), len(ys)), "outcome model", xs, ys)
         bad = _first_outside(probs, 0.0, 1.0)
         if bad is not None:
             raise ConfigurationError(
@@ -178,19 +207,17 @@ class Loss:
             )
         return float(row[yhat][y])
 
-    def to_array(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
-        """The (|X|, k, 2) values; [i, j, y] is the value at outcome y."""
-        lookup = lambda x, yhat: self.values(x, yhat, 0)
-        cells = _read(self.table, features.points, decisions.labels, lookup)
-        return np.array(cells, dtype=np.float64)
-
     def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
-        """to_array, checked against lmax."""
+        """The (|X|, k, 2) values, [i, j, y] the value at outcome y,
+        checked against lmax."""
         if not (math.isfinite(self.lmax) and self.lmax > 0):
             raise ConfigurationError(
                 f"loss {self.name!r} must have a finite lmax > 0, got {self.lmax!r}"
             )
-        values = self.to_array(features, decisions)
+        xs, ys = features.points, decisions.labels
+        cells = _read(self.table, xs, ys, lambda x, yhat: self.values(x, yhat, 0))
+        shape = (len(xs), len(ys), 2)
+        values = _array(cells, shape, f"loss {self.name!r}", xs, ys)
         bad = _first_outside(values, 0.0, self.lmax)
         if bad is not None:
             i, j, y = bad
@@ -204,24 +231,32 @@ class Loss:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """Deterministic decision rule: a total map from features to decisions."""
+    """Deterministic decision rule: a total map from features to decisions.
+
+    A label that is not a string, such as a JSON number, names the
+    decision whose label is its str form.
+    """
 
     name: str
     mapping: Mapping[str, str]
 
     def decide(self, x: str) -> str:
         try:
-            return self.mapping[x]
+            label = self.mapping[x]
         except KeyError:
             raise ConfigurationError(
                 f"rule {self.name!r} has no decision for feature {x!r}"
             ) from None
+        return label if isinstance(label, str) else str(label)
 
     def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
         """The decision index of every feature in canonical order, checked."""
         index = {y: j for j, y in enumerate(decisions.labels)}
         labels = _read(self.mapping, features.points, None, self.decide)
-        indices = np.array([index.get(y, -1) for y in labels], dtype=np.int64)
+        try:
+            indices = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+        except (KeyError, TypeError):  # a miss may be a JSON number
+            indices = np.array([index.get(str(y), -1) for y in labels], dtype=np.int64)
         bad = _first_outside(indices, 0, decisions.k - 1)
         if bad is not None:
             x = features.points[bad[0]]
@@ -259,8 +294,9 @@ class WeightFunction:
                 f"weight function {self.name!r} must have a finite wmax > 0, "
                 f"got {self.wmax!r}"
             )
-        cells = _read(self.mapping, features.points, None, self.weight)
-        weights = np.array(cells, dtype=np.float64)
+        xs = features.points
+        cells = _read(self.mapping, xs, None, self.weight)
+        weights = _array(cells, (len(xs),), f"weight function {self.name!r}", xs)
         bad = _first_outside(weights, 0.0, self.wmax)
         if bad is not None:
             raise WeightInvariantError(
@@ -300,6 +336,25 @@ class WeightClass:
         raise ArgumentError(f"unknown weight function {name!r}")
 
 
+class _WeightedTable(Mapping):
+    """Read-only loss table scaled by a weight function: row x maps each
+    decision to (w(x) * value at y=0, w(x) * value at y=1), computed on
+    access from the base table."""
+
+    def __init__(self, table: Mapping, w: WeightFunction):
+        self._table, self._w = table, w
+
+    def __getitem__(self, x):
+        row, w = self._table[x], self._w.weight(x)
+        return {yhat: (w * float(v[0]), w * float(v[1])) for yhat, v in row.items()}
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self):
+        return len(self._table)
+
+
 def _split(values: np.ndarray):
     """(value at y=0, value at y=1 minus value at y=0) of a loss array."""
     return values[:, :, 0], values[:, :, 1] - values[:, :, 0]
@@ -321,14 +376,18 @@ class _ScenarioArrays:
         self.features, self.decisions = scenario.features, scenario.decisions
         self.x_index = {x: i for i, x in enumerate(self.features.points)}
         self.y_index = {y: j for j, y in enumerate(self.decisions.labels)}
-        self.dist, self.nature, self.loss_values = dist, nature, losses
+        self.dist, self.nature = dist, nature
         self.hyp_index, self.weights = rules, weights
         self._own_rules = {id(h): (h, rules[h.name]) for h in scenario.hypotheses}
         rows = np.arange(len(self.features.points)) * self.decisions.k
         self.rule_cells = np.stack(list(rules.values())) + rows
+        self._set_losses(scenario.losses, losses)
+
+    def _set_losses(self, owners: tuple, values: dict) -> None:
+        self.loss_values, self._own_losses = values, {l.name: l for l in owners}
         self.loss_base, self.loss_delta = {}, {}
-        for name, values in losses.items():
-            self.loss_base[name], self.loss_delta[name] = _split(values)
+        for name, array in values.items():
+            self.loss_base[name], self.loss_delta[name] = _split(array)
 
     def rule_indices(self, rule: Hypothesis) -> np.ndarray:
         """The decision index per feature of rule. One of the scenario's
@@ -339,11 +398,13 @@ class _ScenarioArrays:
             return indices
         return rule.validate(self.features, self.decisions)
 
-    def loss_arrays_for(self, scenario: "Scenario", loss: Loss):
-        """Base/delta arrays for a loss that may not belong to the scenario."""
-        if loss.name in self.loss_base and loss in scenario.losses:
-            return self.loss_base[loss.name], self.loss_delta[loss.name]
-        return _split(loss.to_array(self.features, self.decisions))
+    def loss_arrays(self, loss: Loss):
+        """(loss_base, loss_delta) of one of the scenario's own losses."""
+        if self._own_losses.get(loss.name) is not loss:
+            raise ArgumentError(
+                f"loss {loss.name!r} is not one of the scenario's losses"
+            )
+        return self.loss_base[loss.name], self.loss_delta[loss.name]
 
 
 @dataclass(frozen=True)
@@ -354,7 +415,9 @@ class Scenario:
     loss collection, the comparison rules, and the tolerance epsilon.
     Construction reads every component's table into its array once and
     checks that array, so any scenario object in hand is safe to compute
-    with; `arrays` holds the checked arrays.
+    with; `arrays` holds the checked arrays. Two scenarios are equal when
+    their canonical forms, scenario_to_dict, are: the names, epsilon,
+    every lmax and wmax, and the checked arrays.
     """
 
     name: str
@@ -392,6 +455,11 @@ class Scenario:
         arrays = _ScenarioArrays(self, dist, nature, losses, rules, weights)
         object.__setattr__(self, "_arrays", arrays)
 
+    def __eq__(self, other):
+        if not isinstance(other, Scenario):
+            return NotImplemented
+        return scenario_to_dict(self) == scenario_to_dict(other)
+
     @property
     def k(self) -> int:
         return self.decisions.k
@@ -415,6 +483,41 @@ class Scenario:
             if h.name == name:
                 return h
         raise ConfigurationError(f"scenario has no hypothesis named {name!r}")
+
+
+def augment_losses(losses: tuple[Loss, ...], weights: WeightClass) -> tuple[Loss, ...]:
+    """Every loss rescaled pointwise by every weight function, loss-major.
+
+    The augmented loss named "loss@weight" has values w(x) * loss(x, yhat, y)
+    and bound loss.lmax * wmax (class-level wmax). Its table is a view
+    that computes those products on access.
+    """
+    return tuple(
+        Loss(f"{l.name}@{w.name}", l.lmax * weights.wmax, _WeightedTable(l.table, w))
+        for l in losses
+        for w in weights.weights
+    )
+
+
+def _augmented(scenario: Scenario) -> Scenario:
+    """scenario with its losses replaced by augment_losses, derived from
+    its checked arrays and run through no checks: the loss@weight array
+    is weights[w] * loss_values[loss], broadcast over decisions and
+    outcomes, whose values lie in [0, lmax * wmax] because both factors
+    were checked."""
+    arrays = scenario.arrays
+    losses = augment_losses(scenario.losses, scenario.weights)
+    products = (  # loss-major, the order of augment_losses
+        arrays.weights[w.name][:, np.newaxis, np.newaxis] * arrays.loss_values[l.name]
+        for l in scenario.losses
+        for w in scenario.weights.weights
+    )
+    values = dict(zip((l.name for l in losses), products))
+    derived, derived_arrays = copy.copy(scenario), copy.copy(arrays)
+    derived_arrays._set_losses(losses, values)
+    object.__setattr__(derived, "losses", losses)
+    object.__setattr__(derived, "_arrays", derived_arrays)
+    return derived
 
 
 def expected_loss_given(x: str, yhat: str, p: float, loss: Loss) -> float:
@@ -573,7 +676,11 @@ def _require(doc: Mapping, key: str, where: str):
 
 
 def scenario_from_dict(doc: Mapping) -> Scenario:
-    """Build and validate a Scenario from its JSON document form."""
+    """Build and validate a Scenario from its JSON document form.
+
+    The tables are passed to the parts as the document holds them; each
+    part's validate reads its table into a checked array once.
+    """
     if not isinstance(doc, Mapping):
         raise ConfigurationError("scenario document must be a JSON object")
     name = str(_require(doc, "name", "scenario"))
@@ -582,19 +689,6 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
     )
     decisions = DecisionSpace(
         labels=tuple(str(y) for y in _require(doc, "decisions", "scenario"))
-    )
-    dist = InputDistribution(
-        probabilities={
-            str(x): float(m)
-            for x, m in _require(doc, "input_distribution", "scenario").items()
-        }
-    )
-    nature_doc = _require(doc, "nature", "scenario")
-    nature = NatureModel(
-        table={
-            str(x): {str(y): float(p) for y, p in row.items()}
-            for x, row in nature_doc.items()
-        }
     )
     losses = []
     for entry in _require(doc, "losses", "scenario"):
@@ -606,49 +700,36 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
             )
         else:
             loss_name = str(_require(entry, "name", "loss entry"))
-            lmax = float(_require(entry, "lmax", f"loss {loss_name!r}"))
-            raw = _require(entry, "table", f"loss {loss_name!r}")
-            table = {}
-            for x, row in raw.items():
-                table[str(x)] = {
-                    str(y): (float(pair[0]), float(pair[1])) for y, pair in row.items()
-                }
+            where = f"loss {loss_name!r}"
+            lmax = float(_require(entry, "lmax", where))
+            table = _require(entry, "table", where)
             losses.append(Loss(name=loss_name, lmax=lmax, table=table))
     hypotheses = []
     for entry in _require(doc, "hypotheses", "scenario"):
         hyp_name = str(_require(entry, "name", "hypothesis entry"))
-        mapping = {
-            str(x): str(y)
-            for x, y in _require(entry, "map", f"hypothesis {hyp_name!r}").items()
-        }
+        mapping = _require(entry, "map", f"hypothesis {hyp_name!r}")
         hypotheses.append(Hypothesis(name=hyp_name, mapping=mapping))
-    epsilon = float(_require(doc, "epsilon", "scenario"))
     weights = None
     if doc.get("weights") is not None:
         funcs = []
         for entry in doc["weights"]:
             w_name = str(_require(entry, "name", "weight entry"))
-            mapping = {
-                str(x): float(v)
-                for x, v in _require(entry, "map", f"weight {w_name!r}").items()
-            }
-            funcs.append(
-                WeightFunction(
-                    name=w_name,
-                    mapping=mapping,
-                    wmax=float(_require(entry, "wmax", f"weight {w_name!r}")),
-                )
-            )
+            where = f"weight {w_name!r}"
+            mapping = _require(entry, "map", where)
+            wmax = float(_require(entry, "wmax", where))
+            funcs.append(WeightFunction(name=w_name, mapping=mapping, wmax=wmax))
         weights = WeightClass(weights=tuple(funcs))
     return Scenario(
         name=name,
         features=features,
         decisions=decisions,
-        input_distribution=dist,
-        nature=nature,
+        input_distribution=InputDistribution(
+            probabilities=_require(doc, "input_distribution", "scenario")
+        ),
+        nature=NatureModel(table=_require(doc, "nature", "scenario")),
         losses=tuple(losses),
         hypotheses=tuple(hypotheses),
-        epsilon=epsilon,
+        epsilon=float(_require(doc, "epsilon", "scenario")),
         weights=weights,
     )
 
@@ -664,7 +745,9 @@ def load_scenario(path) -> Scenario:
         raise ConfigurationError(f"scenario file {path} is not valid JSON: {exc}")
     try:
         return scenario_from_dict(doc)
-    except (AttributeError, TypeError, ValueError, KeyError, IndexError) as exc:
+    except (
+        AttributeError, TypeError, ValueError, KeyError, IndexError, OverflowError
+    ) as exc:  # OverflowError: an integer too large for a float
         raise ConfigurationError(f"scenario file {path} is malformed: {exc}") from exc
 
 

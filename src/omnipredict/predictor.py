@@ -189,7 +189,7 @@ def induced_rule(pred, loss: Loss, scenario: Scenario) -> Hypothesis:
     """The predictor's loss-optimal post-processing as a total rule."""
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
-    base, delta = arrays.loss_arrays_for(scenario, loss)
+    base, delta = arrays.loss_arrays(loss)
     idx = np.argmin(base + delta * matrix, axis=1)
     labels = scenario.decisions.labels
     mapping = {x: labels[idx[i]] for i, x in enumerate(scenario.features.points)}
@@ -226,21 +226,35 @@ def serialize(pred: AdditivePredictor) -> dict:
     }
 
 
+def read_fingerprint(doc) -> Fingerprint:
+    """The fingerprint of a model document, checked: epsilon positive
+    and finite, lmax finite, adapt a JSON boolean when present."""
+    try:
+        fp = doc["fingerprint"]
+        scenario, adapt = str(fp["scenario"]), fp.get("adapt", False)
+        eps, lmax = float(fp["epsilon"]), float(fp["lmax"])
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ModelMismatchError(f"model document is malformed: {exc}") from exc
+    if not isinstance(adapt, bool):
+        raise ModelMismatchError(
+            f"model fingerprint field 'adapt' must be true or false, got {adapt!r}"
+        )
+    if not (math.isfinite(eps) and eps > 0):
+        raise ModelMismatchError(f"model epsilon must be positive and finite: {eps!r}")
+    if not math.isfinite(lmax):
+        raise ModelMismatchError(f"model lmax must be finite: {lmax!r}")
+    return Fingerprint(scenario=scenario, epsilon=eps, lmax=lmax, adapt=adapt)
+
+
 def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
     """Rebuild a predictor and check it belongs to the given scenario.
 
-    The fingerprint's scenario name and lmax must match, its epsilon must
-    be positive and every number finite, and every term reference must
+    The fingerprint (read_fingerprint) must name the scenario and match
+    its lmax, every eta must be finite, and every term reference must
     resolve; otherwise the model file is unusable here.
     """
+    fingerprint = read_fingerprint(doc)
     try:
-        fp_doc = doc["fingerprint"]
-        fingerprint = Fingerprint(
-            scenario=str(fp_doc["scenario"]),
-            epsilon=float(fp_doc["epsilon"]),
-            lmax=float(fp_doc["lmax"]),
-            adapt=bool(fp_doc.get("adapt", False)),
-        )
         base = [float(v) for v in doc["base"]]
         terms = tuple(
             UpdateTerm(
@@ -251,13 +265,8 @@ def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
             )
             for t in doc["terms"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelMismatchError(f"model document is malformed: {exc}") from exc
-    eps, lmax = fingerprint.epsilon, fingerprint.lmax
-    if not (math.isfinite(eps) and eps > 0):
-        raise ModelMismatchError(f"model epsilon must be positive and finite: {eps!r}")
-    if not math.isfinite(lmax):
-        raise ModelMismatchError(f"model lmax must be finite: {lmax!r}")
     for i, term in enumerate(terms):
         if not math.isfinite(term.eta):
             raise ModelMismatchError(
@@ -298,4 +307,7 @@ def read_model_document(path) -> dict:
 
 
 def load_model(path, scenario: Scenario) -> AdditivePredictor:
-    return deserialize(read_model_document(path), scenario)
+    try:
+        return deserialize(read_model_document(path), scenario)
+    except ModelMismatchError as exc:
+        raise ModelMismatchError(f"model file {path}: {exc}") from exc

@@ -198,7 +198,7 @@ def model_risk_estimate(
         raise ArgumentError("cannot estimate model risk from empty features")
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
-    base, delta = arrays.loss_arrays_for(scenario, loss)
+    base, delta = arrays.loss_arrays(loss)
     vocab, codes = encode(xs)
     x_idx = np.fromiter(
         (arrays.x_index[x] for x in vocab), dtype=np.intp, count=len(vocab)

@@ -230,7 +230,7 @@ def test_08_universal_adaptability(tmp_path):
         plain = om.induced_rule(matrix, loss, sc)
         for w in sc.weights.weights:
             shifted = om.induced_rule(
-                matrix, aug_by_name[f"{loss.name}@{w.name}"], sc)
+                matrix, aug_by_name[f"{loss.name}@{w.name}"], aug)
             for x in sc.features.points:
                 if w.mapping[x] > 0:
                     ok = ok and shifted.mapping[x] == plain.mapping[x]

@@ -70,28 +70,36 @@ class TestAugmentLosses:
             om.augment_scenario(beta_scenario)
 
 
+def with_weights(scenario, *functions):
+    return dataclasses.replace(scenario, weights=om.WeightClass(weights=functions))
+
+
 class TestShiftedDistributions:
     def test_identity_shift(self, beta_scenario):
-        d = om.shift_distribution(beta_scenario.input_distribution,
-                                  unit_weight(beta_scenario))
-        assert d.probabilities == beta_scenario.input_distribution.probabilities
+        sc = with_weights(beta_scenario, unit_weight(beta_scenario))
+        d = om.shift_distribution(sc, "unit")
+        assert d.dtype == np.float64 and np.array_equal(d, sc.arrays.dist)
 
     def test_reweighted_masses(self, beta_scenario):
         w = om.WeightFunction(name="tilt", mapping={"-1": 0.5, "+1": 1.5}, wmax=2.0)
-        d = om.shift_distribution(beta_scenario.input_distribution, w)
-        assert d.probabilities["-1"] == pytest.approx(0.25, abs=1e-15)
-        assert d.probabilities["+1"] == pytest.approx(0.75, abs=1e-15)
+        d = om.shift_distribution(with_weights(beta_scenario, w), "tilt")
+        assert d[0] == pytest.approx(0.25, abs=1e-15)  # canonical order: -1, +1
+        assert d[1] == pytest.approx(0.75, abs=1e-15)
 
     def test_zero_weight_removes_support(self, beta_scenario):
         w = om.WeightFunction(name="half", mapping={"-1": 2.0, "+1": 0.0}, wmax=2.0)
-        d = om.shift_distribution(beta_scenario.input_distribution, w)
-        assert d.probabilities["+1"] == 0.0
-        assert d.probabilities["-1"] == pytest.approx(1.0, abs=1e-15)
+        d = om.shift_distribution(with_weights(beta_scenario, w), "half")
+        assert d[1] == 0.0
+        assert d[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_non_unit_mass_rejected(self, beta_scenario):
+        # a weight whose shift would not be a distribution never reaches
+        # shift_distribution: the scenario holding it is rejected
         w = om.WeightFunction(name="heavy", mapping={"-1": 1.0, "+1": 1.5}, wmax=2.0)
         with pytest.raises(om.WeightInvariantError):
-            om.shift_distribution(beta_scenario.input_distribution, w)
+            with_weights(beta_scenario, w)
+        with pytest.raises(om.ArgumentError):
+            om.shift_distribution(beta_scenario, "heavy")
 
     def test_reweighting_identity(self):
         rng = np.random.default_rng(139)
@@ -106,12 +114,11 @@ class TestShiftedDistributions:
             w = om.WeightFunction(
                 name="w", mapping={x: float(raw[i] / mean) for i, x in enumerate(pts)},
                 wmax=float(raw.max() / mean) + 1e-9)
-            shifted = om.shift_distribution(dist, w)
+            shifted = om.shift_distribution(with_weights(sc, w), "w")
             g = rng.random(len(pts))
             lhs = math.fsum(dist.probabilities[x] * w.weight(x) * g[i]
                             for i, x in enumerate(pts))
-            rhs = math.fsum(shifted.probabilities[x] * g[i]
-                            for i, x in enumerate(pts))
+            rhs = math.fsum(shifted[i] * g[i] for i in range(len(pts)))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -119,18 +126,16 @@ class TestMixtures:
     def test_single_component(self, weighted_scenario):
         sc = weighted_scenario
         spec = om.MixtureSpec(components=(("focus_minus", 1.0),))
-        d = om.mixture_distribution(sc.input_distribution, sc.weights, spec)
-        want = om.shift_distribution(
-            sc.input_distribution, sc.weights.by_name("focus_minus"))
-        for x in sc.features.points:
-            assert d.probabilities[x] == pytest.approx(want.probabilities[x], abs=1e-15)
+        d = om.mixture_distribution(sc, spec)
+        want = om.shift_distribution(sc, "focus_minus")
+        assert np.array_equal(d, want)
 
     def test_even_mixture_of_opposite_tilts(self, weighted_scenario):
         sc = weighted_scenario
         spec = om.MixtureSpec(components=(("focus_minus", 0.5), ("focus_plus", 0.5)))
-        d = om.mixture_distribution(sc.input_distribution, sc.weights, spec)
-        assert d.probabilities["-1"] == pytest.approx(0.5, abs=1e-15)
-        assert d.probabilities["+1"] == pytest.approx(0.5, abs=1e-15)
+        d = om.mixture_distribution(sc, spec)
+        assert d[0] == pytest.approx(0.5, abs=1e-15)
+        assert d[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(om.ArgumentError):
@@ -148,7 +153,7 @@ class TestMixtures:
         sc = weighted_scenario
         spec = om.MixtureSpec(components=(("nope", 1.0),))
         with pytest.raises(om.ArgumentError):
-            om.mixture_distribution(sc.input_distribution, sc.weights, spec)
+            om.mixture_distribution(sc, spec)
 
 
 class TestVerifier:
@@ -213,7 +218,8 @@ class TestVerifier:
             dist = om.InputDistribution(probabilities=dict(
                 zip(sc.features.points, (masses / masses.sum()).tolist())))
             eps = float(rng.uniform(0.0, 0.2))
-            risks, best, slack, passed = adapt.optimality(terms, sc, dist, eps)
+            mass = np.array([dist.mass(x) for x in sc.features.points])
+            risks, best, slack, passed = adapt.optimality(terms, sc, mass, eps)
             h = len(sc.hypotheses)
             for j, loss in enumerate(sc.losses):
                 assert risks[j] == [om.performative_risk_exact(
@@ -270,9 +276,9 @@ class TestRuleInvariance:
         plain = om.induced_rule(beta_nature_matrix,
                                 sc.loss_by_name("steer_to_one"), sc)
         assert plain.mapping["+1"] == "+1"
-        aug = om.augment_losses(sc.losses, sc.weights)
-        tilted = next(l for l in aug if l.name == "steer_to_one@focus_minus")
-        shifted_rule = om.induced_rule(beta_nature_matrix, tilted, sc)
+        wide = om.augment_scenario(sc)
+        tilted = wide.loss_by_name("steer_to_one@focus_minus")
+        shifted_rule = om.induced_rule(beta_nature_matrix, tilted, wide)
         assert shifted_rule.mapping["+1"] == "-1"  # tie falls to first label
         assert not any(x == "+1" and "focus_minus" in name
                        for name, x in rep.mismatches)

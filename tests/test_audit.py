@@ -468,7 +468,7 @@ def csc_costs_reference(labeled, pred, loss, sigma, scenario):
     encoded columns replaced."""
     matrix = om.prediction_matrix(pred, scenario)
     arrays = scenario.arrays
-    base, delta = arrays.loss_arrays_for(scenario, loss)
+    base, delta = arrays.loss_arrays(loss)
     n = labeled.n
     xi = np.fromiter((arrays.x_index[x] for x in labeled.xs), dtype=np.int64, count=n)
     ji = np.fromiter(
@@ -561,6 +561,7 @@ class TestCostSensitive:
         flat = om.Loss(name="flat", lmax=1.0,
                        table={x: {y: (0.4, 0.4) for y in sc.decisions.labels}
                               for x in sc.features.points})
+        sc = dataclasses.replace(sc, losses=sc.losses + (flat,))
         data = om.generate_rct(sc, 64, 0)
         pred = om.base_predictor(sc, 0.05)
         inst = om.build_csc_instance(data, pred, flat, 1, sc)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import omnipredict as om
-from omnipredict import adapt, boost, cli, predictor
+from omnipredict import adapt, boost, cli, core, predictor
 
 REPO = Path(__file__).resolve().parent.parent
 BETA = str(REPO / "scenarios" / "beta025.json")
@@ -275,6 +275,29 @@ class TestTrain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--poi-n", "0"), ("--doi-n", "-3"), ("--poi-n", "x"), ("--threads", "0"),
+    ])
+    def test_bad_slice_size_is_usage_error(self, workdir, flag, value):
+        out = workdir / "slices.json"
+        code, _, err = run("train", "--config", BETA, "--mode", "empirical",
+                           "--epsilon", "0.05", "--data", str(workdir / "none.jsonl"),
+                           flag, value, "--out", str(out))
+        assert code == 1
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_oversized_integer_in_scenario_is_config_error(self, workdir):
+        doc = json.loads(Path(BETA).read_text())
+        doc["input_distribution"]["-1"] = 10 ** 400
+        config = workdir / "huge_mass.json"
+        config.write_text(json.dumps(doc))
+        for argv in (("scenario-show",),
+                     ("train", "--epsilon", "0.05", "--out", str(workdir / "h.json"))):
+            code, _, err = run(*argv, "--config", str(config))
+            assert code == 2
+            assert str(config) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0"])
     def test_unusable_epsilon_is_usage_error(self, workdir, eps):
         out = workdir / "eps.json"
@@ -430,6 +453,44 @@ class TestNonFiniteModelNumbers:
         assert "lmax" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["terms"][0].update(eta=10 ** 400),
+        lambda doc: doc["fingerprint"].update(epsilon=10 ** 400),
+    ], ids=["eta", "epsilon"])
+    def test_oversized_integer_is_config_error(self, workdir, model_path, edit):
+        # a 400-digit integer does not fit a float
+        model = tampered_model(workdir, model_path, "huge.json", edit)
+        code, out, err = run("audit", "--config", BETA, "--model", model)
+        assert code == 2 and out == ""
+        assert model in err and "Traceback" not in err
+        doc = json.loads(Path(model).read_text())
+        with pytest.raises(om.ModelMismatchError, match="too large"):
+            predictor.deserialize(doc, om.load_scenario(BETA))
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("adapt", ["false", "true", 0, 1, None])
+    def test_adapt_must_be_a_json_boolean(self, workdir, model_path, adapt):
+        # "false" used to count as true, so a plain model was read against
+        # the augmented scenario and failed with an unrelated message
+        def edit(doc):
+            doc["fingerprint"]["adapt"] = adapt
+
+        model = tampered_model(workdir, model_path, "adapt_field.json", edit)
+        for command in ("audit", "adapt-verify"):
+            code, out, err = run(command, "--config", BETA_W, "--model", model)
+            assert code == 2 and out == ""
+            assert "'adapt'" in err and model in err and "Traceback" not in err
+        with pytest.raises(om.ModelMismatchError, match="'adapt'"):
+            predictor.read_fingerprint(json.loads(Path(model).read_text()))
+
+    def test_missing_adapt_reads_as_plain(self, workdir, model_path):
+        model = tampered_model(workdir, model_path, "no_adapt.json",
+                               lambda doc: doc["fingerprint"].pop("adapt"))
+        code, _, err = run("audit", "--config", BETA, "--model", model)
+        assert code == 0, err
+
+
 class TestEval:
     def test_table_contents(self, workdir, model_path):
         out_csv = workdir / "table.csv"
@@ -528,11 +589,13 @@ class TestEval:
                 out_csv = workdir / "exact.csv"
                 assert run("eval", "--config", BETA_W, "--model", model,
                            *flag, "--out", str(out_csv))[0] == 0
-                dist = sc.input_distribution
+                mass = sc.arrays.dist
                 if flag[:1] == ("--shift",):
-                    dist = om.shift_distribution(dist, sc.weights.by_name(flag[1]))
+                    mass = om.shift_distribution(sc, flag[1])
                 elif flag:
-                    dist = om.mixture_distribution(dist, sc.weights, spec)
+                    mass = om.mixture_distribution(sc, spec)
+                dist = om.InputDistribution(
+                    probabilities=dict(zip(sc.features.points, mass.tolist())))
                 rows = [line.split(",")
                         for line in out_csv.read_text().splitlines()[1:]]
                 for rule, loss, risk, _ in rows:
@@ -623,7 +686,7 @@ class TestAdaptVerify:
         # the invariance check reads the scenario's arrays, so the only
         # augment_losses call is the one that loads the adapt model
         calls = {"shift": 0, "augment_losses": 0}
-        shift, augment = adapt.shift_distribution, adapt.augment_losses
+        shift, augment = adapt.shift_distribution, core.augment_losses
 
         def counted(name, fn):
             def wrapper(*args):
@@ -632,7 +695,7 @@ class TestAdaptVerify:
             return wrapper
 
         monkeypatch.setattr(adapt, "shift_distribution", counted("shift", shift))
-        monkeypatch.setattr(adapt, "augment_losses",
+        monkeypatch.setattr(core, "augment_losses",
                             counted("augment_losses", augment))
         code, out, _ = run("adapt-verify", "--config", BETA_W,
                            "--model", adapt_model_path)
@@ -640,21 +703,44 @@ class TestAdaptVerify:
         assert calls == {"shift": 3, "augment_losses": 1}
 
 
+    @pytest.mark.parametrize("command", ["audit", "eval", "adapt-verify"])
+    def test_loading_an_adapt_model_checks_each_table_once(
+            self, workdir, adapt_model_path, monkeypatch, command):
+        # the augmented scenario is derived from the checked arrays, so
+        # only load_scenario builds and validates a scenario
+        sc = om.load_scenario(BETA_W)
+        calls = {}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(self, *args):
+                key = f"{owner.__name__}.{name}"
+                calls[key] = calls.get(key, 0) + 1
+                return fn(self, *args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(om.Scenario, "__post_init__")
+        for part in (om.InputDistribution, om.NatureModel, om.Loss,
+                     om.Hypothesis, om.WeightFunction):
+            counted(part, "validate")
+        extra = ("--out", str(workdir / "counted.csv")) if command == "eval" else ()
+        code, _, err = run(command, "--config", BETA_W, "--model",
+                           adapt_model_path, *extra)
+        assert code == 0, err
+        # eval and adapt-verify also check each loss's induced rule
+        induced = len(sc.losses) if command != "audit" else 0
+        assert calls == {
+            "Scenario.__post_init__": 1,
+            "InputDistribution.validate": 1,
+            "NatureModel.validate": 1,
+            "Loss.validate": len(sc.losses),
+            "Hypothesis.validate": len(sc.hypotheses) + induced,
+            "WeightFunction.validate": len(sc.weights.weights),
+        }
+
+
 class TestThreads:
-    def test_env_fallback(self, model_path, monkeypatch):
-        monkeypatch.setenv("OMNI_THREADS", "4")
-        code, out, _ = run("audit", "--config", BETA, "--model", model_path)
-        assert code == 0
-        monkeypatch.setenv("OMNI_THREADS", "0")
-        code, _, _ = run("audit", "--config", BETA, "--model", model_path)
-        assert code == 1
-
-    def test_flag_overrides_env(self, model_path, monkeypatch):
-        monkeypatch.setenv("OMNI_THREADS", "0")
-        code, _, _ = run("audit", "--config", BETA, "--model", model_path,
-                         "--threads", "2")
-        assert code == 0
-
     def test_negative_flag_rejected(self, model_path):
         code, _, _ = run("audit", "--config", BETA, "--model", model_path,
                          "--threads", "-1")

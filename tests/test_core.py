@@ -1,9 +1,11 @@
 """Scenario model, closed-form risks, and optimal rules."""
 
+import copy
 import importlib
 import json
 import math
 import runpy
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -702,20 +704,22 @@ class TestValidationMatchesPerCellReference:
                 assert got[name].dtype == array.dtype, name
                 assert np.array_equal(got[name], array), name
 
-    def test_foreign_loss_arrays_match_enumeration(self):
+    def test_foreign_loss_is_rejected(self):
+        # a loss is read into its array once, when the scenario is built;
+        # a Loss object that is not one of the scenario's own is refused,
+        # not read again, even when it is equal to an own loss
         rng = np.random.default_rng(47)
         sc = om.Scenario(**scenario_parts(raw_tables(rng)))
-        xs, ys = sc.features.points, sc.decisions.labels
-        foreign = om.Loss(name=sc.losses[0].name, lmax=5.0, table={
-            x: {y: (float(rng.random()), float(rng.random())) for y in ys} for x in xs
-        })
-        base, delta = sc.arrays.loss_arrays_for(sc, foreign)
-        at0 = np.array([[foreign.values(x, y, 0) for y in ys] for x in xs])
-        at1 = np.array([[foreign.values(x, y, 1) for y in ys] for x in xs])
-        assert np.array_equal(base, at0) and np.array_equal(delta, at1 - at0)
-        del foreign.table[xs[1]][ys[0]]
-        with pytest.raises(om.ConfigurationError, match="has no entry"):
-            sc.arrays.loss_arrays_for(sc, foreign)
+        own = sc.losses[0]
+        base, delta = sc.arrays.loss_arrays(own)
+        assert base is sc.arrays.loss_base[own.name]
+        assert delta is sc.arrays.loss_delta[own.name]
+        twin = om.Loss(name=own.name, lmax=own.lmax, table=own.table)
+        with pytest.raises(om.ArgumentError, match="not one of the scenario's"):
+            sc.arrays.loss_arrays(twin)
+        matrix = np.full((len(sc.features.points), sc.k), 0.5)
+        with pytest.raises(om.ArgumentError):
+            om.induced_rule(matrix, twin, sc)
 
     def test_input_oblivious_is_read_from_the_table(self):
         rng = np.random.default_rng(53)
@@ -738,3 +742,323 @@ class TestBenchmarkSpans:
                 fn = owner.__dict__.get(fn_name) if owner_name else getattr(
                     module, fn_name, None)
                 assert callable(fn), f"{span}: {module_name}.{attr}"
+
+
+def raw_document(t):
+    """The JSON document of raw_tables' scenario."""
+    return {
+        "name": "cells",
+        "features": t["xs"],
+        "decisions": t["ys"],
+        "input_distribution": t["masses"],
+        "nature": t["nature"],
+        "losses": [{"name": n, "lmax": m, "table": tab} for n, m, tab in t["losses"]],
+        "hypotheses": [{"name": n, "map": m} for n, m in t["rules"]],
+        "epsilon": 0.1,
+        "weights": [{"name": n, "map": m, "wmax": w} for n, m, w in t["weights"]],
+    }
+
+
+def set_loss_cell(value):
+    def fault(rng, t):
+        x, y = later_cell(rng, t)
+        t["losses"][-1][2][x][y] = value
+    return fault
+
+
+# Cells of the wrong kind or shape. Before tables went straight into
+# arrays, a three-value loss cell loaded with its third value dropped.
+MALFORMED = {
+    "three-value-loss-cell": set_loss_cell((0.5, 0.5, 0.9)),
+    "one-value-loss-cell": set_loss_cell((0.5,)),
+    "number-loss-cell": set_loss_cell(0.5),
+    "null-loss-cell": set_loss_cell(None),
+    "list-loss-value": set_loss_value([0.5]),
+    "object-loss-value": set_loss_value({"v": 0.5}),
+    "null-loss-value": set_loss_value(None),
+    "list-nature": set_nature([0.5, 0.5]),
+    "object-nature": set_nature({"p": 0.5}),
+    "null-nature": set_nature(None),
+    "text-nature": set_nature("half"),
+    "list-mass": set_mass([0.2]),
+    "null-mass": set_mass(None),
+    "object-weight": set_weight({"w": 1.0}),
+    "list-weight": set_weight([1.0]),
+    "null-weight": set_weight(None),
+}
+
+
+class TestMalformedCells:
+    @pytest.mark.parametrize("fault", sorted(MALFORMED))
+    def test_loader_and_construction_refuse(self, fault, tmp_path):
+        rng = np.random.default_rng([59, sorted(MALFORMED).index(fault)])
+        t = raw_tables(rng)
+        MALFORMED[fault](rng, t)
+        # null where a number belongs reads as NaN, which the range checks
+        # name; any other bad cell is named as malformed
+        nan = fault.startswith("null") and fault != "null-loss-cell"
+        match = "nan|non-finite" if nan else "malformed cell at"
+        with pytest.raises(om.ConfigurationError, match=match):
+            om.Scenario(**scenario_parts(t))
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(raw_document(t)))
+        with pytest.raises(om.ConfigurationError, match=match):
+            om.load_scenario(path)
+
+    def test_first_malformed_cell_is_named(self):
+        t = raw_tables(np.random.default_rng(61))
+        x, y = t["xs"][1], t["ys"][0]
+        t["losses"][0][2][x][y] = (0.5, 0.5, 0.9)
+        t["losses"][0][2][t["xs"][2]][y] = "pair"
+        with pytest.raises(om.ConfigurationError) as exc:
+            om.Scenario(**scenario_parts(t))
+        assert str(exc.value) == (
+            f"loss 'l0' has a malformed cell at ({x!r}, {y!r}): (0.5, 0.5, 0.9)")
+
+
+class TestLoaderInput:
+    @pytest.mark.parametrize("where", ["mass", "epsilon", "lmax", "wmax", "weight"])
+    def test_oversized_integer_names_the_file(self, where, tmp_path):
+        doc = json.loads((REPO / "scenarios" / "beta025_weights.json").read_text())
+        huge = 10 ** 400  # too large for a float
+        if where == "mass":
+            doc["input_distribution"]["-1"] = huge
+        elif where == "epsilon":
+            doc["epsilon"] = huge
+        elif where == "lmax":
+            doc["losses"][0]["lmax"] = huge
+        elif where == "wmax":
+            doc["weights"][0]["wmax"] = huge
+        else:
+            doc["weights"][0]["map"]["-1"] = huge
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(om.ConfigurationError, match="too large") as exc:
+            om.load_scenario(path)
+        assert str(path) in str(exc.value)
+
+    def test_json_number_labels_in_rule_maps(self, tmp_path):
+        doc = json.loads((REPO / "scenarios" / "beta025.json").read_text())
+        doc["decisions"] = ["0", "1"]
+        for table in [doc["nature"]] + [l["table"] for l in doc["losses"]]:
+            for x, row in table.items():
+                table[x] = {"0": row["-1"], "1": row["+1"]}
+        doc["hypotheses"][0]["map"] = {"-1": 0, "+1": 1}
+        doc["hypotheses"][1]["map"] = {"-1": "1", "+1": 0}
+        path = tmp_path / "numeric_labels.json"
+        path.write_text(json.dumps(doc))
+        sc = om.load_scenario(path)
+        assert sc.arrays.hyp_index["h_plus"].tolist() == [0, 1]
+        assert sc.arrays.hyp_index["h_minus"].tolist() == [1, 0]
+        assert [sc.hypotheses[0].decide(x) for x in sc.features.points] == ["0", "1"]
+        data = om.generate_rct(sc, 400, 3)
+        loss = sc.losses[0]
+        assert om.ips_risk_estimate(data, sc.hypotheses[0], loss, sc.k) > 0.0
+
+
+class TestScenarioEquality:
+    def test_loaded_scenario_equals_its_round_trip(self):
+        sc = om.load_scenario(REPO / "scenarios" / "beta025_weights.json")
+        # the loaded tables hold JSON lists, the rebuilt ones the same
+        # lists again; equality reads the checked arrays either way
+        assert sc.losses[0].table["-1"]["-1"] == [1.0, 0.0]
+        assert om.scenario_from_dict(om.scenario_to_dict(sc)) == sc
+        assert sc != om.augment_scenario(sc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["nature"]["-1"].update({"-1": 0.7}),
+        lambda doc: doc["losses"][0].update(lmax=2.0),
+        lambda doc: doc["weights"][0].update(wmax=3.0),
+        lambda doc: doc.update(epsilon=0.2),
+        lambda doc: doc["hypotheses"][0].update(name="h_other"),
+    ], ids=["nature", "lmax", "wmax", "epsilon", "rule-name"])
+    def test_any_canonical_difference_is_unequal(self, edit):
+        doc = json.loads((REPO / "scenarios" / "beta025_weights.json").read_text())
+        sc = om.scenario_from_dict(doc)
+        edit(doc)
+        assert om.scenario_from_dict(doc) != sc
+
+
+def eager_augment_losses(losses, weights):
+    """augment_losses as it was before its tables became views: every
+    table built cell by cell, from tables whose cells the loader had
+    converted with float(). The reference for the views and for the
+    augmented arrays."""
+    augmented = []
+    for loss in losses:
+        for w in weights.weights:
+            table = {
+                x: {
+                    yhat: (w.weight(x) * float(pair[0]), w.weight(x) * float(pair[1]))
+                    for yhat, pair in row.items()
+                }
+                for x, row in loss.table.items()
+            }
+            augmented.append(
+                om.Loss(name=f"{loss.name}@{w.name}", lmax=loss.lmax * weights.wmax,
+                        table=table)
+            )
+    return tuple(augmented)
+
+
+def per_cell_values(loss, xs, ys):
+    return np.array([[[loss.values(x, y, 0), loss.values(x, y, 1)] for y in ys]
+                     for x in xs], dtype=np.float64)
+
+
+@st.composite
+def degenerate_documents(draw):
+    """Scenario documents with degenerate shapes: k = 1, |X| = 1, zero
+    masses, zero weights, tied values, JSON integers in number cells and
+    JSON-number labels in rule maps."""
+    n_x, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    xs, ys = [f"x{i}" for i in range(n_x)], [str(j) for j in range(k)]
+    parts = draw(st.lists(st.integers(0, 3), min_size=n_x, max_size=n_x).filter(any))
+    masses = [p / sum(parts) for p in parts]
+    value = st.sampled_from([0, 1, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    losses = []
+    for i in range(draw(st.integers(1, 2))):
+        lmax = draw(st.sampled_from([1, 2.0]))
+        losses.append({"name": f"l{i}", "lmax": lmax, "table": {
+            x: {y: [draw(value) * lmax, draw(value) * lmax] for y in ys} for x in xs}})
+    rules = []
+    for i in range(draw(st.integers(1, 3))):
+        labels = [draw(st.integers(0, k - 1)) for _ in xs]
+        rules.append({"name": f"h{i}", "map": {
+            x: j if draw(st.booleans()) else str(j) for x, j in zip(xs, labels)}})
+    weights = []
+    for i in range(draw(st.integers(1, 2))):
+        raw = draw(st.lists(st.integers(0, 3), min_size=n_x, max_size=n_x))
+        first = parts.index(next(p for p in parts if p))  # keep one supported weight
+        raw[first] = max(raw[first], 1)
+        mean = math.fsum(m * r for m, r in zip(masses, raw))
+        w = [r / mean for r in raw]
+        weights.append({"name": f"w{i}", "map": dict(zip(xs, w)), "wmax": max(w)})
+    return {
+        "name": "degenerate",
+        "features": xs,
+        "decisions": ys,
+        "input_distribution": dict(zip(xs, masses)),
+        "nature": {x: {y: draw(value) for y in ys} for x in xs},
+        "losses": losses,
+        "hypotheses": rules,
+        "epsilon": 0.1,
+        "weights": weights,
+    }
+
+
+class TestArraysMatchPerCellReferences:
+    """Differential checks of the arrays against per-cell loops."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(degenerate_documents())
+    def test_loaded_arrays(self, doc):
+        sc = om.scenario_from_dict(json.loads(json.dumps(doc)))
+        arrays = sc.arrays
+        got = {"dist": arrays.dist, "nature": arrays.nature}
+        for loss in sc.losses:
+            got[f"base:{loss.name}"] = arrays.loss_base[loss.name]
+            got[f"delta:{loss.name}"] = arrays.loss_delta[loss.name]
+        for h in sc.hypotheses:
+            got[f"rule:{h.name}"] = arrays.hyp_index[h.name]
+        for w in sc.weights.weights:
+            got[f"weight:{w.name}"] = arrays.weights[w.name]
+        want = reference_arrays(sc)
+        assert got.keys() == want.keys()
+        for name, array in want.items():
+            assert got[name].dtype == array.dtype, name
+            assert got[name].tobytes() == array.tobytes(), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(degenerate_documents())
+    def test_augmented_arrays_and_views(self, doc):
+        sc = om.scenario_from_dict(json.loads(json.dumps(doc)))
+        xs, ys = sc.features.points, sc.decisions.labels
+        wide = om.augment_scenario(sc)
+        eager = eager_augment_losses(sc.losses, sc.weights)
+        names = [(l.name, l.lmax) for l in eager]
+        assert [(l.name, l.lmax) for l in wide.losses] == names
+        views = om.augment_losses(sc.losses, sc.weights)
+        assert [(l.name, l.lmax) for l in views] == names
+        for view, ref in zip(wide.losses, eager):
+            want = per_cell_values(ref, xs, ys)
+            assert per_cell_values(view, xs, ys).tobytes() == want.tobytes()
+            assert view.table == ref.table
+            got = wide.arrays.loss_values[view.name]
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            base, delta = wide.arrays.loss_arrays(view)
+            assert base.tobytes() == want[:, :, 0].tobytes()
+            assert delta.tobytes() == (want[:, :, 1] - want[:, :, 0]).tobytes()
+        for name in ("dist", "nature", "hyp_index", "weights", "rule_cells"):
+            assert getattr(wide.arrays, name) is getattr(sc.arrays, name)
+
+    @settings(max_examples=80, deadline=None)
+    @given(degenerate_documents())
+    def test_document_round_trip(self, doc):
+        sc = om.scenario_from_dict(json.loads(json.dumps(doc)))
+        again = json.loads(json.dumps(om.scenario_to_dict(sc)))
+        assert om.scenario_from_dict(again) == sc
+        wide = om.augment_scenario(sc)
+        again = json.loads(json.dumps(om.scenario_to_dict(wide)))
+        assert om.scenario_from_dict(again) == wide
+
+
+def json_nodes(node, path=()):
+    """(path, node) for every node of a JSON document, the root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
+FUZZ_DOCS = [
+    json.loads((REPO / "scenarios" / "beta025_weights.json").read_text()),
+    raw_document(raw_tables(np.random.default_rng(67))),
+]
+FUZZ_DOCS[1] = json.loads(json.dumps(FUZZ_DOCS[1]))
+DELETE = object()
+# a plain value in place of a number, a row or a whole section: null, an
+# integer too large for a float, text, a list or an object
+SCALARS = st.sampled_from(
+    [None, True, 10 ** 400, -1, 0.5, "0.5", "x", [], {}, [0.5, 0.5, 0.5], math.nan]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(json_nodes(doc))[1:]
+        leaves = [path for path, node in nodes if not isinstance(node, (dict, list))]
+        path = draw(st.sampled_from(leaves) | st.sampled_from([p for p, _ in nodes]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        value = draw(st.one_of(SCALARS, SCALARS, JSON_VALUES, st.just(DELETE)))
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        if not isinstance(doc, dict) or not doc:
+            break
+    return doc
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_documents())
+    def test_only_configuration_errors_escape(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.json"
+            path.write_text(json.dumps(doc))
+            try:
+                om.load_scenario(path)
+            except om.ConfigurationError:  # WeightInvariantError is one too
+                pass

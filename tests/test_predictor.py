@@ -237,6 +237,7 @@ class TestInducedRule:
                 for x, row in loss.table.items()
             }
             scaled = om.Loss(name="scaled", lmax=3.5, table=table)
+            sc = dataclasses.replace(sc, losses=sc.losses + (scaled,))
             assert (om.induced_rule(matrix, loss, sc).mapping
                     == om.induced_rule(matrix, scaled, sc).mapping)
 

@@ -174,7 +174,7 @@ def model_risk_reference(xs, pred, rule, loss, scenario):
     """Per-sample index remapping, as before the features were encoded."""
     matrix = om.prediction_matrix(pred, scenario)
     arrays = scenario.arrays
-    base, delta = arrays.loss_arrays_for(scenario, loss)
+    base, delta = arrays.loss_arrays(loss)
     rule_idx = arrays.rule_indices(rule)
     x_idx = np.fromiter(
         (arrays.x_index[x] for x in xs), dtype=np.int64, count=len(xs)
