@@ -64,7 +64,7 @@ import numpy as np
 from .core import Hypothesis, Loss, Scenario
 from .errors import ArgumentError, LearnerContractError
 from .predictor import induced_rule, prediction_matrix
-from .rct import RctDataset, encode, ips_risk_estimate, model_risk_estimate
+from .rct import RctDataset, feature_indices, ips_risk_estimate, model_risk_estimate
 
 EXACT = "exact"
 EMPIRICAL = "empirical"
@@ -290,7 +290,7 @@ def doi_entries_exact(pred, scenario: Scenario, threads: int = 1):
 def ips_rule_risks(labeled: RctDataset, scenario: Scenario):
     """Lazy IPS estimates of Nature's risk per (hypothesis, loss) pair."""
     return (
-        ips_risk_estimate(labeled, h, loss, scenario.k)
+        ips_risk_estimate(labeled, h, loss, scenario.k, scenario)
         for h, loss in itertools.product(scenario.hypotheses, scenario.losses)
     )
 
@@ -321,7 +321,7 @@ def doi_entries_empirical(
     def err(loss: Loss) -> float:
         rule = induced_rule(matrix, loss, scenario)
         model = model_risk_estimate(unlabeled, matrix, rule, loss, scenario)
-        return model - ips_risk_estimate(labeled, rule, loss, scenario.k)
+        return model - ips_risk_estimate(labeled, rule, loss, scenario.k, scenario)
 
     return _decision_entries(scenario, map(err, scenario.losses))
 
@@ -380,12 +380,16 @@ class CscInstance:
     """Cost-sensitive classification instance over the decision space.
 
     One cost row per sample, nonzero only at the logged decision's
-    index; entries lie within [-1/(4k), 1/(4k)].
+    index; entries lie within [-1/(4k), 1/(4k)]. build_csc_instance
+    sets scenario, through which a rule's decision per sample is one
+    gather; an instance built by hand without it looks the rule up per
+    distinct feature.
     """
 
     xs: tuple[str, ...]
     decision_labels: tuple[str, ...]
     costs: np.ndarray
+    scenario: Optional[Scenario] = None
 
     @property
     def n(self) -> int:
@@ -393,21 +397,14 @@ class CscInstance:
 
     def mean_cost(self, rule: Hypothesis) -> float:
         """Average cost this instance assigns to following the rule."""
-        vocab, codes = encode(self.xs)
-        chosen = np.fromiter(
-            (self.decision_labels.index(rule.decide(x)) for x in vocab),
-            dtype=np.intp,
-            count=len(vocab),
-        )
-        cols = chosen[codes]
-        return float(np.add.reduce(self.costs[np.arange(self.n), cols]) / self.n)
-
-
-def _scenario_indices(column, index: dict) -> np.ndarray:
-    """Per entry, the scenario index of a dataset column's identifier."""
-    vocab, codes = encode(column)
-    lookup = np.fromiter((index[v] for v in vocab), dtype=np.intp, count=len(vocab))
-    return lookup[codes]
+        if self.scenario is None:
+            col = {x: self.decision_labels.index(rule.decide(x)) for x in set(self.xs)}
+            cols = np.fromiter(map(col.__getitem__, self.xs), np.intp, self.n)
+        else:
+            xi = feature_indices(self.xs, self.scenario)
+            cols = self.scenario.arrays.rule_indices(rule)[xi]
+        cells = np.arange(0, self.costs.size, self.costs.shape[1]) + cols
+        return float(np.add.reduce(self.costs.take(cells)) / self.n)
 
 
 def build_csc_instance(
@@ -426,18 +423,20 @@ def build_csc_instance(
     if labeled.n == 0:
         raise ArgumentError("cannot build an instance from an empty dataset")
     matrix = prediction_matrix(pred, scenario)
-    arrays = scenario.arrays
-    base, delta = arrays.loss_arrays(loss)
+    base, delta = scenario.arrays.loss_arrays(loss)
     n = labeled.n
-    xi = _scenario_indices(labeled.xs, arrays.x_index)
-    ji = _scenario_indices(labeled.yhats, arrays.y_index)
+    xi = feature_indices(labeled.xs, scenario)
+    ji = labeled.decision_indices(scenario)
     modeled = base[xi, ji] + delta[xi, ji] * matrix[xi, ji]
     realized = base[xi, ji] + delta[xi, ji] * labeled.outcomes
     scale = 4.0 * scenario.k * scenario.lmax
     costs = np.zeros((n, scenario.k), dtype=np.float64)
     costs[np.arange(n), ji] = sigma * (modeled - realized) / scale
     return CscInstance(
-        xs=labeled.xs, decision_labels=scenario.decisions.labels, costs=costs
+        xs=labeled.xs,
+        decision_labels=scenario.decisions.labels,
+        costs=costs,
+        scenario=scenario,
     )
 
 

@@ -745,6 +745,8 @@ def load_scenario(path) -> Scenario:
         raise ConfigurationError(f"scenario file {path} is not valid JSON: {exc}")
     try:
         return scenario_from_dict(doc)
+    except ConfigurationError as exc:  # keeps WeightInvariantError's type
+        raise type(exc)(f"scenario file {path}: {exc}") from exc
     except (
         AttributeError, TypeError, ValueError, KeyError, IndexError, OverflowError
     ) as exc:  # OverflowError: an integer too large for a float

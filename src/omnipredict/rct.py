@@ -12,6 +12,21 @@ Model-side risks never sample modeled outcomes. The inner expectation
 over a binary outcome has a closed form, so only unlabeled features are
 needed for that side.
 
+Each column of identifiers keeps its scenario indices: per sample, the
+position of its feature or decision in the scenario's canonical order.
+read_jsonl and generate_rct supply them for the scenario they read or
+draw for; a dataset built by hand is mapped once per scenario, and a
+slice keeps views of its parent's. Nature's side of a risk reads the
+dataset's (|X|, k, 2) count tensor, the number of samples in each
+(feature, decision, outcome) cell, built with one np.bincount. Each
+estimate sums count times loss value over the cells the rule selects,
+exactly, so it equals the correctly rounded per-sample sum.
+
+Files are JSON lines, read and written in blocks of _BLOCK_LINES lines
+with one json.loads or one join per block. A block that does not hold
+exactly one plain sample object per line is read again line by line,
+which names the offending line.
+
 Randomness comes from a PCG64 bit generator consumed only through raw
 uniform doubles (inverse-CDF sampling). That keeps generated files
 byte-identical for a given seed across library versions; the scheme is
@@ -22,9 +37,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,38 +52,57 @@ from .predictor import prediction_matrix
 
 GENERATOR_TAG = "pcg64-icdf-1"
 
+# Lines parsed, or samples written, per block of a JSONL file.
+_BLOCK_LINES = 4096
+
 
 class Column(tuple):
-    """Immutable column of identifiers that carries its integer codes.
+    """Immutable column of identifiers that carries its scenario indices.
 
-    codes is (vocabulary, indices): the distinct values in order of first
-    appearance, and per entry the position of its value in the
-    vocabulary. The estimators look rules and losses up once per
-    vocabulary entry and gather over the indices, not once per sample.
+    indices(index, what) is, per entry, the position index gives its
+    identifier, where index is a scenario's x_index or y_index. It is
+    computed once per index mapping and kept; a slice keeps views.
     """
 
-    @cached_property
-    def codes(self) -> tuple[tuple[str, ...], np.ndarray]:
-        index: dict[str, int] = {}
-        indices = np.fromiter(
-            (index.setdefault(v, len(index)) for v in self),
-            dtype=np.intp,
-            count=len(self),
-        )
-        return tuple(index), indices
+    def indices(self, index: Mapping[str, int], what: str) -> np.ndarray:
+        """Per entry, index[entry]; ArgumentError names the first entry
+        that index lacks, as an unknown `what`."""
+        kept = self.__dict__.setdefault("_indices", {})
+        entry = kept.get(id(index))  # the entry holds index, so its id stays its
+        if entry is None:
+            try:
+                positions = np.fromiter(
+                    map(index.__getitem__, self), dtype=np.intp, count=len(self)
+                )
+            except (KeyError, TypeError):  # TypeError: an unhashable entry
+                for v in self:
+                    if not isinstance(v, str) or v not in index:
+                        raise ArgumentError(f"unknown {what} {v!r}") from None
+            entry = kept[id(index)] = (index, positions)
+        return entry[1]
 
     def slice(self, start: int, stop: int) -> "Column":
-        """Contiguous part whose codes are views of this column's codes."""
+        """Contiguous part whose indices are views of this column's."""
         part = Column(self[start:stop])
-        vocabulary, indices = self.codes
-        part.__dict__["codes"] = (vocabulary, indices[start:stop])
+        part.__dict__["_indices"] = {
+            key: (index, positions[start:stop])
+            for key, (index, positions) in self.__dict__.get("_indices", {}).items()
+        }
         return part
 
 
-def encode(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Codes of a sequence of identifiers; a Column computes them once."""
-    column = values if isinstance(values, Column) else Column(values)
-    return column.codes
+def _column(points: Sequence[str], index: Mapping[str, int], positions) -> Column:
+    """The column of points[p] for p in positions, with those positions
+    kept as its indices under index."""
+    column = Column(map(points.__getitem__, positions.tolist()))
+    column.__dict__["_indices"] = {id(index): (index, positions)}
+    return column
+
+
+def feature_indices(xs: Sequence[str], scenario: Scenario) -> np.ndarray:
+    """Per entry of a feature column, its scenario index."""
+    column = xs if isinstance(xs, Column) else Column(xs)
+    return column.indices(scenario.arrays.x_index, "feature")
 
 
 @dataclass(frozen=True)
@@ -78,7 +115,10 @@ class RctMeta:
 
 @dataclass(frozen=True)
 class RctDataset:
-    """Column-oriented randomized-trial dataset with provenance metadata."""
+    """Column-oriented randomized-trial dataset with provenance metadata.
+
+    Every outcome is the integer 0 or 1.
+    """
 
     xs: tuple[str, ...]
     yhats: tuple[str, ...]
@@ -88,6 +128,10 @@ class RctDataset:
     def __post_init__(self):
         if not (len(self.xs) == len(self.yhats) == len(self.ys) == self.meta.n):
             raise ArgumentError("dataset columns and meta.n disagree on length")
+        # bool is an int subclass and 1.0 == 1, so test the exact type
+        if not set(map(type, self.ys)) <= {int} or not set(self.ys) <= {0, 1}:
+            bad = next(y for y in self.ys if type(y) is not int or y not in (0, 1))
+            raise ArgumentError(f"outcome must be the integer 0 or 1, got {bad!r}")
         for name in ("xs", "yhats"):
             if not isinstance(getattr(self, name), Column):
                 object.__setattr__(self, name, Column(getattr(self, name)))
@@ -101,10 +145,34 @@ class RctDataset:
         """The outcome column as a 0/1 int8 array."""
         return np.array(self.ys, dtype=np.int8)
 
+    @cached_property
+    def cells(self) -> Counter:
+        """The number of samples at each (feature, decision, outcome)
+        triple of identifiers."""
+        return Counter(zip(self.xs, self.yhats, self.ys))
+
+    def decision_indices(self, scenario: Scenario) -> np.ndarray:
+        """Per sample, the scenario index of its logged decision."""
+        return self.yhats.indices(scenario.arrays.y_index, "decision")
+
+    def counts(self, scenario: Scenario) -> np.ndarray:
+        """(|X|, k, 2) int64 tensor: the number of samples at each
+        (feature, decision, outcome) cell; computed once per scenario."""
+        arrays, k = scenario.arrays, scenario.k
+        key = (id(arrays.x_index), id(arrays.y_index))
+        kept = self.__dict__.setdefault("_counts", {})
+        if key not in kept:
+            xi = feature_indices(self.xs, scenario)
+            cells = (xi * k + self.decision_indices(scenario)) * 2 + self.outcomes
+            tensor = np.bincount(cells, minlength=len(arrays.x_index) * k * 2)
+            # the entry holds both mappings, so their ids stay theirs
+            kept[key] = (arrays.x_index, arrays.y_index, tensor.reshape(-1, k, 2))
+        return kept[key][2]
+
     def slice(self, start: int, stop: int) -> "RctDataset":
         """Contiguous sub-dataset; provenance is kept, n is adjusted.
 
-        The slice's codes and outcomes are views of this dataset's.
+        The slice's indices and outcomes are views of this dataset's.
         """
         xs = self.xs.slice(start, stop)
         meta = RctMeta(
@@ -142,48 +210,89 @@ def generate_rct(scenario: Scenario, n: int, seed: int) -> RctDataset:
     cum[-1] = 1.0  # guard the float tail so every draw lands in range
     x_idx = np.searchsorted(cum, rng.random(n), side="right")
     x_idx = np.minimum(x_idx, n_x - 1)
-    yhat_idx = np.minimum((rng.random(n) * k).astype(np.int64), k - 1)
-    y = (rng.random(n) < arrays.nature[x_idx, yhat_idx]).astype(np.int64)
-    features = scenario.features.points
-    labels = scenario.decisions.labels
-    return RctDataset(
-        xs=Column(features[i] for i in x_idx),
-        yhats=Column(labels[j] for j in yhat_idx),
-        ys=tuple(int(v) for v in y),
+    yhat_idx = np.minimum((rng.random(n) * k).astype(np.intp), k - 1)
+    y = (rng.random(n) < arrays.nature[x_idx, yhat_idx]).astype(np.int8)
+    data = RctDataset(
+        xs=_column(scenario.features.points, arrays.x_index, x_idx),
+        yhats=_column(scenario.decisions.labels, arrays.y_index, yhat_idx),
+        ys=tuple(y.tolist()),
         meta=RctMeta(scenario=scenario.name, seed=int(seed), n=n, gen=GENERATOR_TAG),
     )
+    data.__dict__["outcomes"] = y
+    return data
 
 
-def ips_risk_estimate(data: RctDataset, h: Hypothesis, loss: Loss, k: int) -> float:
+# Veltkamp's splitter: m * _SPLIT yields a high half of m with at most 26
+# significant bits, and the low half fits in 26 more. m is a mantissa in
+# [0.5, 1), so the product cannot overflow.
+_SPLIT = 2.0**27 + 1.0
+# A count digit of at most 27 bits times a half of at most 26 bits is
+# exact in a double's 53.
+_DIGIT_BITS = 27
+
+
+def _exact_sum(counts: np.ndarray, values: np.ndarray) -> float:
+    """fsum of counts[i] copies of values[i], for every i.
+
+    Each value is split into two halves of at most 26 significant bits
+    and each count into base-2^27 digits, so every term below is an
+    exact product. fsum of exact terms is the correctly rounded total:
+    the same float as fsum over the copies one by one, in any order.
+    """
+    counts, values = counts.ravel(), values.ravel()
+    used = counts > 0
+    counts, values = counts[used], values[used]
+    mantissas, exponents = np.frexp(values)
+    scaled = mantissas * _SPLIT
+    hi = np.ldexp(scaled - (scaled - mantissas), exponents)
+    lo = values - hi
+    terms = []
+    scale = 1.0
+    while len(counts):
+        digit = (counts & ((1 << _DIGIT_BITS) - 1)).astype(np.float64) * scale
+        terms += [digit * hi, digit * lo]
+        counts = counts >> _DIGIT_BITS
+        more = counts > 0
+        counts, hi, lo = counts[more], hi[more], lo[more]
+        scale *= float(1 << _DIGIT_BITS)
+    return math.fsum(np.concatenate(terms).tolist()) if terms else 0.0
+
+
+def ips_risk_estimate(
+    data: RctDataset,
+    h: Hypothesis,
+    loss: Loss,
+    k: int,
+    scenario: Optional[Scenario] = None,
+) -> float:
     """Inverse-propensity-scored risk of rule h from randomized-trial data.
 
     Returns (k/n) * sum of loss(x_i, yhat_i, y_i) over samples whose
     logged decision equals h(x_i). Unbiased for the rule's true risk
     because the uniform assignment gives every decision propensity 1/k.
+
+    With the scenario that owns h and loss, the sum reads the dataset's
+    count tensor at the cells h selects. Without one, each distinct
+    (feature, decision, outcome) sample is looked up in the loss's and
+    the rule's own tables. Either way the sum is exact before its one
+    rounding, so both give the per-sample sum's float.
     """
     if data.n == 0:
         raise ArgumentError("cannot estimate risk from an empty dataset")
-    x_vocab, x_codes = data.xs.codes
-    yhat_vocab, yhat_codes = data.yhats.codes
-    logged = {yh: j for j, yh in enumerate(yhat_vocab)}
-    chosen = [h.decide(x) for x in x_vocab]
-    # per feature: the logged-decision code of h(x), or -1 if never logged
-    chosen_code = np.array([logged.get(yh, -1) for yh in chosen], dtype=np.intp)
-    # realized loss at (x, h(x)) for outcome 0 and 1; a row whose h(x) no
-    # sample logged is never read, so its loss entry is not looked up
-    realized = np.array(
-        [
-            (loss.values(x, yh, 0), loss.values(x, yh, 1))
-            if yh in logged
-            else (0.0, 0.0)
-            for x, yh in zip(x_vocab, chosen)
-        ],
-        dtype=np.float64,
-    )
-    match = chosen_code[x_codes] == yhat_codes
-    total = realized[x_codes[match], data.outcomes[match]]
-    # fsum is correctly rounded, so the order of the terms does not matter
-    return (k / data.n) * math.fsum(total.tolist())
+    if scenario is None:
+        looked_up = [
+            (count, loss.values(x, yh, y), h.decide(x) == yh)
+            for (x, yh, y), count in data.cells.items()
+        ]
+        counts, values, selected = (np.array(c) for c in zip(*looked_up))
+        return (k / data.n) * _exact_sum(counts * selected, values)
+    arrays = scenario.arrays
+    arrays.loss_arrays(loss)  # rejects a loss from outside the scenario
+    counts = data.counts(scenario)
+    rows = np.arange(len(counts))
+    chosen = arrays.rule_indices(h)
+    values = arrays.loss_values[loss.name][rows, chosen]
+    return (k / data.n) * _exact_sum(counts[rows, chosen], values)
 
 
 def model_risk_estimate(
@@ -199,13 +308,10 @@ def model_risk_estimate(
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays(loss)
-    vocab, codes = encode(xs)
-    x_idx = np.fromiter(
-        (arrays.x_index[x] for x in vocab), dtype=np.intp, count=len(vocab)
-    )
-    chosen = arrays.rule_indices(rule)[x_idx]
-    per_x = base[x_idx, chosen] + delta[x_idx, chosen] * matrix[x_idx, chosen]
-    return float(np.add.reduce(per_x[codes]) / len(xs))
+    rows = np.arange(len(matrix))
+    chosen = arrays.rule_indices(rule)
+    per_x = base[rows, chosen] + delta[rows, chosen] * matrix[rows, chosen]
+    return float(np.add.reduce(per_x[feature_indices(xs, scenario)]) / len(xs))
 
 
 def required_sample_size(
@@ -226,7 +332,11 @@ def required_sample_size(
 
 
 def write_jsonl(data: RctDataset, path) -> None:
-    """Write the dataset: one metadata line, then one object per sample."""
+    """Write the dataset: one metadata line, then one object per sample.
+
+    A sample line is {"x":X,"yhat":Y,"y":0 or 1}, with X and Y quoted by
+    json.dumps; each block of lines is written as one join.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         meta = {
             "meta": {
@@ -237,10 +347,118 @@ def write_jsonl(data: RctDataset, path) -> None:
             }
         }
         fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
-        for x, yh, y in zip(data.xs, data.yhats, data.ys):
-            fh.write(
-                json.dumps({"x": x, "yhat": yh, "y": y}, separators=(",", ":")) + "\n"
+        head = {x: '{"x":' + json.dumps(x) + ',"yhat":' for x in set(data.xs)}
+        middle = {yh: json.dumps(yh) + ',"y":' for yh in set(data.yhats)}
+        tail = {0: "0}\n", 1: "1}\n"}
+        pieces = chain.from_iterable(
+            zip(
+                map(head.__getitem__, data.xs),
+                map(middle.__getitem__, data.yhats),
+                map(tail.__getitem__, data.ys),
             )
+        )
+        for block in iter(lambda: "".join(islice(pieces, 3 * _BLOCK_LINES)), ""):
+            fh.write(block)
+
+
+def _read_meta(path, line: str, scenario: Scenario) -> Optional[RctMeta]:
+    """The metadata of a file's first line, or None if it is no header."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}:1: invalid JSON: {exc}")
+    if not (isinstance(obj, dict) and "meta" in obj):
+        return None
+    m = obj["meta"]
+    try:
+        meta = RctMeta(
+            scenario=str(m["scenario"]),
+            seed=None if m.get("seed") is None else int(m["seed"]),
+            n=int(m["n"]),
+            gen=str(m["gen"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}:1: bad metadata: {exc}")
+    if meta.scenario != scenario.name:
+        raise DataFormatError(
+            f"{path}:1: dataset was drawn for scenario "
+            f"{meta.scenario!r}, not {scenario.name!r}"
+        )
+    return meta
+
+
+_X, _YHAT, _Y = itemgetter("x"), itemgetter("yhat"), itemgetter("y")
+
+
+def _parse_block(lines: list, x_index: Mapping, y_index: Mapping):
+    """(feature indices, decision indices, outcomes) of a block whose every
+    line is one object {"x":..., "yhat":..., "y":...} with known
+    identifiers and a 0/1 integer outcome, or None for any other block.
+
+    The lines are parsed as one JSON array. Every line but the last must
+    end with "}" and every line but the first start with "{", and every
+    element must have exactly those three keys, with string, string and
+    integer values. Such an element holds no braces outside its strings,
+    and no string runs past a line end, so each line then holds whole
+    elements; with as many elements as lines, each line holds one.
+    """
+    body = ",".join(lines)
+    if body.count("}\n,{") != len(lines) - 1:
+        return None
+    try:
+        samples = json.loads("[" + body + "]")
+    except (ValueError, RecursionError):
+        return None
+    n = len(samples)
+    try:
+        if n != len(lines) or set(map(len, samples)) != {3}:
+            return None
+        xi = np.fromiter(map(x_index.__getitem__, map(_X, samples)), np.intp, n)
+        ji = np.fromiter(map(y_index.__getitem__, map(_YHAT, samples)), np.intp, n)
+        ys = list(map(_Y, samples))
+    except (KeyError, TypeError):
+        return None
+    if set(map(type, ys)) != {int} or not set(ys) <= {0, 1}:
+        return None
+    return xi, ji, ys
+
+
+def _scan_lines(path, start: int, lines: list, x_index: Mapping, y_index: Mapping):
+    """_parse_block's result read one line at a time, lines numbered from
+    start; the first bad line raises DataFormatError naming it."""
+    xi: list[int] = []
+    ji: list[int] = []
+    ys: list[int] = []
+    for lineno, raw in enumerate(lines, start=start):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise DataFormatError(f"{path}:{lineno}: sample must be an object")
+        try:
+            x, yh, y = str(obj["x"]), str(obj["yhat"]), obj["y"]
+        except KeyError as exc:
+            raise DataFormatError(f"{path}:{lineno}: missing key {exc}")
+        if x not in x_index:
+            raise DataFormatError(f"{path}:{lineno}: unknown feature {x!r}")
+        if yh not in y_index:
+            raise DataFormatError(f"{path}:{lineno}: unknown decision {yh!r}")
+        # bool is an int subclass and 1.0 == 1, so test the exact type
+        if type(y) is not int or y not in (0, 1):
+            raise DataFormatError(
+                f"{path}:{lineno}: outcome must be the integer 0 or 1, got {y!r}"
+            )
+        xi.append(x_index[x])
+        ji.append(y_index[yh])
+        ys.append(y)
+    return np.array(xi, dtype=np.intp), np.array(ji, dtype=np.intp), ys
 
 
 def read_jsonl(path, scenario: Scenario) -> RctDataset:
@@ -253,66 +471,44 @@ def read_jsonl(path, scenario: Scenario) -> RctDataset:
     a truncated file is rejected. An empty file yields an empty dataset,
     which the estimators reject.
     """
-    xs: list[str] = []
-    yhats: list[str] = []
-    ys: list[int] = []
-    meta = None
-    features = set(scenario.features.points)
-    labels = set(scenario.decisions.labels)
+    x_index, y_index = scenario.arrays.x_index, scenario.arrays.y_index
+    xi, ji, ys = [], [], []
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read dataset file {path}: {exc}")
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}")
-            if lineno == 1 and isinstance(obj, dict) and "meta" in obj:
-                m = obj["meta"]
-                try:
-                    meta = RctMeta(
-                        scenario=str(m["scenario"]),
-                        seed=None if m.get("seed") is None else int(m["seed"]),
-                        n=int(m["n"]),
-                        gen=str(m["gen"]),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DataFormatError(f"{path}:1: bad metadata: {exc}")
-                if meta.scenario != scenario.name:
-                    raise DataFormatError(
-                        f"{path}:1: dataset was drawn for scenario "
-                        f"{meta.scenario!r}, not {scenario.name!r}"
-                    )
-                continue
-            if not isinstance(obj, dict):
-                raise DataFormatError(f"{path}:{lineno}: sample must be an object")
-            try:
-                x, yh, y = str(obj["x"]), str(obj["yhat"]), obj["y"]
-            except KeyError as exc:
-                raise DataFormatError(f"{path}:{lineno}: missing key {exc}")
-            if x not in features:
-                raise DataFormatError(f"{path}:{lineno}: unknown feature {x!r}")
-            if yh not in labels:
-                raise DataFormatError(f"{path}:{lineno}: unknown decision {yh!r}")
-            # bool is an int subclass and 1.0 == 1, so test the exact type
-            if type(y) is not int or y not in (0, 1):
-                raise DataFormatError(
-                    f"{path}:{lineno}: outcome must be the integer 0 or 1, "
-                    f"got {y!r}"
-                )
-            xs.append(x)
-            yhats.append(yh)
-            ys.append(y)
+    try:
+        with fh:
+            first = fh.readline()
+            meta = _read_meta(path, first, scenario)
+            start = 1 if meta is None else 2
+            lines = [first] if first and meta is None else []
+            lines += islice(fh, _BLOCK_LINES - len(lines))
+            while lines:
+                block = _parse_block(lines, x_index, y_index)
+                if block is None:
+                    block = _scan_lines(path, start, lines, x_index, y_index)
+                for column, part in zip((xi, ji, ys), block):
+                    column.append(part)
+                start += len(lines)
+                lines = list(islice(fh, _BLOCK_LINES))
+    except UnicodeDecodeError as exc:
+        # a block is read before its lines are checked, so a bad byte can
+        # surface before an earlier bad line; the file is refused either way
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    ys = list(chain.from_iterable(ys))
     if meta is None:
-        meta = RctMeta(scenario=scenario.name, seed=None, n=len(xs), gen="")
-    elif meta.n != len(xs):
+        meta = RctMeta(scenario=scenario.name, seed=None, n=len(ys), gen="")
+    elif meta.n != len(ys):
         raise DataFormatError(
             f"{path}: metadata declares n={meta.n} but the file holds "
-            f"{len(xs)} samples"
+            f"{len(ys)} samples"
         )
-    return RctDataset(xs=Column(xs), yhats=Column(yhats), ys=tuple(ys), meta=meta)
+    xi = np.concatenate(xi) if xi else np.zeros(0, dtype=np.intp)
+    ji = np.concatenate(ji) if ji else np.zeros(0, dtype=np.intp)
+    return RctDataset(
+        xs=_column(scenario.features.points, x_index, xi),
+        yhats=_column(scenario.decisions.labels, y_index, ji),
+        ys=tuple(ys),
+        meta=meta,
+    )

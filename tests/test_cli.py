@@ -113,6 +113,26 @@ class TestScenarioShow:
         assert code == 2
         assert "'+1'" in err and "'-1'" in err
 
+    def test_construction_error_names_the_file(self, workdir):
+        doc = json.loads(Path(BETA).read_text())
+        doc["nature"]["-1"]["-1"] = 1.5
+        path = workdir / "beta_bad_prob.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run("scenario-show", "--config", str(path))
+        assert code == 2
+        assert err == (f"error: scenario file {path}: outcome probability 1.5 "
+                       "at ('-1', '-1') is outside [0, 1]\n")
+
+    def test_weight_error_keeps_its_type_and_names_the_file(self, workdir):
+        doc = json.loads(Path(BETA_W).read_text())
+        doc["weights"][0]["wmax"] = -1.0
+        path = workdir / "beta_bad_wmax.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(om.WeightInvariantError, match="wmax") as exc:
+            om.load_scenario(path)
+        assert str(exc.value).startswith(f"scenario file {path}: ")
+        assert run("scenario-show", "--config", str(path))[0] == 2
+
 
 class TestRctGen:
     def test_generates_file(self, workdir):

@@ -1044,8 +1044,8 @@ def mutated_documents(draw):
         value = draw(st.one_of(SCALARS, SCALARS, JSON_VALUES, st.just(DELETE)))
         if value is DELETE:
             del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
+        else:  # a copy, so no example mutates SCALARS' shared lists
+            parent[path[-1]] = copy.deepcopy(value)
         if not isinstance(doc, dict) or not doc:
             break
     return doc

@@ -1,12 +1,20 @@
 """Trial-data generation, inverse-propensity estimates, file round trips."""
 
+import json
 import math
+import tempfile
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omnipredict as om
+from omnipredict import rct
+from omnipredict.rct import feature_indices
 
 from conftest import (
     dyadic_scenario_and_data,
@@ -243,10 +251,12 @@ class TestKernelsMatchPerSampleLoops:
                             tuple(xs), q, h, loss, sc) == want
 
     def test_slices_share_the_parent_codes(self, beta_scenario):
-        d = om.generate_rct(beta_scenario, 100, 4)
+        # the scenario indices generate_rct supplies are sliced as views
+        sc = beta_scenario
+        d = om.generate_rct(sc, 100, 4)
         s = d.slice(10, 30)
-        assert np.shares_memory(s.xs.codes[1], d.xs.codes[1])
-        assert np.shares_memory(s.yhats.codes[1], d.yhats.codes[1])
+        assert np.shares_memory(feature_indices(s.xs, sc), feature_indices(d.xs, sc))
+        assert np.shares_memory(s.decision_indices(sc), d.decision_indices(sc))
         assert np.shares_memory(s.outcomes, d.outcomes)
         assert s.outcomes.tolist() == list(d.ys[10:30])
 
@@ -388,6 +398,14 @@ class TestJsonlFiles:
         om.write_jsonl(d, path)
         assert om.read_jsonl(path, om.augment_scenario(base)) == d
 
+    def test_bytes_that_are_not_utf8_are_refused(self, beta_scenario, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"x":"+1","yhat":"+1","y":1}\n'
+                         b'{"x":"\xe9","yhat":"+1","y":1}\n')
+        with pytest.raises(om.DataFormatError, match="not UTF-8 text") as exc:
+            om.read_jsonl(path, beta_scenario)
+        assert str(path) in str(exc.value)
+
     def test_empty_file_gives_empty_dataset(self, beta_scenario, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -396,3 +414,374 @@ class TestJsonlFiles:
         with pytest.raises(om.ArgumentError):
             om.ips_risk_estimate(d, beta_scenario.hypotheses[0],
                                  beta_scenario.losses[0], 2)
+
+
+def line_reader_reference(path, scenario):
+    """The line-at-a-time reader the block reader replaced, kept as the
+    reference its results and errors must match."""
+    xs, yhats, ys = [], [], []
+    meta = None
+    features = set(scenario.features.points)
+    labels = set(scenario.decisions.labels)
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise om.DataFormatError(f"cannot read dataset file {path}: {exc}")
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise om.DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}")
+            if lineno == 1 and isinstance(obj, dict) and "meta" in obj:
+                m = obj["meta"]
+                try:
+                    meta = om.RctMeta(
+                        scenario=str(m["scenario"]),
+                        seed=None if m.get("seed") is None else int(m["seed"]),
+                        n=int(m["n"]),
+                        gen=str(m["gen"]),
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise om.DataFormatError(f"{path}:1: bad metadata: {exc}")
+                if meta.scenario != scenario.name:
+                    raise om.DataFormatError(
+                        f"{path}:1: dataset was drawn for scenario "
+                        f"{meta.scenario!r}, not {scenario.name!r}"
+                    )
+                continue
+            if not isinstance(obj, dict):
+                raise om.DataFormatError(f"{path}:{lineno}: sample must be an object")
+            try:
+                x, yh, y = str(obj["x"]), str(obj["yhat"]), obj["y"]
+            except KeyError as exc:
+                raise om.DataFormatError(f"{path}:{lineno}: missing key {exc}")
+            if x not in features:
+                raise om.DataFormatError(f"{path}:{lineno}: unknown feature {x!r}")
+            if yh not in labels:
+                raise om.DataFormatError(f"{path}:{lineno}: unknown decision {yh!r}")
+            if type(y) is not int or y not in (0, 1):
+                raise om.DataFormatError(
+                    f"{path}:{lineno}: outcome must be the integer 0 or 1, "
+                    f"got {y!r}"
+                )
+            xs.append(x)
+            yhats.append(yh)
+            ys.append(y)
+    if meta is None:
+        meta = om.RctMeta(scenario=scenario.name, seed=None, n=len(xs), gen="")
+    elif meta.n != len(xs):
+        raise om.DataFormatError(
+            f"{path}: metadata declares n={meta.n} but the file holds "
+            f"{len(xs)} samples"
+        )
+    return om.RctDataset(xs=tuple(xs), yhats=tuple(yhats), ys=tuple(ys), meta=meta)
+
+
+def small_scenario(name, points, labels, values):
+    """Scenario with uniform masses, one loss whose table is values
+    (feature -> decision -> (value at y=0, value at y=1)) and one rule
+    choosing labels[0] everywhere."""
+    dist = {x: 1.0 / len(points) for x in points}
+    return om.Scenario(
+        name=name,
+        features=om.FeatureSpace(points=tuple(points)),
+        decisions=om.DecisionSpace(labels=tuple(labels)),
+        input_distribution=om.InputDistribution(probabilities=dist),
+        nature=om.NatureModel(table={x: {y: 0.5 for y in labels} for x in points}),
+        losses=(om.Loss(name="l", lmax=1.0, table=values),),
+        hypotheses=(om.Hypothesis(name="h", mapping={x: labels[0] for x in points}),),
+        epsilon=0.1,
+    )
+
+
+# Identifiers that need escapes, braces inside strings, and non-ASCII.
+ODD_FEATURES = ("x0", "é", 'q"t', "{")
+ODD_LABELS = ("d0", "}", "a\\b", " ")
+ODD = small_scenario(
+    "odd", ODD_FEATURES, ODD_LABELS,
+    {x: {y: (0.25, 0.5) for y in ODD_LABELS} for x in ODD_FEATURES},
+)
+BETA = om.make_beta_scenario(0.25)
+GARBAGE = ["{oops", "[]", "1", '"x"', "null", '{"x":"x0"}', '{"yhat":"d0","y":1}',
+           '{"x":"zz","yhat":"d0","y":1}', '{"x":"-1","yhat":"q","y":0}',
+           '{"x":1,"yhat":"+1","y":1}', '{"x":"+1","yhat":"+1","y":1,"w":[{}]}',
+           '{"x":"+1","yhat":"+1","y":1', '"yhat":"+1","y":1}', "{}",
+           '{"meta":{"scenario":"beta-0.25","seed":0,"n":1,"gen":""}}']
+
+
+def escaped(s):
+    return '"' + "".join(f"\\u{ord(c):04x}" for c in s) + '"'
+
+
+@st.composite
+def sample_lines(draw, x, yh, y):
+    # mostly lines the block parse accepts, so damage elsewhere decides
+    style = draw(st.sampled_from(["plain"] * 6 + ["reordered", "escaped", "spaced",
+                                                  "extra", "padded", "outcome"]))
+    if style == "outcome":
+        y = draw(st.sampled_from(["true", "false", "1.0", '"1"', "2", "-0", "null"]))
+    fields = {"x": json.dumps(x), "yhat": json.dumps(yh), "y": str(y)}
+    if style == "escaped":
+        fields["x"], fields["yhat"] = escaped(x), escaped(yh)
+    keys = ["x", "yhat", "y"]
+    if style == "reordered":
+        keys = draw(st.permutations(keys))
+    sep = ", " if style == "spaced" else ","
+    body = sep.join(f'"{k}":{fields[k]}' for k in keys)
+    if style == "extra":
+        body += ',"note":[{},{"a":"}"}]'
+    line = "{" + body + "}"
+    return f"  {line}\t" if style == "padded" else line
+
+
+@st.composite
+def trial_files(draw):
+    """A scenario and the text of a JSONL file for it, often damaged."""
+    sc = draw(st.sampled_from([BETA, ODD]))
+    rows = draw(st.lists(st.tuples(st.sampled_from(sc.features.points),
+                                   st.sampled_from(sc.decisions.labels),
+                                   st.sampled_from([0, 1])), max_size=12))
+    lines = [draw(sample_lines(*row)) for row in rows]
+    header = draw(st.sampled_from(["none", "good", "wrong-n", "foreign", "bad"]))
+    meta = {"scenario": sc.name, "seed": 3, "n": len(rows), "gen": "g"}
+    if header == "wrong-n":
+        meta["n"] = len(rows) + draw(st.sampled_from([-1, 1]))
+    elif header == "foreign":
+        meta["scenario"] = "elsewhere"
+    elif header == "bad":
+        del meta["gen"]
+    if header != "none":
+        lines.insert(0, json.dumps({"meta": meta}, separators=(",", ":")))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["blank", "garbage", "merge", "split",
+                                     "regroup", "duplicate", "drop",
+                                     "move-header"]))
+        if kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "   ", "\t", " "])))
+        elif kind == "garbage":
+            lines.insert(at, draw(st.sampled_from(GARBAGE)))
+        elif lines and at < len(lines):
+            if kind == "merge" and at + 1 < len(lines):
+                glue = draw(st.sampled_from(["", ",", " "]))
+                lines[at:at + 2] = [lines[at] + glue + lines[at + 1]]
+            elif kind in ("split", "regroup") and "," in lines[at]:
+                # the join puts a comma back, so drop the one cut at
+                line = lines[at]
+                cut = draw(st.sampled_from([i for i, c in enumerate(line) if c == ","]))
+                lines[at:at + 1] = [line[:cut], line[cut + 1:]]
+                if kind == "regroup":  # and two objects on one line elsewhere
+                    other = draw(st.integers(0, len(lines) - 2))
+                    lines[other:other + 2] = [lines[other] + "," + lines[other + 1]]
+            elif kind == "duplicate":
+                lines.insert(at, lines[at])
+            elif kind == "drop":
+                del lines[at]
+            elif kind == "move-header":
+                lines.insert(at, lines.pop(0))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    return sc, text
+
+
+def read_result(reader, path, scenario):
+    try:
+        return ("data", reader(path, scenario))
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+class TestBlockReaderMatchesLineReader:
+    @settings(max_examples=400, deadline=None)
+    @given(trial_files(), st.sampled_from([1, 2, 3, 5, 4096]))
+    def test_same_dataset_or_same_error(self, case, block):
+        sc, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trial.jsonl"
+            path.write_text(text, encoding="utf-8", newline="")
+            want = read_result(line_reader_reference, path, sc)
+            with mock.patch.object(rct, "_BLOCK_LINES", block):
+                got = read_result(om.read_jsonl, path, sc)
+        assert got == want
+        if got[0] == "data":
+            data, arrays = got[1], sc.arrays
+            assert feature_indices(data.xs, sc).tolist() == [
+                arrays.x_index[x] for x in data.xs]
+            assert data.decision_indices(sc).tolist() == [
+                arrays.y_index[yh] for yh in data.yhats]
+
+    @pytest.mark.parametrize("bad_line", [4095, 4096, 4097, 4098, 8193])
+    def test_bad_line_on_either_side_of_a_block_boundary(self, tmp_path, bad_line):
+        path = tmp_path / "trial.jsonl"
+        om.write_jsonl(om.generate_rct(BETA, 9000, 1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[bad_line - 1] = '{"x":"+1","yhat":"+1","y":1.0}\n'
+        path.write_text("".join(lines))
+        with pytest.raises(om.DataFormatError) as exc:
+            om.read_jsonl(path, BETA)
+        assert str(exc.value) == (f"{path}:{bad_line}: outcome must be the "
+                                  "integer 0 or 1, got 1.0")
+
+    def test_one_object_over_two_lines_is_rejected(self, tmp_path):
+        # each joined block parses, with as many elements as lines, but
+        # line 2 alone is not JSON (line 1 is read alone, for a header)
+        path = tmp_path / "split.jsonl"
+        first = '{"x":"-1","yhat":"-1","y":0}\n'
+        path.write_text(first + '{"x":"+1","yhat":"+1","y":1},{"x":"-1","yhat":"+1"\n'
+                        '"y":0}\n')
+        with pytest.raises(om.DataFormatError, match=":2: invalid JSON"):
+            om.read_jsonl(path, BETA)
+        path.write_text(first + '{"x":"+1","yhat":"+1","y":1},'
+                        '{"x":"-1","yhat":"+1","y":0,"w":[{}\n{}]}\n')
+        with pytest.raises(om.DataFormatError, match=":2: invalid JSON"):
+            om.read_jsonl(path, BETA)
+
+    def test_writer_bytes_match_one_dumps_per_sample(self, tmp_path):
+        data = om.generate_rct(ODD, 300, 5)
+        path = tmp_path / "odd.jsonl"
+        om.write_jsonl(data, path)
+        head = json.dumps({"meta": {"scenario": "odd", "seed": 5, "n": 300,
+                                    "gen": om.GENERATOR_TAG}}, separators=(",", ":"))
+        want = "".join(
+            json.dumps({"x": x, "yhat": yh, "y": y}, separators=(",", ":")) + "\n"
+            for x, yh, y in zip(data.xs, data.yhats, data.ys))
+        assert path.read_text(encoding="utf-8") == head + "\n" + want
+        assert om.read_jsonl(path, ODD) == data
+
+
+# Two 53-bit loss values and counts at which the two products
+# count * value round, and their rounded sum misses the correctly
+# rounded total by one ulp.
+FULL_MANTISSA = (float.fromhex("0x1.e3fa85468ae3cp-1"), 127,
+                 float.fromhex("0x1.cd87e65450c46p-1"), 93)
+
+
+class TestCountKernel:
+    """The count-tensor estimate equals the per-sample fsum bit for bit."""
+
+    def test_one_feature_one_decision_one_sample(self):
+        sc = small_scenario("one", ["only"], ["d"], {"only": {"d": (0.1, 0.7)}})
+        h, loss = sc.hypotheses[0], sc.losses[0]
+        for y in (0, 1):
+            data = manual_dataset(sc, [("only", "d", y)])
+            assert data.counts(sc).tolist() == [[[1 - y, y]]]
+            got = om.ips_risk_estimate(data, h, loss, 1, sc)
+            assert got == ips_reference(data, h, loss, 1) == (0.1, 0.7)[y]
+
+    def test_unsampled_features_and_unlogged_decisions(self):
+        rng = np.random.default_rng(307)
+        for _ in range(15):
+            sc = random_scenario(rng)
+            data, unlogged = partial_trial_data(rng, sc, int(rng.integers(1, 300)))
+            counts = data.counts(sc)
+            want = np.zeros_like(counts)
+            np.add.at(want, (feature_indices(data.xs, sc),
+                             data.decision_indices(sc), data.outcomes), 1)
+            assert np.array_equal(counts, want)
+            assert counts[:, sc.arrays.y_index[unlogged]].sum() == 0
+            for h in rules_to_check(sc, unlogged):
+                for loss in sc.losses:
+                    assert (om.ips_risk_estimate(data, h, loss, sc.k, sc)
+                            == ips_reference(data, h, loss, sc.k))
+
+    def test_slices_of_slices_and_hand_built_copies(self):
+        rng = np.random.default_rng(311)
+        for _ in range(10):
+            sc = random_scenario(rng)
+            data = om.generate_rct(sc, 500, int(rng.integers(0, 1000)))
+            a, b = sorted(rng.integers(0, 501, size=2))
+            part = data.slice(a, b)
+            c, e = sorted(rng.integers(0, len(part.xs) + 1, size=2))
+            inner = part.slice(c, e)
+            if inner.n == 0:
+                continue
+            by_hand = manual_dataset(sc, list(zip(inner.xs, inner.yhats, inner.ys)))
+            assert np.array_equal(inner.counts(sc), by_hand.counts(sc))
+            for h in sc.hypotheses:
+                for loss in sc.losses:
+                    want = ips_reference(inner, h, loss, sc.k)
+                    assert om.ips_risk_estimate(inner, h, loss, sc.k, sc) == want
+                    assert om.ips_risk_estimate(by_hand, h, loss, sc.k, sc) == want
+                    assert om.ips_risk_estimate(by_hand, h, loss, sc.k) == want
+
+    def test_full_mantissa_values_at_large_counts(self):
+        v0, c0, v1, c1 = FULL_MANTISSA
+        sc = small_scenario("wide", ["a", "b"], ["d"],
+                            {"a": {"d": (v0, v0)}, "b": {"d": (v1, v1)}})
+        rows = [("a", "d", i % 2) for i in range(c0)]
+        rows += [("b", "d", i % 2) for i in range(c1)]
+        data = manual_dataset(sc, rows)
+        h, loss = sc.hypotheses[0], sc.losses[0]
+        want = ips_reference(data, h, loss, 1)
+        assert om.ips_risk_estimate(data, h, loss, 1, sc) == want
+        assert om.ips_risk_estimate(data, h, loss, 1) == want
+        # without the split, each product count * value rounds once
+        counts = data.counts(sc)[:, 0].sum(axis=1)
+        unsplit = (1 / data.n) * math.fsum((counts * np.array([v0, v1])).tolist())
+        assert unsplit != want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**62),
+                              st.floats(0.0, 1e6, allow_subnormal=False)),
+                    min_size=1, max_size=6))
+    def test_exact_sum_at_counts_beyond_27_bits(self, cells):
+        counts = np.array([c for c, _ in cells], dtype=np.int64)
+        values = np.array([v for _, v in cells])
+        exact = sum(Fraction(int(c)) * Fraction(float(v)) for c, v in cells)
+        assert rct._exact_sum(counts, values) == float(exact)
+
+    def test_exact_sum_splits_the_largest_values(self):
+        # value * (2^27 + 1) would overflow here; the split must not
+        top = np.array([1.7e308, np.nextafter(1.7e308, 0.0) / 3])
+        assert rct._exact_sum(np.array([1, 0]), top) == 1.7e308
+        assert rct._exact_sum(np.array([0, 2]), top) == float(2 * Fraction(top[1]))
+
+
+class TestDataOutsideScenario:
+    """Identifiers and outcomes outside the scenario are refused, by name."""
+
+    SCENARIO = om.load_scenario(
+        Path(__file__).resolve().parent.parent / "scenarios" / "beta025.json")
+
+    @pytest.mark.parametrize("bad", [2, -1, True, 1.0, "1", None])
+    def test_outcome_must_be_integer_zero_or_one(self, bad):
+        with pytest.raises(om.ArgumentError, match="outcome must be the integer"):
+            manual_dataset(self.SCENARIO, [("+1", "+1", 1), ("-1", "+1", bad)])
+
+    def test_unknown_feature_is_named(self):
+        sc = self.SCENARIO
+        data = manual_dataset(sc, [("+1", "+1", 1), ("zz", "-1", 0), ("yy", "-1", 0)])
+        pred, h, loss = om.base_predictor(sc, 0.05), sc.hypotheses[0], sc.losses[0]
+        with pytest.raises(om.ArgumentError, match="unknown feature 'zz'"):
+            om.build_csc_instance(data, pred, loss, 1, sc)
+        with pytest.raises(om.ArgumentError, match="unknown feature 'zz'"):
+            om.model_risk_estimate(data.xs, pred, h, loss, sc)
+        with pytest.raises(om.ArgumentError, match="unknown feature 'zz'"):
+            om.model_risk_estimate(list(data.xs), pred, h, loss, sc)
+        with pytest.raises(om.ArgumentError, match="unknown feature 'zz'"):
+            om.ips_risk_estimate(data, h, loss, sc.k, sc)
+
+    def test_unknown_decision_is_named(self):
+        sc = self.SCENARIO
+        data = manual_dataset(sc, [("+1", "+1", 0), ("+1", "q", 1)])
+        pred, h, loss = om.base_predictor(sc, 0.05), sc.hypotheses[0], sc.losses[0]
+        with pytest.raises(om.ArgumentError, match="unknown decision 'q'"):
+            om.ips_risk_estimate(data, h, loss, sc.k, sc)
+        with pytest.raises(om.ArgumentError, match="unknown decision 'q'"):
+            om.build_csc_instance(data, pred, loss, 1, sc)
+        # without the scenario, the sample's cell is looked up in the loss
+        with pytest.raises(om.ConfigurationError, match="decision 'q'"):
+            om.ips_risk_estimate(data, h, loss, sc.k)
+
+    def test_loss_from_outside_the_scenario(self):
+        sc = self.SCENARIO
+        data = om.generate_rct(sc, 50, 0)
+        foreign = om.make_beta_scenario(0.25).losses[0]
+        with pytest.raises(om.ArgumentError, match="not one of the scenario's"):
+            om.ips_risk_estimate(data, sc.hypotheses[0], foreign, sc.k, sc)
