@@ -55,21 +55,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .core import CSC, EMPIRICAL, EXACT, MODES  # noqa: F401  (re-exported)
 from .core import Hypothesis, Loss, Scenario
 from .errors import ArgumentError, LearnerContractError
 from .predictor import induced_rule, prediction_matrix
 from .rct import RctDataset, feature_indices, ips_risk_estimate, model_risk_estimate
-
-EXACT = "exact"
-EMPIRICAL = "empirical"
-CSC = "csc"
-MODES = (EXACT, EMPIRICAL, CSC)
 
 
 @dataclass(frozen=True)
@@ -147,6 +142,9 @@ def _run_row_chunks(fill: Callable[[slice], None], n_rows: int, threads: int) ->
     slices = [
         slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b
     ]
+    # imported only for a split: the import costs every command about 0.01 s
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=len(slices)) as pool:
         list(pool.map(fill, slices))
 
@@ -315,13 +313,20 @@ def doi_entries_empirical(
 
     The rules themselves are computed analytically from the predictor;
     only Nature's side of each risk is estimated from the trial data.
+    Each rule is validated once, and both estimators read its indices.
     """
     matrix = prediction_matrix(pred, scenario)
 
     def err(loss: Loss) -> float:
         rule = induced_rule(matrix, loss, scenario)
-        model = model_risk_estimate(unlabeled, matrix, rule, loss, scenario)
-        return model - ips_risk_estimate(labeled, rule, loss, scenario.k, scenario)
+        chosen = scenario.arrays.rule_indices(rule)
+        model = model_risk_estimate(
+            unlabeled, matrix, rule, loss, scenario, indices=chosen
+        )
+        nature = ips_risk_estimate(
+            labeled, rule, loss, scenario.k, scenario, indices=chosen
+        )
+        return model - nature
 
     return _decision_entries(scenario, map(err, scenario.losses))
 

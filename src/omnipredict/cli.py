@@ -3,6 +3,10 @@
 Exit codes are a contract: 0 success or pass, 1 flag misuse, 2 invalid
 scenario or model files, 3 an audit violation or a failed guarantee.
 All outputs are deterministic given flags and seeds.
+
+Each command imports the modules it runs inside its handler, so that a
+process pays only for its own command: scenario-show loads core alone,
+and only train loads boost.
 """
 
 from __future__ import annotations
@@ -14,30 +18,7 @@ import json
 import math
 import sys
 
-from .adapt import (
-    MixtureSpec,
-    induced_rule_shift_invariance_check,
-    load_model_with_scenario,
-    mixture_distribution,
-    model_scenario,
-    optimality,
-    rule_terms,
-    shift_distribution,
-    verify_universal_adaptability,
-)
-from .audit import (
-    CSC,
-    EMPIRICAL,
-    EXACT,
-    MODES,
-    audit_doi_empirical,
-    audit_doi_exact,
-    audit_poi_csc,
-    audit_poi_empirical,
-    audit_poi_exact,
-)
-from .boost import BoostConfig, poi_boost, write_trace
-from .core import load_scenario
+from .core import CSC, EMPIRICAL, EXACT, MODES, load_scenario
 from .errors import (
     ArgumentError,
     BoundExceededError,
@@ -46,8 +27,6 @@ from .errors import (
     LearnerContractError,
     ModelMismatchError,
 )
-from .predictor import prediction_matrix, save_model
-from .rct import generate_rct, read_jsonl, write_jsonl
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,6 +103,8 @@ def cmd_scenario_show(args) -> int:
 
 
 def cmd_rct_gen(args) -> int:
+    from .rct import generate_rct, write_jsonl
+
     scenario = load_scenario(args.config)
     data = generate_rct(scenario, args.n, args.seed)
     write_jsonl(data, args.out)
@@ -132,6 +113,11 @@ def cmd_rct_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .adapt import model_scenario
+    from .boost import BoostConfig, poi_boost, write_trace
+    from .predictor import save_model
+    from .rct import read_jsonl
+
     scenario = load_scenario(args.config)
     train_scenario = model_scenario(scenario, args.adapt)
     if args.mode in (EMPIRICAL, CSC) and args.data is None:
@@ -180,6 +166,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .adapt import load_model_with_scenario
+    from .audit import (
+        audit_doi_empirical,
+        audit_doi_exact,
+        audit_poi_csc,
+        audit_poi_empirical,
+        audit_poi_exact,
+    )
+    from .predictor import prediction_matrix
+    from .rct import read_jsonl
+
     scenario = load_scenario(args.config)
     pred, audit_scenario = load_model_with_scenario(args.model, scenario)
     eps = args.epsilon if args.epsilon is not None else scenario.epsilon
@@ -214,7 +211,9 @@ def cmd_audit(args) -> int:
     return EXIT_OK if passed else EXIT_FAIL
 
 
-def _parse_mixture_flag(text: str) -> MixtureSpec:
+def _parse_mixture_flag(text: str):
+    from .adapt import MixtureSpec
+
     components = []
     for part in text.split(","):
         if ":" not in part:
@@ -231,6 +230,15 @@ def _parse_mixture_flag(text: str) -> MixtureSpec:
 
 
 def cmd_eval(args) -> int:
+    from .adapt import (
+        load_model_with_scenario,
+        mixture_distribution,
+        optimality,
+        rule_terms,
+        shift_distribution,
+    )
+    from .predictor import prediction_matrix
+
     scenario = load_scenario(args.config)
     pred, eval_scenario = load_model_with_scenario(args.model, scenario)
     mass = scenario.arrays.dist
@@ -263,6 +271,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_adapt_verify(args) -> int:
+    from .adapt import (
+        induced_rule_shift_invariance_check,
+        load_model_with_scenario,
+        verify_universal_adaptability,
+    )
+    from .predictor import prediction_matrix
+
     scenario = load_scenario(args.config)
     if scenario.weights is None:
         raise ConfigurationError(

@@ -33,6 +33,14 @@ MASS_TOLERANCE = 1e-9
 
 BUILTIN_LOSSES = ("steer_to_one", "steer_to_zero", "squared_forecast")
 
+# How Nature's side of an audit is computed: by full enumeration, from
+# trial data, or through the cost-sensitive reduction. Defined here so
+# the command-line parser can offer them without loading the audits.
+EXACT = "exact"
+EMPIRICAL = "empirical"
+CSC = "csc"
+MODES = (EXACT, EMPIRICAL, CSC)
+
 
 @dataclass(frozen=True)
 class DecisionSpace:
@@ -185,12 +193,31 @@ class Loss:
 
     The table maps feature -> decision -> (value at y=0, value at y=1).
     A scenario reads it once into an (|X|, k, 2) array and checks there
-    that every value lies in [0, lmax].
+    that every value lies in [0, lmax]. Two losses are equal when their
+    names are and their lmax and cells are as floats, so a table loaded
+    from JSON equals the same table built in code.
     """
 
     name: str
     lmax: float
     table: Mapping[str, Mapping[str, tuple[float, float]]]
+
+    def __eq__(self, other):
+        if not isinstance(other, Loss):
+            return NotImplemented
+        return self._normal_form() == other._normal_form()
+
+    def _normal_form(self):
+        """The name, with lmax and every cell as floats; a loss whose
+        lmax or cells are not numbers keeps them as given."""
+        try:
+            cells = {
+                x: {y: tuple(map(float, v)) for y, v in row.items()}
+                for x, row in self.table.items()
+            }
+            return self.name, float(self.lmax), cells
+        except (TypeError, ValueError, AttributeError):
+            return self.name, self.lmax, self.table
 
     @property
     def input_oblivious(self) -> bool:
@@ -234,11 +261,21 @@ class Hypothesis:
     """Deterministic decision rule: a total map from features to decisions.
 
     A label that is not a string, such as a JSON number, names the
-    decision whose label is its str form.
+    decision whose label is its str form, and two rules are equal when
+    their names and these str labels are.
     """
 
     name: str
     mapping: Mapping[str, str]
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypothesis):
+            return NotImplemented
+        return self._normal_form() == other._normal_form()
+
+    def _normal_form(self):
+        """The name, with every decision as its str label."""
+        return self.name, {x: self.decide(x) for x in self.mapping}
 
     def decide(self, x: str) -> str:
         try:

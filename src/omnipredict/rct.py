@@ -264,6 +264,8 @@ def ips_risk_estimate(
     loss: Loss,
     k: int,
     scenario: Optional[Scenario] = None,
+    *,
+    indices: Optional[np.ndarray] = None,
 ) -> float:
     """Inverse-propensity-scored risk of rule h from randomized-trial data.
 
@@ -275,7 +277,9 @@ def ips_risk_estimate(
     count tensor at the cells h selects. Without one, each distinct
     (feature, decision, outcome) sample is looked up in the loss's and
     the rule's own tables. Either way the sum is exact before its one
-    rounding, so both give the per-sample sum's float.
+    rounding, so both give the per-sample sum's float. A caller that
+    holds h's decision indices, scenario.arrays.rule_indices(h), passes
+    them as indices, so h is not validated again.
     """
     if data.n == 0:
         raise ArgumentError("cannot estimate risk from an empty dataset")
@@ -290,18 +294,26 @@ def ips_risk_estimate(
     arrays.loss_arrays(loss)  # rejects a loss from outside the scenario
     counts = data.counts(scenario)
     rows = np.arange(len(counts))
-    chosen = arrays.rule_indices(h)
+    chosen = arrays.rule_indices(h) if indices is None else indices
     values = arrays.loss_values[loss.name][rows, chosen]
     return (k / data.n) * _exact_sum(counts[rows, chosen], values)
 
 
 def model_risk_estimate(
-    xs: Sequence[str], pred, rule: Hypothesis, loss: Loss, scenario: Scenario
+    xs: Sequence[str],
+    pred,
+    rule: Hypothesis,
+    loss: Loss,
+    scenario: Scenario,
+    *,
+    indices: Optional[np.ndarray] = None,
 ) -> float:
     """Average modeled risk of a rule over unlabeled features.
 
     Each term is the closed-form expected loss at (x, rule(x)) under the
-    predictor's outcome probability there; no outcomes are sampled.
+    predictor's outcome probability there; no outcomes are sampled. As
+    in ips_risk_estimate, indices are the rule's decision indices when
+    the caller holds them already.
     """
     if len(xs) == 0:
         raise ArgumentError("cannot estimate model risk from empty features")
@@ -309,7 +321,7 @@ def model_risk_estimate(
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays(loss)
     rows = np.arange(len(matrix))
-    chosen = arrays.rule_indices(rule)
+    chosen = arrays.rule_indices(rule) if indices is None else indices
     per_x = base[rows, chosen] + delta[rows, chosen] * matrix[rows, chosen]
     return float(np.add.reduce(per_x[feature_indices(xs, scenario)]) / len(xs))
 

@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import json
 import math
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from conftest import (
     random_scenario,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 
 def population_beta_dataset(scenario, per_cell=4):
     """Each (x, yhat) cell holds per_cell samples with the exact
@@ -378,6 +381,36 @@ class TestEmpiricalAudits:
                     nature_side = om.ips_risk_estimate(data, h, loss, sc.k)
                     assert got[(h.name, loss.name)] == pytest.approx(
                         model_side - nature_side, abs=1e-12)
+
+
+    def test_each_induced_rule_is_validated_once(self, monkeypatch):
+        # the benchmark's trial-data scenario (seed 0) has 4 losses, so a
+        # held-out decision audit induces 4 rules; the model-side and IPS
+        # estimates of each read the indices of one validation
+        gen = runpy.run_path(str(REPO / "perfbench" / "gen.py"))
+        sizes = gen["Sizes"](n_x=200, k=4, n_losses=4, n_hypotheses=16,
+                             epsilon=0.05)
+        sc = om.scenario_from_dict(gen["generate"]("trial-data", sizes, 0))
+        data = om.generate_rct(sc, 2000, 1)
+        pred = om.base_predictor(sc, 0.05)
+        matrix = prediction_matrix(pred, sc)
+        want = [
+            om.model_risk_estimate(data.xs, matrix, rule, loss, sc)
+            - om.ips_risk_estimate(data, rule, loss, sc.k, sc)
+            for loss in sc.losses
+            for rule in [om.induced_rule(matrix, loss, sc)]
+        ]
+        calls = []
+        validate = om.Hypothesis.validate
+
+        def counted(self, features, decisions):
+            calls.append(self.name)
+            return validate(self, features, decisions)
+
+        monkeypatch.setattr(om.Hypothesis, "validate", counted)
+        _, rep = om.audit_doi_empirical(pred, data, data.xs, sc, 0.05)
+        assert calls == [f"f~({loss.name})" for loss in sc.losses]
+        assert [e for _, e in rep.entries] == want
 
 
 # Every public audit, called with eps; data is trial data for the

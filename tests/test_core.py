@@ -730,6 +730,41 @@ class TestValidationMatchesPerCellReference:
         assert not om.Loss(name="l", lmax=2.0, table=t["losses"][0][2]).input_oblivious
 
 
+class TestPartEquality:
+    def test_json_parts_equal_the_built_ones(self):
+        loaded = om.load_scenario(REPO / "scenarios" / "beta025.json")
+        built = om.make_beta_scenario(0.25)
+        assert loaded.losses == built.losses
+        assert loaded.hypotheses == built.hypotheses
+
+    def test_loss_differs_in_any_cell_lmax_or_name(self):
+        loss = om.make_beta_scenario(0.25).losses[0]
+        table = {x: {y: list(v) for y, v in row.items()}
+                 for x, row in loss.table.items()}
+        assert om.Loss(loss.name, int(loss.lmax), table) == loss
+        for x, row in loss.table.items():
+            for y, (v0, v1) in row.items():
+                for cell in ((v0 + 0.5, v1), (v0, v1 + 0.5)):
+                    edited = copy.deepcopy(table)
+                    edited[x][y] = list(cell)
+                    assert om.Loss(loss.name, loss.lmax, edited) != loss
+        assert om.Loss(loss.name, 2.0, table) != loss
+        assert om.Loss("other", loss.lmax, table) != loss
+
+    def test_rule_compares_str_labels(self):
+        rule = om.Hypothesis("h", {"a": "1", "b": "0"})
+        assert om.Hypothesis("h", {"a": 1, "b": 0}) == rule
+        assert om.Hypothesis("h", {"a": 1.0, "b": 0}) != rule
+        assert om.Hypothesis("h", {"a": "1", "b": "1"}) != rule
+        assert om.Hypothesis("g", {"a": "1", "b": "0"}) != rule
+        assert om.Hypothesis("h", {"a": "1"}) != rule
+
+    def test_parts_of_other_kinds_are_unequal(self):
+        loss = om.make_beta_scenario(0.25).losses[0]
+        assert loss != om.Hypothesis(loss.name, {})
+        assert loss != (loss.name, loss.lmax, loss.table)
+
+
 class TestBenchmarkSpans:
     def test_every_traced_name_resolves(self):
         # the traced benchmark run wraps these functions by name
