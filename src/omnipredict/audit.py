@@ -64,7 +64,7 @@ from .core import CSC, EMPIRICAL, EXACT, MODES  # noqa: F401  (re-exported)
 from .core import Hypothesis, Loss, Scenario
 from .errors import ArgumentError, LearnerContractError
 from .predictor import induced_rule, prediction_matrix
-from .rct import RctDataset, feature_indices, ips_risk_estimate, model_risk_estimate
+from .rct import RctDataset, ips_risk_estimate, model_risk_estimate
 
 
 @dataclass(frozen=True)
@@ -288,13 +288,13 @@ def doi_entries_exact(pred, scenario: Scenario, threads: int = 1):
 def ips_rule_risks(labeled: RctDataset, scenario: Scenario):
     """Lazy IPS estimates of Nature's risk per (hypothesis, loss) pair."""
     return (
-        ips_risk_estimate(labeled, h, loss, scenario.k, scenario)
+        ips_risk_estimate(labeled, h, loss, scenario)
         for h, loss in itertools.product(scenario.hypotheses, scenario.losses)
     )
 
 
 def poi_entries_empirical(
-    pred, unlabeled: Sequence[str], scenario: Scenario, nature: Iterable[float]
+    pred, unlabeled: RctDataset, scenario: Scenario, nature: Iterable[float]
 ):
     """Lazy estimated rule-audit entries; nature is in ips_rule_risks order."""
     matrix = prediction_matrix(pred, scenario)
@@ -307,7 +307,7 @@ def poi_entries_empirical(
 
 
 def doi_entries_empirical(
-    pred, labeled: RctDataset, unlabeled: Sequence[str], scenario: Scenario
+    pred, labeled: RctDataset, unlabeled: RctDataset, scenario: Scenario
 ):
     """Lazy estimated decision-audit entries.
 
@@ -323,9 +323,7 @@ def doi_entries_empirical(
         model = model_risk_estimate(
             unlabeled, matrix, rule, loss, scenario, indices=chosen
         )
-        nature = ips_risk_estimate(
-            labeled, rule, loss, scenario.k, scenario, indices=chosen
-        )
+        nature = ips_risk_estimate(labeled, rule, loss, scenario, indices=chosen)
         return model - nature
 
     return _decision_entries(scenario, map(err, scenario.losses))
@@ -351,14 +349,14 @@ def audit_doi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
 def audit_poi_empirical(
     pred,
     labeled: RctDataset,
-    unlabeled: Sequence[str],
+    unlabeled: RctDataset,
     scenario: Scenario,
     eps: float,
 ):
-    """Estimated rule audit: trial data on Nature's side, features only
-    on the model side."""
+    """Estimated rule audit: trial data on Nature's side, only the
+    features of the unlabeled dataset on the model side."""
     _check_eps(eps)
-    if labeled.n == 0 or len(unlabeled) == 0:
+    if labeled.n == 0 or unlabeled.n == 0:
         raise ArgumentError("empirical audit needs nonempty labeled and unlabeled data")
     nature = ips_rule_risks(labeled, scenario)
     entries = poi_entries_empirical(pred, unlabeled, scenario, nature)
@@ -368,13 +366,13 @@ def audit_poi_empirical(
 def audit_doi_empirical(
     pred,
     labeled: RctDataset,
-    unlabeled: Sequence[str],
+    unlabeled: RctDataset,
     scenario: Scenario,
     eps: float,
 ):
     """Estimated decision audit under the predictor's own optimal rules."""
     _check_eps(eps)
-    if labeled.n == 0 or len(unlabeled) == 0:
+    if labeled.n == 0 or unlabeled.n == 0:
         raise ArgumentError("empirical audit needs nonempty labeled and unlabeled data")
     entries = doi_entries_empirical(pred, labeled, unlabeled, scenario)
     return _verdict(EMPIRICAL, eps, entries)
@@ -384,30 +382,26 @@ def audit_doi_empirical(
 class CscInstance:
     """Cost-sensitive classification instance over the decision space.
 
-    One cost row per sample, nonzero only at the logged decision's
-    index; entries lie within [-1/(4k), 1/(4k)]. build_csc_instance
-    sets scenario, through which a rule's decision per sample is one
-    gather; an instance built by hand without it looks the rule up per
-    distinct feature.
+    One cost row per sample of data, nonzero only at the logged
+    decision's index; entries lie within [-1/(4k), 1/(4k)]. A rule's
+    decision per sample is one gather of its scenario indices at the
+    data's feature indices.
     """
 
-    xs: tuple[str, ...]
-    decision_labels: tuple[str, ...]
+    data: RctDataset
     costs: np.ndarray
-    scenario: Optional[Scenario] = None
+    scenario: Scenario
+
+    def __post_init__(self):
+        self.data.check_scenario(self.scenario)
 
     @property
     def n(self) -> int:
-        return len(self.xs)
+        return self.data.n
 
     def mean_cost(self, rule: Hypothesis) -> float:
         """Average cost this instance assigns to following the rule."""
-        if self.scenario is None:
-            col = {x: self.decision_labels.index(rule.decide(x)) for x in set(self.xs)}
-            cols = np.fromiter(map(col.__getitem__, self.xs), np.intp, self.n)
-        else:
-            xi = feature_indices(self.xs, self.scenario)
-            cols = self.scenario.arrays.rule_indices(rule)[xi]
+        cols = self.scenario.arrays.rule_indices(rule)[self.data.x_idx]
         cells = np.arange(0, self.costs.size, self.costs.shape[1]) + cols
         return float(np.add.reduce(self.costs.take(cells)) / self.n)
 
@@ -427,22 +421,16 @@ def build_csc_instance(
         raise ArgumentError(f"sigma must be +1 or -1, got {sigma!r}")
     if labeled.n == 0:
         raise ArgumentError("cannot build an instance from an empty dataset")
+    labeled.check_scenario(scenario)
     matrix = prediction_matrix(pred, scenario)
     base, delta = scenario.arrays.loss_arrays(loss)
-    n = labeled.n
-    xi = feature_indices(labeled.xs, scenario)
-    ji = labeled.decision_indices(scenario)
+    n, xi, ji = labeled.n, labeled.x_idx, labeled.yhat_idx
     modeled = base[xi, ji] + delta[xi, ji] * matrix[xi, ji]
     realized = base[xi, ji] + delta[xi, ji] * labeled.outcomes
     scale = 4.0 * scenario.k * scenario.lmax
     costs = np.zeros((n, scenario.k), dtype=np.float64)
     costs[np.arange(n), ji] = sigma * (modeled - realized) / scale
-    return CscInstance(
-        xs=labeled.xs,
-        decision_labels=scenario.decisions.labels,
-        costs=costs,
-        scenario=scenario,
-    )
+    return CscInstance(data=labeled, costs=costs, scenario=scenario)
 
 
 def baseline_weak_learner(

@@ -148,7 +148,6 @@ class _EmpiricalData:
         self.data = config.data
         self.doi_n = config.doi_n
         self.fixed = self.data.slice(0, config.poi_n)
-        self.unlabeled = self.data.xs
         self.cursor = config.poi_n
         # Rule-audit Nature-side estimates never depend on the predictor,
         # so they are computed once from the fixed prefix.
@@ -214,7 +213,7 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
             violation = first_violation(entries, eps)
         elif config.mode == EMPIRICAL:
             entries = poi_entries_empirical(
-                matrix, emp.unlabeled, scenario, emp.nature_side
+                matrix, emp.data, scenario, emp.nature_side
             )
             violation = first_violation(entries, eps)
         else:
@@ -225,7 +224,7 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
                 entries = doi_entries_exact(matrix, scenario, config.threads)
             else:
                 fresh = emp.fresh_slice(t)
-                entries = doi_entries_empirical(matrix, fresh, emp.unlabeled, scenario)
+                entries = doi_entries_empirical(matrix, fresh, emp.data, scenario)
             violation = first_violation(entries, eps)
 
         if violation is None:

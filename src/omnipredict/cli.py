@@ -70,7 +70,7 @@ def _at_least(lo: int):
     return parse
 
 
-_seed, _count = _at_least(0), _at_least(1)
+_nonnegative, _count = _at_least(0), _at_least(1)
 
 
 def cmd_scenario_show(args) -> int:
@@ -190,12 +190,10 @@ def cmd_audit(args) -> int:
     else:
         data = read_jsonl(args.data, audit_scenario)
         if args.mode == EMPIRICAL:
-            _, poi_report = audit_poi_empirical(
-                matrix, data, data.xs, audit_scenario, eps
-            )
+            _, poi_report = audit_poi_empirical(matrix, data, data, audit_scenario, eps)
         else:
             _, poi_report = audit_poi_csc(matrix, data, audit_scenario, eps)
-        _, doi_report = audit_doi_empirical(matrix, data, data.xs, audit_scenario, eps)
+        _, doi_report = audit_doi_empirical(matrix, data, data, audit_scenario, eps)
 
     passed = poi_report.passed and doi_report.passed
     print(
@@ -310,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rct-gen", help="generate randomized trial data")
     p.add_argument("--config", required=True)
-    p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--n", type=_count, required=True, help="number of samples")
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=cmd_rct_gen)
 
@@ -358,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--epsilon", type=_epsilon, default=None)
-    p.add_argument("--mixtures", type=int, default=10)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--mixtures", type=_nonnegative, default=10)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.set_defaults(func=cmd_adapt_verify)
 
     return parser

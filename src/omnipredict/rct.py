@@ -12,13 +12,15 @@ Model-side risks never sample modeled outcomes. The inner expectation
 over a binary outcome has a closed form, so only unlabeled features are
 needed for that side.
 
-Each column of identifiers keeps its scenario indices: per sample, the
-position of its feature or decision in the scenario's canonical order.
-read_jsonl and generate_rct supply them for the scenario they read or
-draw for; a dataset built by hand is mapped once per scenario, and a
-slice keeps views of its parent's. Nature's side of a risk reads the
-dataset's (|X|, k, 2) count tensor, the number of samples in each
-(feature, decision, outcome) cell, built with one np.bincount. Each
+A dataset holds its samples as scenario indices: per sample, the
+position of its feature and of its logged decision in the canonical
+order of the scenario's spaces, and its 0/1 outcome. read_jsonl and
+generate_rct build one for the scenario they read or draw for,
+RctDataset.from_labels encodes identifier columns, and a slice keeps
+views of its parent's columns. Every estimator takes the scenario and
+refuses a dataset encoded for other spaces. Nature's side of a risk
+reads the dataset's (|X|, k, 2) count tensor, the number of samples in
+each (feature, decision, outcome) cell, built with one np.bincount. Each
 estimate sums count times loss value over the cells the rule selects,
 exactly, so it equals the correctly rounded per-sample sum.
 
@@ -37,8 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
@@ -46,7 +47,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Hypothesis, Loss, Scenario
+from .core import DecisionSpace, FeatureSpace, Hypothesis, Loss, Scenario
 from .errors import ArgumentError, DataFormatError
 from .predictor import prediction_matrix
 
@@ -54,55 +55,6 @@ GENERATOR_TAG = "pcg64-icdf-1"
 
 # Lines parsed, or samples written, per block of a JSONL file.
 _BLOCK_LINES = 4096
-
-
-class Column(tuple):
-    """Immutable column of identifiers that carries its scenario indices.
-
-    indices(index, what) is, per entry, the position index gives its
-    identifier, where index is a scenario's x_index or y_index. It is
-    computed once per index mapping and kept; a slice keeps views.
-    """
-
-    def indices(self, index: Mapping[str, int], what: str) -> np.ndarray:
-        """Per entry, index[entry]; ArgumentError names the first entry
-        that index lacks, as an unknown `what`."""
-        kept = self.__dict__.setdefault("_indices", {})
-        entry = kept.get(id(index))  # the entry holds index, so its id stays its
-        if entry is None:
-            try:
-                positions = np.fromiter(
-                    map(index.__getitem__, self), dtype=np.intp, count=len(self)
-                )
-            except (KeyError, TypeError):  # TypeError: an unhashable entry
-                for v in self:
-                    if not isinstance(v, str) or v not in index:
-                        raise ArgumentError(f"unknown {what} {v!r}") from None
-            entry = kept[id(index)] = (index, positions)
-        return entry[1]
-
-    def slice(self, start: int, stop: int) -> "Column":
-        """Contiguous part whose indices are views of this column's."""
-        part = Column(self[start:stop])
-        part.__dict__["_indices"] = {
-            key: (index, positions[start:stop])
-            for key, (index, positions) in self.__dict__.get("_indices", {}).items()
-        }
-        return part
-
-
-def _column(points: Sequence[str], index: Mapping[str, int], positions) -> Column:
-    """The column of points[p] for p in positions, with those positions
-    kept as its indices under index."""
-    column = Column(map(points.__getitem__, positions.tolist()))
-    column.__dict__["_indices"] = {id(index): (index, positions)}
-    return column
-
-
-def feature_indices(xs: Sequence[str], scenario: Scenario) -> np.ndarray:
-    """Per entry of a feature column, its scenario index."""
-    column = xs if isinstance(xs, Column) else Column(xs)
-    return column.indices(scenario.arrays.x_index, "feature")
 
 
 @dataclass(frozen=True)
@@ -113,82 +65,118 @@ class RctMeta:
     gen: str
 
 
-@dataclass(frozen=True)
-class RctDataset:
-    """Column-oriented randomized-trial dataset with provenance metadata.
+def _encode(labels: Sequence, index: Mapping[str, int], what: str) -> np.ndarray:
+    """Per entry, index[entry]; ArgumentError names the first entry that
+    index lacks, as an unknown `what`."""
+    try:
+        return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+    except (KeyError, TypeError):  # TypeError: an unhashable entry
+        bad = next(v for v in labels if not isinstance(v, str) or v not in index)
+        raise ArgumentError(f"unknown {what} {bad!r}") from None
 
-    Every outcome is the integer 0 or 1.
+
+@dataclass(frozen=True, eq=False)
+class RctDataset:
+    """Randomized-trial samples encoded for a scenario's spaces, with
+    provenance metadata.
+
+    Per sample, x_idx and yhat_idx hold the positions of its feature in
+    features.points and of its logged decision in decisions.labels, and
+    outcomes holds its outcome, 0 or 1, as int8. read_jsonl and
+    generate_rct build datasets directly; from_labels encodes identifier
+    columns.
     """
 
-    xs: tuple[str, ...]
-    yhats: tuple[str, ...]
-    ys: tuple[int, ...]
+    features: FeatureSpace
+    decisions: DecisionSpace
+    x_idx: np.ndarray
+    yhat_idx: np.ndarray
+    outcomes: np.ndarray
     meta: RctMeta
 
     def __post_init__(self):
-        if not (len(self.xs) == len(self.yhats) == len(self.ys) == self.meta.n):
+        n = self.meta.n
+        if not (len(self.x_idx) == len(self.yhat_idx) == len(self.outcomes) == n):
             raise ArgumentError("dataset columns and meta.n disagree on length")
-        # bool is an int subclass and 1.0 == 1, so test the exact type
-        if not set(map(type, self.ys)) <= {int} or not set(self.ys) <= {0, 1}:
-            bad = next(y for y in self.ys if type(y) is not int or y not in (0, 1))
-            raise ArgumentError(f"outcome must be the integer 0 or 1, got {bad!r}")
-        for name in ("xs", "yhats"):
-            if not isinstance(getattr(self, name), Column):
-                object.__setattr__(self, name, Column(getattr(self, name)))
+        # numpy gathers wrap negative indices, so an index out of range
+        # would read another cell rather than fail
+        bounds = (len(self.features.points), self.decisions.k, 2)
+        for name, bound in zip(("x_idx", "yhat_idx", "outcomes"), bounds):
+            column = getattr(self, name)
+            if n and not (0 <= column.min() and column.max() < bound):
+                raise ArgumentError(f"dataset {name} must lie in [0, {bound})")
+
+    @classmethod
+    def from_labels(
+        cls, scenario: Scenario, xs: Sequence, yhats: Sequence, ys, meta: RctMeta
+    ) -> "RctDataset":
+        """The samples (xs[i], yhats[i], ys[i]) encoded for the scenario.
+
+        ArgumentError names the first outcome that is not the integer 0
+        or 1, or else the first feature or decision the scenario lacks.
+        """
+        for y in ys:
+            # bool is an int subclass and 1.0 == 1, so test the exact type
+            if type(y) is not int or y not in (0, 1):
+                raise ArgumentError(f"outcome must be the integer 0 or 1, got {y!r}")
+        arrays = scenario.arrays
+        return cls(
+            features=scenario.features,
+            decisions=scenario.decisions,
+            x_idx=_encode(xs, arrays.x_index, "feature"),
+            yhat_idx=_encode(yhats, arrays.y_index, "decision"),
+            outcomes=np.array(ys, dtype=np.int8),
+            meta=meta,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, RctDataset):
+            return NotImplemented
+        return (
+            (self.meta, self.features, self.decisions)
+            == (other.meta, other.features, other.decisions)
+            and np.array_equal(self.x_idx, other.x_idx)
+            and np.array_equal(self.yhat_idx, other.yhat_idx)
+            and np.array_equal(self.outcomes, other.outcomes)
+        )
+
+    def __len__(self) -> int:
+        return self.meta.n
 
     @property
     def n(self) -> int:
         return self.meta.n
 
     @cached_property
-    def outcomes(self) -> np.ndarray:
-        """The outcome column as a 0/1 int8 array."""
-        return np.array(self.ys, dtype=np.int8)
-
-    @cached_property
-    def cells(self) -> Counter:
-        """The number of samples at each (feature, decision, outcome)
-        triple of identifiers."""
-        return Counter(zip(self.xs, self.yhats, self.ys))
-
-    def decision_indices(self, scenario: Scenario) -> np.ndarray:
-        """Per sample, the scenario index of its logged decision."""
-        return self.yhats.indices(scenario.arrays.y_index, "decision")
-
-    def counts(self, scenario: Scenario) -> np.ndarray:
+    def counts(self) -> np.ndarray:
         """(|X|, k, 2) int64 tensor: the number of samples at each
-        (feature, decision, outcome) cell; computed once per scenario."""
-        arrays, k = scenario.arrays, scenario.k
-        key = (id(arrays.x_index), id(arrays.y_index))
-        kept = self.__dict__.setdefault("_counts", {})
-        if key not in kept:
-            xi = feature_indices(self.xs, scenario)
-            cells = (xi * k + self.decision_indices(scenario)) * 2 + self.outcomes
-            tensor = np.bincount(cells, minlength=len(arrays.x_index) * k * 2)
-            # the entry holds both mappings, so their ids stay theirs
-            kept[key] = (arrays.x_index, arrays.y_index, tensor.reshape(-1, k, 2))
-        return kept[key][2]
+        (feature, decision, outcome) cell."""
+        k = self.decisions.k
+        cells = (self.x_idx * k + self.yhat_idx) * 2 + self.outcomes
+        tensor = np.bincount(cells, minlength=len(self.features.points) * k * 2)
+        return tensor.reshape(-1, k, 2)
+
+    def check_scenario(self, scenario: Scenario) -> None:
+        """Refuse a scenario whose spaces are not the ones this dataset's
+        indices refer to."""
+        if (self.features, self.decisions) != (scenario.features, scenario.decisions):
+            raise ArgumentError(
+                f"dataset for scenario {self.meta.scenario!r} is indexed by other "
+                f"features or decisions than scenario {scenario.name!r}"
+            )
 
     def slice(self, start: int, stop: int) -> "RctDataset":
-        """Contiguous sub-dataset; provenance is kept, n is adjusted.
-
-        The slice's indices and outcomes are views of this dataset's.
-        """
-        xs = self.xs.slice(start, stop)
-        meta = RctMeta(
-            scenario=self.meta.scenario,
-            seed=self.meta.seed,
-            n=len(xs),
-            gen=self.meta.gen,
+        """Contiguous sub-dataset whose columns are views of this one's;
+        provenance is kept, n is adjusted."""
+        x_idx = self.x_idx[start:stop]
+        return RctDataset(
+            features=self.features,
+            decisions=self.decisions,
+            x_idx=x_idx,
+            yhat_idx=self.yhat_idx[start:stop],
+            outcomes=self.outcomes[start:stop],
+            meta=replace(self.meta, n=len(x_idx)),
         )
-        part = RctDataset(
-            xs=xs,
-            yhats=self.yhats.slice(start, stop),
-            ys=self.ys[start:stop],
-            meta=meta,
-        )
-        part.__dict__["outcomes"] = self.outcomes[start:stop]
-        return part
 
 
 def generate_rct(scenario: Scenario, n: int, seed: int) -> RctDataset:
@@ -212,14 +200,14 @@ def generate_rct(scenario: Scenario, n: int, seed: int) -> RctDataset:
     x_idx = np.minimum(x_idx, n_x - 1)
     yhat_idx = np.minimum((rng.random(n) * k).astype(np.intp), k - 1)
     y = (rng.random(n) < arrays.nature[x_idx, yhat_idx]).astype(np.int8)
-    data = RctDataset(
-        xs=_column(scenario.features.points, arrays.x_index, x_idx),
-        yhats=_column(scenario.decisions.labels, arrays.y_index, yhat_idx),
-        ys=tuple(y.tolist()),
+    return RctDataset(
+        features=scenario.features,
+        decisions=scenario.decisions,
+        x_idx=x_idx,
+        yhat_idx=yhat_idx,
+        outcomes=y,
         meta=RctMeta(scenario=scenario.name, seed=int(seed), n=n, gen=GENERATOR_TAG),
     )
-    data.__dict__["outcomes"] = y
-    return data
 
 
 # Veltkamp's splitter: m * _SPLIT yields a high half of m with at most 26
@@ -262,45 +250,38 @@ def ips_risk_estimate(
     data: RctDataset,
     h: Hypothesis,
     loss: Loss,
-    k: int,
-    scenario: Optional[Scenario] = None,
+    scenario: Scenario,
     *,
     indices: Optional[np.ndarray] = None,
 ) -> float:
     """Inverse-propensity-scored risk of rule h from randomized-trial data.
 
     Returns (k/n) * sum of loss(x_i, yhat_i, y_i) over samples whose
-    logged decision equals h(x_i). Unbiased for the rule's true risk
-    because the uniform assignment gives every decision propensity 1/k.
+    logged decision equals h(x_i), with k the scenario's. Unbiased for
+    the rule's true risk because the uniform assignment gives every
+    decision propensity 1/k.
 
-    With the scenario that owns h and loss, the sum reads the dataset's
-    count tensor at the cells h selects. Without one, each distinct
-    (feature, decision, outcome) sample is looked up in the loss's and
-    the rule's own tables. Either way the sum is exact before its one
-    rounding, so both give the per-sample sum's float. A caller that
-    holds h's decision indices, scenario.arrays.rule_indices(h), passes
-    them as indices, so h is not validated again.
+    h and loss belong to the scenario, whose spaces the dataset must be
+    encoded for. The sum reads the dataset's count tensor at the cells h
+    selects and is exact before its one rounding, so it is the
+    per-sample sum's float. A caller that holds h's decision indices,
+    scenario.arrays.rule_indices(h), passes them as indices, so h is not
+    validated again.
     """
     if data.n == 0:
         raise ArgumentError("cannot estimate risk from an empty dataset")
-    if scenario is None:
-        looked_up = [
-            (count, loss.values(x, yh, y), h.decide(x) == yh)
-            for (x, yh, y), count in data.cells.items()
-        ]
-        counts, values, selected = (np.array(c) for c in zip(*looked_up))
-        return (k / data.n) * _exact_sum(counts * selected, values)
+    data.check_scenario(scenario)
     arrays = scenario.arrays
     arrays.loss_arrays(loss)  # rejects a loss from outside the scenario
-    counts = data.counts(scenario)
+    counts = data.counts
     rows = np.arange(len(counts))
     chosen = arrays.rule_indices(h) if indices is None else indices
     values = arrays.loss_values[loss.name][rows, chosen]
-    return (k / data.n) * _exact_sum(counts[rows, chosen], values)
+    return (scenario.k / data.n) * _exact_sum(counts[rows, chosen], values)
 
 
 def model_risk_estimate(
-    xs: Sequence[str],
+    data: RctDataset,
     pred,
     rule: Hypothesis,
     loss: Loss,
@@ -308,22 +289,23 @@ def model_risk_estimate(
     *,
     indices: Optional[np.ndarray] = None,
 ) -> float:
-    """Average modeled risk of a rule over unlabeled features.
+    """Average modeled risk of a rule over the dataset's features.
 
     Each term is the closed-form expected loss at (x, rule(x)) under the
-    predictor's outcome probability there; no outcomes are sampled. As
-    in ips_risk_estimate, indices are the rule's decision indices when
-    the caller holds them already.
+    predictor's outcome probability there; no outcomes are read. As in
+    ips_risk_estimate, indices are the rule's decision indices when the
+    caller holds them already.
     """
-    if len(xs) == 0:
+    if data.n == 0:
         raise ArgumentError("cannot estimate model risk from empty features")
+    data.check_scenario(scenario)
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays(loss)
     rows = np.arange(len(matrix))
     chosen = arrays.rule_indices(rule) if indices is None else indices
     per_x = base[rows, chosen] + delta[rows, chosen] * matrix[rows, chosen]
-    return float(np.add.reduce(per_x[feature_indices(xs, scenario)]) / len(xs))
+    return float(np.add.reduce(per_x[data.x_idx]) / data.n)
 
 
 def required_sample_size(
@@ -359,14 +341,14 @@ def write_jsonl(data: RctDataset, path) -> None:
             }
         }
         fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
-        head = {x: '{"x":' + json.dumps(x) + ',"yhat":' for x in set(data.xs)}
-        middle = {yh: json.dumps(yh) + ',"y":' for yh in set(data.yhats)}
-        tail = {0: "0}\n", 1: "1}\n"}
+        head = ['{"x":' + json.dumps(x) + ',"yhat":' for x in data.features.points]
+        middle = [json.dumps(yh) + ',"y":' for yh in data.decisions.labels]
+        tail = ["0}\n", "1}\n"]
         pieces = chain.from_iterable(
             zip(
-                map(head.__getitem__, data.xs),
-                map(middle.__getitem__, data.yhats),
-                map(tail.__getitem__, data.ys),
+                map(head.__getitem__, data.x_idx.tolist()),
+                map(middle.__getitem__, data.yhat_idx.tolist()),
+                map(tail.__getitem__, data.outcomes.tolist()),
             )
         )
         for block in iter(lambda: "".join(islice(pieces, 3 * _BLOCK_LINES)), ""):
@@ -508,7 +490,7 @@ def read_jsonl(path, scenario: Scenario) -> RctDataset:
         # a block is read before its lines are checked, so a bad byte can
         # surface before an earlier bad line; the file is refused either way
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    ys = list(chain.from_iterable(ys))
+    ys = np.fromiter(chain.from_iterable(ys), np.int8)
     if meta is None:
         meta = RctMeta(scenario=scenario.name, seed=None, n=len(ys), gen="")
     elif meta.n != len(ys):
@@ -519,8 +501,10 @@ def read_jsonl(path, scenario: Scenario) -> RctDataset:
     xi = np.concatenate(xi) if xi else np.zeros(0, dtype=np.intp)
     ji = np.concatenate(ji) if ji else np.zeros(0, dtype=np.intp)
     return RctDataset(
-        xs=_column(scenario.features.points, x_index, xi),
-        yhats=_column(scenario.decisions.labels, y_index, ji),
-        ys=tuple(ys),
+        features=scenario.features,
+        decisions=scenario.decisions,
+        x_idx=xi,
+        yhat_idx=ji,
+        outcomes=ys,
         meta=meta,
     )

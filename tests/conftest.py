@@ -77,6 +77,30 @@ def random_scenario(rng, max_x=8, max_k=4, n_losses=(1, 3), n_hyps=(2, 4),
     )
 
 
+def encode(scenario, rows, gen="manual"):
+    """Dataset of (feature, decision, outcome) label rows, encoded for
+    the scenario."""
+    xs, yhats, ys = zip(*rows) if rows else ((), (), ())
+    meta = om.RctMeta(scenario=scenario.name, seed=None, n=len(xs), gen=gen)
+    return om.RctDataset.from_labels(scenario, xs, yhats, ys, meta)
+
+
+def features_only(scenario, xs):
+    """Dataset of the features xs, each logged with the first decision
+    and outcome 0; the model side of a risk reads only the features."""
+    return encode(scenario, [(x, scenario.decisions.labels[0], 0) for x in xs])
+
+
+def sample_labels(data):
+    """(features, decisions, outcomes) of every sample, as tuples of
+    identifiers and integers."""
+    return (
+        tuple(data.features.points[i] for i in data.x_idx.tolist()),
+        tuple(data.decisions.labels[j] for j in data.yhat_idx.tolist()),
+        tuple(data.outcomes.tolist()),
+    )
+
+
 def random_matrix(rng, scenario):
     n_x = len(scenario.features.points)
     return rng.random((n_x, scenario.k))
@@ -150,8 +174,7 @@ def dyadic_scenario_and_data(rng, name="dyadic"):
                 xs.append(x)
                 yhats.append(y)
                 ys.append(1 if i < ones else 0)
-    meta = om.RctMeta(scenario=name, seed=None, n=len(xs), gen=om.GENERATOR_TAG)
-    data = om.RctDataset(xs=tuple(xs), yhats=tuple(yhats), ys=tuple(ys), meta=meta)
+    data = encode(scenario, list(zip(xs, yhats, ys)), gen=om.GENERATOR_TAG)
     matrix = np.array(
         [[int(v) / 16.0 for v in rng.integers(0, 17, size=2)] for _ in range(n_x)]
     )
@@ -175,8 +198,7 @@ def partial_trial_data(rng, scenario, n):
     xs = tuple(present[int(i)] for i in rng.integers(0, len(present), size=n))
     yhats = tuple(logged[int(j)] for j in rng.integers(0, len(logged), size=n))
     ys = tuple(int(v) for v in rng.integers(0, 2, size=n))
-    meta = om.RctMeta(scenario=scenario.name, seed=None, n=n, gen="partial")
-    data = om.RctDataset(xs=xs, yhats=yhats, ys=ys, meta=meta)
+    data = encode(scenario, list(zip(xs, yhats, ys)), gen="partial")
     return data, labels[skip_y]
 
 

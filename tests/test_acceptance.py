@@ -141,7 +141,7 @@ def test_05_ips_concentration(beta_scenario):
     for seed in range(100):
         data = om.generate_rct(beta_scenario, n, seed)
         dev = max(
-            abs(om.ips_risk_estimate(data, h, loss, beta_scenario.k)
+            abs(om.ips_risk_estimate(data, h, loss, beta_scenario)
                 - exact[(h.name, loss.name)])
             for h in beta_scenario.hypotheses
             for loss in beta_scenario.losses)

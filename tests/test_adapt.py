@@ -9,7 +9,7 @@ import pytest
 import omnipredict as om
 from omnipredict import adapt
 
-from conftest import random_scenario
+from conftest import features_only, random_scenario
 
 
 @pytest.fixture(scope="module")
@@ -355,7 +355,7 @@ class TestRuleIndexReuse:
 
     def test_model_risk_estimate_reads_own_rules(self, weighted_scenario, monkeypatch):
         sc = weighted_scenario
-        xs = sc.features.points * 3
+        xs = features_only(sc, sc.features.points * 3)
         matrix = np.full((len(sc.features.points), sc.k), 0.5)
         calls = count_validations(monkeypatch)
         for h in sc.hypotheses:

@@ -20,11 +20,14 @@ from omnipredict.predictor import prediction_matrix
 
 from conftest import (
     dyadic_scenario_and_data,
+    encode,
+    features_only,
     io_loss_scenario,
     near_nature_matrix,
     partial_trial_data,
     random_matrix,
     random_scenario,
+    sample_labels,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -38,9 +41,7 @@ def population_beta_dataset(scenario, per_cell=4):
             ones = (3 * per_cell) // 4 if x == yh else per_cell // 4
             for i in range(per_cell):
                 rows.append((x, yh, 1 if i < ones else 0))
-    xs, yhs, ys = zip(*rows)
-    meta = om.RctMeta(scenario=scenario.name, seed=None, n=len(rows), gen="manual")
-    return om.RctDataset(xs=xs, yhats=yhs, ys=ys, meta=meta)
+    return encode(scenario, rows)
 
 
 def exact_err_by_enumeration(matrix, scenario, rule, loss):
@@ -334,14 +335,12 @@ class TestEmpiricalAudits:
                 ones = 6 if x == yh else 4
                 for i in range(10):
                     rows.append((x, yh, 1 if i < ones else 0))
-        xs, yhs, ys = zip(*rows)
-        data = om.RctDataset(
-            xs=xs, yhats=yhs, ys=ys,
-            meta=om.RctMeta(scenario=solo.name, seed=None, n=40, gen="manual"))
-        v, rep = om.audit_doi_empirical(q, data, ["-1", "+1"], solo, 0.29)
+        data = encode(solo, rows)
+        both = features_only(solo, ["-1", "+1"])
+        v, rep = om.audit_doi_empirical(q, data, both, solo, 0.29)
         assert not rep.passed and rep.mode == "empirical"
         assert v.err == pytest.approx(-0.3, abs=1e-12)
-        _, rep2 = om.audit_doi_empirical(q, data, ["-1", "+1"], solo, 0.31)
+        _, rep2 = om.audit_doi_empirical(q, data, both, solo, 0.31)
         assert rep2.passed
 
     def test_clean_predictor_usually_passes(self, beta_scenario, beta_nature_matrix):
@@ -352,7 +351,7 @@ class TestEmpiricalAudits:
         for seed in range(30):
             data = om.generate_rct(sc, n, seed)
             v, _ = om.audit_poi_empirical(
-                beta_nature_matrix, data, data.xs, sc, 0.1)
+                beta_nature_matrix, data, data, sc, 0.1)
             passes += v is None
         assert passes >= 25
 
@@ -361,7 +360,7 @@ class TestEmpiricalAudits:
         pred = om.base_predictor(sc, 0.05)
         for seed in range(20):
             data = om.generate_rct(sc, 4000, seed)
-            v, _ = om.audit_poi_empirical(pred, data, data.xs, sc, 0.1)
+            v, _ = om.audit_poi_empirical(pred, data, data, sc, 0.1)
             assert v is not None
             assert (v.target.hypothesis, v.target.loss) == ("h_plus", "steer_to_one")
 
@@ -370,15 +369,15 @@ class TestEmpiricalAudits:
         for _ in range(10):
             sc, data, q = dyadic_scenario_and_data(rng)
             exact = om.poi_err_matrix(q, sc)
-            _, rep = om.audit_poi_empirical(q, data, sc.features.points, sc, 10.0)
+            every = features_only(sc, sc.features.points)
+            _, rep = om.audit_poi_empirical(q, data, every, sc, 10.0)
             got = {(t.hypothesis, t.loss): e for t, e in rep.entries}
             for i, h in enumerate(sc.hypotheses):
                 for j, loss in enumerate(sc.losses):
-                    model_side = om.model_risk_estimate(
-                        sc.features.points, q, h, loss, sc)
+                    model_side = om.model_risk_estimate(every, q, h, loss, sc)
                     # the unlabeled average weights features uniformly, not
                     # by D, so compare against the same-side recomputation
-                    nature_side = om.ips_risk_estimate(data, h, loss, sc.k)
+                    nature_side = om.ips_risk_estimate(data, h, loss, sc)
                     assert got[(h.name, loss.name)] == pytest.approx(
                         model_side - nature_side, abs=1e-12)
 
@@ -395,8 +394,8 @@ class TestEmpiricalAudits:
         pred = om.base_predictor(sc, 0.05)
         matrix = prediction_matrix(pred, sc)
         want = [
-            om.model_risk_estimate(data.xs, matrix, rule, loss, sc)
-            - om.ips_risk_estimate(data, rule, loss, sc.k, sc)
+            om.model_risk_estimate(data, matrix, rule, loss, sc)
+            - om.ips_risk_estimate(data, rule, loss, sc)
             for loss in sc.losses
             for rule in [om.induced_rule(matrix, loss, sc)]
         ]
@@ -408,7 +407,7 @@ class TestEmpiricalAudits:
             return validate(self, features, decisions)
 
         monkeypatch.setattr(om.Hypothesis, "validate", counted)
-        _, rep = om.audit_doi_empirical(pred, data, data.xs, sc, 0.05)
+        _, rep = om.audit_doi_empirical(pred, data, data, sc, 0.05)
         assert calls == [f"f~({loss.name})" for loss in sc.losses]
         assert [e for _, e in rep.entries] == want
 
@@ -419,9 +418,9 @@ PUBLIC_AUDITS = {
     "poi_exact": lambda pred, sc, data, eps: om.audit_poi_exact(pred, sc, eps),
     "doi_exact": lambda pred, sc, data, eps: om.audit_doi_exact(pred, sc, eps),
     "poi_empirical": lambda pred, sc, data, eps: om.audit_poi_empirical(
-        pred, data, data.xs, sc, eps),
+        pred, data, data, sc, eps),
     "doi_empirical": lambda pred, sc, data, eps: om.audit_doi_empirical(
-        pred, data, data.xs, sc, eps),
+        pred, data, data, sc, eps),
     "poi_csc": lambda pred, sc, data, eps: audit.audit_poi_csc(pred, data, sc, eps),
     "via_csc": lambda pred, sc, data, eps: om.audit_via_csc(
         pred, data, sc.losses, lambda inst, rho: None, eps, sc),
@@ -476,7 +475,7 @@ class TestFirstViolation:
         monkeypatch.setattr(audit, "model_risk_estimate",
                             lambda *a: calls.append(a) or real(*a))
         entries = audit.poi_entries_empirical(
-            om.base_predictor(sc, 0.05), data.xs, sc, nature)
+            om.base_predictor(sc, 0.05), data, sc, nature)
         v = first_violation(entries, 0.1)
         assert (v.target.hypothesis, v.target.loss) == ("h_plus", "steer_to_one")
         assert len(calls) == 1
@@ -503,11 +502,10 @@ def csc_costs_reference(labeled, pred, loss, sigma, scenario):
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays(loss)
     n = labeled.n
-    xi = np.fromiter((arrays.x_index[x] for x in labeled.xs), dtype=np.int64, count=n)
-    ji = np.fromiter(
-        (arrays.y_index[yh] for yh in labeled.yhats), dtype=np.int64, count=n
-    )
-    ys = np.asarray(labeled.ys, dtype=np.float64)
+    xs, yhats, ys = sample_labels(labeled)
+    xi = np.fromiter((arrays.x_index[x] for x in xs), dtype=np.int64, count=n)
+    ji = np.fromiter((arrays.y_index[yh] for yh in yhats), dtype=np.int64, count=n)
+    ys = np.asarray(ys, dtype=np.float64)
     modeled = base[xi, ji] + delta[xi, ji] * matrix[xi, ji]
     realized = base[xi, ji] + delta[xi, ji] * ys
     scale = 4.0 * scenario.k * scenario.lmax
@@ -517,9 +515,10 @@ def csc_costs_reference(labeled, pred, loss, sigma, scenario):
 
 
 def mean_cost_reference(instance, rule):
-    """One rule lookup per sample, as before the columns were encoded."""
+    """One rule lookup per sample's feature label."""
+    labels = instance.scenario.decisions.labels
     cols = np.fromiter(
-        (instance.decision_labels.index(rule.decide(x)) for x in instance.xs),
+        (labels.index(rule.decide(x)) for x in sample_labels(instance.data)[0]),
         dtype=np.int64,
         count=instance.n,
     )
@@ -544,13 +543,8 @@ class TestCscKernelsMatchPerSampleLoops:
                         inst = om.build_csc_instance(d, q, loss, sigma, sc)
                         want = csc_costs_reference(d, q, loss, sigma, sc)
                         assert inst.costs.tobytes() == want.tobytes()
-                        plain = om.CscInstance(
-                            xs=tuple(d.xs), decision_labels=inst.decision_labels,
-                            costs=inst.costs)
                         for h in sc.hypotheses + (always,):
-                            ref = mean_cost_reference(inst, h)
-                            assert inst.mean_cost(h) == ref
-                            assert plain.mean_cost(h) == ref
+                            assert inst.mean_cost(h) == mean_cost_reference(inst, h)
 
     def test_empty_dataset_rejected(self, beta_scenario):
         sc = beta_scenario
@@ -576,9 +570,7 @@ class TestCostSensitive:
     def test_hand_costs_single_sample(self, beta_scenario):
         sc = beta_scenario
         pred = om.base_predictor(sc, 0.05)
-        data = om.RctDataset(
-            xs=("+1",), yhats=("+1",), ys=(1,),
-            meta=om.RctMeta(scenario=sc.name, seed=None, n=1, gen="manual"))
+        data = encode(sc, [("+1", "+1", 1)])
         loss = sc.loss_by_name("steer_to_one")
         inst = om.build_csc_instance(data, pred, loss, 1, sc)
         # modeled expected loss 0.5, realized loss 0, scale 1/(4*k*lmax);

@@ -283,13 +283,13 @@ class TestEstimatedTraining:
             epsilon=0.05, mode="empirical", data=data, poi_n=10000, doi_n=150))
         assert res.termination == "converged" and res.trace.updates > 0
         v, rep = om.audit_poi_empirical(
-            res.predictor, data.slice(0, 10000), data.xs, sc, 0.05)
+            res.predictor, data.slice(0, 10000), data, sc, 0.05)
         assert v is None and rep.passed
         # and the first update's err is that audit's first violation
         # for the flat predictor training starts from
         first = res.trace.records[0]
         _, flat = om.audit_poi_empirical(
-            om.base_predictor(sc, 0.05), data.slice(0, 10000), data.xs, sc, 0.05)
+            om.base_predictor(sc, 0.05), data.slice(0, 10000), data, sc, 0.05)
         assert first.stage == "poi"
         assert (first.target, first.err) == (
             flat.violation.target, flat.violation.err)

@@ -146,9 +146,12 @@ class TestRctGen:
         assert data.meta.seed == 5 and data.n == 10
 
     def test_zero_samples_is_usage_error(self, workdir):
-        code, _, _ = run("rct-gen", "--config", BETA, "--n", "0",
-                         "--out", str(workdir / "zero.jsonl"))
-        assert code == 1
+        path = workdir / "zero.jsonl"
+        code, out, err = run("rct-gen", "--config", BETA, "--n", "0",
+                             "--out", str(path))
+        assert code == 1 and out == ""
+        assert "--n" in err and "Traceback" not in err
+        assert not path.exists()
 
     def test_negative_seed_is_usage_error(self, workdir):
         path = workdir / "neg_seed.jsonl"
@@ -676,6 +679,12 @@ class TestAdaptVerify:
                              "--model", adapt_model_path, "--seed", "-1")
         assert code == 1 and out == ""
         assert "--seed" in err and "Traceback" not in err
+
+    def test_negative_mixture_count_is_usage_error(self, adapt_model_path):
+        code, out, err = run("adapt-verify", "--config", BETA_W,
+                             "--model", adapt_model_path, "--mixtures", "-1")
+        assert code == 1 and out == ""
+        assert "--mixtures" in err and "Traceback" not in err
 
     def test_requires_weight_class(self, model_path):
         code, _, _ = run("adapt-verify", "--config", BETA, "--model", model_path)

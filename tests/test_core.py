@@ -888,7 +888,7 @@ class TestLoaderInput:
         assert [sc.hypotheses[0].decide(x) for x in sc.features.points] == ["0", "1"]
         data = om.generate_rct(sc, 400, 3)
         loss = sc.losses[0]
-        assert om.ips_risk_estimate(data, sc.hypotheses[0], loss, sc.k) > 0.0
+        assert om.ips_risk_estimate(data, sc.hypotheses[0], loss, sc) > 0.0
 
 
 class TestScenarioEquality:

@@ -1,5 +1,7 @@
 """Trial-data generation, inverse-propensity estimates, file round trips."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import tempfile
@@ -14,20 +16,18 @@ from hypothesis import strategies as st
 
 import omnipredict as om
 from omnipredict import rct
-from omnipredict.rct import feature_indices
 
 from conftest import (
     dyadic_scenario_and_data,
+    encode,
+    features_only,
     partial_trial_data,
     random_matrix,
     random_scenario,
+    sample_labels,
 )
 
-
-def manual_dataset(scenario, rows):
-    xs, yhats, ys = zip(*rows)
-    meta = om.RctMeta(scenario=scenario.name, seed=None, n=len(rows), gen="manual")
-    return om.RctDataset(xs=xs, yhats=yhats, ys=ys, meta=meta)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestGeneration:
@@ -47,10 +47,11 @@ class TestGeneration:
     def test_empirical_frequencies(self, beta_scenario):
         d = om.generate_rct(beta_scenario, 100000, 0)
         n = d.n
+        xs, yhats, ys = sample_labels(d)
         for label in ("-1", "+1"):
-            assert abs(sum(1 for v in d.yhats if v == label) / n - 0.5) < 0.01
-            assert abs(sum(1 for v in d.xs if v == label) / n - 0.5) < 0.01
-        aligned = [(x, yh, y) for x, yh, y in zip(d.xs, d.yhats, d.ys) if x == yh]
+            assert abs(sum(1 for v in yhats if v == label) / n - 0.5) < 0.01
+            assert abs(sum(1 for v in xs if v == label) / n - 0.5) < 0.01
+        aligned = [(x, yh, y) for x, yh, y in zip(xs, yhats, ys) if x == yh]
         rate = sum(1 for _, _, y in aligned if y == 1) / len(aligned)
         assert abs(rate - 0.75) < 0.01
 
@@ -58,8 +59,9 @@ class TestGeneration:
         rng = np.random.default_rng(17)
         sc = random_scenario(rng, max_x=5)
         d = om.generate_rct(sc, 80000, 3)
+        xs = sample_labels(d)[0]
         for x, mass in sc.input_distribution.probabilities.items():
-            freq = sum(1 for v in d.xs if v == x) / d.n
+            freq = sum(1 for v in xs if v == x) / d.n
             assert abs(freq - mass) < 0.01
 
     def test_rejects_empty_request(self, beta_scenario):
@@ -74,32 +76,32 @@ class TestGeneration:
         d = om.generate_rct(beta_scenario, 100, 9)
         s = d.slice(10, 30)
         assert s.n == 20
-        assert s.xs == d.xs[10:30]
+        assert s == d.slice(10, 30)
+        assert sample_labels(s) == tuple(c[10:30] for c in sample_labels(d))
         assert s.meta.seed == 9 and s.meta.gen == om.GENERATOR_TAG
 
 
 class TestIpsEstimate:
     def test_no_matching_samples_gives_zero(self, beta_scenario):
         rows = [("+1", "+1", 1), ("-1", "-1", 0), ("+1", "+1", 0)]
-        d = manual_dataset(beta_scenario, rows)
+        d = encode(beta_scenario, rows)
         h_minus = beta_scenario.hypothesis_by_name("h_minus")
         loss = beta_scenario.loss_by_name("steer_to_one")
-        assert om.ips_risk_estimate(d, h_minus, loss, 2) == 0.0
+        assert om.ips_risk_estimate(d, h_minus, loss, beta_scenario) == 0.0
 
     def test_two_sample_hand_value(self, beta_scenario):
         # h_plus matches only the first sample, whose realized loss is 1
         rows = [("+1", "+1", 0), ("-1", "+1", 1)]
-        d = manual_dataset(beta_scenario, rows)
+        d = encode(beta_scenario, rows)
         h_plus = beta_scenario.hypothesis_by_name("h_plus")
         loss = beta_scenario.loss_by_name("steer_to_one")
-        assert om.ips_risk_estimate(d, h_plus, loss, 2) == 1.0
+        assert om.ips_risk_estimate(d, h_plus, loss, beta_scenario) == 1.0
 
     def test_empty_dataset_rejected(self, beta_scenario):
-        meta = om.RctMeta(scenario="beta-0.25", seed=None, n=0, gen="")
-        d = om.RctDataset(xs=(), yhats=(), ys=(), meta=meta)
+        d = encode(beta_scenario, [])
         h = beta_scenario.hypotheses[0]
         with pytest.raises(om.ArgumentError):
-            om.ips_risk_estimate(d, h, beta_scenario.losses[0], 2)
+            om.ips_risk_estimate(d, h, beta_scenario.losses[0], beta_scenario)
 
     def test_population_dataset_recovers_exact_risk(self):
         rng = np.random.default_rng(23)
@@ -107,7 +109,7 @@ class TestIpsEstimate:
             sc, data, _ = dyadic_scenario_and_data(rng)
             for h in sc.hypotheses:
                 for loss in sc.losses:
-                    est = om.ips_risk_estimate(data, h, loss, sc.k)
+                    est = om.ips_risk_estimate(data, h, loss, sc)
                     true = om.performative_risk_exact(
                         h, sc.nature.table, loss, sc.input_distribution)
                     assert est == pytest.approx(true, abs=1e-12)
@@ -119,7 +121,7 @@ class TestIpsEstimate:
         true = om.performative_risk_exact(h, sc.nature.table, loss, sc.input_distribution)
         trials = 2000
         vals = [
-            om.ips_risk_estimate(om.generate_rct(sc, 50, seed), h, loss, sc.k)
+            om.ips_risk_estimate(om.generate_rct(sc, 50, seed), h, loss, sc)
             for seed in range(trials)
         ]
         mean = sum(vals) / trials
@@ -132,7 +134,7 @@ class TestIpsEstimate:
             sc = random_scenario(rng)
             d = om.generate_rct(sc, 200, int(rng.integers(0, 1000)))
             for h in sc.hypotheses:
-                est = om.ips_risk_estimate(d, h, sc.losses[0], sc.k)
+                est = om.ips_risk_estimate(d, h, sc.losses[0], sc)
                 assert 0.0 <= est <= sc.k * 1.0 + 1e-12
 
 
@@ -141,7 +143,8 @@ class TestModelRiskEstimate:
         pred = om.base_predictor(beta_scenario, 0.05)
         h = beta_scenario.hypothesis_by_name("h_plus")
         loss = beta_scenario.loss_by_name("steer_to_one")
-        est = om.model_risk_estimate(["+1", "-1", "+1"], pred, h, loss, beta_scenario)
+        xs = features_only(beta_scenario, ["+1", "-1", "+1"])
+        est = om.model_risk_estimate(xs, pred, h, loss, beta_scenario)
         assert est == pytest.approx(0.5, abs=1e-15)
 
     def test_truth_matrix_on_balanced_features(self, beta_scenario, beta_nature_matrix):
@@ -149,7 +152,7 @@ class TestModelRiskEstimate:
         for h in sc.hypotheses:
             for loss in sc.losses:
                 est = om.model_risk_estimate(
-                    ["-1", "+1"], beta_nature_matrix, h, loss, sc)
+                    features_only(sc, ["-1", "+1"]), beta_nature_matrix, h, loss, sc)
                 true = om.performative_risk_exact(
                     h, sc.nature.table, loss, sc.input_distribution)
                 assert est == pytest.approx(true, abs=1e-12)
@@ -157,14 +160,16 @@ class TestModelRiskEstimate:
     def test_single_feature(self, beta_scenario, beta_nature_matrix):
         h = beta_scenario.hypothesis_by_name("h_plus")
         loss = beta_scenario.loss_by_name("steer_to_one")
-        est = om.model_risk_estimate(["+1"], beta_nature_matrix, h, loss, beta_scenario)
+        xs = features_only(beta_scenario, ["+1"])
+        est = om.model_risk_estimate(xs, beta_nature_matrix, h, loss, beta_scenario)
         assert est == pytest.approx(0.25, abs=1e-15)
 
     def test_empty_features_rejected(self, beta_scenario):
         pred = om.base_predictor(beta_scenario, 0.05)
         h = beta_scenario.hypotheses[0]
         with pytest.raises(om.ArgumentError):
-            om.model_risk_estimate([], pred, h, beta_scenario.losses[0], beta_scenario)
+            om.model_risk_estimate(features_only(beta_scenario, []), pred, h,
+                                   beta_scenario.losses[0], beta_scenario)
 
 
 def ips_reference(data, h, loss, k):
@@ -172,14 +177,15 @@ def ips_reference(data, h, loss, k):
     if data.n == 0:
         raise om.ArgumentError("cannot estimate risk from an empty dataset")
     total = []
-    for x, yh, y in zip(data.xs, data.yhats, data.ys):
+    for x, yh, y in zip(*sample_labels(data)):
         if h.decide(x) == yh:
             total.append(loss.values(x, yh, y))
     return (k / data.n) * math.fsum(total)
 
 
-def model_risk_reference(xs, pred, rule, loss, scenario):
-    """Per-sample index remapping, as before the features were encoded."""
+def model_risk_reference(data, pred, rule, loss, scenario):
+    """Per-sample index remapping of the features' labels."""
+    xs = sample_labels(data)[0]
     matrix = om.prediction_matrix(pred, scenario)
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays(loss)
@@ -213,7 +219,7 @@ class TestKernelsMatchPerSampleLoops:
             for d in (data, part, part.slice(0, max(1, (b - a) // 2))):
                 for h in rules_to_check(sc, unlogged):
                     for loss in sc.losses:
-                        got = om.ips_risk_estimate(d, h, loss, sc.k)
+                        got = om.ips_risk_estimate(d, h, loss, sc)
                         assert got == ips_reference(d, h, loss, sc.k)
 
     def test_rule_on_unlogged_decision_gives_zero(self):
@@ -221,7 +227,7 @@ class TestKernelsMatchPerSampleLoops:
         sc = random_scenario(rng)
         data, unlogged = partial_trial_data(rng, sc, 300)
         always = rules_to_check(sc, unlogged)[-1]
-        assert om.ips_risk_estimate(data, always, sc.losses[0], sc.k) == 0.0
+        assert om.ips_risk_estimate(data, always, sc.losses[0], sc) == 0.0
 
     def test_ips_on_generated_data(self):
         rng = np.random.default_rng(107)
@@ -230,10 +236,10 @@ class TestKernelsMatchPerSampleLoops:
             data = om.generate_rct(sc, 500, int(rng.integers(0, 1000)))
             for h in sc.hypotheses:
                 for loss in sc.losses:
-                    assert (om.ips_risk_estimate(data, h, loss, sc.k)
+                    assert (om.ips_risk_estimate(data, h, loss, sc)
                             == ips_reference(data, h, loss, sc.k))
 
-    def test_model_risk_on_list_tuple_column_and_slice(self):
+    def test_model_risk_on_data_and_slice(self):
         rng = np.random.default_rng(109)
         for _ in range(15):
             sc = random_scenario(rng)
@@ -242,23 +248,18 @@ class TestKernelsMatchPerSampleLoops:
             part = data.slice(0, max(1, data.n // 3))
             for h in rules_to_check(sc, unlogged):
                 for loss in sc.losses:
-                    for xs in (data.xs, part.xs):
-                        want = model_risk_reference(xs, q, h, loss, sc)
-                        assert om.model_risk_estimate(xs, q, h, loss, sc) == want
-                        assert om.model_risk_estimate(
-                            list(xs), q, h, loss, sc) == want
-                        assert om.model_risk_estimate(
-                            tuple(xs), q, h, loss, sc) == want
+                    for d in (data, part):
+                        want = model_risk_reference(d, q, h, loss, sc)
+                        assert om.model_risk_estimate(d, q, h, loss, sc) == want
 
     def test_slices_share_the_parent_codes(self, beta_scenario):
         # the scenario indices generate_rct supplies are sliced as views
-        sc = beta_scenario
-        d = om.generate_rct(sc, 100, 4)
+        d = om.generate_rct(beta_scenario, 100, 4)
         s = d.slice(10, 30)
-        assert np.shares_memory(feature_indices(s.xs, sc), feature_indices(d.xs, sc))
-        assert np.shares_memory(s.decision_indices(sc), d.decision_indices(sc))
+        assert np.shares_memory(s.x_idx, d.x_idx)
+        assert np.shares_memory(s.yhat_idx, d.yhat_idx)
         assert np.shares_memory(s.outcomes, d.outcomes)
-        assert s.outcomes.tolist() == list(d.ys[10:30])
+        assert s.outcomes.tolist() == d.outcomes.tolist()[10:30]
 
     def test_empty_inputs_rejected(self, beta_scenario):
         sc = beta_scenario
@@ -266,9 +267,9 @@ class TestKernelsMatchPerSampleLoops:
         empty = om.generate_rct(sc, 50, 0).slice(20, 20)
         assert empty.n == 0
         with pytest.raises(om.ArgumentError):
-            om.ips_risk_estimate(empty, h, loss, sc.k)
+            om.ips_risk_estimate(empty, h, loss, sc)
         pred = om.base_predictor(sc, 0.05)
-        for xs in ([], (), empty.xs):
+        for xs in (empty, features_only(sc, [])):
             with pytest.raises(om.ArgumentError):
                 om.model_risk_estimate(xs, pred, h, loss, sc)
 
@@ -386,7 +387,7 @@ class TestJsonlFiles:
         path.write_text('{"x":"+1","yhat":"-1","y":0}\n'
                         '{"x":"-1","yhat":"-1","y":1}\n')
         d = om.read_jsonl(path, beta_scenario)
-        assert d.n == 2 and d.ys == (0, 1)
+        assert d.n == 2 and d.outcomes.tolist() == [0, 1]
         assert d.meta.scenario == "beta-0.25"
 
     def test_augmented_scenario_reads_base_data(self, tmp_path):
@@ -413,7 +414,7 @@ class TestJsonlFiles:
         assert d.n == 0
         with pytest.raises(om.ArgumentError):
             om.ips_risk_estimate(d, beta_scenario.hypotheses[0],
-                                 beta_scenario.losses[0], 2)
+                                 beta_scenario.losses[0], beta_scenario)
 
 
 def line_reader_reference(path, scenario):
@@ -478,7 +479,7 @@ def line_reader_reference(path, scenario):
             f"{path}: metadata declares n={meta.n} but the file holds "
             f"{len(xs)} samples"
         )
-    return om.RctDataset(xs=tuple(xs), yhats=tuple(yhats), ys=tuple(ys), meta=meta)
+    return om.RctDataset.from_labels(scenario, xs, yhats, ys, meta)
 
 
 def small_scenario(name, points, labels, values):
@@ -609,12 +610,6 @@ class TestBlockReaderMatchesLineReader:
             with mock.patch.object(rct, "_BLOCK_LINES", block):
                 got = read_result(om.read_jsonl, path, sc)
         assert got == want
-        if got[0] == "data":
-            data, arrays = got[1], sc.arrays
-            assert feature_indices(data.xs, sc).tolist() == [
-                arrays.x_index[x] for x in data.xs]
-            assert data.decision_indices(sc).tolist() == [
-                arrays.y_index[yh] for yh in data.yhats]
 
     @pytest.mark.parametrize("bad_line", [4095, 4096, 4097, 4098, 8193])
     def test_bad_line_on_either_side_of_a_block_boundary(self, tmp_path, bad_line):
@@ -650,7 +645,7 @@ class TestBlockReaderMatchesLineReader:
                                     "gen": om.GENERATOR_TAG}}, separators=(",", ":"))
         want = "".join(
             json.dumps({"x": x, "yhat": yh, "y": y}, separators=(",", ":")) + "\n"
-            for x, yh, y in zip(data.xs, data.yhats, data.ys))
+            for x, yh, y in zip(*sample_labels(data)))
         assert path.read_text(encoding="utf-8") == head + "\n" + want
         assert om.read_jsonl(path, ODD) == data
 
@@ -669,9 +664,9 @@ class TestCountKernel:
         sc = small_scenario("one", ["only"], ["d"], {"only": {"d": (0.1, 0.7)}})
         h, loss = sc.hypotheses[0], sc.losses[0]
         for y in (0, 1):
-            data = manual_dataset(sc, [("only", "d", y)])
-            assert data.counts(sc).tolist() == [[[1 - y, y]]]
-            got = om.ips_risk_estimate(data, h, loss, 1, sc)
+            data = encode(sc, [("only", "d", y)])
+            assert data.counts.tolist() == [[[1 - y, y]]]
+            got = om.ips_risk_estimate(data, h, loss, sc)
             assert got == ips_reference(data, h, loss, 1) == (0.1, 0.7)[y]
 
     def test_unsampled_features_and_unlogged_decisions(self):
@@ -679,15 +674,14 @@ class TestCountKernel:
         for _ in range(15):
             sc = random_scenario(rng)
             data, unlogged = partial_trial_data(rng, sc, int(rng.integers(1, 300)))
-            counts = data.counts(sc)
+            counts = data.counts
             want = np.zeros_like(counts)
-            np.add.at(want, (feature_indices(data.xs, sc),
-                             data.decision_indices(sc), data.outcomes), 1)
+            np.add.at(want, (data.x_idx, data.yhat_idx, data.outcomes), 1)
             assert np.array_equal(counts, want)
             assert counts[:, sc.arrays.y_index[unlogged]].sum() == 0
             for h in rules_to_check(sc, unlogged):
                 for loss in sc.losses:
-                    assert (om.ips_risk_estimate(data, h, loss, sc.k, sc)
+                    assert (om.ips_risk_estimate(data, h, loss, sc)
                             == ips_reference(data, h, loss, sc.k))
 
     def test_slices_of_slices_and_hand_built_copies(self):
@@ -697,18 +691,18 @@ class TestCountKernel:
             data = om.generate_rct(sc, 500, int(rng.integers(0, 1000)))
             a, b = sorted(rng.integers(0, 501, size=2))
             part = data.slice(a, b)
-            c, e = sorted(rng.integers(0, len(part.xs) + 1, size=2))
+            c, e = sorted(rng.integers(0, part.n + 1, size=2))
             inner = part.slice(c, e)
             if inner.n == 0:
                 continue
-            by_hand = manual_dataset(sc, list(zip(inner.xs, inner.yhats, inner.ys)))
-            assert np.array_equal(inner.counts(sc), by_hand.counts(sc))
+            by_hand = encode(sc, list(zip(*sample_labels(inner))))
+            assert by_hand == dataclasses.replace(inner, meta=by_hand.meta)
+            assert np.array_equal(inner.counts, by_hand.counts)
             for h in sc.hypotheses:
                 for loss in sc.losses:
                     want = ips_reference(inner, h, loss, sc.k)
-                    assert om.ips_risk_estimate(inner, h, loss, sc.k, sc) == want
-                    assert om.ips_risk_estimate(by_hand, h, loss, sc.k, sc) == want
-                    assert om.ips_risk_estimate(by_hand, h, loss, sc.k) == want
+                    assert om.ips_risk_estimate(inner, h, loss, sc) == want
+                    assert om.ips_risk_estimate(by_hand, h, loss, sc) == want
 
     def test_full_mantissa_values_at_large_counts(self):
         v0, c0, v1, c1 = FULL_MANTISSA
@@ -716,13 +710,12 @@ class TestCountKernel:
                             {"a": {"d": (v0, v0)}, "b": {"d": (v1, v1)}})
         rows = [("a", "d", i % 2) for i in range(c0)]
         rows += [("b", "d", i % 2) for i in range(c1)]
-        data = manual_dataset(sc, rows)
+        data = encode(sc, rows)
         h, loss = sc.hypotheses[0], sc.losses[0]
         want = ips_reference(data, h, loss, 1)
-        assert om.ips_risk_estimate(data, h, loss, 1, sc) == want
-        assert om.ips_risk_estimate(data, h, loss, 1) == want
+        assert om.ips_risk_estimate(data, h, loss, sc) == want
         # without the split, each product count * value rounds once
-        counts = data.counts(sc)[:, 0].sum(axis=1)
+        counts = data.counts[:, 0].sum(axis=1)
         unsplit = (1 / data.n) * math.fsum((counts * np.array([v0, v1])).tolist())
         assert unsplit != want
 
@@ -744,44 +737,128 @@ class TestCountKernel:
 
 
 class TestDataOutsideScenario:
-    """Identifiers and outcomes outside the scenario are refused, by name."""
+    """Identifiers and outcomes outside the scenario are refused, by name,
+    when label columns are encoded."""
 
-    SCENARIO = om.load_scenario(
-        Path(__file__).resolve().parent.parent / "scenarios" / "beta025.json")
+    SCENARIO = om.load_scenario(SCENARIOS / "beta025.json")
 
     @pytest.mark.parametrize("bad", [2, -1, True, 1.0, "1", None])
     def test_outcome_must_be_integer_zero_or_one(self, bad):
         with pytest.raises(om.ArgumentError, match="outcome must be the integer"):
-            manual_dataset(self.SCENARIO, [("+1", "+1", 1), ("-1", "+1", bad)])
+            encode(self.SCENARIO, [("+1", "+1", 1), ("-1", "+1", bad)])
 
     def test_unknown_feature_is_named(self):
-        sc = self.SCENARIO
-        data = manual_dataset(sc, [("+1", "+1", 1), ("zz", "-1", 0), ("yy", "-1", 0)])
-        pred, h, loss = om.base_predictor(sc, 0.05), sc.hypotheses[0], sc.losses[0]
+        rows = [("+1", "+1", 1), ("zz", "-1", 0), ("yy", "-1", 0)]
         with pytest.raises(om.ArgumentError, match="unknown feature 'zz'"):
-            om.build_csc_instance(data, pred, loss, 1, sc)
-        with pytest.raises(om.ArgumentError, match="unknown feature 'zz'"):
-            om.model_risk_estimate(data.xs, pred, h, loss, sc)
-        with pytest.raises(om.ArgumentError, match="unknown feature 'zz'"):
-            om.model_risk_estimate(list(data.xs), pred, h, loss, sc)
-        with pytest.raises(om.ArgumentError, match="unknown feature 'zz'"):
-            om.ips_risk_estimate(data, h, loss, sc.k, sc)
+            encode(self.SCENARIO, rows)
+        with pytest.raises(om.ArgumentError, match=r"unknown feature \['\+1'\]"):
+            encode(self.SCENARIO, [(["+1"], "+1", 1)])
 
     def test_unknown_decision_is_named(self):
-        sc = self.SCENARIO
-        data = manual_dataset(sc, [("+1", "+1", 0), ("+1", "q", 1)])
-        pred, h, loss = om.base_predictor(sc, 0.05), sc.hypotheses[0], sc.losses[0]
         with pytest.raises(om.ArgumentError, match="unknown decision 'q'"):
-            om.ips_risk_estimate(data, h, loss, sc.k, sc)
-        with pytest.raises(om.ArgumentError, match="unknown decision 'q'"):
-            om.build_csc_instance(data, pred, loss, 1, sc)
-        # without the scenario, the sample's cell is looked up in the loss
-        with pytest.raises(om.ConfigurationError, match="decision 'q'"):
-            om.ips_risk_estimate(data, h, loss, sc.k)
+            encode(self.SCENARIO, [("+1", "+1", 0), ("+1", "q", 1)])
+
+    @pytest.mark.parametrize("column, bad", [
+        ("x_idx", -1), ("x_idx", 2), ("yhat_idx", -1), ("yhat_idx", 2),
+        ("outcomes", -1), ("outcomes", 2)])
+    def test_indices_outside_the_spaces_are_refused(self, column, bad):
+        data = om.generate_rct(self.SCENARIO, 5, 0)
+        values = getattr(data, column).copy()
+        values[3] = bad
+        with pytest.raises(om.ArgumentError, match=rf"{column} must lie in \[0, 2\)"):
+            dataclasses.replace(data, **{column: values})
+        values[3] = 1
+        assert dataclasses.replace(data, **{column: values}).n == 5
 
     def test_loss_from_outside_the_scenario(self):
         sc = self.SCENARIO
         data = om.generate_rct(sc, 50, 0)
         foreign = om.make_beta_scenario(0.25).losses[0]
         with pytest.raises(om.ArgumentError, match="not one of the scenario's"):
-            om.ips_risk_estimate(data, sc.hypotheses[0], foreign, sc.k, sc)
+            om.ips_risk_estimate(data, sc.hypotheses[0], foreign, sc)
+
+
+def respaced(scenario, points, labels):
+    """A scenario like small_scenario's over the given spaces."""
+    return small_scenario(scenario.name, points, labels,
+                          {x: {y: (0.25, 0.5) for y in labels} for x in points})
+
+
+class TestScenarioBinding:
+    """A dataset is used only with scenarios over the spaces it was
+    encoded for."""
+
+    BASE = om.load_scenario(SCENARIOS / "beta025_weights.json")
+
+    @pytest.mark.parametrize("points, labels", [
+        (("+1", "-1"), ("-1", "+1")),       # features reordered
+        (("-1", "+1", "0"), ("-1", "+1")),  # a feature more
+        (("-1", "+1"), ("+1", "-1")),       # decisions reordered
+        (("-1", "+1"), ("-1", "up")),       # a decision renamed
+    ])
+    def test_other_spaces_are_refused(self, points, labels):
+        data = om.generate_rct(self.BASE, 200, 1)
+        assert (self.BASE.features.points, self.BASE.decisions.labels) == (
+            ("-1", "+1"), ("-1", "+1"))
+        other = respaced(self.BASE, points, labels)
+        h, loss = other.hypotheses[0], other.losses[0]
+        pred = om.base_predictor(other, 0.05)
+        with pytest.raises(om.ArgumentError, match="indexed by other features"):
+            om.ips_risk_estimate(data, h, loss, other)
+        with pytest.raises(om.ArgumentError, match="indexed by other features"):
+            om.model_risk_estimate(data, pred, h, loss, other)
+        with pytest.raises(om.ArgumentError, match="indexed by other features"):
+            om.build_csc_instance(data, pred, loss, 1, other)
+        with pytest.raises(om.ArgumentError, match="indexed by other features"):
+            om.audit_poi_empirical(pred, data, data, other, 0.1)
+        own = om.generate_rct(other, 200, 1)
+        with pytest.raises(om.ArgumentError, match="indexed by other features"):
+            om.audit_poi_empirical(pred, own, data, other, 0.1)
+        costs = np.zeros((data.n, other.k))
+        with pytest.raises(om.ArgumentError, match="indexed by other features"):
+            om.CscInstance(data=data, costs=costs, scenario=other)
+
+    @pytest.mark.parametrize("derive", [
+        om.augment_scenario,
+        lambda sc: dataclasses.replace(sc, losses=sc.losses[1:]),
+    ], ids=["augmented", "replaced-losses"])
+    def test_derived_scenarios_are_accepted(self, derive):
+        data = om.generate_rct(self.BASE, 400, 2)
+        sc = derive(self.BASE)
+        pred = om.base_predictor(sc, 0.05)
+        for h in sc.hypotheses:
+            for loss in sc.losses:
+                assert (om.ips_risk_estimate(data, h, loss, sc)
+                        == ips_reference(data, h, loss, sc.k))
+                assert (om.model_risk_estimate(data, pred, h, loss, sc)
+                        == model_risk_reference(data, pred, h, loss, sc))
+        instance = om.build_csc_instance(data, pred, sc.losses[0], 1, sc)
+        assert instance.n == data.n
+        _, report = om.audit_poi_empirical(pred, data, data, sc, 0.1)
+        assert len(report.entries) == len(sc.hypotheses) * len(sc.losses)
+
+
+# sha256 of write_jsonl(generate_rct(scenario, n, seed)): the bytes
+# GENERATOR_TAG promises for a seed, pinned across library versions.
+GENERATED_DIGESTS = [
+    ("beta025.json", 2000, 0,
+     "c47017085b14a39bead58292e179551bb1209422040d454a6305d2d7c7926e89"),
+    ("beta025.json", 2000, 7,
+     "e3efd40efaa3b75d51b3f6247eb8a408776690be7c2d2846d69259d6a4186a8b"),
+    ("beta025_weights.json", 2000, 1,
+     "10678e4f7a5454efaf66f354b826e1e6b7c0d3a1e87800f627c5f92067d3ac4a"),
+    ("beta025_weights.json", 2000, 12,
+     "190374a895e846b77b3c86a165cb9593f2dd90820b515e44d720ceee0a28c57e"),
+    ("odd", 300, 5,
+     "1c1cef98bc57b2e238509fa62ae1cba943db44d78ca1792251d0fc3f4a8a8530"),
+]
+
+
+class TestGeneratorBytes:
+    @pytest.mark.parametrize("name, n, seed, digest", GENERATED_DIGESTS)
+    def test_generated_files_keep_their_bytes(self, tmp_path, name, n, seed, digest):
+        assert om.GENERATOR_TAG == "pcg64-icdf-1"
+        sc = ODD if name == "odd" else om.load_scenario(SCENARIOS / name)
+        path = tmp_path / "trial.jsonl"
+        om.write_jsonl(om.generate_rct(sc, n, seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
