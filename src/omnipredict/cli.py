@@ -126,6 +126,13 @@ def cmd_train(args) -> int:
     poi_n = doi_n = None
     if args.data is not None:
         data = read_jsonl(args.data, train_scenario)
+        if args.mode != EXACT and args.poi_n is None and data.n < 2:
+            raise ConfigurationError(
+                f"training data {args.data} has {data.n} sample"
+                f"{'' if data.n == 1 else 's'}; {args.mode} training needs "
+                "at least 2: a prefix for the rule audits and a fresh slice "
+                "for each decision audit"
+            )
         poi_n = args.poi_n if args.poi_n is not None else data.n // 2
         doi_n = (
             args.doi_n

@@ -266,6 +266,30 @@ class TestTrain:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("mode", ["empirical", "csc"])
+    def test_one_sample_names_the_data_size(self, workdir, mode):
+        # the default rule-audit prefix is half the data, none of one sample
+        data = workdir / "one.jsonl"
+        assert run("rct-gen", "--config", BETA, "--n", "1", "--out", str(data))[0] == 0
+        out = workdir / f"one_{mode}.json"
+        code, stdout, err = run("train", "--config", BETA, "--mode", mode,
+                                "--epsilon", "0.05", "--data", str(data),
+                                "--out", str(out))
+        assert code == 2
+        assert err == (
+            f"error: training data {data} has 1 sample; {mode} training needs "
+            "at least 2: a prefix for the rule audits and a fresh slice for "
+            "each decision audit\n")
+        assert stdout == "" and not out.exists()
+        # two samples are enough: at epsilon 5 no estimate, each at most
+        # 2 (an IPS weight of k = 2), can violate, so one audit of each
+        # kind settles
+        two = workdir / "two.jsonl"
+        assert run("rct-gen", "--config", BETA, "--n", "2", "--out", str(two))[0] == 0
+        code, _, err = run("train", "--config", BETA, "--mode", mode,
+                           "--epsilon", "5", "--data", str(two), "--out", str(out))
+        assert code == 0, err
+
     def test_truncated_data_is_config_error(self, workdir):
         data = workdir / "cut.jsonl"
         assert run("rct-gen", "--config", BETA, "--n", "10", "--seed", "0",

@@ -1,6 +1,8 @@
 """Scenario model, closed-form risks, and optimal rules."""
 
 import copy
+import gc
+import hashlib
 import importlib
 import json
 import math
@@ -801,6 +803,15 @@ def set_loss_cell(value):
     return fault
 
 
+def ragged_loss_pair(rng, t):
+    """Three values in one loss cell and one in the next, in one row: the
+    row still holds two values per decision."""
+    row = t["losses"][-1][2][later_feature(rng, t)]
+    j = int(rng.integers(0, len(t["ys"]) - 1))
+    y0, y1 = t["ys"][j], t["ys"][j + 1]
+    row[y0], row[y1] = (*row[y0], 0.5), row[y1][:1]
+
+
 # Cells of the wrong kind or shape. Before tables went straight into
 # arrays, a three-value loss cell loaded with its third value dropped.
 MALFORMED = {
@@ -808,6 +819,11 @@ MALFORMED = {
     "one-value-loss-cell": set_loss_cell((0.5,)),
     "number-loss-cell": set_loss_cell(0.5),
     "null-loss-cell": set_loss_cell(None),
+    # a flat read of the values would split these into two each, or pass
+    # a long cell next to a short one
+    "text-loss-cell": set_loss_cell("01"),
+    "object-loss-cell": set_loss_cell({"0": 0.2, "1": 0.4}),
+    "ragged-loss-pair": ragged_loss_pair,
     "list-loss-value": set_loss_value([0.5]),
     "object-loss-value": set_loss_value({"v": 0.5}),
     "null-loss-value": set_loss_value(None),
@@ -942,11 +958,11 @@ def per_cell_values(loss, xs, ys):
 
 
 @st.composite
-def degenerate_documents(draw):
+def degenerate_documents(draw, n_x=st.integers(1, 4), k=st.integers(1, 3)):
     """Scenario documents with degenerate shapes: k = 1, |X| = 1, zero
     masses, zero weights, tied values, JSON integers in number cells and
     JSON-number labels in rule maps."""
-    n_x, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n_x, k = draw(n_x), draw(k)
     xs, ys = [f"x{i}" for i in range(n_x)], [str(j) for j in range(k)]
     parts = draw(st.lists(st.integers(0, 3), min_size=n_x, max_size=n_x).filter(any))
     masses = [p / sum(parts) for p in parts]
@@ -985,9 +1001,8 @@ def degenerate_documents(draw):
 class TestArraysMatchPerCellReferences:
     """Differential checks of the arrays against per-cell loops."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(degenerate_documents())
-    def test_loaded_arrays(self, doc):
+    @staticmethod
+    def check_loaded_arrays(doc):
         sc = om.scenario_from_dict(json.loads(json.dumps(doc)))
         arrays = sc.arrays
         got = {"dist": arrays.dist, "nature": arrays.nature}
@@ -1003,6 +1018,20 @@ class TestArraysMatchPerCellReferences:
         for name, array in want.items():
             assert got[name].dtype == array.dtype, name
             assert got[name].tobytes() == array.tobytes(), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(degenerate_documents())
+    def test_loaded_arrays(self, doc):
+        self.check_loaded_arrays(doc)
+
+    # one decision per row or one feature per table: itemgetter of one
+    # key returns the bare item, not a 1-tuple
+    @pytest.mark.parametrize("n_x, k", [(4, 1), (1, 3), (1, 1)])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_one_decision_or_one_feature(self, n_x, k, data):
+        doc = data.draw(degenerate_documents(st.just(n_x), st.just(k)))
+        self.check_loaded_arrays(doc)
 
     @settings(max_examples=80, deadline=None)
     @given(degenerate_documents())
@@ -1097,3 +1126,100 @@ class TestLoaderFuzz:
                 om.load_scenario(path)
             except om.ConfigurationError:  # WeightInvariantError is one too
                 pass
+
+
+# The benchmark's scenarios: each workload's sizes in perfbench/run.py
+# and the scenario seed of a --seed 1 run (trial-data's is fixed at 0).
+WORKLOAD_SCENARIOS = {
+    "exact-large": (dict(n_x=4000, k=4, n_losses=8, n_hypotheses=64,
+                         epsilon=0.02), 1),
+    "trial-data": (dict(n_x=200, k=4, n_losses=4, n_hypotheses=16,
+                        epsilon=0.05), 0),
+    "adapt-serve": (dict(n_x=500, k=3, n_losses=4, n_hypotheses=32,
+                         epsilon=0.05, n_weights=4), 1),
+}
+
+
+@pytest.fixture(scope="module")
+def workload_files(tmp_path_factory):
+    """workload -> its scenario file, written as the benchmark writes it."""
+    gen = runpy.run_path(str(REPO / "perfbench" / "gen.py"))
+    directory, files = tmp_path_factory.mktemp("workloads"), {}
+    for name, (sizes, seed) in WORKLOAD_SCENARIOS.items():
+        files[name] = directory / f"{name}.json"
+        doc = gen["generate"](f"{name}-{seed}", gen["Sizes"](**sizes), seed)
+        gen["write"](doc, files[name])
+    return files
+
+
+def arrays_digest(sc):
+    """sha256 over dtype, shape and bytes of dist, nature, every loss's
+    values, every rule's indices and every weight, in canonical order."""
+    arrays = sc.arrays
+    parts = [arrays.dist, arrays.nature]
+    parts += [arrays.loss_values[l.name] for l in sc.losses]
+    parts += [arrays.hyp_index[h.name] for h in sc.hypotheses]
+    parts += [arrays.weights[w.name] for w in (sc.weights.weights if sc.weights else ())]
+    digest = hashlib.sha256()
+    for array in parts:
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestWorkloadArrays:
+    # computed before the tables were read flat
+    DIGESTS = {
+        "exact-large": "499bea810a5f823d0bf009b813846d6a13b4d2ad9f0e0137568a0f5fe857655a",
+        "trial-data": "cf574710f566a3d3ed1513b4a6c43569d9f57a3d686ea8b01cdf5c705a4562c3",
+        "adapt-serve": "56e78f0e90863acb9f31ef258824efebb28e9970f669601b7706df29ce085599",
+    }
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SCENARIOS))
+    def test_checked_arrays_are_pinned(self, workload, workload_files):
+        sc = om.load_scenario(workload_files[workload])
+        assert arrays_digest(sc) == self.DIGESTS[workload]
+
+
+class TestCollectorPause:
+    """load_scenario pauses the cyclic collector and restores its state."""
+
+    @pytest.mark.parametrize("fault", [None, "missing", "not-json", "invalid", "weight"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored(self, enabled, fault, tmp_path):
+        path = tmp_path / "scenario.json"
+        doc = json.loads((REPO / "scenarios" / "beta025_weights.json").read_text())
+        if fault == "invalid":
+            del doc["nature"]["+1"]
+        elif fault == "weight":  # raises WeightInvariantError
+            doc["weights"][0]["wmax"] = 0.5
+        if fault == "not-json":
+            path.write_text("{")
+        elif fault != "missing":
+            path.write_text(json.dumps(doc))
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if fault is None:
+                om.load_scenario(path)
+            else:
+                with pytest.raises(om.ConfigurationError):
+                    om.load_scenario(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+
+    def test_no_collection_while_loading_a_large_scenario(self, workload_files):
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            om.load_scenario(workload_files["exact-large"])
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
