@@ -313,18 +313,13 @@ def doi_entries_empirical(
 
     The rules themselves are computed analytically from the predictor;
     only Nature's side of each risk is estimated from the trial data.
-    Each rule is validated once, and both estimators read its indices.
     """
     matrix = prediction_matrix(pred, scenario)
 
     def err(loss: Loss) -> float:
         rule = induced_rule(matrix, loss, scenario)
-        chosen = scenario.arrays.rule_indices(rule)
-        model = model_risk_estimate(
-            unlabeled, matrix, rule, loss, scenario, indices=chosen
-        )
-        nature = ips_risk_estimate(labeled, rule, loss, scenario, indices=chosen)
-        return model - nature
+        model = model_risk_estimate(unlabeled, matrix, rule, loss, scenario)
+        return model - ips_risk_estimate(labeled, rule, loss, scenario)
 
     return _decision_entries(scenario, map(err, scenario.losses))
 

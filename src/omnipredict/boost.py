@@ -141,9 +141,10 @@ class _EmpiricalData:
             )
         if config.poi_n < 1 or config.doi_n < 1:
             raise ConfigurationError("poi_n and doi_n must be at least 1")
-        if config.poi_n > config.data.n:
+        if config.poi_n + config.doi_n > config.data.n:
             raise ConfigurationError(
-                f"poi_n={config.poi_n} exceeds the dataset size {config.data.n}"
+                f"poi_n={config.poi_n} plus doi_n={config.doi_n} exceeds the "
+                f"dataset size {config.data.n}, so training could never converge"
             )
         self.data = config.data
         self.doi_n = config.doi_n

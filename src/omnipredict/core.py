@@ -382,35 +382,29 @@ class WeightClass:
     def wmax(self) -> float:
         return max(w.wmax for w in self.weights)
 
-    def by_name(self, name: str) -> WeightFunction:
-        for w in self.weights:
-            if w.name == name:
-                return w
-        raise ArgumentError(f"unknown weight function {name!r}")
 
+class _TableView(Mapping):
+    """A part's table as a read-only view of its checked array, keyed
+    through x_index. Row x reads in normal form: a float for a mass or a
+    weight, a str label for a rule (an integer array of decision
+    indices), and for the outcome model or a loss a dict from each label
+    to a float or to a (value at y=0, value at y=1) tuple."""
 
-class _WeightedTable(Mapping):
-    """Read-only loss table scaled by a weight function: row x maps each
-    decision to (w(x) * value at y=0, w(x) * value at y=1), computed on
-    access from the base table."""
-
-    def __init__(self, table: Mapping, w: WeightFunction):
-        self._table, self._w = table, w
+    def __init__(self, array: np.ndarray, x_index: dict, labels: tuple):
+        self.array, self.x_index, self.labels = array, x_index, labels
 
     def __getitem__(self, x):
-        row, w = self._table[x], self._w.weight(x)
-        return {yhat: (w * float(v[0]), w * float(v[1])) for yhat, v in row.items()}
+        row = self.array[self.x_index[x]]
+        if self.array.ndim == 1:
+            return self.labels[row] if self.array.dtype.kind == "i" else float(row)
+        cells = row.tolist()
+        return dict(zip(self.labels, map(tuple, cells) if row.ndim == 2 else cells))
 
     def __iter__(self):
-        return iter(self._table)
+        return iter(self.x_index)
 
     def __len__(self):
-        return len(self._table)
-
-
-def _split(values: np.ndarray):
-    """(value at y=0, value at y=1 minus value at y=0) of a loss array."""
-    return values[:, :, 0], values[:, :, 1] - values[:, :, 0]
+        return len(self.x_index)
 
 
 class _ScenarioArrays:
@@ -425,30 +419,35 @@ class _ScenarioArrays:
     depend on thread counts.
     """
 
-    def __init__(self, scenario, dist, nature, losses, rules, weights):
-        self.features, self.decisions = scenario.features, scenario.decisions
-        self.x_index = {x: i for i, x in enumerate(self.features.points)}
-        self.y_index = {y: j for j, y in enumerate(self.decisions.labels)}
+    def __init__(self, features, decisions, dist, nature, rules, weights):
+        self.features, self.decisions = features, decisions
+        self.x_index = {x: i for i, x in enumerate(features.points)}
+        self.y_index = {y: j for j, y in enumerate(decisions.labels)}
         self.dist, self.nature = dist, nature
         self.hyp_index, self.weights = rules, weights
-        self._own_rules = {id(h): (h, rules[h.name]) for h in scenario.hypotheses}
-        rows = np.arange(len(self.features.points)) * self.decisions.k
+        rows = np.arange(len(features.points)) * decisions.k
         self.rule_cells = np.stack(list(rules.values())) + rows
-        self._set_losses(scenario.losses, losses)
+
+    def view(self, array: np.ndarray) -> _TableView:
+        """array, indexed by feature first, as a part's table."""
+        return _TableView(array, self.x_index, self.decisions.labels)
 
     def _set_losses(self, owners: tuple, values: dict) -> None:
         self.loss_values, self._own_losses = values, {l.name: l for l in owners}
         self.loss_base, self.loss_delta = {}, {}
-        for name, array in values.items():
-            self.loss_base[name], self.loss_delta[name] = _split(array)
+        for name, v in values.items():  # the value at y=0, and y=1 minus it
+            self.loss_base[name] = v[:, :, 0]
+            self.loss_delta[name] = v[:, :, 1] - v[:, :, 0]
 
     def rule_indices(self, rule: Hypothesis) -> np.ndarray:
-        """The decision index per feature of rule. One of the scenario's
-        own hypothesis objects reads its checked array; any other rule,
-        such as an induced one, is validated here."""
-        own, indices = self._own_rules.get(id(rule), (None, None))
-        if own is rule:
-            return indices
+        """The decision index per feature of rule. A rule whose mapping
+        is a view keyed through this scenario's features, such as one of
+        its hypotheses or a rule induced over it, reads the view's array;
+        any other rule is validated here."""
+        view = rule.mapping
+        if isinstance(view, _TableView) and view.x_index is self.x_index:
+            if view.array.dtype.kind == "i":  # decision indices, not numbers
+                return view.array
         return rule.validate(self.features, self.decisions)
 
     def loss_arrays(self, loss: Loss):
@@ -468,9 +467,14 @@ class Scenario:
     loss collection, the comparison rules, and the tolerance epsilon.
     Construction reads every component's table into its array once and
     checks that array, so any scenario object in hand is safe to compute
-    with; `arrays` holds the checked arrays. Two scenarios are equal when
-    their canonical forms, scenario_to_dict, are: the names, epsilon,
-    every lmax and wmax, and the checked arrays.
+    with; `arrays` holds the checked arrays. They are then the only copy:
+    the scenario's parts are rebuilt with tables that are read-only views
+    of them, equal (==) to the parts given but not the same objects, and
+    no table given is kept. A scenario's own Loss objects are the ones in
+    `losses`; a loss from anywhere else is refused where one of its own is
+    required. Two scenarios are equal when their canonical forms,
+    scenario_to_dict, are: the names, epsilon, every lmax and wmax, and
+    the checked arrays.
     """
 
     name: str
@@ -495,17 +499,33 @@ class Scenario:
         features, decisions = self.features, self.decisions
         dist = self.input_distribution.validate(features)
         nature = self.nature.validate(features, decisions)
-        loss_names = [l.name for l in self.losses]
-        if len(set(loss_names)) != len(loss_names):
+        if len({l.name for l in self.losses}) != len(self.losses):
             raise ConfigurationError("loss names must be distinct")
         losses = {l.name: l.validate(features, decisions) for l in self.losses}
-        hyp_names = [h.name for h in self.hypotheses]
-        if len(set(hyp_names)) != len(hyp_names):
+        if len({h.name for h in self.hypotheses}) != len(self.hypotheses):
             raise ConfigurationError("hypothesis names must be distinct")
         rules = {h.name: h.validate(features, decisions) for h in self.hypotheses}
         functions = () if self.weights is None else self.weights.weights
         weights = {w.name: w.validate(features, dist) for w in functions}
-        arrays = _ScenarioArrays(self, dist, nature, losses, rules, weights)
+        arrays = _ScenarioArrays(features, decisions, dist, nature, rules, weights)
+        view = arrays.view
+        parts = {
+            "input_distribution": InputDistribution(view(dist)),
+            "nature": NatureModel(view(nature)),
+            "losses": tuple(
+                Loss(l.name, l.lmax, view(losses[l.name])) for l in self.losses
+            ),
+            "hypotheses": tuple(
+                Hypothesis(h.name, view(rules[h.name])) for h in self.hypotheses
+            ),
+        }
+        if functions:
+            parts["weights"] = WeightClass(tuple(
+                WeightFunction(w.name, view(weights[w.name]), w.wmax) for w in functions
+            ))
+        for field, part in parts.items():
+            object.__setattr__(self, field, part)
+        arrays._set_losses(self.losses, losses)
         object.__setattr__(self, "_arrays", arrays)
 
     def __eq__(self, other):
@@ -542,34 +562,41 @@ def augment_losses(losses: tuple[Loss, ...], weights: WeightClass) -> tuple[Loss
     """Every loss rescaled pointwise by every weight function, loss-major.
 
     The augmented loss named "loss@weight" has values w(x) * loss(x, yhat, y)
-    and bound loss.lmax * wmax (class-level wmax). Its table is a view
-    that computes those products on access.
+    and bound loss.lmax * wmax (class-level wmax). The losses are a
+    scenario's own; each augmented table is a view of the broadcast
+    product of the loss's array and the weights over its features.
     """
     return tuple(
-        Loss(f"{l.name}@{w.name}", l.lmax * weights.wmax, _WeightedTable(l.table, w))
+        Loss(f"{l.name}@{w.name}", l.lmax * weights.wmax, _scaled(l, w))
         for l in losses
         for w in weights.weights
     )
 
 
+def _scaled(loss: Loss, w: WeightFunction) -> _TableView:
+    """The view of loss's array with row x multiplied by w(x). A weight
+    whose mapping is a view over the same features is read as an array."""
+    table = loss.table
+    if not isinstance(table, _TableView):
+        raise ArgumentError(f"loss {loss.name!r} is not a scenario's own loss")
+    weight = w.mapping
+    if isinstance(weight, _TableView) and weight.x_index is table.x_index:
+        values = weight.array
+    else:
+        values = np.array([w.weight(x) for x in table.x_index], dtype=np.float64)
+    product = values[:, np.newaxis, np.newaxis] * table.array
+    return _TableView(product, table.x_index, table.labels)
+
+
 def _augmented(scenario: Scenario) -> Scenario:
-    """scenario with its losses replaced by augment_losses, derived from
-    its checked arrays and run through no checks: the loss@weight array
-    is weights[w] * loss_values[loss], broadcast over decisions and
-    outcomes, whose values lie in [0, lmax * wmax] because both factors
-    were checked."""
-    arrays = scenario.arrays
+    """scenario with its losses replaced by augment_losses, run through
+    no checks: each loss@weight array is the product of two checked
+    arrays, so its values lie in [0, lmax * wmax]."""
     losses = augment_losses(scenario.losses, scenario.weights)
-    products = (  # loss-major, the order of augment_losses
-        arrays.weights[w.name][:, np.newaxis, np.newaxis] * arrays.loss_values[l.name]
-        for l in scenario.losses
-        for w in scenario.weights.weights
-    )
-    values = dict(zip((l.name for l in losses), products))
-    derived, derived_arrays = copy.copy(scenario), copy.copy(arrays)
-    derived_arrays._set_losses(losses, values)
+    derived, arrays = copy.copy(scenario), copy.copy(scenario.arrays)
+    arrays._set_losses(losses, {l.name: l.table.array for l in losses})
     object.__setattr__(derived, "losses", losses)
-    object.__setattr__(derived, "_arrays", derived_arrays)
+    object.__setattr__(derived, "_arrays", arrays)
     return derived
 
 
@@ -732,7 +759,8 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
     """Build and validate a Scenario from its JSON document form.
 
     The tables are passed to the parts as the document holds them; each
-    part's validate reads its table into a checked array once.
+    part's validate reads its table into a checked array once, and the
+    scenario keeps only those arrays.
     """
     if not isinstance(doc, Mapping):
         raise ConfigurationError("scenario document must be a JSON object")
@@ -797,61 +825,45 @@ def load_scenario(path) -> Scenario:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load_scenario(path)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _load_scenario(path) -> Scenario:
-    try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        return scenario_from_dict(doc)
     except OSError as exc:
         raise ConfigurationError(f"cannot read scenario file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"scenario file {path} is not valid JSON: {exc}")
-    try:
-        return scenario_from_dict(doc)
     except ConfigurationError as exc:  # keeps WeightInvariantError's type
         raise type(exc)(f"scenario file {path}: {exc}") from exc
     except (
         AttributeError, TypeError, ValueError, KeyError, IndexError, OverflowError
     ) as exc:  # OverflowError: an integer too large for a float
         raise ConfigurationError(f"scenario file {path} is malformed: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Document form of a scenario, read from its arrays (losses are
-    written as full tables)."""
-    xs, ys = scenario.features.points, scenario.decisions.labels
-    arrays, labels = scenario.arrays, np.array(ys)
-
-    def column(array):  # feature -> entry
-        return dict(zip(xs, array.tolist()))
-
-    def rows(array):  # feature -> decision -> entry
-        return {x: dict(zip(ys, row)) for x, row in zip(xs, array.tolist())}
-
+    """Document form of a scenario, read from its parts' views of the
+    checked arrays (losses are written as full tables)."""
     doc = {
         "name": scenario.name,
-        "features": list(xs),
-        "decisions": list(ys),
-        "input_distribution": column(arrays.dist),
-        "nature": rows(arrays.nature),
+        "features": list(scenario.features.points),
+        "decisions": list(scenario.decisions.labels),
+        "input_distribution": dict(scenario.input_distribution.probabilities),
+        "nature": dict(scenario.nature.table),
         "losses": [
-            {"name": l.name, "lmax": l.lmax, "table": rows(arrays.loss_values[l.name])}
+            {"name": l.name, "lmax": l.lmax, "table": dict(l.table)}
             for l in scenario.losses
         ],
         "hypotheses": [
-            {"name": h.name, "map": column(labels[arrays.hyp_index[h.name]])}
-            for h in scenario.hypotheses
+            {"name": h.name, "map": dict(h.mapping)} for h in scenario.hypotheses
         ],
         "epsilon": scenario.epsilon,
     }
     if scenario.weights is not None:
         doc["weights"] = [
-            {"name": w.name, "map": column(arrays.weights[w.name]), "wmax": w.wmax}
+            {"name": w.name, "map": dict(w.mapping), "wmax": w.wmax}
             for w in scenario.weights.weights
         ]
     return doc

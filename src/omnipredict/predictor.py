@@ -186,14 +186,13 @@ def optimal_decision_from_vector(
 
 
 def induced_rule(pred, loss: Loss, scenario: Scenario) -> Hypothesis:
-    """The predictor's loss-optimal post-processing as a total rule."""
+    """The predictor's loss-optimal post-processing as a total rule,
+    whose mapping is a view of the argmin decision indices."""
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays(loss)
     idx = np.argmin(base + delta * matrix, axis=1)
-    labels = scenario.decisions.labels
-    mapping = {x: labels[idx[i]] for i, x in enumerate(scenario.features.points)}
-    return Hypothesis(name=f"f~({loss.name})", mapping=mapping)
+    return Hypothesis(name=f"f~({loss.name})", mapping=arrays.view(idx))
 
 
 def outcome_table(pred, scenario: Scenario) -> dict:
@@ -302,7 +301,7 @@ def read_model_document(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ModelMismatchError(f"cannot read model file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelMismatchError(f"model file {path} is not valid JSON: {exc}")
 
 

@@ -251,8 +251,6 @@ def ips_risk_estimate(
     h: Hypothesis,
     loss: Loss,
     scenario: Scenario,
-    *,
-    indices: Optional[np.ndarray] = None,
 ) -> float:
     """Inverse-propensity-scored risk of rule h from randomized-trial data.
 
@@ -264,9 +262,7 @@ def ips_risk_estimate(
     h and loss belong to the scenario, whose spaces the dataset must be
     encoded for. The sum reads the dataset's count tensor at the cells h
     selects and is exact before its one rounding, so it is the
-    per-sample sum's float. A caller that holds h's decision indices,
-    scenario.arrays.rule_indices(h), passes them as indices, so h is not
-    validated again.
+    per-sample sum's float.
     """
     if data.n == 0:
         raise ArgumentError("cannot estimate risk from an empty dataset")
@@ -275,7 +271,7 @@ def ips_risk_estimate(
     arrays.loss_arrays(loss)  # rejects a loss from outside the scenario
     counts = data.counts
     rows = np.arange(len(counts))
-    chosen = arrays.rule_indices(h) if indices is None else indices
+    chosen = arrays.rule_indices(h)
     values = arrays.loss_values[loss.name][rows, chosen]
     return (scenario.k / data.n) * _exact_sum(counts[rows, chosen], values)
 
@@ -286,15 +282,11 @@ def model_risk_estimate(
     rule: Hypothesis,
     loss: Loss,
     scenario: Scenario,
-    *,
-    indices: Optional[np.ndarray] = None,
 ) -> float:
     """Average modeled risk of a rule over the dataset's features.
 
     Each term is the closed-form expected loss at (x, rule(x)) under the
-    predictor's outcome probability there; no outcomes are read. As in
-    ips_risk_estimate, indices are the rule's decision indices when the
-    caller holds them already.
+    predictor's outcome probability there; no outcomes are read.
     """
     if data.n == 0:
         raise ArgumentError("cannot estimate model risk from empty features")
@@ -303,7 +295,7 @@ def model_risk_estimate(
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays(loss)
     rows = np.arange(len(matrix))
-    chosen = arrays.rule_indices(rule) if indices is None else indices
+    chosen = arrays.rule_indices(rule)
     per_x = base[rows, chosen] + delta[rows, chosen] * matrix[rows, chosen]
     return float(np.add.reduce(per_x[data.x_idx]) / data.n)
 

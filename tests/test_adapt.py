@@ -348,9 +348,11 @@ class TestRuleIndexReuse:
             self, weighted_scenario, adapt_model, monkeypatch):
         wide = om.augment_scenario(weighted_scenario)
         matrix = om.prediction_matrix(adapt_model, wide)
+        # the induced rules are views of their argmin indices, so no
+        # rule is validated at all
         calls = count_validations(monkeypatch)
         names, _ = adapt.rule_terms(matrix, wide)
-        assert len(calls) == len(wide.losses)
+        assert calls == []
         assert names[: len(wide.hypotheses)] == tuple(h.name for h in wide.hypotheses)
 
     def test_model_risk_estimate_reads_own_rules(self, weighted_scenario, monkeypatch):

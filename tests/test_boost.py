@@ -306,8 +306,8 @@ class TestEstimatedTraining:
     def test_data_exhaustion(self):
         sc = const_nature_scenario()
         data = om.generate_rct(sc, 100, 3)
-        # the one POI pass costs nothing extra, but the first induced-rule
-        # audit needs a fresh slice that runs past the end of the file
+        # the first decision audit would need a fresh slice past the end
+        # of the data, so the split is refused before training
         with pytest.raises(om.ConfigurationError):
             om.poi_boost(sc, om.BoostConfig(
                 epsilon=0.8, mode="empirical", data=data, poi_n=90, doi_n=20))

@@ -223,14 +223,14 @@ class TestTrain:
 
     def test_bound_exceeded_is_guarantee_failure(self, workdir):
         # 50 noisy samples cannot certify a 0.05 audit, so rounds repeat
-        # until the update bound trips
+        # until the update bound trips; the split leaves one decision slice
         data = workdir / "tiny.jsonl"
         assert run("rct-gen", "--config", BETA, "--n", "60", "--seed", "2",
                    "--out", str(data))[0] == 0
         out = workdir / "starved.json"
         code, _, err = run("train", "--config", BETA, "--mode", "empirical",
                            "--epsilon", "0.05", "--data", str(data),
-                           "--poi-n", "50", "--doi-n", "30", "--out", str(out))
+                           "--poi-n", "50", "--doi-n", "10", "--out", str(out))
         assert code == 3
         assert "bound_exceeded" in err
         assert not out.exists()
@@ -252,15 +252,15 @@ class TestTrain:
         assert records[0]["potential"] == pytest.approx(0.125, abs=1e-15)
 
     def test_exhausted_data_is_config_error(self, workdir):
-        # POI passes at the loose epsilon, then the first rule audit wants
-        # 30 fresh samples with only 10 unread
+        # the first decision audit reads the last 5 samples and fails, so
+        # the next one finds none unread
         data = workdir / "tiny2.jsonl"
         assert run("rct-gen", "--config", BETA, "--n", "60", "--seed", "2",
                    "--out", str(data))[0] == 0
         out = workdir / "starved2.json"
         code, _, err = run("train", "--config", BETA, "--mode", "empirical",
                            "--epsilon", "0.5", "--data", str(data),
-                           "--poi-n", "50", "--doi-n", "30", "--out", str(out))
+                           "--poi-n", "55", "--doi-n", "5", "--out", str(out))
         assert code == 2
         assert "exhausted" in err
         assert not out.exists()
@@ -289,6 +289,24 @@ class TestTrain:
         code, _, err = run("train", "--config", BETA, "--mode", mode,
                            "--epsilon", "5", "--data", str(two), "--out", str(out))
         assert code == 0, err
+
+    @pytest.mark.parametrize("mode", ["empirical", "csc"])
+    def test_split_past_the_data_is_refused_up_front(self, workdir, mode):
+        # a prefix of all the data leaves no fresh slice for a decision
+        # audit, so training could only run to the update bound
+        data = workdir / "one.jsonl"
+        assert run("rct-gen", "--config", BETA, "--n", "1", "--out", str(data))[0] == 0
+        out = workdir / f"split_{mode}.json"
+        trace = workdir / f"split_{mode}.trace.jsonl"
+        code, stdout, err = run("train", "--config", BETA, "--mode", mode,
+                                "--epsilon", "0.05", "--data", str(data),
+                                "--poi-n", "1", "--out", str(out),
+                                "--trace", str(trace))
+        assert code == 2
+        assert err == (
+            "error: poi_n=1 plus doi_n=1 exceeds the dataset size 1, so "
+            "training could never converge\n")
+        assert stdout == "" and not out.exists() and not trace.exists()
 
     def test_truncated_data_is_config_error(self, workdir):
         data = workdir / "cut.jsonl"
@@ -760,7 +778,8 @@ class TestAdaptVerify:
     def test_loading_an_adapt_model_checks_each_table_once(
             self, workdir, adapt_model_path, monkeypatch, command):
         # the augmented scenario is derived from the checked arrays, so
-        # only load_scenario builds and validates a scenario
+        # only load_scenario builds and validates a scenario; the induced
+        # rules are views of their argmin indices and are not validated
         sc = om.load_scenario(BETA_W)
         calls = {}
 
@@ -781,14 +800,12 @@ class TestAdaptVerify:
         code, _, err = run(command, "--config", BETA_W, "--model",
                            adapt_model_path, *extra)
         assert code == 0, err
-        # eval and adapt-verify also check each loss's induced rule
-        induced = len(sc.losses) if command != "audit" else 0
         assert calls == {
             "Scenario.__post_init__": 1,
             "InputDistribution.validate": 1,
             "NatureModel.validate": 1,
             "Loss.validate": len(sc.losses),
-            "Hypothesis.validate": len(sc.hypotheses) + induced,
+            "Hypothesis.validate": len(sc.hypotheses),
             "WeightFunction.validate": len(sc.weights.weights),
         }
 

@@ -1,6 +1,7 @@
 """Scenario model, closed-form risks, and optimal rules."""
 
 import copy
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -888,6 +889,13 @@ class TestLoaderInput:
             om.load_scenario(path)
         assert str(path) in str(exc.value)
 
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(om.ConfigurationError, match="malformed.*utf-8") as exc:
+            om.load_scenario(path)
+        assert str(path) in str(exc.value)
+
     def test_json_number_labels_in_rule_maps(self, tmp_path):
         doc = json.loads((REPO / "scenarios" / "beta025.json").read_text())
         doc["decisions"] = ["0", "1"]
@@ -910,9 +918,9 @@ class TestLoaderInput:
 class TestScenarioEquality:
     def test_loaded_scenario_equals_its_round_trip(self):
         sc = om.load_scenario(REPO / "scenarios" / "beta025_weights.json")
-        # the loaded tables hold JSON lists, the rebuilt ones the same
-        # lists again; equality reads the checked arrays either way
-        assert sc.losses[0].table["-1"]["-1"] == [1.0, 0.0]
+        # the loaded tables are views of the checked arrays, whose cells
+        # read back as (value at y=0, value at y=1) tuples of floats
+        assert sc.losses[0].table["-1"]["-1"] == (1.0, 0.0)
         assert om.scenario_from_dict(om.scenario_to_dict(sc)) == sc
         assert sc != om.augment_scenario(sc)
 
@@ -1223,3 +1231,84 @@ class TestCollectorPause:
         finally:
             gc.callbacks.remove(count)
         assert starts == []
+
+
+class TestPartViews:
+    """A scenario's parts are views of its checked arrays: no table given
+    to it is kept."""
+
+    def test_a_loaded_scenario_keeps_no_document(self, workload_files):
+        # the parsed exact-large document alone is about 120 000 tracked
+        # containers; a scenario holding only its arrays needs a few
+        # thousand
+        gc.collect()
+        before = len(gc.get_objects())
+        sc = om.load_scenario(workload_files["exact-large"])
+        assert len(gc.get_objects()) - before < 10_000
+        assert len(sc.features.points) == 4000
+
+    @pytest.mark.parametrize("source", ["adapt-serve", "beta025_weights"])
+    def test_part_tables_read_back_their_arrays(self, source, workload_files):
+        path = workload_files.get(source, REPO / "scenarios" / f"{source}.json")
+        sc = om.load_scenario(path)
+        arrays, xs, ys = sc.arrays, sc.features.points, sc.decisions.labels
+        masses = sc.input_distribution.probabilities
+        assert list(masses) == list(xs)
+        assert [masses[x] for x in xs] == arrays.dist.tolist()
+        assert all(type(masses[x]) is float for x in xs)
+        nature = sc.nature.table
+        assert [[nature[x][y] for y in ys] for x in xs] == arrays.nature.tolist()
+        for loss in sc.losses:
+            table = loss.table
+            cells = [[table[x][y] for y in ys] for x in xs]
+            assert all(type(c) is tuple for row in cells for c in row)
+            assert [[list(c) for c in row] for row in cells] == (
+                arrays.loss_values[loss.name].tolist())
+        for h in sc.hypotheses:
+            labels = [h.mapping[x] for x in xs]
+            assert all(type(y) is str for y in labels)
+            assert [arrays.y_index[y] for y in labels] == arrays.hyp_index[h.name].tolist()
+        for w in sc.weights.weights:
+            assert [w.mapping[x] for x in xs] == arrays.weights[w.name].tolist()
+        with pytest.raises(KeyError):
+            nature["no such feature"]
+
+    def test_code_built_parts_are_equal_but_not_the_given_objects(self):
+        parts = scenario_parts(raw_tables(np.random.default_rng(59)))
+        sc = om.Scenario(**parts)
+        pairs = [(sc.input_distribution, parts["input_distribution"]),
+                 (sc.nature, parts["nature"]), (sc.weights, parts["weights"])]
+        pairs += list(zip(sc.losses, parts["losses"]))
+        pairs += list(zip(sc.hypotheses, parts["hypotheses"]))
+        pairs += list(zip(sc.weights.weights, parts["weights"].weights))
+        assert len(sc.losses) == len(parts["losses"])
+        for own, given in pairs:
+            assert own == given and own is not given
+        matrix = np.full((len(sc.features.points), sc.k), 0.5)
+        om.induced_rule(matrix, sc.losses[0], sc)
+        with pytest.raises(om.ArgumentError, match="not one of the scenario's"):
+            om.induced_rule(matrix, parts["losses"][0], sc)
+
+    def test_replace_with_an_extra_loss_validates(self):
+        sc = om.Scenario(**scenario_parts(raw_tables(np.random.default_rng(61))))
+        xs, ys = sc.features.points, sc.decisions.labels
+        extra = om.Loss("extra", 2.0, {x: {y: (0.5, 1.5 * (j % 2)) for j, y in
+                                           enumerate(ys)} for x in xs})
+        wide = dataclasses.replace(sc, losses=sc.losses + (extra,))
+        assert wide.losses[:-1] == sc.losses and wide.losses[-1] == extra
+        assert wide.hypotheses == sc.hypotheses and wide.weights == sc.weights
+        assert np.array_equal(wide.arrays.dist, sc.arrays.dist)
+        assert np.array_equal(wide.arrays.nature, sc.arrays.nature)
+        for h in sc.hypotheses:
+            assert np.array_equal(wide.arrays.hyp_index[h.name], sc.arrays.hyp_index[h.name])
+        assert wide.arrays.loss_values["extra"].tolist() == [
+            [[0.5, 1.5 * (j % 2)] for j in range(len(ys))] for _ in xs]
+        pred = om.base_predictor(wide, 0.1)
+        rule = om.induced_rule(pred, wide.loss_by_name("extra"), wide)
+        assert all(rule.mapping[x] == ys[0] for x in xs)
+        om.audit_poi_exact(pred, wide, 0.1)
+        aug = om.augment_scenario(wide)
+        assert aug.arrays.loss_values["extra@wa"].shape == (len(xs), len(ys), 2)
+        over = om.Loss("over", 1.0, extra.table)
+        with pytest.raises(om.ConfigurationError, match="outside"):
+            dataclasses.replace(sc, losses=sc.losses + (over,))

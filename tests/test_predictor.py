@@ -238,8 +238,9 @@ class TestInducedRule:
             }
             scaled = om.Loss(name="scaled", lmax=3.5, table=table)
             sc = dataclasses.replace(sc, losses=sc.losses + (scaled,))
-            assert (om.induced_rule(matrix, loss, sc).mapping
-                    == om.induced_rule(matrix, scaled, sc).mapping)
+            own, own_scaled = sc.loss_by_name(loss.name), sc.loss_by_name("scaled")
+            assert (om.induced_rule(matrix, own, sc).mapping
+                    == om.induced_rule(matrix, own_scaled, sc).mapping)
 
 
 class TestModelFiles:
@@ -285,6 +286,12 @@ class TestModelFiles:
         path = tmp_path / "model.json"
         path.write_text('{"terms": []}')
         with pytest.raises(om.ModelMismatchError):
+            om.load_model(path, beta_scenario)
+
+    def test_text_that_is_not_utf8(self, beta_scenario, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"fingerprint": "\xff"}')
+        with pytest.raises(om.ModelMismatchError, match="not valid JSON.*utf-8"):
             om.load_model(path, beta_scenario)
 
     def test_serialized_shape(self, beta_scenario):
