@@ -164,6 +164,18 @@ def rule_terms(matrix, scenario: Scenario):
     return tuple(rule.name for rule in rules), terms
 
 
+def _fsum_risks(rows: np.ndarray, mass: np.ndarray) -> list:
+    """Per row of per-feature terms, math.fsum of mass * row over the
+    features of nonzero mass: the correctly rounded exact risk."""
+    keep = mass != 0.0
+    return [math.fsum(r) for r in (mass[keep] * rows[:, keep]).tolist()]
+
+
+def _within(slack: float, eps: float) -> bool:
+    """The 2*eps verdict on a slack, with a 1e-12 grace for rounding."""
+    return slack <= 2.0 * eps + 1e-12
+
+
 def optimality(terms, scenario: Scenario, mass: np.ndarray, eps: float):
     """Exact risks of the rule_terms rules under the masses mass, in
     canonical feature order, and their 2*eps verdict.
@@ -173,14 +185,39 @@ def optimality(terms, scenario: Scenario, mass: np.ndarray, eps: float):
     per-feature terms, summed by the correctly rounded math.fsum. best[j]
     is the least hypothesis risk; slack[j] is the loss-optimal rule's
     risk minus best[j], which passes within 2*eps plus a 1e-12 grace for
-    rounding.
+    rounding. Every risk is summed exactly; verify_universal_adaptability
+    gives the same best and slack from fewer exact sums.
     """
-    keep = mass != 0.0
-    risks = [[math.fsum(r) for r in (mass[keep] * t[:, keep]).tolist()] for t in terms]
+    risks = [_fsum_risks(t, mass) for t in terms]
     h = len(scenario.hypotheses)
     best = [min(row[:h]) for row in risks]
     slack = [row[h + j] - b for j, (row, b) in enumerate(zip(risks, best))]
-    return risks, best, slack, [s <= 2.0 * eps + 1e-12 for s in slack]
+    return risks, best, slack, [_within(s, eps) for s in slack]
+
+
+def _least_risk_candidates(terms, masses: np.ndarray, h: int):
+    """Per loss j, a (D, h) mask of the hypotheses that may hold the least
+    exact risk on each of the D distributions, rows of masses.
+
+    A floating-point dot product of n terms differs from the exact sum of
+    its rounded products by at most (n + 2) * 2**-53 * sum|mass * term|,
+    whatever the summation order or BLAS thread count. The bound used
+    here is twice that, plus n subnormal units for underflow, so rounding
+    in the bound itself cannot drop a hypothesis. A hypothesis is kept
+    when its interval reaches the least upper end on that distribution;
+    every hypothesis of least exact risk is among those kept.
+    """
+    n = masses.shape[1]
+    scale = np.abs(masses)
+    tol = (2 * n + 4) * 2.0 ** -53
+    kept = []
+    for t in terms:
+        hyp = t[:h]
+        approx = masses @ hyp.T
+        margin = (scale @ np.abs(hyp).T) * tol + n * 2.0 ** -1074
+        upper = np.min(approx + margin, axis=1, keepdims=True)
+        kept.append(approx - margin <= upper)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -234,6 +271,29 @@ class InvarianceReport:
     mismatches: tuple[tuple[str, str, str], ...]  # (loss, weight, feature)
 
 
+def _distributions(scenario: Scenario, n_mixtures: int, seed: int):
+    """(name, masses) of every weight's shift, then of n_mixtures mixtures
+    whose coefficients the seed draws."""
+    weights = scenario.weights.weights
+    distributions = [
+        (f"weight:{w.name}", shift_distribution(scenario, w.name)) for w in weights
+    ]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for i in range(n_mixtures):
+        raw = rng.random(len(weights))
+        total = float(np.add.reduce(raw))
+        if total == 0.0:
+            raw = np.ones_like(raw)
+            total = float(len(raw))
+        spec = MixtureSpec(
+            components=tuple((w.name, float(v / total)) for w, v in zip(weights, raw))
+        )
+        distributions.append(
+            (f"mixture:{seed}:{i}", mixture_distribution(scenario, spec))
+        )
+    return distributions
+
+
 def verify_universal_adaptability(
     pred,
     scenario: Scenario,
@@ -249,6 +309,15 @@ def verify_universal_adaptability(
     distribution, since positive reweighting cannot change them. A
     distribution passes when, for every loss, the rule's risk is within
     2*eps of the best hypothesis risk.
+
+    The report holds only two risks per (distribution, loss): the
+    loss-optimal rule's and the least hypothesis risk. One matrix
+    product per loss gives every hypothesis's approximate risk on every
+    distribution with an error bound (_least_risk_candidates); the exact
+    math.fsum then runs on the own rule and on the hypotheses that may
+    hold the least risk only. Every reported value is an fsum value, and
+    the report equals, bit for bit, what optimality gives per
+    distribution, whatever the BLAS thread count.
     """
     if scenario.weights is None:
         raise ConfigurationError("universal adaptability needs a weight class")
@@ -257,34 +326,27 @@ def verify_universal_adaptability(
     if seed < 0:
         raise ArgumentError(f"seed must be nonnegative, got {seed}")
     _, terms = rule_terms(_model_matrix(pred, scenario), scenario)
-    weights = scenario.weights
-    distributions = [
-        (f"weight:{w.name}", shift_distribution(scenario, w.name))
-        for w in weights.weights
-    ]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for i in range(n_mixtures):
-        raw = rng.random(len(weights.weights))
-        total = float(np.add.reduce(raw))
-        if total == 0.0:
-            raw = np.ones_like(raw)
-            total = float(len(raw))
-        spec = MixtureSpec(
-            components=tuple(
-                (w.name, float(v / total)) for w, v in zip(weights.weights, raw)
-            )
-        )
-        distributions.append(
-            (f"mixture:{seed}:{i}", mixture_distribution(scenario, spec))
-        )
+    distributions = _distributions(scenario, n_mixtures, seed)
 
     h = len(scenario.hypotheses)
+    masses = np.stack([mass for _, mass in distributions])
+    candidates = _least_risk_candidates(terms, masses, h)
+    losses = tuple(l.name for l in scenario.losses)
     checks = []
-    for name, mass in distributions:
-        risks, best, slack, passed = optimality(terms, scenario, mass, eps)
-        own = [row[h + j] for j, row in enumerate(risks)]
-        per_loss = tuple(zip((l.name for l in scenario.losses), own, best))
-        checks.append(DistributionCheck(name, max(slack), all(passed), per_loss))
+    for d, (name, mass) in enumerate(distributions):
+        own, best = [], []
+        for j, t in enumerate(terms):
+            # the loss-optimal rule first, then the candidates in canonical
+            # order, so min sees the exact risks as optimality's does
+            rows = np.concatenate(([h + j], np.flatnonzero(candidates[j][d])))
+            risks = _fsum_risks(t[rows], mass)
+            own.append(risks[0])
+            best.append(min(risks[1:]))
+        slack = [r - b for r, b in zip(own, best)]
+        passed = all(_within(s, eps) for s in slack)
+        checks.append(
+            DistributionCheck(name, max(slack), passed, tuple(zip(losses, own, best)))
+        )
     return AdaptReport(
         eps=eps,
         checks=tuple(checks),

@@ -46,9 +46,10 @@ Decision calibration tabulates each decision's score under each of the
 grid_steps^2 weight pairs once, finds every grid point's rule by a
 running minimum over those tables (grid_steps^(2k) * |X| * k
 comparisons), and reduces the region sums once per distinct induced
-partition in each chunk of grid points. Each chunk holds at most
-_DC_CELLS grid-point-by-feature cells, so memory does not grow with k
-or grid_steps.
+partition, remembered across chunks of grid points in a bounded memo.
+Each chunk holds at most _DC_CELLS grid-point-by-feature cells and the
+memo a few chunks' worth of bytes, so memory does not grow with k or
+grid_steps.
 """
 
 from __future__ import annotations
@@ -562,8 +563,13 @@ def audit_decision_calibration(
     point's rule, which still costs grid_steps^(2k) * |X| * k
     comparisons, so k is capped at 3 unless explicitly overridden. Many
     points induce the same partition of X, and the region sums are
-    reduced once per distinct partition in each chunk, over full rows,
-    so every value is bit-identical to a per-point reduction.
+    reduced once per distinct partition, over full rows, so every value
+    is bit-identical to a per-point reduction. A memo keyed by each
+    partition's row bytes keeps those sums across chunks; it is cleared
+    once its keys and entries pass 8 * _DC_CELLS bytes, so a partition
+    may be reduced again after a clear, never read stale. Each chunk's
+    maximum is taken over its points in grid order, so the first point
+    reaching the maximum is reported.
     """
     _check_eps(eps)
     if grid_steps < 3:
@@ -585,8 +591,14 @@ def audit_decision_calibration(
     w0 = np.repeat(grid, grid_steps)[:, np.newaxis]
     w1 = np.tile(grid, grid_steps)[:, np.newaxis]
     scores = [w0 * (1.0 - matrix[:, j]) + w1 * matrix[:, j] for j in range(k)]
-    # each partition row as one opaque item, so np.unique can sort rows
+    # each partition row as one opaque item, so its bytes key the memo
     row_item = np.dtype((np.void, n_x))
+    # memo[row bytes] indexes the partition's region sums in known. It
+    # lives across chunks and is cleared once its keys, with about 100
+    # bytes of object and dict overhead each, pass 8 * _DC_CELLS bytes,
+    # so the scan's working set stays fixed.
+    memo: dict = {}
+    known = np.empty((0, k))
 
     # A grid point is a prefix (the pairs of decisions 0..k-2, base-n_pairs
     # digits, most significant first) followed by decision k-1's pair.
@@ -610,15 +622,28 @@ def audit_decision_calibration(
             np.minimum(least, score, out=least)
         for c in range(0, n_pairs, last_step):
             lower = scores[k - 1][np.newaxis, c : c + last_step] < least[:, np.newaxis]
-            chosen = np.where(lower, np.int8(k - 1), rule[:, np.newaxis]).reshape(-1, n_x)
-            _, first, inverse = np.unique(
-                chosen.view(row_item).ravel(), return_index=True, return_inverse=True
-            )
-            distinct = chosen[first]
-            vals = np.empty((len(first), k))
-            for j in range(k):
-                vals[:, j] = np.add.reduce((distinct == j) * weighted_gap[:, j], axis=1)
-            vals = vals[inverse.ravel()]
+            # k-1 is the largest index, so where decision k-1 scores lower
+            # the maximum picks it, and elsewhere the prefix's rule
+            chosen = lower.view(np.int8)
+            chosen *= np.int8(k - 1)
+            np.maximum(chosen, rule[:, np.newaxis], out=chosen)
+            chosen = chosen.reshape(-1, n_x)
+            if len(memo) * (n_x + 100) > 8 * _DC_CELLS:
+                memo.clear()
+                known = known[:0]
+            rows = chosen.view(row_item).ravel().tolist()
+            # the chunk's partitions not in the memo, in first-occurrence
+            # order; each gets the next id
+            fresh = [row for row in dict.fromkeys(rows) if row not in memo]
+            if fresh:
+                memo.update(zip(fresh, range(len(memo), len(memo) + len(fresh))))
+                distinct = np.frombuffer(b"".join(fresh), np.int8).reshape(-1, n_x)
+                sums = np.empty((len(fresh), k))
+                for j in range(k):
+                    sums[:, j] = np.add.reduce((distinct == j) * weighted_gap[:, j], axis=1)
+                known = np.concatenate((known, sums))
+            ids = np.fromiter(map(memo.__getitem__, rows), np.intp, len(rows))
+            vals = known[ids]
             local = np.argmax(np.abs(vals), axis=0)
             # the chunk's points are consecutive in grid order
             start = a * n_pairs + c

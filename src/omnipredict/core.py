@@ -97,6 +97,23 @@ def _read(table, xs, ys, lookup):
         raise
 
 
+def _viewed(table, shape: tuple, kind: str, xs, ys=None):
+    """The array behind table when it is a _TableView keyed by xs in
+    canonical order, holding an array of the given shape and dtype kind
+    whose rows are labelled by ys when ys is given; else None, and the
+    table is read cell by cell. Such a view reads back as that array, so
+    a part can check the array itself."""
+    if (
+        isinstance(table, _TableView)
+        and table.array.shape == shape
+        and table.array.dtype.kind == kind
+        and (ys is None or table.labels == ys)
+        and list(table.x_index) == list(xs)
+    ):
+        return table.array
+    return None
+
+
 def _array(cells, shape: tuple, what: str, xs, ys=()) -> np.ndarray:
     """cells, one per feature or per (feature, decision) pair flat in
     canonical order, as a float64 array of shape (|X|,), (|X|, k) or
@@ -154,14 +171,18 @@ class InputDistribution:
 
     def validate(self, features: FeatureSpace) -> np.ndarray:
         """The masses in canonical feature order, checked."""
-        points = set(features.points)
-        for x in self.probabilities:
-            if x not in points:
-                raise ConfigurationError(
-                    f"input distribution assigns mass to unknown feature {x!r}"
-                )
-        get, xs = self.probabilities.get, features.points
-        masses = _array([get(x, 0.0) for x in xs], (len(xs),), "input distribution", xs)
+        xs = features.points
+        masses = _viewed(self.probabilities, (len(xs),), "f", xs)
+        if masses is None:
+            points = set(xs)
+            for x in self.probabilities:
+                if x not in points:
+                    raise ConfigurationError(
+                        f"input distribution assigns mass to unknown feature {x!r}"
+                    )
+            get = self.probabilities.get
+            cells = [get(x, 0.0) for x in xs]
+            masses = _array(cells, (len(xs),), "input distribution", xs)
         if not np.all(np.isfinite(masses) & (masses >= 0)):
             raise ConfigurationError(
                 "input distribution has a negative or non-finite mass"
@@ -191,8 +212,11 @@ class NatureModel:
     def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
         """The (|X|, k) probabilities in canonical order, checked."""
         xs, ys = features.points, decisions.labels
-        cells = _read(self.table, xs, ys, self.prob)
-        probs = _array(cells, (len(xs), len(ys)), "outcome model", xs, ys)
+        shape = (len(xs), len(ys))
+        probs = _viewed(self.table, shape, "f", xs, ys)
+        if probs is None:
+            cells = _read(self.table, xs, ys, self.prob)
+            probs = _array(cells, shape, "outcome model", xs, ys)
         bad = _first_outside(probs, 0.0, 1.0)
         if bad is not None:
             raise ConfigurationError(
@@ -258,9 +282,11 @@ class Loss:
                 f"loss {self.name!r} must have a finite lmax > 0, got {self.lmax!r}"
             )
         xs, ys = features.points, decisions.labels
-        cells = _read(self.table, xs, ys, lambda x, yhat: self.values(x, yhat, 0))
         shape = (len(xs), len(ys), 2)
-        values = _array(cells, shape, f"loss {self.name!r}", xs, ys)
+        values = _viewed(self.table, shape, "f", xs, ys)
+        if values is None:
+            cells = _read(self.table, xs, ys, lambda x, yhat: self.values(x, yhat, 0))
+            values = _array(cells, shape, f"loss {self.name!r}", xs, ys)
         bad = _first_outside(values, 0.0, self.lmax)
         if bad is not None:
             i, j, y = bad
@@ -304,12 +330,15 @@ class Hypothesis:
 
     def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
         """The decision index of every feature in canonical order, checked."""
-        index = {y: j for j, y in enumerate(decisions.labels)}
-        labels = _read(self.mapping, features.points, None, self.decide)
-        try:
-            indices = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
-        except (KeyError, TypeError):  # a miss may be a JSON number
-            indices = np.array([index.get(str(y), -1) for y in labels], dtype=np.int64)
+        xs, ys = features.points, decisions.labels
+        indices = _viewed(self.mapping, (len(xs),), "i", xs, ys)
+        if indices is None:
+            index = {y: j for j, y in enumerate(ys)}
+            labels = _read(self.mapping, xs, None, self.decide)
+            try:
+                indices = np.fromiter(map(index.__getitem__, labels), np.int64, len(xs))
+            except (KeyError, TypeError):  # a miss may be a JSON number
+                indices = np.array([index.get(str(y), -1) for y in labels], dtype=np.int64)
         bad = _first_outside(indices, 0, decisions.k - 1)
         if bad is not None:
             x = features.points[bad[0]]
@@ -348,8 +377,10 @@ class WeightFunction:
                 f"got {self.wmax!r}"
             )
         xs = features.points
-        cells = _read(self.mapping, xs, None, self.weight)
-        weights = _array(cells, (len(xs),), f"weight function {self.name!r}", xs)
+        weights = _viewed(self.mapping, (len(xs),), "f", xs)
+        if weights is None:
+            cells = _read(self.mapping, xs, None, self.weight)
+            weights = _array(cells, (len(xs),), f"weight function {self.name!r}", xs)
         bad = _first_outside(weights, 0.0, self.wmax)
         if bad is not None:
             raise WeightInvariantError(
@@ -405,6 +436,9 @@ class _TableView(Mapping):
 
     def __len__(self):
         return len(self.x_index)
+
+    def __repr__(self):
+        return f"_TableView(shape={self.array.shape})"
 
 
 class _ScenarioArrays:
@@ -472,7 +506,9 @@ class Scenario:
     of them, equal (==) to the parts given but not the same objects, and
     no table given is kept. A scenario's own Loss objects are the ones in
     `losses`; a loss from anywhere else is refused where one of its own is
-    required. Two scenarios are equal when their canonical forms,
+    required. A part whose table is a view keyed by the same features
+    and decisions in canonical order, as after dataclasses.replace, is
+    checked on the view's array without reading a cell. Two scenarios are equal when their canonical forms,
     scenario_to_dict, are: the names, epsilon, every lmax and wmax, and
     the checked arrays.
     """

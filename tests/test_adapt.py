@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omnipredict as om
 from omnipredict import adapt
@@ -156,6 +158,77 @@ class TestMixtures:
             om.mixture_distribution(sc, spec)
 
 
+@st.composite
+def verifier_cases(draw):
+    """A weighted scenario and a prediction matrix that make the least
+    hypothesis risk hard to find: duplicated hypotheses (exact ties),
+    hypotheses that differ at one feature, often one of tiny mass (near
+    ties), zero masses and zero weights, and k = 1 or |X| = 1."""
+    n_x = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs = tuple(f"x{i}" for i in range(n_x))
+    ys = tuple(f"d{j}" for j in range(k))
+    raw = rng.random(n_x) + 0.1
+    if draw(st.booleans()):
+        raw[rng.random(n_x) < 0.5] = 0.0
+    raw[0] = 1.0
+    # a feature whose mass is near one unit in the last place of a risk,
+    # so rules that differ only there have equal or adjacent risks
+    tiny = draw(st.sampled_from([None, 1e-15, 1e-16, 3e-17, 1e-300]))
+    if tiny is not None and n_x > 1:
+        raw[-1] = tiny * raw[:-1].sum()
+    masses = raw / raw.sum()
+    coarse = draw(st.booleans())  # values on a 0.25 grid tie more often
+    nature = rng.random((n_x, k))
+    losses = []
+    for li in range(draw(st.integers(1, 3))):
+        values = rng.random((n_x, k, 2))
+        if coarse:
+            values = np.round(values * 4) / 4
+        losses.append(om.Loss(name=f"l{li}", lmax=1.0, table={
+            x: {y: tuple(values[i, j].tolist()) for j, y in enumerate(ys)}
+            for i, x in enumerate(xs)}))
+    choice = [rng.integers(0, k, n_x) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 4))):
+        row = choice[int(rng.integers(0, len(choice)))].copy()
+        if draw(st.booleans()):  # a near tie; otherwise an exact duplicate
+            i = n_x - 1 if tiny is not None else int(rng.integers(0, n_x))
+            row[i] = (row[i] + 1) % k
+        choice.append(row)
+    hyps = tuple(
+        om.Hypothesis(name=f"h{hi}", mapping={x: ys[j] for x, j in zip(xs, row)})
+        for hi, row in enumerate(choice))
+    functions = []
+    for wi in range(draw(st.integers(1, 3))):
+        values = rng.random(n_x) + 0.05
+        if draw(st.booleans()):
+            values[rng.random(n_x) < 0.5] = 0.0
+        values[0] = 1.0
+        values /= math.fsum((masses * values).tolist())
+        functions.append(om.WeightFunction(
+            name=f"w{wi}", mapping=dict(zip(xs, values.tolist())),
+            wmax=float(values.max()) * 1.5))
+    sc = om.Scenario(
+        name="verifier",
+        features=om.FeatureSpace(points=xs),
+        decisions=om.DecisionSpace(labels=ys),
+        input_distribution=om.InputDistribution(
+            probabilities=dict(zip(xs, masses.tolist()))),
+        nature=om.NatureModel(table={
+            x: {y: float(nature[i, j]) for j, y in enumerate(ys)}
+            for i, x in enumerate(xs)}),
+        losses=tuple(losses),
+        hypotheses=hyps,
+        epsilon=0.1,
+        weights=om.WeightClass(weights=tuple(functions)),
+    )
+    matrix = rng.random((n_x, k))
+    if coarse:
+        matrix = np.round(matrix, 1)
+    return sc, matrix
+
+
 class TestVerifier:
     def test_trained_adapt_model_passes(self, weighted_scenario, adapt_model):
         rep = om.verify_universal_adaptability(adapt_model, weighted_scenario, 0.05)
@@ -227,6 +300,47 @@ class TestVerifier:
                 assert best[j] == min(risks[j][:h])
                 assert slack[j] == risks[j][h + j] - best[j]
                 assert passed[j] == (slack[j] <= 2 * eps + 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(verifier_cases(), st.integers(0, 5), st.sampled_from([1e-9, 0.01, 0.2]))
+    def test_report_matches_optimality_bit_for_bit(self, case, n_mixtures, eps):
+        sc, q = case
+        rep = om.verify_universal_adaptability(q, sc, eps, n_mixtures=n_mixtures,
+                                               seed=5)
+        _, terms = adapt.rule_terms(q, sc)
+        h = len(sc.hypotheses)
+        distributions = adapt._distributions(sc, n_mixtures, 5)
+        assert [c.name for c in rep.checks] == [name for name, _ in distributions]
+        for check, (_, mass) in zip(rep.checks, distributions):
+            risks, best, slack, passed = adapt.optimality(terms, sc, mass, eps)
+            own = [row[h + j] for j, row in enumerate(risks)]
+            want = tuple(zip((l.name for l in sc.losses), own, best))
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(check.per_loss) == repr(want)
+            assert repr(check.worst_slack) == repr(max(slack))
+            assert check.passed == all(passed)
+        assert rep.passed == all(c.passed for c in rep.checks)
+
+    def test_candidates_keep_the_least_risk_past_rounding(self):
+        # a's small terms are each half an ulp of 1, so a sum that adds
+        # them to the leading 1 one at a time drops them all, while its
+        # exact risk 1 + 3.5 ulp rounds above b's 1 + 2 ulp
+        ulp = 2.0 ** -52
+        a = np.array([1.0] + [ulp / 2] * 7)
+        b = np.array([1.0 + 2 * ulp] + [0.0] * 7)
+        masses = np.ones((3, 8))
+        assert adapt._fsum_risks(np.stack([a, b]), masses[0]) == [1 + 4 * ulp, 1 + 2 * ulp]
+        kept = adapt._least_risk_candidates([np.stack([a, b])], masses, 2)
+        assert kept[0][:, 1].all()
+
+    def test_exact_sums_only_for_candidates(self, weighted_scenario, adapt_model):
+        # the two hypotheses' risks are far apart on every distribution,
+        # so only the least one is summed exactly
+        sc = weighted_scenario
+        _, terms = adapt.rule_terms(adapt._model_matrix(adapt_model, sc), sc)
+        masses = np.stack([m for _, m in adapt._distributions(sc, 10, 0)])
+        for kept in adapt._least_risk_candidates(terms, masses, len(sc.hypotheses)):
+            assert kept.sum(axis=1).tolist() == [1] * len(masses)
 
     def test_identity_class_reduces_to_plain_check(self, beta_scenario):
         sc = dataclasses.replace(

@@ -866,7 +866,10 @@ class TestDistinctPartitionScan:
     @pytest.mark.parametrize("k, grid_steps", [(1, 4), (2, 3), (3, 3)])
     def test_every_chunk_shape_matches_reference(self, monkeypatch, k, grid_steps):
         # budgets from one grid point per chunk, through part of one
-        # prefix's last pairs, to several whole prefixes per chunk
+        # prefix's last pairs, to several whole prefixes per chunk; the
+        # partition memo, bounded by 8 * _DC_CELLS bytes, outlives chunks
+        # and is cleared mid-scan at the last budget when k = 3 (and at
+        # the smaller ones when k >= 2)
         rng = np.random.default_rng(137 + k)
         n_x = 7
         sc = wide_scenario(rng, n_x, k)
@@ -874,7 +877,7 @@ class TestDistinctPartitionScan:
         want = audit_decision_calibration_reference(q, sc, 0.05, grid_steps=grid_steps)
         n_pairs = grid_steps * grid_steps
         for cells in (1, 3 * n_x, n_pairs * n_x - 1, n_pairs * n_x,
-                      2 * n_pairs * n_x + 5):
+                      2 * n_pairs * n_x + 5, 4 * n_pairs * n_x):
             monkeypatch.setattr(audit, "_DC_CELLS", cells)
             _same_report(
                 om.audit_decision_calibration(q, sc, 0.05, grid_steps=grid_steps),

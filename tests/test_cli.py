@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -727,6 +728,32 @@ class TestAdaptVerify:
                              "--model", adapt_model_path, "--mixtures", "-1")
         assert code == 1 and out == ""
         assert "--mixtures" in err and "Traceback" not in err
+
+    def test_same_bytes_across_blas_thread_counts(self, workdir):
+        # a serving-size scenario, where the verifier's matrix products
+        # are large enough for BLAS to split them over threads
+        gen = runpy.run_path(str(REPO / "perfbench" / "gen.py"))
+        sizes = gen["Sizes"](n_x=500, k=3, n_losses=4, n_hypotheses=32,
+                             epsilon=0.05, n_weights=4)
+        config, model = workdir / "serve.json", workdir / "serve_model.json"
+        gen["write"](gen["generate"]("serve", sizes, 3), config)
+        code, _, err = run("train", "--config", str(config), "--epsilon", "0.05",
+                           "--adapt", "--out", str(model))
+        assert code == 0, err
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "omnipredict", "adapt-verify",
+                 "--config", str(config), "--model", str(model), "--mixtures", "20"],
+                capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["distributions"]) == 24
 
     def test_requires_weight_class(self, model_path):
         code, _, _ = run("adapt-verify", "--config", BETA, "--model", model_path)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omnipredict as om
+from omnipredict import core
 from omnipredict.core import MASS_TOLERANCE
 
 from conftest import all_rules, random_scenario
@@ -1312,3 +1313,68 @@ class TestPartViews:
         over = om.Loss("over", 1.0, extra.table)
         with pytest.raises(om.ConfigurationError, match="outside"):
             dataclasses.replace(sc, losses=sc.losses + (over,))
+
+    @pytest.mark.parametrize("source", ["exact-large", "adapt-serve", "beta025_weights"])
+    def test_replace_reads_no_cell(self, source, workload_files, monkeypatch):
+        # every part's view is keyed by the same features in canonical
+        # order, so validation checks its array and reads no cell
+        path = workload_files.get(source, REPO / "scenarios" / f"{source}.json")
+        sc = om.load_scenario(path)
+        calls = []
+        getitem = core._TableView.__getitem__
+
+        def counted(self, x):
+            calls.append(x)
+            return getitem(self, x)
+
+        monkeypatch.setattr(core._TableView, "__getitem__", counted)
+        moved = dataclasses.replace(sc, epsilon=sc.epsilon / 2)
+        assert calls == []
+        assert moved.epsilon == sc.epsilon / 2
+        assert arrays_digest(moved) == arrays_digest(sc)
+
+    def test_replace_checks_the_arrays_against_new_bounds(self):
+        sc = om.load_scenario(REPO / "scenarios" / "beta025_weights.json")
+        loss, w = sc.losses[0], sc.weights.weights[0]
+        plain = {x: dict(row) for x, row in loss.table.items()}
+        messages = []
+        for table in (loss.table, plain):
+            with pytest.raises(om.ConfigurationError, match=r"outside \[0, 0\.5\]") as exc:
+                dataclasses.replace(
+                    sc, losses=(om.Loss(loss.name, 0.5, table),) + sc.losses[1:])
+            messages.append(str(exc.value))
+        for mapping in (w.mapping, dict(w.mapping)):
+            low = om.WeightFunction(w.name, mapping, 0.5)
+            with pytest.raises(om.WeightInvariantError, match="outside") as exc:
+                dataclasses.replace(sc, weights=om.WeightClass(
+                    (low,) + sc.weights.weights[1:]))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] and messages[2] == messages[3]
+
+    def test_views_over_another_order_are_read_by_feature(self):
+        # a view keyed in another feature or decision order is read cell
+        # by cell, so every array follows the new canonical order
+        sc = om.load_scenario(REPO / "scenarios" / "beta025_weights.json")
+        flipped = dataclasses.replace(
+            sc, features=om.FeatureSpace(sc.features.points[::-1]))
+        assert flipped.arrays.dist.tolist() == sc.arrays.dist[::-1].tolist()
+        assert flipped.arrays.nature.tolist() == sc.arrays.nature[::-1].tolist()
+        for h in sc.hypotheses:
+            assert (flipped.arrays.hyp_index[h.name].tolist()
+                    == sc.arrays.hyp_index[h.name][::-1].tolist())
+        swapped = dataclasses.replace(
+            sc, decisions=om.DecisionSpace(sc.decisions.labels[::-1]))
+        assert swapped.arrays.nature.tolist() == sc.arrays.nature[:, ::-1].tolist()
+        for h in sc.hypotheses:
+            assert (swapped.arrays.hyp_index[h.name].tolist()
+                    == (sc.k - 1 - sc.arrays.hyp_index[h.name]).tolist())
+        for l in sc.losses:
+            assert (swapped.arrays.loss_values[l.name].tolist()
+                    == sc.arrays.loss_values[l.name][:, ::-1].tolist())
+
+    def test_repr_is_deterministic(self):
+        path = REPO / "scenarios" / "beta025_weights.json"
+        first, second = repr(om.load_scenario(path)), repr(om.load_scenario(path))
+        assert first == second
+        assert "0x" not in first
+        assert "_TableView(shape=(2, 2, 2))" in first
