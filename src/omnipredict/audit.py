@@ -31,25 +31,17 @@ results regardless of internal parallelism. Every audit yields
 audit_report turn them into its verdict; training reads the same
 entries, lazily, only up to the first violation.
 
-The exact rule audit is one bilinear kernel. Per call it forms, for
-each loss, the (|X|, k) product (dist * delta) * (modeled - true),
-|L|*|X|*k multiplies, then gathers it at each hypothesis's chosen cells
-through the flat indices x*k + h(x) kept in the scenario's rule_cells,
-and sums each hypothesis row with np.add.reduce. The full matrix that
-audit_poi_exact reads (poi_err_matrix, split over threads) and the lazy
-rows that training reads (poi_entries_exact) come from that one row
-function, so their errs agree bit for bit. The exact decision audit
-(doi_errs) gathers the same per-loss products at the cells of the
-predictor's own loss-optimal rule.
-
-Decision calibration tabulates each decision's score under each of the
-grid_steps^2 weight pairs once, finds every grid point's rule by a
-running minimum over those tables (grid_steps^(2k) * |X| * k
-comparisons), and reduces the region sums once per distinct induced
-partition, remembered across chunks of grid points in a bounded memo.
-Each chunk holds at most _DC_CELLS grid-point-by-feature cells and the
-memo a few chunks' worth of bytes, so memory does not grow with k or
-grid_steps.
+Every rule audit is one bilinear kernel: a per-loss (|X|, k) table,
+gathered at each hypothesis's cells x*k + h(x) (the scenario's
+rule_cells) and summed per row with np.add.reduce (rct.rule_sums). The
+exact table is (dist * delta) * (modeled - true); poi_err_matrix and the
+lazy rows training reads (poi_entries_exact) share its row function, so
+their errs agree bit for bit, and doi_errs gathers it at the predictor's
+own rules. The empirical model side weighs expected losses by feature
+counts, and a cost-sensitive instance is the table of summed sample
+costs per (feature, logged decision) cell, so no estimate reads a sample.
+Decision calibration's grid scan is described at
+audit_decision_calibration.
 """
 
 from __future__ import annotations
@@ -65,7 +57,8 @@ from .core import CSC, EMPIRICAL, EXACT, MODES  # noqa: F401  (re-exported)
 from .core import Hypothesis, Loss, Scenario
 from .errors import ArgumentError, LearnerContractError
 from .predictor import induced_rule, prediction_matrix
-from .rct import RctDataset, ips_risk_estimate, model_risk_estimate
+from .rct import RctDataset, ips_risk_estimate, ips_rule_risks, model_risk_estimate
+from .rct import model_rule_risks, rule_cells, rule_sums
 
 
 @dataclass(frozen=True)
@@ -176,7 +169,7 @@ def _rule_err_rows(matrix_or_pred, scenario: Scenario) -> Callable[[slice], np.n
         cells = arrays.rule_cells[sel]
         errs = np.empty((len(cells), len(products)))
         for li, product in enumerate(products):
-            errs[:, li] = np.add.reduce(product.take(cells), axis=1)
+            errs[:, li] = rule_sums(product, cells)
         return errs
 
     return rows
@@ -210,11 +203,9 @@ def doi_errs(matrix_or_pred, scenario: Scenario, threads: int = 1) -> np.ndarray
 
     def fill(rows: slice) -> None:
         for li in range(rows.start, rows.stop):
-            loss = scenario.losses[li]
-            base = arrays.loss_base[loss.name]
-            delta = arrays.loss_delta[loss.name]
+            base, delta = arrays.loss_arrays(scenario.losses[li])
             sel = np.argmin(base + delta * matrix, axis=1)
-            errs[li] = np.add.reduce(products[li].take(offsets + sel))
+            errs[li] = rule_sums(products[li], offsets + sel)
 
     _run_row_chunks(fill, len(scenario.losses), threads)
     return errs
@@ -286,25 +277,13 @@ def doi_entries_exact(pred, scenario: Scenario, threads: int = 1):
     return _decision_entries(scenario, doi_errs(pred, scenario, threads).tolist())
 
 
-def ips_rule_risks(labeled: RctDataset, scenario: Scenario):
-    """Lazy IPS estimates of Nature's risk per (hypothesis, loss) pair."""
-    return (
-        ips_risk_estimate(labeled, h, loss, scenario)
-        for h, loss in itertools.product(scenario.hypotheses, scenario.losses)
-    )
-
-
 def poi_entries_empirical(
     pred, unlabeled: RctDataset, scenario: Scenario, nature: Iterable[float]
 ):
-    """Lazy estimated rule-audit entries; nature is in ips_rule_risks order."""
-    matrix = prediction_matrix(pred, scenario)
-    pairs = itertools.product(scenario.hypotheses, scenario.losses)
-    errs = (
-        model_risk_estimate(unlabeled, matrix, h, loss, scenario) - nature_risk
-        for (h, loss), nature_risk in zip(pairs, nature)
-    )
-    return _rule_entries(scenario, errs)
+    """Estimated rule-audit entries; nature is in ips_rule_risks order and
+    read lazily."""
+    model = model_rule_risks(unlabeled, pred, scenario).ravel().tolist()
+    return _rule_entries(scenario, (m - risk for m, risk in zip(model, nature)))
 
 
 def doi_entries_empirical(
@@ -343,45 +322,34 @@ def audit_doi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
 
 
 def audit_poi_empirical(
-    pred,
-    labeled: RctDataset,
-    unlabeled: RctDataset,
-    scenario: Scenario,
-    eps: float,
+    pred, labeled: RctDataset, unlabeled: RctDataset, scenario: Scenario, eps: float
 ):
     """Estimated rule audit: trial data on Nature's side, only the
     features of the unlabeled dataset on the model side."""
     _check_eps(eps)
-    if labeled.n == 0 or unlabeled.n == 0:
-        raise ArgumentError("empirical audit needs nonempty labeled and unlabeled data")
     nature = ips_rule_risks(labeled, scenario)
     entries = poi_entries_empirical(pred, unlabeled, scenario, nature)
     return _verdict(EMPIRICAL, eps, entries)
 
 
 def audit_doi_empirical(
-    pred,
-    labeled: RctDataset,
-    unlabeled: RctDataset,
-    scenario: Scenario,
-    eps: float,
+    pred, labeled: RctDataset, unlabeled: RctDataset, scenario: Scenario, eps: float
 ):
     """Estimated decision audit under the predictor's own optimal rules."""
     _check_eps(eps)
-    if labeled.n == 0 or unlabeled.n == 0:
-        raise ArgumentError("empirical audit needs nonempty labeled and unlabeled data")
     entries = doi_entries_empirical(pred, labeled, unlabeled, scenario)
     return _verdict(EMPIRICAL, eps, entries)
 
 
 @dataclass(frozen=True, eq=False)
 class CscInstance:
-    """Cost-sensitive classification instance over the decision space.
+    """Cost-sensitive classification instance over the decision space,
+    as |X| weighted examples.
 
-    One cost row per sample of data, nonzero only at the logged
-    decision's index; entries lie within [-1/(4k), 1/(4k)]. A rule's
-    decision per sample is one gather of its scenario indices at the
-    data's feature indices.
+    costs[x, j] is the summed cost of data's samples at feature x whose
+    logged decision is j: zero at an unlogged cell, and at most its
+    sample count times 1/(4k) in magnitude. A rule's mean cost gathers
+    the |X| cells it chooses, whatever the number of samples.
     """
 
     data: RctDataset
@@ -390,16 +358,23 @@ class CscInstance:
 
     def __post_init__(self):
         self.data.check_scenario(self.scenario)
+        shape, c = (len(self.scenario.features.points), self.scenario.k), self.costs
+        if not (isinstance(c, np.ndarray) and c.dtype.kind == "f" and c.shape == shape):
+            raise ArgumentError(f"CSC costs must be a float array of shape {shape}")
+        if not np.isfinite(c).all():
+            raise ArgumentError("CSC costs must be finite")
 
     @property
     def n(self) -> int:
         return self.data.n
 
+    def mean_costs(self, rules: Sequence[Hypothesis]) -> np.ndarray:
+        """Average cost of following each rule, one gather for all."""
+        return rule_sums(self.costs.ravel(), rule_cells(rules, self.scenario)) / self.n
+
     def mean_cost(self, rule: Hypothesis) -> float:
         """Average cost this instance assigns to following the rule."""
-        cols = self.scenario.arrays.rule_indices(rule)[self.data.x_idx]
-        cells = np.arange(0, self.costs.size, self.costs.shape[1]) + cols
-        return float(np.add.reduce(self.costs.take(cells)) / self.n)
+        return float(self.mean_costs((rule,))[0])
 
 
 def build_csc_instance(
@@ -408,10 +383,11 @@ def build_csc_instance(
     """Reduce one loss's rule audit to cost-sensitive classification.
 
     Per sample the cost at the logged decision is sigma times (modeled
-    expected loss minus realized loss), scaled by 1/(4 k lmax). A rule's
-    mean cost is then sigma * err / (4 k^2 lmax) in expectation, so a
-    large audit err in the direction selected by sigma shows up as a
-    strongly negative mean cost.
+    expected loss minus realized loss), scaled by 1/(4 k lmax); a cell
+    with N samples, C1 with outcome 1, sums to sigma * delta * (N * q -
+    C1) / (4 k lmax). A rule's mean cost is then sigma * err / (4 k^2
+    lmax) in expectation, so a large audit err in the direction selected
+    by sigma shows up as a strongly negative mean cost.
     """
     if sigma not in (1, -1):
         raise ArgumentError(f"sigma must be +1 or -1, got {sigma!r}")
@@ -419,13 +395,11 @@ def build_csc_instance(
         raise ArgumentError("cannot build an instance from an empty dataset")
     labeled.check_scenario(scenario)
     matrix = prediction_matrix(pred, scenario)
-    base, delta = scenario.arrays.loss_arrays(loss)
-    n, xi, ji = labeled.n, labeled.x_idx, labeled.yhat_idx
-    modeled = base[xi, ji] + delta[xi, ji] * matrix[xi, ji]
-    realized = base[xi, ji] + delta[xi, ji] * labeled.outcomes
+    _, delta = scenario.arrays.loss_arrays(loss)
+    counts = labeled.counts
+    ones = counts[:, :, 1]
     scale = 4.0 * scenario.k * scenario.lmax
-    costs = np.zeros((n, scenario.k), dtype=np.float64)
-    costs[np.arange(n), ji] = sigma * (modeled - realized) / scale
+    costs = sigma * delta * ((counts[:, :, 0] + ones) * matrix - ones) / scale
     return CscInstance(data=labeled, costs=costs, scenario=scenario)
 
 
@@ -439,16 +413,9 @@ def baseline_weak_learner(
     """
     if len(hypotheses) == 0:
         raise ArgumentError("weak learner needs a nonempty hypothesis list")
-    best = None
-    best_cost = None
-    for h in hypotheses:
-        cost = instance.mean_cost(h)
-        if best_cost is None or cost < best_cost:
-            best = h
-            best_cost = cost
-    if best_cost is not None and best_cost <= -rho / 2.0:
-        return best
-    return None
+    costs = instance.mean_costs(hypotheses)
+    best = int(np.argmin(costs))  # the first of equal minima
+    return hypotheses[best] if costs[best] <= -rho / 2.0 else None
 
 
 def audit_via_csc(

@@ -8,21 +8,22 @@ of any deterministic rule can be estimated from one such dataset by
 inverse propensity scoring: average the realized losses on the samples
 where the logged decision agrees with the rule, rescaled by k.
 
-Model-side risks never sample modeled outcomes. The inner expectation
-over a binary outcome has a closed form, so only unlabeled features are
-needed for that side.
+Model-side risks never sample modeled outcomes: the expectation over a
+binary outcome has a closed form, so that side reads only features.
 
 A dataset holds its samples as scenario indices: per sample, the
 position of its feature and of its logged decision in the canonical
 order of the scenario's spaces, and its 0/1 outcome. read_jsonl and
 generate_rct build one for the scenario they read or draw for,
 RctDataset.from_labels encodes identifier columns, and a slice keeps
-views of its parent's columns. Every estimator takes the scenario and
-refuses a dataset encoded for other spaces. Nature's side of a risk
-reads the dataset's (|X|, k, 2) count tensor, the number of samples in
-each (feature, decision, outcome) cell, built with one np.bincount. Each
-estimate sums count times loss value over the cells the rule selects,
-exactly, so it equals the correctly rounded per-sample sum.
+views of its parent's columns. Every estimator takes the scenario, refuses a dataset encoded for other spaces, and
+reads only the dataset's (|X|, k, 2) count tensor, the number of
+samples in each (feature, decision, outcome) cell, or its feature
+histogram, so no estimate depends on the order of the records. Nature's
+side sums count times loss value, exactly, so it equals the correctly
+rounded per-sample sum. The model side, and audit's cost-sensitive
+instances, gather an (|X|, k) table weighed by counts at each rule's
+cells (rule_sums): |X| cells per rule, whatever n is.
 
 Files are JSON lines, read and written in blocks of _BLOCK_LINES lines
 with one json.loads or one join per block. A block that does not hold
@@ -156,6 +157,11 @@ class RctDataset:
         tensor = np.bincount(cells, minlength=len(self.features.points) * k * 2)
         return tensor.reshape(-1, k, 2)
 
+    @cached_property
+    def histogram(self) -> np.ndarray:
+        """(|X|,) int64: the number of samples at each feature."""
+        return np.bincount(self.x_idx, minlength=len(self.features.points))
+
     def check_scenario(self, scenario: Scenario) -> None:
         """Refuse a scenario whose spaces are not the ones this dataset's
         indices refer to."""
@@ -219,85 +225,109 @@ _SPLIT = 2.0**27 + 1.0
 _DIGIT_BITS = 27
 
 
-def _exact_sum(counts: np.ndarray, values: np.ndarray) -> float:
-    """fsum of counts[i] copies of values[i], for every i.
+def _exact_terms(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(planes, *values.shape) exact products: a cell's terms sum exactly
+    to its count times its value, and are +0.0 where the count is 0.
 
     Each value is split into two halves of at most 26 significant bits
-    and each count into base-2^27 digits, so every term below is an
-    exact product. fsum of exact terms is the correctly rounded total:
-    the same float as fsum over the copies one by one, in any order.
+    and each count into base-2^27 digits, so every product is exact.
+    fsum of exact terms is the correctly rounded total: the same float
+    as fsum over the copies one by one, in any order.
     """
-    counts, values = counts.ravel(), values.ravel()
-    used = counts > 0
-    counts, values = counts[used], values[used]
     mantissas, exponents = np.frexp(values)
     scaled = mantissas * _SPLIT
     hi = np.ldexp(scaled - (scaled - mantissas), exponents)
     lo = values - hi
-    terms = []
+    planes = []
     scale = 1.0
-    while len(counts):
+    while not planes or counts.any():
         digit = (counts & ((1 << _DIGIT_BITS) - 1)).astype(np.float64) * scale
-        terms += [digit * hi, digit * lo]
+        planes += [digit * hi + 0.0, digit * lo + 0.0]
         counts = counts >> _DIGIT_BITS
-        more = counts > 0
-        counts, hi, lo = counts[more], hi[more], lo[more]
         scale *= float(1 << _DIGIT_BITS)
-    return math.fsum(np.concatenate(terms).tolist()) if terms else 0.0
+    return np.array(planes)
+
+
+def _exact_sum(counts: np.ndarray, values: np.ndarray) -> float:
+    """fsum of counts[i] copies of values[i], for every i."""
+    return math.fsum(_exact_terms(counts, values).ravel().tolist())
+
+
+def rule_cells(rules: Sequence[Hypothesis], scenario: Scenario) -> np.ndarray:
+    """(len(rules), |X|) flat indices x*k + rule(x) into a row-major
+    (|X|, k) table, as the scenario's rule_cells holds its hypotheses'."""
+    rows = np.arange(len(scenario.features.points)) * scenario.k
+    return np.stack([scenario.arrays.rule_indices(r) for r in rules]) + rows
+
+
+def rule_sums(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per row of cells, the sum of the flat table there: one take and one
+    pairwise np.add.reduce per row, never BLAS, so a row's sum has the
+    same bits however many rows are gathered at once."""
+    return np.add.reduce(table.take(cells), axis=-1)
 
 
 def ips_risk_estimate(
-    data: RctDataset,
-    h: Hypothesis,
-    loss: Loss,
-    scenario: Scenario,
+    data: RctDataset, h: Hypothesis, loss: Loss, scenario: Scenario
 ) -> float:
     """Inverse-propensity-scored risk of rule h from randomized-trial data.
 
     Returns (k/n) * sum of loss(x_i, yhat_i, y_i) over samples whose
     logged decision equals h(x_i), with k the scenario's. Unbiased for
     the rule's true risk because the uniform assignment gives every
-    decision propensity 1/k.
-
-    h and loss belong to the scenario, whose spaces the dataset must be
-    encoded for. The sum reads the dataset's count tensor at the cells h
-    selects and is exact before its one rounding, so it is the
-    per-sample sum's float.
+    decision propensity 1/k. h and loss belong to the scenario, whose
+    spaces the dataset must be encoded for.
     """
+    return next(ips_rule_risks(data, scenario, (h,), (loss,)))
+
+
+def ips_rule_risks(data: RctDataset, scenario: Scenario, rules=None, losses=None):
+    """Lazy ips_risk_estimate of every (rule, loss) pair, rule-major, by
+    default over the scenario's hypotheses and losses. Each sum reads the
+    count tensor at the rule's cells and is exact before its one rounding,
+    so it is the per-sample sum's float; each loss's values split once."""
     if data.n == 0:
         raise ArgumentError("cannot estimate risk from an empty dataset")
     data.check_scenario(scenario)
     arrays = scenario.arrays
-    arrays.loss_arrays(loss)  # rejects a loss from outside the scenario
-    counts = data.counts
-    rows = np.arange(len(counts))
-    chosen = arrays.rule_indices(h)
-    values = arrays.loss_values[loss.name][rows, chosen]
-    return (scenario.k / data.n) * _exact_sum(counts[rows, chosen], values)
+    losses = scenario.losses if losses is None else losses
+    for loss in losses:
+        arrays.loss_arrays(loss)  # rejects a loss from outside the scenario
+    cells = arrays.rule_cells if rules is None else rule_cells(rules, scenario)
+    counts = data.counts.reshape(-1, 2)
+    values = [arrays.loss_values[loss.name].reshape(-1, 2) for loss in losses]
+    terms = [_exact_terms(counts, v) for v in values]
+    scale = scenario.k / data.n
+    return (scale * math.fsum(t[:, c].ravel().tolist()) for c in cells for t in terms)
 
 
 def model_risk_estimate(
-    data: RctDataset,
-    pred,
-    rule: Hypothesis,
-    loss: Loss,
-    scenario: Scenario,
+    data: RctDataset, pred, rule: Hypothesis, loss: Loss, scenario: Scenario
 ) -> float:
     """Average modeled risk of a rule over the dataset's features.
 
     Each term is the closed-form expected loss at (x, rule(x)) under the
     predictor's outcome probability there; no outcomes are read.
     """
+    return float(model_rule_risks(data, pred, scenario, (rule,), (loss,))[0, 0])
+
+
+def model_rule_risks(
+    data: RctDataset, pred, scenario: Scenario, rules=None, losses=None
+) -> np.ndarray:
+    """model_risk_estimate of every (rule, loss) pair as a (rules, losses)
+    array, by default over the scenario's hypotheses and losses: per loss,
+    feature counts times expected losses, gathered at every rule's cells."""
     if data.n == 0:
         raise ArgumentError("cannot estimate model risk from empty features")
     data.check_scenario(scenario)
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
-    base, delta = arrays.loss_arrays(loss)
-    rows = np.arange(len(matrix))
-    chosen = arrays.rule_indices(rule)
-    per_x = base[rows, chosen] + delta[rows, chosen] * matrix[rows, chosen]
-    return float(np.add.reduce(per_x[data.x_idx]) / data.n)
+    losses = scenario.losses if losses is None else losses
+    weight = data.histogram[:, np.newaxis]
+    tables = [weight * (b + d * matrix) for b, d in map(arrays.loss_arrays, losses)]
+    cells = arrays.rule_cells if rules is None else rule_cells(rules, scenario)
+    return np.stack([rule_sums(t.ravel(), cells) for t in tables], axis=-1) / data.n
 
 
 def required_sample_size(

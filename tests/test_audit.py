@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omnipredict as om
-from omnipredict import audit
+from omnipredict import audit, rct
 from omnipredict.audit import first_violation
 from omnipredict.predictor import prediction_matrix
 
@@ -467,19 +467,22 @@ class TestFirstViolation:
     def test_lazy_rule_audit_estimates_only_up_to_the_hit(
             self, beta_scenario, monkeypatch):
         # the flat predictor's first (hypothesis, loss) pair already
-        # violates, so training's rule audit estimates one model risk
+        # violates, so the rule audit reads one Nature-side estimate; the
+        # model side of every pair comes from one batched call, one
+        # gather per loss
         sc = beta_scenario
         data = om.generate_rct(sc, 4000, 0)
-        nature = list(audit.ips_rule_risks(data, sc))
+        read = []
+        nature = (read.append(r) or r for r in audit.ips_rule_risks(data, sc))
         calls = []
-        real = audit.model_risk_estimate
-        monkeypatch.setattr(audit, "model_risk_estimate",
+        real = audit.model_rule_risks
+        monkeypatch.setattr(audit, "model_rule_risks",
                             lambda *a: calls.append(a) or real(*a))
         entries = audit.poi_entries_empirical(
             om.base_predictor(sc, 0.05), data, sc, nature)
         v = first_violation(entries, 0.1)
         assert (v.target.hypothesis, v.target.loss) == ("h_plus", "steer_to_one")
-        assert len(calls) == 1
+        assert len(read) == 1 and len(calls) == 1
 
     def test_every_audit_reports_its_first_violation(self, beta_scenario):
         sc = beta_scenario
@@ -497,8 +500,9 @@ class TestFirstViolation:
 
 
 def csc_costs_reference(labeled, pred, loss, sigma, scenario):
-    """Cost rows built with per-sample index lookups, the loop the
-    encoded columns replaced."""
+    """Per-sample cost rows, the (n, k) layout the count table replaced:
+    each row is zero but at the logged decision, where it holds sigma
+    times (modeled minus realized loss) over 4 k lmax."""
     matrix = om.prediction_matrix(pred, scenario)
     arrays = scenario.arrays
     base, delta = arrays.loss_arrays(loss)
@@ -515,20 +519,42 @@ def csc_costs_reference(labeled, pred, loss, sigma, scenario):
     return costs
 
 
-def mean_cost_reference(instance, rule):
-    """One rule lookup per sample's feature label."""
-    labels = instance.scenario.decisions.labels
+def cell_costs_reference(rows, labeled, scenario):
+    """The per-sample rows summed per (feature, decision) cell with fsum."""
+    table = np.zeros((len(scenario.features.points), scenario.k))
+    for i, j in itertools.product(*map(range, table.shape)):
+        table[i, j] = math.fsum(rows[labeled.x_idx == i, j].tolist())
+    return table
+
+
+def mean_cost_reference(rows, labeled, scenario, rule):
+    """One rule lookup per sample's feature label over per-sample rows."""
+    labels = scenario.decisions.labels
     cols = np.fromiter(
-        (labels.index(rule.decide(x)) for x in sample_labels(instance.data)[0]),
+        (labels.index(rule.decide(x)) for x in sample_labels(labeled)[0]),
         dtype=np.int64,
-        count=instance.n,
+        count=labeled.n,
     )
-    return float(np.add.reduce(instance.costs[np.arange(instance.n), cols])
-                 / instance.n)
+    return float(np.add.reduce(rows[np.arange(labeled.n), cols]) / labeled.n)
+
+
+def learner_reference(costs, rho):
+    """Index of the first least cost if it clears -rho/2, else None."""
+    best = min(range(len(costs)), key=costs.__getitem__)
+    return best if costs[best] <= -rho / 2.0 else None
+
+
+def rules_with_unlogged(scenario, unlogged):
+    """The scenario's rules plus one that always picks `unlogged`."""
+    always = om.Hypothesis(
+        name="always", mapping={x: unlogged for x in scenario.features.points})
+    return scenario.hypotheses + (always,)
 
 
 class TestCscKernelsMatchPerSampleLoops:
     def test_instances_and_mean_costs(self):
+        # the count table gives every mean cost within 1e-15 of the
+        # per-sample rows it replaced, and the learner the same choice
         rng = np.random.default_rng(211)
         for _ in range(15):
             sc = random_scenario(rng)
@@ -536,16 +562,53 @@ class TestCscKernelsMatchPerSampleLoops:
             data, unlogged = partial_trial_data(rng, sc, int(rng.integers(1, 400)))
             a = int(rng.integers(0, data.n))
             part = data.slice(a, data.n)
-            always = om.Hypothesis(
-                name="always", mapping={x: unlogged for x in sc.features.points})
+            rules = rules_with_unlogged(sc, unlogged)
             for d in (data, part):
+                counts = d.counts.sum(axis=2)
                 for loss in sc.losses:
                     for sigma in (-1, 1):
                         inst = om.build_csc_instance(d, q, loss, sigma, sc)
-                        want = csc_costs_reference(d, q, loss, sigma, sc)
-                        assert inst.costs.tobytes() == want.tobytes()
-                        for h in sc.hypotheses + (always,):
-                            assert inst.mean_cost(h) == mean_cost_reference(inst, h)
+                        rows = csc_costs_reference(d, q, loss, sigma, sc)
+                        want = cell_costs_reference(rows, d, sc)
+                        assert inst.costs.shape == (len(sc.features.points), sc.k)
+                        assert np.all(np.abs(inst.costs - want)
+                                      <= 1e-15 * np.maximum(counts, 1))
+                        assert np.all(inst.costs[counts == 0] == 0.0)
+                        ref = [mean_cost_reference(rows, d, sc, h) for h in rules]
+                        got = [inst.mean_cost(h) for h in rules]
+                        assert got == pytest.approx(ref, rel=0, abs=1e-15)
+                        for rho in (0.0, 0.02, 1.0):
+                            found = om.baseline_weak_learner(inst, rules, rho)
+                            pick = learner_reference(ref, rho)
+                            assert found is (None if pick is None else rules[pick])
+
+    def test_batched_gathers_equal_single_calls(self):
+        # the learner's one gather, the rule audit's model side and its
+        # Nature side give each pair the bits of its single call
+        rng = np.random.default_rng(223)
+        for _ in range(15):
+            sc = random_scenario(rng)
+            q = random_matrix(rng, sc)
+            data, unlogged = partial_trial_data(rng, sc, int(rng.integers(1, 400)))
+            rules = rules_with_unlogged(sc, unlogged)
+            for loss, sigma in itertools.product(sc.losses, (-1, 1)):
+                inst = om.build_csc_instance(data, q, loss, sigma, sc)
+                batch = inst.mean_costs(rules).tolist()
+                assert batch == [inst.mean_cost(h) for h in rules]
+            model = rct.model_rule_risks(data, q, sc, rules, sc.losses)
+            nature = list(rct.ips_rule_risks(data, sc, rules, sc.losses))
+            for (i, h), (j, loss) in itertools.product(enumerate(rules),
+                                                       enumerate(sc.losses)):
+                assert model[i, j] == om.model_risk_estimate(data, q, h, loss, sc)
+                assert nature[i * len(sc.losses) + j] == om.ips_risk_estimate(
+                    data, h, loss, sc)
+            _, rep = om.audit_poi_empirical(q, data, data, sc, 10.0)
+            want = [
+                om.model_risk_estimate(data, q, h, loss, sc)
+                - om.ips_risk_estimate(data, h, loss, sc)
+                for h, loss in itertools.product(sc.hypotheses, sc.losses)
+            ]
+            assert [e for _, e in rep.entries] == want
 
     def test_empty_dataset_rejected(self, beta_scenario):
         sc = beta_scenario
@@ -575,12 +638,34 @@ class TestCostSensitive:
         loss = sc.loss_by_name("steer_to_one")
         inst = om.build_csc_instance(data, pred, loss, 1, sc)
         # modeled expected loss 0.5, realized loss 0, scale 1/(4*k*lmax);
-        # the cost row is zero except at the logged decision's column
-        assert inst.costs[0].tolist() == pytest.approx([0.0, 0.0625], abs=1e-15)
+        # the table is zero except at the one logged (feature, decision)
+        plus = sc.arrays.x_index["+1"]
+        assert inst.costs.shape == (2, 2)
+        assert inst.costs[plus].tolist() == pytest.approx([0.0, 0.0625], abs=1e-15)
+        assert inst.costs[1 - plus].tolist() == [0.0, 0.0]
         assert inst.mean_cost(sc.hypothesis_by_name("h_plus")) == pytest.approx(0.0625, abs=1e-15)
         assert inst.mean_cost(sc.hypothesis_by_name("h_minus")) == 0.0
         neg = om.build_csc_instance(data, pred, loss, -1, sc)
-        assert neg.costs[0].tolist() == pytest.approx([0.0, -0.0625], abs=1e-15)
+        assert neg.costs[plus].tolist() == pytest.approx([0.0, -0.0625], abs=1e-15)
+
+    @pytest.mark.parametrize("bad", ["per_sample", "short", "nan", "inf", "int", "list"])
+    def test_malformed_cost_table_refused(self, beta_scenario, bad):
+        # an external learner may build an instance itself; a table of
+        # another layout would otherwise gather the wrong cells
+        sc = beta_scenario
+        data = om.generate_rct(sc, 5, 0)
+        good = om.build_csc_instance(data, om.base_predictor(sc, 0.05),
+                                     sc.losses[0], 1, sc).costs
+        costs = {
+            "per_sample": np.zeros((data.n, sc.k)),
+            "short": good[:1],
+            "nan": np.where(good == good.max(), np.nan, good),
+            "inf": np.full_like(good, np.inf),
+            "int": np.zeros(good.shape, dtype=np.int64),
+            "list": good.tolist(),
+        }[bad]
+        with pytest.raises(om.ArgumentError, match="CSC costs"):
+            om.CscInstance(data=data, costs=costs, scenario=sc)
 
     def test_zero_costs_when_outcome_irrelevant(self, beta_scenario):
         sc = beta_scenario
@@ -599,9 +684,11 @@ class TestCostSensitive:
             sc = random_scenario(rng)
             data = om.generate_rct(sc, 100, int(rng.integers(1000)))
             q = random_matrix(rng, sc)
+            counts = data.counts.sum(axis=2)
             for sigma in (-1, 1):
                 inst = om.build_csc_instance(data, q, sc.losses[0], sigma, sc)
-                assert np.max(np.abs(inst.costs)) <= 1 / (4 * sc.k) + 1e-12
+                # each of a cell's samples costs at most 1/(4k)
+                assert np.all(np.abs(inst.costs) <= counts / (4 * sc.k) + 1e-12)
 
     def test_population_mean_cost(self, beta_scenario):
         sc = beta_scenario

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import omnipredict as om
@@ -835,6 +836,79 @@ class TestAdaptVerify:
             "Hypothesis.validate": len(sc.hypotheses),
             "WeightFunction.validate": len(sc.weights.weights),
         }
+
+
+def permute_records(src, dst, bounds, seed):
+    """Copy a dataset file, shuffling its sample lines within each
+    [start, stop) range of bounds; the header stays first."""
+    with open(src, encoding="utf-8") as fh:
+        header, *lines = fh.readlines()
+    rng = np.random.default_rng(seed)
+    for start, stop in bounds:
+        lines[start:stop] = [lines[i] for i in rng.permutation(range(start, stop))]
+    with open(dst, "w", encoding="utf-8") as fh:
+        fh.writelines([header] + lines)
+
+
+@pytest.fixture(scope="module")
+def trial_dir(tmp_path_factory):
+    """The benchmark's trial-data scenario (seed 0, |X| 200, k 4) with a
+    24 000-sample training file (seed 0) and a held-out file (seed 2)."""
+    work = tmp_path_factory.mktemp("trial")
+    gen = runpy.run_path(str(REPO / "perfbench" / "gen.py"))
+    sizes = gen["Sizes"](n_x=200, k=4, n_losses=4, n_hypotheses=16, epsilon=0.05)
+    gen["write"](gen["generate"]("trial-data-0", sizes, 0), work / "sc.json")
+    for name, seed in (("train", 0), ("heldout", 2)):
+        code, _, err = run("rct-gen", "--config", str(work / "sc.json"),
+                           "--n", "24000", "--seed", str(seed),
+                           "--out", str(work / f"{name}.jsonl"))
+        assert code == 0, err
+    return work
+
+
+class TestRecordOrder:
+    """Every estimator reads counts, so the order of a file's records
+    changes no output byte."""
+
+    def train(self, work, mode, data, out):
+        code, _, err = run("train", "--config", str(work / "sc.json"),
+                           "--mode", mode, "--epsilon", "0.05",
+                           "--data", str(data), "--poi-n", "12000",
+                           "--doi-n", "2000", "--out", str(out))
+        assert code == 0, err
+        return out.read_bytes(), Path(f"{out}.trace.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["empirical", "csc"])
+    def test_shuffled_heldout_file_gives_the_same_audit(self, trial_dir, mode):
+        # a model trained at epsilon 0.3 keeps gaps the 0.05 audit reports
+        work = trial_dir
+        model = work / "loose.json"
+        if not model.exists():
+            assert run("train", "--config", str(work / "sc.json"),
+                       "--epsilon", "0.3", "--out", str(model))[0] == 0
+        shuffled = work / "heldout_shuffled.jsonl"
+        permute_records(work / "heldout.jsonl", shuffled, [(0, 24000)], 5)
+        outs = [
+            run("audit", "--config", str(work / "sc.json"), "--model",
+                str(model), "--mode", mode, "--epsilon", "0.05",
+                "--data", str(data))
+            for data in (work / "heldout.jsonl", shuffled)
+        ]
+        assert outs[0][0] == 3 and outs[0][2] == ""
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("mode", ["empirical", "csc"])
+    def test_permuted_slices_give_the_same_model_and_trace(self, trial_dir, mode):
+        # the rule audits read the --poi-n prefix and each decision audit
+        # one --doi-n slice after it; shuffling within each keeps every
+        # slice's counts
+        work = trial_dir
+        bounds = [(0, 12000)] + [(a, a + 2000) for a in range(12000, 24000, 2000)]
+        permuted = work / "train_permuted.jsonl"
+        permute_records(work / "train.jsonl", permuted, bounds, 7)
+        want = self.train(work, mode, work / "train.jsonl", work / f"{mode}.json")
+        got = self.train(work, mode, permuted, work / f"{mode}_permuted.json")
+        assert got == want
 
 
 class TestThreads:

@@ -249,8 +249,11 @@ class TestKernelsMatchPerSampleLoops:
             for h in rules_to_check(sc, unlogged):
                 for loss in sc.losses:
                     for d in (data, part):
+                        # the per-sample mean in file order and the
+                        # histogram's sum over features round differently
                         want = model_risk_reference(d, q, h, loss, sc)
-                        assert om.model_risk_estimate(d, q, h, loss, sc) == want
+                        got = om.model_risk_estimate(d, q, h, loss, sc)
+                        assert got == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_slices_share_the_parent_codes(self, beta_scenario):
         # the scenario indices generate_rct supplies are sliced as views
@@ -272,6 +275,33 @@ class TestKernelsMatchPerSampleLoops:
         for xs in (empty, features_only(sc, [])):
             with pytest.raises(om.ArgumentError):
                 om.model_risk_estimate(xs, pred, h, loss, sc)
+
+
+class TestRecordOrder:
+    def test_estimates_ignore_the_order_of_samples(self):
+        # every estimator reads the count tensor or the feature
+        # histogram, so shuffled samples give the same bits
+        rng = np.random.default_rng(113)
+        for _ in range(10):
+            sc = random_scenario(rng)
+            q = random_matrix(rng, sc)
+            data, unlogged = partial_trial_data(rng, sc, int(rng.integers(2, 400)))
+            perm = rng.permutation(data.n)
+            shuffled = dataclasses.replace(
+                data, x_idx=data.x_idx[perm], yhat_idx=data.yhat_idx[perm],
+                outcomes=data.outcomes[perm])
+            for loss in sc.losses:
+                insts = [
+                    [om.build_csc_instance(d, q, loss, sigma, sc) for d in (data, shuffled)]
+                    for sigma in (-1, 1)
+                ]
+                for h in rules_to_check(sc, unlogged):
+                    ips = [om.ips_risk_estimate(d, h, loss, sc) for d in (data, shuffled)]
+                    model = [om.model_risk_estimate(d, q, h, loss, sc)
+                             for d in (data, shuffled)]
+                    assert ips[0] == ips[1] and model[0] == model[1]
+                    for a, b in insts:
+                        assert a.mean_cost(h) == b.mean_cost(h)
 
 
 class TestRequiredSampleSize:
