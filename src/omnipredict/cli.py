@@ -113,13 +113,15 @@ def cmd_rct_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .adapt import model_scenario
     from .boost import BoostConfig, poi_boost, write_trace
     from .predictor import save_model
     from .rct import read_jsonl
 
-    scenario = load_scenario(args.config)
-    train_scenario = model_scenario(scenario, args.adapt)
+    train_scenario = load_scenario(args.config)
+    if args.adapt:
+        from .adapt import augment_scenario
+
+        train_scenario = augment_scenario(train_scenario)
     if args.mode in (EMPIRICAL, CSC) and args.data is None:
         raise ArgumentError(f"--data is required in {args.mode} mode")
     data = None

@@ -25,10 +25,15 @@ rounded per-sample sum. The model side, and audit's cost-sensitive
 instances, gather an (|X|, k) table weighed by counts at each rule's
 cells (rule_sums): |X| cells per rule, whatever n is.
 
-Files are JSON lines, read and written in blocks of _BLOCK_LINES lines
-with one json.loads or one join per block. A block that does not hold
-exactly one plain sample object per line is read again line by line,
-which names the offending line.
+Files are JSON lines. The line write_jsonl writes for a sample is fully
+determined by its (feature, decision, outcome) cell, so the canonical
+line of every cell is built once per file into a table of 2·|X|·k lines
+(_sample_lines): O(|X|·k), the size of the count tensor. write_jsonl
+joins entries of that table, _BLOCK_LINES samples per write. read_jsonl
+maps each line to its cell through a memo seeded with the table; a line
+the memo lacks is checked alone, once per file, and then memoized, so
+each distinct line is decoded at most once and a file written by
+write_jsonl decodes none. The first bad line raises, named by its number.
 
 Randomness comes from a PCG64 bit generator consumed only through raw
 uniform doubles (inverse-CDF sampling). That keeps generated files
@@ -42,8 +47,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import islice
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -54,7 +58,7 @@ from .predictor import prediction_matrix
 
 GENERATOR_TAG = "pcg64-icdf-1"
 
-# Lines parsed, or samples written, per block of a JSONL file.
+# Lines read, or samples written, per block of a JSONL file.
 _BLOCK_LINES = 4096
 
 
@@ -148,13 +152,18 @@ class RctDataset:
     def n(self) -> int:
         return self.meta.n
 
+    @property
+    def cells(self) -> np.ndarray:
+        """Per sample, the flat index (x*k + yhat)*2 + y of its (feature,
+        decision, outcome) cell."""
+        return (self.x_idx * self.decisions.k + self.yhat_idx) * 2 + self.outcomes
+
     @cached_property
     def counts(self) -> np.ndarray:
         """(|X|, k, 2) int64 tensor: the number of samples at each
         (feature, decision, outcome) cell."""
         k = self.decisions.k
-        cells = (self.x_idx * k + self.yhat_idx) * 2 + self.outcomes
-        tensor = np.bincount(cells, minlength=len(self.features.points) * k * 2)
+        tensor = np.bincount(self.cells, minlength=len(self.features.points) * k * 2)
         return tensor.reshape(-1, k, 2)
 
     @cached_property
@@ -347,12 +356,18 @@ def required_sample_size(
     return math.ceil(bound)
 
 
-def write_jsonl(data: RctDataset, path) -> None:
-    """Write the dataset: one metadata line, then one object per sample.
+def _sample_lines(features: FeatureSpace, decisions: DecisionSpace) -> list[str]:
+    """The canonical line of every (feature, decision, outcome) cell, at
+    the cell's flat index: {"x":X,"yhat":Y,"y":0 or 1} and a newline,
+    with X and Y quoted by json.dumps."""
+    heads = ['{"x":' + json.dumps(x) + ',"yhat":' for x in features.points]
+    middles = [json.dumps(yh) + ',"y":' for yh in decisions.labels]
+    return [h + m + tail for h in heads for m in middles for tail in ("0}\n", "1}\n")]
 
-    A sample line is {"x":X,"yhat":Y,"y":0 or 1}, with X and Y quoted by
-    json.dumps; each block of lines is written as one join.
-    """
+
+def write_jsonl(data: RctDataset, path) -> None:
+    """Write the dataset: one metadata line, then each sample's canonical
+    line (_sample_lines); each block of lines is written as one join."""
     with open(path, "w", encoding="utf-8") as fh:
         meta = {
             "meta": {
@@ -363,22 +378,24 @@ def write_jsonl(data: RctDataset, path) -> None:
             }
         }
         fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
-        head = ['{"x":' + json.dumps(x) + ',"yhat":' for x in data.features.points]
-        middle = [json.dumps(yh) + ',"y":' for yh in data.decisions.labels]
-        tail = ["0}\n", "1}\n"]
-        pieces = chain.from_iterable(
-            zip(
-                map(head.__getitem__, data.x_idx.tolist()),
-                map(middle.__getitem__, data.yhat_idx.tolist()),
-                map(tail.__getitem__, data.outcomes.tolist()),
-            )
-        )
-        for block in iter(lambda: "".join(islice(pieces, 3 * _BLOCK_LINES)), ""):
-            fh.write(block)
+        lines = _sample_lines(data.features, data.decisions)
+        cells = data.cells.tolist()
+        for start in range(0, len(cells), _BLOCK_LINES):
+            block = cells[start : start + _BLOCK_LINES]
+            fh.write("".join(map(lines.__getitem__, block)))
+
+
+def _is_count(value) -> bool:
+    # bool is an int subclass and 2.0 == 2, so test the exact type
+    return type(value) is int and value >= 0
 
 
 def _read_meta(path, line: str, scenario: Scenario) -> Optional[RctMeta]:
-    """The metadata of a file's first line, or None if it is no header."""
+    """The metadata of a file's first line, or None if it is no header.
+
+    n must be a non-negative JSON integer, seed one too or null, and
+    scenario and gen strings; nothing is coerced.
+    """
     line = line.strip()
     if not line:
         return None
@@ -391,13 +408,22 @@ def _read_meta(path, line: str, scenario: Scenario) -> Optional[RctMeta]:
     m = obj["meta"]
     try:
         meta = RctMeta(
-            scenario=str(m["scenario"]),
-            seed=None if m.get("seed") is None else int(m["seed"]),
-            n=int(m["n"]),
-            gen=str(m["gen"]),
+            scenario=m["scenario"], seed=m.get("seed"), n=m["n"], gen=m["gen"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}:1: bad metadata: {exc}")
+    count = "a non-negative integer"
+    for field, ok, want in (
+        ("scenario", isinstance(meta.scenario, str), "a string"),
+        ("seed", meta.seed is None or _is_count(meta.seed), count + " or null"),
+        ("n", _is_count(meta.n), count),
+        ("gen", isinstance(meta.gen, str), "a string"),
+    ):
+        if not ok:
+            raise DataFormatError(
+                f"{path}:1: bad metadata: {field} must be {want}, "
+                f"got {getattr(meta, field)!r}"
+            )
     if meta.scenario != scenario.name:
         raise DataFormatError(
             f"{path}:1: dataset was drawn for scenario "
@@ -406,89 +432,48 @@ def _read_meta(path, line: str, scenario: Scenario) -> Optional[RctMeta]:
     return meta
 
 
-_X, _YHAT, _Y = itemgetter("x"), itemgetter("yhat"), itemgetter("y")
-
-
-def _parse_block(lines: list, x_index: Mapping, y_index: Mapping):
-    """(feature indices, decision indices, outcomes) of a block whose every
-    line is one object {"x":..., "yhat":..., "y":...} with known
-    identifiers and a 0/1 integer outcome, or None for any other block.
-
-    The lines are parsed as one JSON array. Every line but the last must
-    end with "}" and every line but the first start with "{", and every
-    element must have exactly those three keys, with string, string and
-    integer values. Such an element holds no braces outside its strings,
-    and no string runs past a line end, so each line then holds whole
-    elements; with as many elements as lines, each line holds one.
-    """
-    body = ",".join(lines)
-    if body.count("}\n,{") != len(lines) - 1:
-        return None
+def _sample_cell(path, lineno: int, raw: str, scenario: Scenario) -> int:
+    """The flat cell index of one sample line, or -1 for a blank line; a
+    bad line raises DataFormatError naming it."""
+    line = raw.strip()
+    if not line:
+        return -1
     try:
-        samples = json.loads("[" + body + "]")
-    except (ValueError, RecursionError):
-        return None
-    n = len(samples)
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{path}:{lineno}: sample must be an object")
     try:
-        if n != len(lines) or set(map(len, samples)) != {3}:
-            return None
-        xi = np.fromiter(map(x_index.__getitem__, map(_X, samples)), np.intp, n)
-        ji = np.fromiter(map(y_index.__getitem__, map(_YHAT, samples)), np.intp, n)
-        ys = list(map(_Y, samples))
-    except (KeyError, TypeError):
-        return None
-    if set(map(type, ys)) != {int} or not set(ys) <= {0, 1}:
-        return None
-    return xi, ji, ys
-
-
-def _scan_lines(path, start: int, lines: list, x_index: Mapping, y_index: Mapping):
-    """_parse_block's result read one line at a time, lines numbered from
-    start; the first bad line raises DataFormatError naming it."""
-    xi: list[int] = []
-    ji: list[int] = []
-    ys: list[int] = []
-    for lineno, raw in enumerate(lines, start=start):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise DataFormatError(f"{path}:{lineno}: sample must be an object")
-        try:
-            x, yh, y = str(obj["x"]), str(obj["yhat"]), obj["y"]
-        except KeyError as exc:
-            raise DataFormatError(f"{path}:{lineno}: missing key {exc}")
-        if x not in x_index:
-            raise DataFormatError(f"{path}:{lineno}: unknown feature {x!r}")
-        if yh not in y_index:
-            raise DataFormatError(f"{path}:{lineno}: unknown decision {yh!r}")
-        # bool is an int subclass and 1.0 == 1, so test the exact type
-        if type(y) is not int or y not in (0, 1):
-            raise DataFormatError(
-                f"{path}:{lineno}: outcome must be the integer 0 or 1, got {y!r}"
-            )
-        xi.append(x_index[x])
-        ji.append(y_index[yh])
-        ys.append(y)
-    return np.array(xi, dtype=np.intp), np.array(ji, dtype=np.intp), ys
+        x, yh, y = str(obj["x"]), str(obj["yhat"]), obj["y"]
+    except KeyError as exc:
+        raise DataFormatError(f"{path}:{lineno}: missing key {exc}")
+    x_index, y_index = scenario.arrays.x_index, scenario.arrays.y_index
+    if x not in x_index:
+        raise DataFormatError(f"{path}:{lineno}: unknown feature {x!r}")
+    if yh not in y_index:
+        raise DataFormatError(f"{path}:{lineno}: unknown decision {yh!r}")
+    # bool is an int subclass and 1.0 == 1, so test the exact type
+    if type(y) is not int or y not in (0, 1):
+        raise DataFormatError(
+            f"{path}:{lineno}: outcome must be the integer 0 or 1, got {y!r}"
+        )
+    return (x_index[x] * scenario.k + y_index[yh]) * 2 + y
 
 
 def read_jsonl(path, scenario: Scenario) -> RctDataset:
     """Read a dataset file, validating identifiers against the scenario.
 
     Malformed lines, unknown identifiers, outcomes other than the
-    integers 0 and 1, and a metadata line naming another scenario raise
-    DataFormatError naming the 1-indexed line. The metadata line is
-    optional; when present, its n must equal the number of samples, so
-    a truncated file is rejected. An empty file yields an empty dataset,
-    which the estimators reject.
+    integers 0 and 1, and a malformed metadata line or one naming another
+    scenario raise DataFormatError naming the 1-indexed line. The
+    metadata line is optional; when present, its n must equal the number
+    of samples, so a truncated file is rejected. An empty file yields an
+    empty dataset, which the estimators reject.
     """
-    x_index, y_index = scenario.arrays.x_index, scenario.arrays.y_index
-    xi, ji, ys = [], [], []
+    table = _sample_lines(scenario.features, scenario.decisions)
+    memo = dict(zip(table, range(len(table))))
+    parts = []
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -498,35 +483,38 @@ def read_jsonl(path, scenario: Scenario) -> RctDataset:
             first = fh.readline()
             meta = _read_meta(path, first, scenario)
             start = 1 if meta is None else 2
-            lines = [first] if first and meta is None else []
-            lines += islice(fh, _BLOCK_LINES - len(lines))
-            while lines:
-                block = _parse_block(lines, x_index, y_index)
-                if block is None:
-                    block = _scan_lines(path, start, lines, x_index, y_index)
-                for column, part in zip((xi, ji, ys), block):
-                    column.append(part)
-                start += len(lines)
-                lines = list(islice(fh, _BLOCK_LINES))
+            block = [first] if first and meta is None else []
+            block += islice(fh, _BLOCK_LINES - len(block))
+            while block:
+                if not memo.keys() >= set(block):
+                    # in file order, so the first bad line is the one named
+                    for lineno, line in enumerate(block, start=start):
+                        if line not in memo:
+                            memo[line] = _sample_cell(path, lineno, line, scenario)
+                cells = np.fromiter(map(memo.__getitem__, block), np.intp, len(block))
+                parts.append(cells)
+                start += len(block)
+                block = list(islice(fh, _BLOCK_LINES))
     except UnicodeDecodeError as exc:
         # a block is read before its lines are checked, so a bad byte can
         # surface before an earlier bad line; the file is refused either way
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    ys = np.fromiter(chain.from_iterable(ys), np.int8)
+    cells = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+    cells = cells[cells >= 0]  # blank lines
     if meta is None:
-        meta = RctMeta(scenario=scenario.name, seed=None, n=len(ys), gen="")
-    elif meta.n != len(ys):
+        meta = RctMeta(scenario=scenario.name, seed=None, n=len(cells), gen="")
+    elif meta.n != len(cells):
         raise DataFormatError(
             f"{path}: metadata declares n={meta.n} but the file holds "
-            f"{len(ys)} samples"
+            f"{len(cells)} samples"
         )
-    xi = np.concatenate(xi) if xi else np.zeros(0, dtype=np.intp)
-    ji = np.concatenate(ji) if ji else np.zeros(0, dtype=np.intp)
+    pairs, outcomes = np.divmod(cells, 2)
+    x_idx, yhat_idx = np.divmod(pairs, scenario.k)
     return RctDataset(
         features=scenario.features,
         decisions=scenario.decisions,
-        x_idx=xi,
-        yhat_idx=ji,
-        outcomes=ys,
+        x_idx=x_idx,
+        yhat_idx=yhat_idx,
+        outcomes=outcomes.astype(np.int8),
         meta=meta,
     )

@@ -324,6 +324,21 @@ class TestTrain:
         assert str(data) in err and "n=10" in err and "5 samples" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, shown", [("1e400", "inf"), ("2.5", "2.5"),
+                                          ("true", "True")])
+    def test_header_n_that_is_no_count_is_data_error(self, workdir, n, shown):
+        data = workdir / "huge_n.jsonl"
+        data.write_text('{"meta":{"scenario":"beta-0.25","seed":0,"n":' + n
+                        + ',"gen":""}}\n{"x":"+1","yhat":"+1","y":1}\n')
+        out = workdir / "huge_n.json"
+        code, _, err = run("train", "--config", BETA, "--mode", "empirical",
+                           "--epsilon", "0.05", "--data", str(data),
+                           "--out", str(out))
+        assert code == 2
+        assert err == (f"error: {data}:1: bad metadata: n must be a "
+                       f"non-negative integer, got {shown}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, extra", [
         (lambda doc: doc["input_distribution"].update({"-1": math.nan}), ()),
         (lambda doc: doc["losses"][0].update(lmax=math.inf), ()),

@@ -335,6 +335,35 @@ class TestRequiredSampleSize:
             om.required_sample_size(1.0, 2, 2, 2, 0.05, 0.0)
 
 
+def header_line(sc, samples, **fields):
+    """A metadata line for sc declaring the number of samples; each field
+    is the JSON text of its value, or None to leave the key out."""
+    meta = {"scenario": json.dumps(sc.name), "seed": "3", "n": str(samples),
+            "gen": '"g"'}
+    meta.update(fields)
+    return ('{"meta":{' + ",".join(f'"{k}":{v}' for k, v in meta.items()
+                                   if v is not None) + "}}")
+
+
+# Header fields the reader refuses, as the JSON text of the value (None:
+# the key is missing), with the reason it names.
+BAD_META = [
+    ("gen", None, "'gen'"),
+    ("n", "2.5", "n must be a non-negative integer, got 2.5"),
+    ("n", "true", "n must be a non-negative integer, got True"),
+    ("n", '"2"', "n must be a non-negative integer, got '2'"),
+    ("n", "-1", "n must be a non-negative integer, got -1"),
+    ("n", "null", "n must be a non-negative integer, got None"),
+    ("n", "1e400", "n must be a non-negative integer, got inf"),
+    ("seed", "true", "seed must be a non-negative integer or null, got True"),
+    ("seed", "3.9", "seed must be a non-negative integer or null, got 3.9"),
+    ("seed", "-1", "seed must be a non-negative integer or null, got -1"),
+    ("seed", '"3"', "seed must be a non-negative integer or null, got '3'"),
+    ("scenario", "5", "scenario must be a string, got 5"),
+    ("gen", "7", "gen must be a string, got 7"),
+]
+
+
 class TestJsonlFiles:
     def test_round_trip(self, beta_scenario, tmp_path):
         d = om.generate_rct(beta_scenario, 1000, 12)
@@ -400,6 +429,23 @@ class TestJsonlFiles:
         msg = str(exc.value)
         assert f"{path}:1" in msg
         assert "some-other-scenario" in msg and "beta-0.25" in msg
+
+    @pytest.mark.parametrize("field, text, problem", BAD_META)
+    def test_bad_header_names_line_one(self, tmp_path, field, text, problem):
+        path = tmp_path / "header.jsonl"
+        path.write_text(header_line(BETA, 1, **{field: text})
+                        + '\n{"x":"+1","yhat":"+1","y":1}\n')
+        for reader in (om.read_jsonl, line_reader_reference):
+            with pytest.raises(om.DataFormatError) as exc:
+                reader(path, BETA)
+            assert str(exc.value) == f"{path}:1: bad metadata: {problem}"
+
+    def test_null_or_missing_seed_reads_as_none(self, tmp_path):
+        path = tmp_path / "header.jsonl"
+        for seed in ("null", None):
+            path.write_text(header_line(BETA, 0, seed=seed) + "\n")
+            assert om.read_jsonl(path, BETA).meta == om.RctMeta(
+                scenario="beta-0.25", seed=None, n=0, gen="g")
 
     def test_truncated_file_rejected(self, beta_scenario, tmp_path):
         path = tmp_path / "cut.jsonl"
@@ -470,14 +516,24 @@ def line_reader_reference(path, scenario):
             if lineno == 1 and isinstance(obj, dict) and "meta" in obj:
                 m = obj["meta"]
                 try:
-                    meta = om.RctMeta(
-                        scenario=str(m["scenario"]),
-                        seed=None if m.get("seed") is None else int(m["seed"]),
-                        n=int(m["n"]),
-                        gen=str(m["gen"]),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
+                    meta = om.RctMeta(scenario=m["scenario"], seed=m.get("seed"),
+                                      n=m["n"], gen=m["gen"])
+                except (KeyError, TypeError) as exc:
                     raise om.DataFormatError(f"{path}:1: bad metadata: {exc}")
+                for field in ("scenario", "seed", "n", "gen"):
+                    value = getattr(meta, field)
+                    if field in ("scenario", "gen"):
+                        want, ok = "a string", isinstance(value, str)
+                    else:
+                        want = "a non-negative integer"
+                        ok = (isinstance(value, int) and not isinstance(value, bool)
+                              and value >= 0)
+                        if field == "seed":
+                            want, ok = want + " or null", ok or value is None
+                    if not ok:
+                        raise om.DataFormatError(
+                            f"{path}:1: bad metadata: {field} must be {want}, "
+                            f"got {value!r}")
                 if meta.scenario != scenario.name:
                     raise om.DataFormatError(
                         f"{path}:1: dataset was drawn for scenario "
@@ -569,6 +625,16 @@ def sample_lines(draw, x, yh, y):
     return f"  {line}\t" if style == "padded" else line
 
 
+def respelled(x, yh, y):
+    """The sample (x, yh, y) in spellings other than the writer's: spaced,
+    reordered, escaped, and padded (a trailing \\r before a \\n ends the
+    line in \\r\\n)."""
+    return [f'{{"x": {json.dumps(x)}, "yhat": {json.dumps(yh)}, "y": {y}}}',
+            f'{{"y":{y},"yhat":{json.dumps(yh)},"x":{json.dumps(x)}}}',
+            f'{{"x":{escaped(x)},"yhat":{escaped(yh)},"y":{y}}}',
+            f' {{"x":{json.dumps(x)},"yhat":{json.dumps(yh)},"y":{y}}}\r']
+
+
 @st.composite
 def trial_files(draw):
     """A scenario and the text of a JSONL file for it, often damaged."""
@@ -578,20 +644,21 @@ def trial_files(draw):
                                    st.sampled_from([0, 1])), max_size=12))
     lines = [draw(sample_lines(*row)) for row in rows]
     header = draw(st.sampled_from(["none", "good", "wrong-n", "foreign", "bad"]))
-    meta = {"scenario": sc.name, "seed": 3, "n": len(rows), "gen": "g"}
+    fields = {}
     if header == "wrong-n":
-        meta["n"] = len(rows) + draw(st.sampled_from([-1, 1]))
+        fields["n"] = str(len(rows) + draw(st.sampled_from([-1, 1])))
     elif header == "foreign":
-        meta["scenario"] = "elsewhere"
+        fields["scenario"] = '"elsewhere"'
     elif header == "bad":
-        del meta["gen"]
+        field, text, _ = draw(st.sampled_from(BAD_META))
+        fields[field] = text
     if header != "none":
-        lines.insert(0, json.dumps({"meta": meta}, separators=(",", ":")))
+        lines.insert(0, header_line(sc, len(rows), **fields))
     for _ in range(draw(st.integers(0, 4))):
         at = draw(st.integers(0, len(lines)))
         kind = draw(st.sampled_from(["blank", "garbage", "merge", "split",
                                      "regroup", "duplicate", "drop",
-                                     "move-header"]))
+                                     "move-header", "respell"]))
         if kind == "blank":
             lines.insert(at, draw(st.sampled_from(["", "   ", "\t", " "])))
         elif kind == "garbage":
@@ -614,6 +681,14 @@ def trial_files(draw):
                 del lines[at]
             elif kind == "move-header":
                 lines.insert(at, lines.pop(0))
+            elif kind == "respell" and rows:
+                # one sample in the writer's spelling and in others, apart
+                row = draw(st.sampled_from(rows))
+                canonical = json.dumps(dict(zip(("x", "yhat", "y"), row)),
+                                       separators=(",", ":"))
+                others = draw(st.lists(st.sampled_from(respelled(*row)),
+                                       min_size=1, max_size=3))
+                lines[at:at] = [canonical, *others, canonical]
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines)
     if lines and draw(st.booleans()):
@@ -628,9 +703,14 @@ def read_result(reader, path, scenario):
         return ("error", type(exc), str(exc))
 
 
+# Block sizes the reader is run with: blocks of one line, blocks that
+# split a file in uneven parts, and the default.
+BLOCKS = [1, 2, 3, 5, 4096]
+
+
 class TestBlockReaderMatchesLineReader:
     @settings(max_examples=400, deadline=None)
-    @given(trial_files(), st.sampled_from([1, 2, 3, 5, 4096]))
+    @given(trial_files(), st.sampled_from(BLOCKS))
     def test_same_dataset_or_same_error(self, case, block):
         sc, text = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -652,6 +732,55 @@ class TestBlockReaderMatchesLineReader:
             om.read_jsonl(path, BETA)
         assert str(exc.value) == (f"{path}:{bad_line}: outcome must be the "
                                   "integer 0 or 1, got 1.0")
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("last", ["canonical", "spaced", "bad"])
+    def test_last_line_without_its_newline(self, tmp_path, block, last):
+        path = tmp_path / "trial.jsonl"
+        om.write_jsonl(om.generate_rct(BETA, 12, 2), path)
+        text = path.read_text().rstrip("\n")
+        if last == "spaced":
+            text = text.replace(',"y":', ', "y": ')
+        elif last == "bad":
+            text = text[:-1] + ".0}"
+        path.write_text(text)
+        want = read_result(line_reader_reference, path, BETA)
+        assert want[0] == ("error" if last == "bad" else "data")
+        with mock.patch.object(rct, "_BLOCK_LINES", block):
+            assert read_result(om.read_jsonl, path, BETA) == want
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_a_repeated_bad_line_is_named_where_it_first_appears(self, tmp_path,
+                                                                 block):
+        path = tmp_path / "trial.jsonl"
+        om.write_jsonl(om.generate_rct(BETA, 20, 3), path)
+        lines = path.read_text().splitlines(keepends=True)
+        spaced = '{"x": "-1", "yhat": "+1", "y": 0}\n'
+        bad = '{"x":"+1","yhat":"+1","y":1.0}\n'
+        lines[3], lines[9], lines[18] = spaced, bad, bad
+        lines[12] = spaced
+        path.write_text("".join(lines))
+        message = f"{path}:10: outcome must be the integer 0 or 1, got 1.0"
+        assert read_result(line_reader_reference, path, BETA)[2] == message
+        with mock.patch.object(rct, "_BLOCK_LINES", block):
+            assert read_result(om.read_jsonl, path, BETA) == (
+                "error", om.DataFormatError, message)
+
+    def test_each_distinct_line_is_decoded_once(self, tmp_path):
+        path = tmp_path / "trial.jsonl"
+        data = om.generate_rct(BETA, 9000, 4)
+        om.write_jsonl(data, path)
+        with mock.patch.object(rct.json, "loads", wraps=json.loads) as loads:
+            assert om.read_jsonl(path, BETA) == data
+        assert loads.call_count == 1  # the header; every sample is canonical
+        header, _ = path.read_text().split("\n", 1)
+        samples = [respelled(*row)[i % 3]
+                   for i, row in enumerate(zip(*sample_labels(data)))]
+        path.write_text("\n".join([header, *samples]) + "\n")
+        with mock.patch.object(rct, "_BLOCK_LINES", 1000), \
+                mock.patch.object(rct.json, "loads", wraps=json.loads) as loads:
+            assert om.read_jsonl(path, BETA).counts.tolist() == data.counts.tolist()
+        assert loads.call_count == 1 + len(set(samples))
 
     def test_one_object_over_two_lines_is_rejected(self, tmp_path):
         # each joined block parses, with as many elements as lines, but

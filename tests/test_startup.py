@@ -152,6 +152,16 @@ class TestCommandImports:
             for module in ("audit", "boost", "rct"):
                 assert f"omnipredict.{module}" not in loaded, (argv[0], module)
 
+    def test_train_loads_adapt_only_with_adapt(self, models):
+        workdir = models[0]
+        data = str(workdir / "train.jsonl")
+        run_command("rct-gen", "--config", BETA, "--n", "20000", "--out", data)
+        for extra in ([], ["--mode", "empirical", "--data", data]):
+            loaded = run_command("train", "--config", BETA, "--epsilon", "0.05",
+                                 "--out", str(workdir / "plain2.json"), *extra)
+            assert "omnipredict.boost" in loaded
+            assert "omnipredict.adapt" not in loaded, extra
+
     def test_one_thread_starts_no_pool(self, models):
         workdir, plain, _ = models
         loaded = run_command("train", "--config", BETA, "--epsilon", "0.05",
