@@ -26,10 +26,9 @@ classification that needs only two learner calls per loss.
 Enumeration order is canonical everywhere (hypothesis-major then
 loss-minor; decisions in index order), and the reported violation is
 always the canonically first one, so identical inputs give identical
-results regardless of internal parallelism. Every audit yields
-(target, err) entries in that order, and first_violation and
-audit_report turn them into its verdict; training reads the same
-entries, lazily, only up to the first violation.
+results. Every audit yields (target, err) entries in that order, and
+first_violation and audit_report turn them into its verdict; training
+reads the same entries, lazily, only up to the first violation.
 
 Every rule audit is one bilinear kernel: a per-loss (|X|, k) table,
 gathered at each hypothesis's cells x*k + h(x) (the scenario's
@@ -123,26 +122,6 @@ class AuditReport:
         return doc
 
 
-def _run_row_chunks(fill: Callable[[slice], None], n_rows: int, threads: int) -> None:
-    """Run fill over contiguous row slices, optionally on a thread pool.
-
-    Each row's arithmetic is independent and identical in every
-    chunking, so results are byte-identical for any thread count.
-    """
-    if threads <= 1 or n_rows <= 1:
-        fill(slice(0, n_rows))
-        return
-    bounds = np.linspace(0, n_rows, num=min(threads, n_rows) + 1, dtype=int)
-    slices = [
-        slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b
-    ]
-    # imported only for a split: the import costs every command about 0.01 s
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        list(pool.map(fill, slices))
-
-
 def _loss_products(matrix: np.ndarray, scenario: Scenario) -> list[np.ndarray]:
     """Per loss, the product (dist * delta) * (modeled - true) over the
     (|X|, k) table, flat, so cell (x, j) is at x * k + j."""
@@ -175,7 +154,7 @@ def _rule_err_rows(matrix_or_pred, scenario: Scenario) -> Callable[[slice], np.n
     return rows
 
 
-def poi_err_matrix(matrix_or_pred, scenario: Scenario, threads: int = 1) -> np.ndarray:
+def poi_err_matrix(matrix_or_pred, scenario: Scenario) -> np.ndarray:
     """Exact err for every (hypothesis, loss) pair, canonical order.
 
     err[h, l] = sum_x dist(x) * gap_l(x, h(x)) * (modeled - true)
@@ -183,31 +162,20 @@ def poi_err_matrix(matrix_or_pred, scenario: Scenario, threads: int = 1) -> np.n
     loss(x, yhat, 1) - loss(x, yhat, 0). Equal to the model-side risk
     minus Nature-side risk of h under l.
     """
-    rows = _rule_err_rows(matrix_or_pred, scenario)
-    errs = np.empty((len(scenario.hypotheses), len(scenario.losses)))
-
-    def fill(sel: slice) -> None:
-        errs[sel] = rows(sel)
-
-    _run_row_chunks(fill, len(scenario.hypotheses), threads)
-    return errs
+    return _rule_err_rows(matrix_or_pred, scenario)(slice(None))
 
 
-def doi_errs(matrix_or_pred, scenario: Scenario, threads: int = 1) -> np.ndarray:
+def doi_errs(matrix_or_pred, scenario: Scenario) -> np.ndarray:
     """Exact err for each loss under the predictor's own optimal rule."""
     matrix = prediction_matrix(matrix_or_pred, scenario)
     arrays = scenario.arrays
     products = _loss_products(matrix, scenario)
     offsets = np.arange(len(scenario.features.points)) * scenario.k
     errs = np.empty(len(scenario.losses))
-
-    def fill(rows: slice) -> None:
-        for li in range(rows.start, rows.stop):
-            base, delta = arrays.loss_arrays(scenario.losses[li])
-            sel = np.argmin(base + delta * matrix, axis=1)
-            errs[li] = rule_sums(products[li], offsets + sel)
-
-    _run_row_chunks(fill, len(scenario.losses), threads)
+    for li, loss in enumerate(scenario.losses):
+        base, delta = arrays.loss_arrays(loss)
+        sel = np.argmin(base + delta * matrix, axis=1)
+        errs[li] = rule_sums(products[li], offsets + sel)
     return errs
 
 
@@ -273,8 +241,8 @@ def poi_entries_exact(pred, scenario: Scenario):
     return _rule_entries(scenario, errs)
 
 
-def doi_entries_exact(pred, scenario: Scenario, threads: int = 1):
-    return _decision_entries(scenario, doi_errs(pred, scenario, threads).tolist())
+def doi_entries_exact(pred, scenario: Scenario):
+    return _decision_entries(scenario, doi_errs(pred, scenario).tolist())
 
 
 def poi_entries_empirical(
@@ -304,21 +272,21 @@ def doi_entries_empirical(
     return _decision_entries(scenario, map(err, scenario.losses))
 
 
-def audit_poi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
+def audit_poi_exact(pred, scenario: Scenario, eps: float):
     """Audit every (hypothesis, loss) pair exactly.
 
     Returns (violation, report): the canonically first target with
     |err| >= eps, or None, plus the full report.
     """
     _check_eps(eps)
-    errs = poi_err_matrix(pred, scenario, threads=threads)
+    errs = poi_err_matrix(pred, scenario)
     return _verdict(EXACT, eps, _rule_entries(scenario, errs.ravel().tolist()))
 
 
-def audit_doi_exact(pred, scenario: Scenario, eps: float, threads: int = 1):
+def audit_doi_exact(pred, scenario: Scenario, eps: float):
     """Audit each loss under the predictor's own loss-optimal rule."""
     _check_eps(eps)
-    return _verdict(EXACT, eps, doi_entries_exact(pred, scenario, threads))
+    return _verdict(EXACT, eps, doi_entries_exact(pred, scenario))
 
 
 def audit_poi_empirical(

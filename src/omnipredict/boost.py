@@ -80,7 +80,6 @@ class BoostConfig:
     data: Optional[RctDataset] = None
     poi_n: Optional[int] = None
     doi_n: Optional[int] = None
-    threads: int = 1
     adapt: bool = False
 
 
@@ -222,7 +221,7 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
         if violation is None:
             stage = "doi"
             if config.mode == EXACT:
-                entries = doi_entries_exact(matrix, scenario, config.threads)
+                entries = doi_entries_exact(matrix, scenario)
             else:
                 fresh = emp.fresh_slice(t)
                 entries = doi_entries_empirical(matrix, fresh, emp.data, scenario)

@@ -147,7 +147,6 @@ def cmd_train(args) -> int:
         data=data,
         poi_n=poi_n,
         doi_n=doi_n,
-        threads=args.threads,
         adapt=args.adapt,
     )
     trace_path = args.trace if args.trace is not None else args.out + ".trace.jsonl"
@@ -192,10 +191,10 @@ def cmd_audit(args) -> int:
     if args.mode in (EMPIRICAL, CSC) and args.data is None:
         raise ArgumentError(f"--data is required in {args.mode} mode")
 
-    matrix, threads = prediction_matrix(pred, audit_scenario), args.threads
+    matrix = prediction_matrix(pred, audit_scenario)
     if args.mode == EXACT:
-        _, poi_report = audit_poi_exact(matrix, audit_scenario, eps, threads=threads)
-        _, doi_report = audit_doi_exact(matrix, audit_scenario, eps, threads=threads)
+        _, poi_report = audit_poi_exact(matrix, audit_scenario, eps)
+        _, doi_report = audit_doi_exact(matrix, audit_scenario, eps)
     else:
         data = read_jsonl(args.data, audit_scenario)
         if args.mode == EMPIRICAL:
@@ -336,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--trace", help="trace JSONL path (default <out>.trace.jsonl)")
-    p.add_argument("--threads", type=_count, default=1)
+    # accepted and ignored only because perfbench/run.py passes it
+    p.add_argument("--threads", type=_count, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("audit", help="audit a model, rule then decision checks")
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=EXACT)
     p.add_argument("--epsilon", type=_epsilon, default=None)
     p.add_argument("--data", help="RCT JSONL, required by estimated modes")
-    p.add_argument("--threads", type=_count, default=1)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("eval", help="risk table for every rule and loss")

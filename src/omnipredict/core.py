@@ -866,7 +866,7 @@ def load_scenario(path) -> Scenario:
         return scenario_from_dict(doc)
     except OSError as exc:
         raise ConfigurationError(f"cannot read scenario file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ConfigurationError(f"scenario file {path} is not valid JSON: {exc}")
     except ConfigurationError as exc:  # keeps WeightInvariantError's type
         raise type(exc)(f"scenario file {path}: {exc}") from exc

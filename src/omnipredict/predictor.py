@@ -301,7 +301,7 @@ def read_model_document(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ModelMismatchError(f"cannot read model file {path}: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad bytes, long integers, nesting
         raise ModelMismatchError(f"model file {path} is not valid JSON: {exc}")
 
 

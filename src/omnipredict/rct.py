@@ -401,7 +401,7 @@ def _read_meta(path, line: str, scenario: Scenario) -> Optional[RctMeta]:
         return None
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too long an integer, too deep
         raise DataFormatError(f"{path}:1: invalid JSON: {exc}")
     if not (isinstance(obj, dict) and "meta" in obj):
         return None
@@ -440,7 +440,7 @@ def _sample_cell(path, lineno: int, raw: str, scenario: Scenario) -> int:
         return -1
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}")
     if not isinstance(obj, dict):
         raise DataFormatError(f"{path}:{lineno}: sample must be an object")

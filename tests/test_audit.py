@@ -118,14 +118,6 @@ class TestExactPoi:
         v, _ = om.audit_poi_exact(pred, beta_scenario, 0.2)
         assert (v.target.hypothesis, v.target.loss) == ("h_plus", "steer_to_one")
 
-    def test_thread_count_does_not_change_results(self):
-        rng = np.random.default_rng(59)
-        sc = random_scenario(rng, max_x=8, max_k=4, n_hyps=(4, 4))
-        q = random_matrix(rng, sc)
-        base = om.poi_err_matrix(q, sc, threads=1)
-        for threads in (2, 4, 8):
-            assert np.array_equal(base, om.poi_err_matrix(q, sc, threads=threads))
-
 
 def poi_err_matrix_reference(matrix_or_pred, scenario):
     """The rule-audit kernel before the fused gather: per loss, gather
@@ -224,25 +216,21 @@ class TestFusedRuleKernel:
     def test_matches_reference_bit_for_bit(self, case):
         sc, q = case
         want = poi_err_matrix_reference(q, sc)
-        for threads in (1, 2, 4):
-            assert np.array_equal(om.poi_err_matrix(q, sc, threads=threads), want)
+        assert np.array_equal(om.poi_err_matrix(q, sc), want)
 
     @settings(max_examples=40, deadline=None)
     @given(kernel_cases())
     def test_lazy_entries_match_full_matrix(self, case):
         sc, q = case
         lazy = [e for _, e in audit.poi_entries_exact(q, sc)]
-        for threads in (1, 2, 4):
-            full = om.poi_err_matrix(q, sc, threads=threads).ravel()
-            assert np.array_equal(np.array(lazy), full)
+        assert np.array_equal(np.array(lazy), om.poi_err_matrix(q, sc).ravel())
 
     @settings(max_examples=80, deadline=None)
     @given(kernel_cases())
     def test_decision_errs_match_reference_bit_for_bit(self, case):
         sc, q = case
         want = doi_errs_reference(q, sc)
-        for threads in (1, 2):
-            assert np.array_equal(om.doi_errs(q, sc, threads=threads), want)
+        assert np.array_equal(om.doi_errs(q, sc), want)
 
     def test_long_rows_match_reference(self):
         # rows longer than numpy's 8192-element buffer and its pairwise
@@ -273,7 +261,7 @@ class TestFusedRuleKernel:
         )
         q = rng.random((n_x, big.k))
         want = poi_err_matrix_reference(q, big)
-        assert np.array_equal(om.poi_err_matrix(q, big, threads=2), want)
+        assert np.array_equal(om.poi_err_matrix(q, big), want)
         lazy = [e for _, e in audit.poi_entries_exact(q, big)]
         assert np.array_equal(np.array(lazy), want.ravel())
 

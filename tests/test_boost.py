@@ -149,12 +149,6 @@ class TestExactTraining:
                     for h in sc.hypotheses)
                 assert risk <= best + 2 * eps + 1e-12
 
-    def test_threads_do_not_change_training(self, beta_scenario):
-        a = om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.05, threads=1))
-        b = om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.05, threads=4))
-        assert om.serialize(a.predictor) == om.serialize(b.predictor)
-        assert a.trace == b.trace
-
 
 def count_rows_read(monkeypatch):
     """Record, per rule audit, the hypothesis rows training computes."""

@@ -86,6 +86,8 @@ class TestParsing:
                    "--out", str(workdir / "seeded.json"))[0] == 1
         assert run("eval", "--config", BETA, "--model", model_path,
                    "--threads", "2", "--out", str(workdir / "t.csv"))[0] == 1
+        assert run("audit", "--config", BETA, "--model", model_path,
+                   "--threads", "2")[0] == 1
 
 
 class TestScenarioShow:
@@ -927,10 +929,57 @@ class TestRecordOrder:
 
 
 class TestThreads:
-    def test_negative_flag_rejected(self, model_path):
-        code, _, _ = run("audit", "--config", BETA, "--model", model_path,
-                         "--threads", "-1")
+    """train still accepts --threads, checks it and ignores it."""
+
+    def test_negative_flag_rejected(self, workdir):
+        code, _, _ = run("train", "--config", BETA, "--epsilon", "0.05",
+                         "--threads", "-1", "--out", str(workdir / "neg.json"))
         assert code == 1
+
+    def test_ignored_flag_changes_no_byte(self, workdir):
+        def train(name, *extra):
+            out = workdir / name
+            code, _, err = run("train", "--config", BETA, "--epsilon", "0.05",
+                               "--out", str(out), *extra)
+            assert code == 0, err
+            return out.read_bytes(), Path(f"{out}.trace.jsonl").read_bytes()
+
+        assert train("threads2.json", "--threads", "2") == train("plain.json")
+
+    def test_flag_hidden_from_help(self):
+        code, out, _ = run("train", "--help")
+        assert code == 0 and "--threads" not in out
+
+
+class TestJsonParserLimits:
+    """Input the JSON parser refuses past its own limits, rather than as
+    malformed text: an integer longer than 4300 digits (ValueError) and
+    arrays nested 100 000 deep (RecursionError)."""
+
+    @pytest.mark.parametrize("value", ["1" * 4301, "[" * 100_000],
+                             ids=["long_integer", "deep_nesting"])
+    @pytest.mark.parametrize("kind", ["scenario", "model", "header", "sample"])
+    def test_exit_2_naming_the_file(self, workdir, model_path, kind, value):
+        bad = workdir / f"limit_{kind}_{value[0]}.json"
+        config, model, extra = BETA, model_path, []
+        if kind == "scenario":
+            bad.write_text(f'{{"name": {value}}}')
+            config = str(bad)
+        elif kind == "model":
+            bad.write_text(f'{{"terms": {value}}}')
+            model = str(bad)
+        else:
+            header = '{"meta":{"scenario":"beta-0.25","seed":0,"n":%s,"gen":"g"}}'
+            sample = '{"x":"-1","yhat":"-1","y":%s}'
+            lines = (header % (value if kind == "header" else "1"),
+                     sample % (value if kind == "sample" else "0"))
+            bad.write_text("\n".join(lines) + "\n")
+            extra = ["--mode", "empirical", "--data", str(bad)]
+        code, out, err = run("audit", "--config", config, "--model", model, *extra)
+        assert code == 2 and out == ""
+        assert str(bad) in err and "Traceback" not in err
+        if kind in ("header", "sample"):
+            assert f"{bad}:{1 if kind == 'header' else 2}: invalid JSON" in err
 
 
 class TestEntryPoint:

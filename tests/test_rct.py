@@ -511,7 +511,7 @@ def line_reader_reference(path, scenario):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise om.DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}")
             if lineno == 1 and isinstance(obj, dict) and "meta" in obj:
                 m = obj["meta"]
@@ -765,6 +765,26 @@ class TestBlockReaderMatchesLineReader:
         with mock.patch.object(rct, "_BLOCK_LINES", block):
             assert read_result(om.read_jsonl, path, BETA) == (
                 "error", om.DataFormatError, message)
+
+    @pytest.mark.parametrize("value", ["1" * 4301, "[" * 100_000],
+                             ids=["long_integer", "deep_nesting"])
+    @pytest.mark.parametrize("lineno", [1, 4])
+    def test_parser_limits_are_data_errors(self, tmp_path, lineno, value):
+        # the parser raises ValueError and RecursionError here, not
+        # JSONDecodeError; on line 1 the value is the header's n
+        path = tmp_path / "trial.jsonl"
+        om.write_jsonl(om.generate_rct(BETA, 5, 1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        if lineno == 1:
+            assert '"n":5' in lines[0]
+            lines[0] = lines[0].replace('"n":5', f'"n":{value}')
+        else:
+            lines[3] = f'{{"x":"-1","yhat":"-1","y":{value}}}\n'
+        path.write_text("".join(lines))
+        want = read_result(line_reader_reference, path, BETA)
+        assert want[:2] == ("error", om.DataFormatError)
+        assert want[2].startswith(f"{path}:{lineno}: invalid JSON: ")
+        assert read_result(om.read_jsonl, path, BETA) == want
 
     def test_each_distinct_line_is_decoded_once(self, tmp_path):
         path = tmp_path / "trial.jsonl"

@@ -162,14 +162,13 @@ class TestCommandImports:
             assert "omnipredict.boost" in loaded
             assert "omnipredict.adapt" not in loaded, extra
 
-    def test_one_thread_starts_no_pool(self, models):
+    def test_no_command_starts_a_pool(self, models):
         workdir, plain, _ = models
         loaded = run_command("train", "--config", BETA, "--epsilon", "0.05",
-                             "--threads", "1", "--out", str(workdir / "t1.json"))
+                             "--threads", "2", "--out", str(workdir / "t2.json"))
         assert "omnipredict.boost" in loaded
         assert "concurrent.futures" not in loaded
-        loaded = run_command("audit", "--config", BETA, "--model", plain,
-                             "--threads", "1")
+        loaded = run_command("audit", "--config", BETA, "--model", plain)
         assert "omnipredict.audit" in loaded
         assert "omnipredict.boost" not in loaded
         assert "concurrent.futures" not in loaded
