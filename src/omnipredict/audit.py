@@ -33,10 +33,11 @@ reads the same entries, lazily, only up to the first violation.
 Every rule audit is one bilinear kernel: a per-loss (|X|, k) table,
 gathered at each hypothesis's cells x*k + h(x) (the scenario's
 rule_cells) and summed per row with np.add.reduce (rct.rule_sums). The
-exact table is (dist * delta) * (modeled - true); poi_err_matrix and the
-lazy rows training reads (poi_entries_exact) share its row function, so
-their errs agree bit for bit, and doi_errs gathers it at the predictor's
-own rules. The empirical model side weighs expected losses by feature
+exact table is (dist * delta) * (modeled - true). The weighted gap
+dist * delta is formed once per scenario (its loss_gap), so each audit
+does one multiply per loss. poi_err_matrix and the lazy rows training
+reads (poi_entries_exact) share its row function, so their errs agree
+bit for bit, and doi_errs gathers it at the predictor's own rules. The empirical model side weighs expected losses by feature
 counts, and a cost-sensitive instance is the table of summed sample
 costs per (feature, logged decision) cell, so no estimate reads a sample.
 Decision calibration's grid scan is described at
@@ -124,14 +125,11 @@ class AuditReport:
 
 def _loss_products(matrix: np.ndarray, scenario: Scenario) -> list[np.ndarray]:
     """Per loss, the product (dist * delta) * (modeled - true) over the
-    (|X|, k) table, flat, so cell (x, j) is at x * k + j."""
+    (|X|, k) table, flat, so cell (x, j) is at x * k + j. The weighted
+    gap dist * delta is the scenario's loss_gap, formed once."""
     arrays = scenario.arrays
     mismatch = matrix - arrays.nature
-    weight = arrays.dist[:, np.newaxis]
-    return [
-        ((weight * arrays.loss_delta[loss.name]) * mismatch).ravel()
-        for loss in scenario.losses
-    ]
+    return [(arrays.loss_gap[loss.name] * mismatch).ravel() for loss in scenario.losses]
 
 
 def _rule_err_rows(matrix_or_pred, scenario: Scenario) -> Callable[[slice], np.ndarray]:
@@ -170,12 +168,11 @@ def doi_errs(matrix_or_pred, scenario: Scenario) -> np.ndarray:
     matrix = prediction_matrix(matrix_or_pred, scenario)
     arrays = scenario.arrays
     products = _loss_products(matrix, scenario)
-    offsets = np.arange(len(scenario.features.points)) * scenario.k
     errs = np.empty(len(scenario.losses))
     for li, loss in enumerate(scenario.losses):
         base, delta = arrays.loss_arrays(loss)
         sel = np.argmin(base + delta * matrix, axis=1)
-        errs[li] = rule_sums(products[li], offsets + sel)
+        errs[li] = rule_sums(products[li], arrays.offsets + sel)
     return errs
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: generate trial data, train, audit, evaluate.
 
 Exit codes are a contract: 0 success or pass, 1 flag misuse, 2 invalid
-scenario or model files, 3 an audit violation or a failed guarantee.
+scenario or model files or an output file that cannot be written, 3 an
+audit violation or a failed guarantee.
 All outputs are deterministic given flags and seeds.
 
 Each command imports the modules it runs inside its handler, so that a
@@ -12,6 +13,7 @@ and only train loads boost.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -73,6 +75,16 @@ def _at_least(lo: int):
 _nonnegative, _count = _at_least(0), _at_least(1)
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Writes path inside; an OSError there, such as a missing directory
+    or no permission, becomes a ConfigurationError naming path (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_scenario_show(args) -> int:
     scenario = load_scenario(args.config)
     print(f"scenario: {scenario.name}")
@@ -107,7 +119,8 @@ def cmd_rct_gen(args) -> int:
 
     scenario = load_scenario(args.config)
     data = generate_rct(scenario, args.n, args.seed)
-    write_jsonl(data, args.out)
+    with _output(args.out):
+        write_jsonl(data, args.out)
     print(f"wrote {data.n} samples to {args.out}")
     return EXIT_OK
 
@@ -154,10 +167,12 @@ def cmd_train(args) -> int:
         result = poi_boost(train_scenario, config)
     except BoundExceededError as exc:
         if exc.trace is not None:
-            write_trace(exc.trace, trace_path)
+            with _output(trace_path):
+                write_trace(exc.trace, trace_path)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    write_trace(result.trace, trace_path)
+    with _output(trace_path):
+        write_trace(result.trace, trace_path)
     if result.termination != "converged":
         print(
             f"training stopped without converging ({result.termination}) "
@@ -165,7 +180,8 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
         return EXIT_FAIL
-    save_model(result.predictor, args.out)
+    with _output(args.out):
+        save_model(result.predictor, args.out)
     print(
         f"converged after {result.trace.updates} updates; "
         f"model written to {args.out}"
@@ -268,7 +284,7 @@ def cmd_eval(args) -> int:
             verdict = "" if r != h + j else "true" if passed[j] else "false"
             rows.append((name, loss.name, repr(risks[j][r]), verdict))
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with _output(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rule", "loss", "risk", "optimal_within_2eps"])
         writer.writerows(rows)

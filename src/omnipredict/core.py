@@ -75,18 +75,23 @@ class FeatureSpace:
             raise ConfigurationError("feature identifiers must be distinct")
 
 
-def _read(table, xs, ys, lookup):
+def _read(table, xs, ys, what: str, lookup):
     """[table[x] for x in xs], or, when ys is given, table[x][y] for every
-    (x, y) flat in canonical order, x-major. On a hole, lookup (the part's
-    scalar accessor) raises the part's error for the first absent cell in
-    canonical order."""
+    (x, y) flat in canonical order, x-major. A table whose keys are xs in
+    canonical order is read through its values, any other by key. On a
+    hole, lookup (the part's scalar accessor) raises the part's error for
+    the first absent cell in canonical order. A key that is no feature,
+    or in a row no decision, raises ConfigurationError naming the first:
+    with every cell present, a count over the table and its rows finds
+    one."""
     try:
-        rows = list(map(table.__getitem__, xs))
-        if ys is None:
-            return rows
-        # itemgetter of one key returns the bare cell, not a 1-tuple
-        row_cells = itemgetter(*ys) if len(ys) > 1 else lambda row: (row[ys[0]],)
-        return list(chain.from_iterable(map(row_cells, rows)))
+        ordered = tuple(table) == tuple(xs)
+        rows = list(table.values() if ordered else map(table.__getitem__, xs))
+        cells = rows
+        if ys is not None:
+            # itemgetter of one key returns the bare cell, not a 1-tuple
+            row_cells = itemgetter(*ys) if len(ys) > 1 else lambda row: (row[ys[0]],)
+            cells = list(chain.from_iterable(map(row_cells, rows)))
     except KeyError:
         for x in xs:
             if ys is None:
@@ -95,6 +100,17 @@ def _read(table, xs, ys, lookup):
                 for y in ys:
                     lookup(x, y)
         raise
+    if len(table) != len(xs):
+        known = set(xs)
+        x = next(x for x in table if x not in known)
+        raise ConfigurationError(f"{what} has an entry for unknown feature {x!r}")
+    if ys is not None and sum(map(len, rows)) != len(rows) * len(ys):
+        known = set(ys)
+        x, y = next((x, y) for x, row in zip(xs, rows) for y in row if y not in known)
+        raise ConfigurationError(
+            f"{what} has an entry for unknown decision {y!r} at feature {x!r}"
+        )
+    return cells
 
 
 def _viewed(table, shape: tuple, kind: str, xs, ys=None):
@@ -215,7 +231,7 @@ class NatureModel:
         shape = (len(xs), len(ys))
         probs = _viewed(self.table, shape, "f", xs, ys)
         if probs is None:
-            cells = _read(self.table, xs, ys, self.prob)
+            cells = _read(self.table, xs, ys, "outcome model", self.prob)
             probs = _array(cells, shape, "outcome model", xs, ys)
         bad = _first_outside(probs, 0.0, 1.0)
         if bad is not None:
@@ -285,8 +301,9 @@ class Loss:
         shape = (len(xs), len(ys), 2)
         values = _viewed(self.table, shape, "f", xs, ys)
         if values is None:
-            cells = _read(self.table, xs, ys, lambda x, yhat: self.values(x, yhat, 0))
-            values = _array(cells, shape, f"loss {self.name!r}", xs, ys)
+            what = f"loss {self.name!r}"
+            cells = _read(self.table, xs, ys, what, lambda x, yhat: self.values(x, yhat, 0))
+            values = _array(cells, shape, what, xs, ys)
         bad = _first_outside(values, 0.0, self.lmax)
         if bad is not None:
             i, j, y = bad
@@ -334,7 +351,7 @@ class Hypothesis:
         indices = _viewed(self.mapping, (len(xs),), "i", xs, ys)
         if indices is None:
             index = {y: j for j, y in enumerate(ys)}
-            labels = _read(self.mapping, xs, None, self.decide)
+            labels = _read(self.mapping, xs, None, f"rule {self.name!r}", self.decide)
             try:
                 indices = np.fromiter(map(index.__getitem__, labels), np.int64, len(xs))
             except (KeyError, TypeError):  # a miss may be a JSON number
@@ -379,8 +396,9 @@ class WeightFunction:
         xs = features.points
         weights = _viewed(self.mapping, (len(xs),), "f", xs)
         if weights is None:
-            cells = _read(self.mapping, xs, None, self.weight)
-            weights = _array(cells, (len(xs),), f"weight function {self.name!r}", xs)
+            what = f"weight function {self.name!r}"
+            cells = _read(self.mapping, xs, None, what, self.weight)
+            weights = _array(cells, (len(xs),), what, xs)
         bad = _first_outside(weights, 0.0, self.wmax)
         if bad is not None:
             raise WeightInvariantError(
@@ -445,10 +463,12 @@ class _ScenarioArrays:
     """The checked arrays of a scenario, index-aligned to canonical order.
 
     dist (|X|,) and nature (|X|, k); by name, loss_values (|X|, k, 2)
-    with its loss_base and loss_delta (|X|, k), hyp_index (|X|,) and
-    weights (|X|,). rule_cells (|H|, |X|) holds, per hypothesis in
-    canonical order, the flat index x*k + h(x) of each feature's chosen
-    cell in a row-major (|X|, k) table. Reductions use np.add.reduce
+    with its loss_base and loss_delta (|X|, k) and its weighted gap
+    loss_gap = dist[:, None] * loss_delta, hyp_index (|X|,) and weights
+    (|X|,). offsets (|X|,) holds x*k, the flat index of feature x's first
+    cell in a row-major (|X|, k) table, and rule_cells (|H|, |X|), per
+    hypothesis in canonical order, the flat index x*k + h(x) of each
+    feature's chosen cell. Reductions use np.add.reduce
     (pairwise summation in numpy's core), never BLAS, so results do not
     depend on thread counts.
     """
@@ -459,8 +479,8 @@ class _ScenarioArrays:
         self.y_index = {y: j for j, y in enumerate(decisions.labels)}
         self.dist, self.nature = dist, nature
         self.hyp_index, self.weights = rules, weights
-        rows = np.arange(len(features.points)) * decisions.k
-        self.rule_cells = np.stack(list(rules.values())) + rows
+        self.offsets = np.arange(len(features.points)) * decisions.k
+        self.rule_cells = np.stack(list(rules.values())) + self.offsets
 
     def view(self, array: np.ndarray) -> _TableView:
         """array, indexed by feature first, as a part's table."""
@@ -468,10 +488,12 @@ class _ScenarioArrays:
 
     def _set_losses(self, owners: tuple, values: dict) -> None:
         self.loss_values, self._own_losses = values, {l.name: l for l in owners}
-        self.loss_base, self.loss_delta = {}, {}
+        self.loss_base, self.loss_delta, self.loss_gap = {}, {}, {}
+        weight = self.dist[:, np.newaxis]
         for name, v in values.items():  # the value at y=0, and y=1 minus it
             self.loss_base[name] = v[:, :, 0]
             self.loss_delta[name] = v[:, :, 1] - v[:, :, 0]
+            self.loss_gap[name] = weight * self.loss_delta[name]
 
     def rule_indices(self, rule: Hypothesis) -> np.ndarray:
         """The decision index per feature of rule. A rule whose mapping
@@ -708,10 +730,17 @@ def io_loss(
     per_decision: Mapping[str, tuple[float, float]],
     features: FeatureSpace,
 ) -> Loss:
-    """Input-oblivious loss from per-decision (value at y=0, value at y=1)."""
-    row = {yhat: (float(v0), float(v1)) for yhat, (v0, v1) in per_decision.items()}
-    table = {x: dict(row) for x in features.points}
-    return Loss(name=name, lmax=float(lmax), table=table)
+    """Input-oblivious loss from per-decision (value at y=0, value at y=1).
+
+    The table is a read-only view of the (|X|, k, 2) array that repeats
+    that row at every feature, with the decisions in per_decision's
+    order; it equals (==) the table of one dict row per feature.
+    """
+    row = [(float(v0), float(v1)) for v0, v1 in per_decision.values()]
+    points = features.points
+    values = np.tile(np.array(row, dtype=np.float64).reshape(-1, 2), (len(points), 1, 1))
+    x_index = {x: i for i, x in enumerate(points)}
+    return Loss(name, float(lmax), _TableView(values, x_index, tuple(per_decision)))
 
 
 def builtin_loss(

@@ -112,19 +112,24 @@ def apply_term(matrix: np.ndarray, term: UpdateTerm, scenario: Scenario) -> np.n
     loss(x, yhat, 1) - loss(x, yhat, 0) placed at the target rule's
     decision index and zero elsewhere. For induced terms the rule is the
     loss-optimal decision under the incoming matrix itself.
+
+    Only the |X| target cells x*k + target(x) are touched: they are
+    gathered, stepped and clipped on a copy of the matrix, and every
+    other cell comes out unchanged bit for bit, as the dense step over
+    the full matrix leaves it.
     """
     arrays = scenario.arrays
-    base = arrays.loss_base[term.loss_name]
-    delta = arrays.loss_delta[term.loss_name]
     if term.target_kind == EXTERNAL:
         target_idx = arrays.hyp_index[term.target_name]
     else:
         tbase = arrays.loss_base[term.target_name]
         tdelta = arrays.loss_delta[term.target_name]
         target_idx = np.argmin(tbase + tdelta * matrix, axis=1)
-    cols = np.arange(matrix.shape[1])
-    direction = np.where(cols[np.newaxis, :] == target_idx[:, np.newaxis], delta, 0.0)
-    return np.clip(matrix - term.eta * direction, 0.0, 1.0)
+    cells = arrays.offsets + target_idx
+    stepped = np.array(matrix, dtype=np.float64)
+    step = stepped.take(cells) - term.eta * arrays.loss_delta[term.loss_name].take(cells)
+    stepped.put(cells, np.clip(step, 0.0, 1.0))
+    return stepped
 
 
 def evaluate_all(pred: AdditivePredictor, scenario: Scenario) -> np.ndarray:

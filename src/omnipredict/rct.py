@@ -265,8 +265,8 @@ def _exact_sum(counts: np.ndarray, values: np.ndarray) -> float:
 def rule_cells(rules: Sequence[Hypothesis], scenario: Scenario) -> np.ndarray:
     """(len(rules), |X|) flat indices x*k + rule(x) into a row-major
     (|X|, k) table, as the scenario's rule_cells holds its hypotheses'."""
-    rows = np.arange(len(scenario.features.points)) * scenario.k
-    return np.stack([scenario.arrays.rule_indices(r) for r in rules]) + rows
+    arrays = scenario.arrays
+    return np.stack([arrays.rule_indices(r) for r in rules]) + arrays.offsets
 
 
 def rule_sums(table: np.ndarray, cells: np.ndarray) -> np.ndarray:

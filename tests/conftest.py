@@ -279,3 +279,41 @@ def beta_nature_matrix(beta_scenario):
     return np.array(
         [[beta_scenario.nature.table[x][y] for y in labels] for x in pts]
     )
+
+
+def mid_scenario_doc(seed=19, n_x=300, k=4, n_losses=5, n_hyps=12):
+    """JSON document of a seeded mid-size scenario: the two built-in
+    steering losses, n_losses random loss tables and n_hyps random
+    rules. Odd decisions raise the outcome rate and each random loss
+    leans toward one outcome per decision, so exact training needs both
+    rule and decision updates. The nature table is written in reverse
+    feature order and every other table in canonical order, so a load
+    meets both."""
+    rng = np.random.default_rng(seed)
+    xs = [f"x{i}" for i in range(n_x)]
+    ys = [f"d{j}" for j in range(k)]
+    raw = rng.random(n_x) + 0.1
+    masses = raw / raw.sum()
+    probs = 0.5 * rng.random((n_x, k)) + 0.5 * (np.arange(k) % 2)
+    nature = {x: dict(zip(ys, row)) for x, row in zip(xs, probs.tolist())}
+    losses = [{"builtin": "steer_to_one"}, {"builtin": "steer_to_zero"}]
+    for li in range(n_losses):
+        lean = rng.integers(0, 2, k)  # per decision, the outcome it penalizes
+        values = 0.5 * rng.random((n_x, k, 2))
+        values[:, np.arange(k), lean] += 0.5
+        table = {x: dict(zip(ys, row)) for x, row in zip(xs, values.tolist())}
+        losses.append({"name": f"l{li}", "lmax": 1.0, "table": table})
+    hyps = [
+        {"name": f"h{hi}", "map": dict(zip(xs, (ys[j] for j in rng.integers(0, k, n_x))))}
+        for hi in range(n_hyps)
+    ]
+    return {
+        "name": "mid",
+        "features": xs,
+        "decisions": ys,
+        "input_distribution": dict(zip(xs, masses.tolist())),
+        "nature": dict(reversed(list(nature.items()))),
+        "losses": losses,
+        "hypotheses": hyps,
+        "epsilon": 0.03,
+    }

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, file contracts."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,6 +17,8 @@ import pytest
 
 import omnipredict as om
 from omnipredict import adapt, boost, cli, core, predictor
+
+from conftest import mid_scenario_doc
 
 REPO = Path(__file__).resolve().parent.parent
 BETA = str(REPO / "scenarios" / "beta025.json")
@@ -90,6 +93,24 @@ class TestParsing:
                    "--threads", "2")[0] == 1
 
 
+# Per table kind, an edit of beta025_weights.json that adds the unknown
+# key "zzz", and the message that refuses it.
+UNKNOWN_KEYS = {
+    "rule": (lambda d: d["hypotheses"][0]["map"].update(zzz="+1"),
+             "rule 'h_plus' has an entry for unknown feature 'zzz'"),
+    "nature": (lambda d: d["nature"].update(zzz={"-1": 0.5, "+1": 0.5}),
+               "outcome model has an entry for unknown feature 'zzz'"),
+    "nature_row": (lambda d: d["nature"]["+1"].update(zzz=0.5),
+                   "outcome model has an entry for unknown decision 'zzz' at feature '+1'"),
+    "loss": (lambda d: d["losses"][1]["table"].update(zzz={}),
+             "loss 'steer_to_zero' has an entry for unknown feature 'zzz'"),
+    "loss_row": (lambda d: d["losses"][0]["table"]["-1"].update(zzz=[1, 0]),
+                 "loss 'steer_to_one' has an entry for unknown decision 'zzz' at feature '-1'"),
+    "weight": (lambda d: d["weights"][1]["map"].update(zzz=1.0),
+               "weight function 'focus_minus' has an entry for unknown feature 'zzz'"),
+}
+
+
 class TestScenarioShow:
     def test_summary_contents(self):
         code, out, _ = run("scenario-show", "--config", BETA)
@@ -126,6 +147,17 @@ class TestScenarioShow:
         assert code == 2
         assert err == (f"error: scenario file {path}: outcome probability 1.5 "
                        "at ('-1', '-1') is outside [0, 1]\n")
+
+    @pytest.mark.parametrize("kind", sorted(UNKNOWN_KEYS))
+    def test_unknown_key_is_refused(self, workdir, kind):
+        edit, message = UNKNOWN_KEYS[kind]
+        doc = json.loads(Path(BETA_W).read_text())
+        edit(doc)
+        path = workdir / f"unknown_{kind}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run("scenario-show", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: scenario file {path}: {message}\n"
 
     def test_weight_error_keeps_its_type_and_names_the_file(self, workdir):
         doc = json.loads(Path(BETA_W).read_text())
@@ -186,6 +218,22 @@ class TestTrain:
         doc = json.loads(model.read_text())
         assert doc["fingerprint"]["scenario"] == "beta-0.25"
         assert len(trace.read_text().splitlines()) == len(doc["terms"])
+
+    def test_exact_train_bytes_are_pinned(self, workdir):
+        # a mid-size scenario with built-in and random losses, one table
+        # out of key order, trained through 65 rule and 3 decision
+        # updates; the digests were taken before the update step, the
+        # built-in losses and the table reads were vectorized
+        config, out = workdir / "mid.json", workdir / "mid_model.json"
+        config.write_text(json.dumps(mid_scenario_doc()))
+        code, _, err = run("train", "--config", str(config), "--epsilon", "0.03",
+                           "--out", str(out))
+        assert code == 0, err
+        digest = lambda path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert digest(out) == (
+            "7c6e472b625772bf34e20a5768673b3dfc70096838bbb044f5d1201bdb7898e1")
+        assert digest(f"{out}.trace.jsonl") == (
+            "5a6ae9fd37a72990439ed2873922d0a137aa3d5ba9752b40ad9f4efaf69b3446")
 
     def test_loose_epsilon_trains_empty_model(self, workdir):
         path = workdir / "huge_eps.json"
@@ -926,6 +974,29 @@ class TestRecordOrder:
         want = self.train(work, mode, work / "train.jsonl", work / f"{mode}.json")
         got = self.train(work, mode, permuted, work / f"{mode}_permuted.json")
         assert got == want
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory exits 2 and names the path,
+    with no traceback."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--out"), ("train", "--trace"), ("rct-gen", "--out"), ("eval", "--out"),
+    ])
+    def test_exit_2_naming_the_path(self, workdir, model_path, command, flag):
+        missing = workdir / "no_such_dir" / f"{command}{flag}"
+        ok = str(workdir / f"written_{command}{flag}")
+        paths = {"--out": ok, "--trace": ok, flag: str(missing)}
+        if command == "train":
+            argv = ["--epsilon", "0.05", "--out", paths["--out"], "--trace", paths["--trace"]]
+        elif command == "rct-gen":
+            argv = ["--n", "10", "--out", paths["--out"]]
+        else:
+            argv = ["--model", model_path, "--out", paths["--out"]]
+        code, out, err = run(command, "--config", BETA, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {missing}: No such file or directory\n"
+        assert not missing.parent.exists()
 
 
 class TestThreads:

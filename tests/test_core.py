@@ -226,6 +226,68 @@ class TestLossHelpers:
         assert not skew.input_oblivious
 
 
+class TestBuiltinLossArrays:
+    """io_loss and builtin_loss build their (|X|, k, 2) array directly and
+    hold a view of it, equal to the table of one dict row per feature."""
+
+    FEATURES = om.FeatureSpace(points=("a", "b", "c"))
+    DECISIONS = om.DecisionSpace(labels=("0.0", "0.25", "1.0"))
+
+    @staticmethod
+    def dict_form(name, lmax, row, features):
+        return om.Loss(name, lmax, {x: dict(row) for x in features.points})
+
+    def test_builtin_losses_equal_their_dict_form(self):
+        rows = {
+            "steer_to_one": {y: (1.0, 0.0) for y in self.DECISIONS.labels},
+            "steer_to_zero": {y: (0.0, 1.0) for y in self.DECISIONS.labels},
+            "squared_forecast": {y: (float(y) ** 2, (float(y) - 1.0) ** 2)
+                                 for y in self.DECISIONS.labels},
+        }
+        for kind, row in rows.items():
+            loss = om.builtin_loss(kind, self.FEATURES, self.DECISIONS)
+            assert isinstance(loss.table, core._TableView)
+            assert loss.table.array.shape == (3, 3, 2)
+            assert loss == self.dict_form(kind, 1.0, row, self.FEATURES)
+            assert dict(loss.table) == {x: row for x in self.FEATURES.points}
+            assert loss.input_oblivious
+
+    def test_io_loss_equals_its_dict_form(self):
+        per = {"1.0": (1, 0.5), "0.0": (0.25, 0), "0.25": (0.0, 1.0)}  # any order
+        loss = om.io_loss("io", 2, per, self.FEATURES)
+        row = {y: (float(v0), float(v1)) for y, (v0, v1) in per.items()}
+        assert loss == self.dict_form("io", 2.0, row, self.FEATURES)
+        assert loss.table.labels == tuple(per)
+
+    def test_scenario_equals_its_json_round_trip_and_its_dict_form(self):
+        rng = np.random.default_rng(67)
+        sc = random_scenario(rng, max_k=3)
+        per = {y: (float(a), float(b)) for y, (a, b) in
+               zip(sc.decisions.labels, rng.random((sc.k, 2)))}
+        losses = (om.builtin_loss("steer_to_one", sc.features, sc.decisions),
+                  om.io_loss("io", 1.0, dict(reversed(per.items())), sc.features),
+                  om.builtin_loss("steer_to_zero", sc.features, sc.decisions))
+        built = dataclasses.replace(sc, losses=losses)
+        doc = json.loads(json.dumps(om.scenario_to_dict(built)))
+        assert om.scenario_from_dict(doc) == built
+        plain = tuple(
+            om.Loss(l.name, l.lmax, {x: dict(row) for x, row in l.table.items()})
+            for l in losses)
+        assert arrays_digest(dataclasses.replace(sc, losses=plain)) == arrays_digest(built)
+
+    def test_io_loss_over_other_features_names_the_missing_one(self):
+        sc = om.make_beta_scenario(0.25)
+        per = {"-1": (0.0, 1.0), "+1": (1.0, 0.0)}
+        short = om.io_loss("io", 1.0, per, om.FeatureSpace(points=("-1", "0")))
+        with pytest.raises(om.ConfigurationError,
+                           match=r"^loss 'io' has no entry for feature '\+1'"):
+            dataclasses.replace(sc, losses=sc.losses + (short,))
+        wide = om.io_loss("io", 1.0, per, om.FeatureSpace(points=("-1", "+1", "0")))
+        with pytest.raises(om.ConfigurationError,
+                           match=r"^loss 'io' has an entry for unknown feature '0'$"):
+            dataclasses.replace(sc, losses=sc.losses + (wide,))
+
+
 class TestScenarioSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -395,6 +457,20 @@ def reference_distribution(dist, features):
         )
 
 
+def reference_unknown_keys(table, what, features, decisions=None):
+    """Refuse the first key that is no feature, then, row by row in
+    canonical order, the first that is no decision."""
+    for x in table:
+        if x not in features.points:
+            raise om.ConfigurationError(f"{what} has an entry for unknown feature {x!r}")
+    for x in features.points if decisions is not None else ():
+        for yhat in table[x]:
+            if yhat not in decisions.labels:
+                raise om.ConfigurationError(
+                    f"{what} has an entry for unknown decision {yhat!r} at feature {x!r}"
+                )
+
+
 def reference_nature(nature, features, decisions):
     for x in features.points:
         for yhat in decisions.labels:
@@ -409,6 +485,7 @@ def reference_nature(nature, features, decisions):
                     f"outcome probability {p!r} at ({x!r}, {yhat!r}) "
                     "is outside [0, 1]"
                 )
+    reference_unknown_keys(nature.table, "outcome model", features, decisions)
 
 
 def reference_loss(loss, features, decisions):
@@ -431,6 +508,7 @@ def reference_loss(loss, features, decisions):
                         f"loss {loss.name!r} value {v!r} at "
                         f"({x!r}, {yhat!r}, y={y}) is outside [0, {loss.lmax}]"
                     )
+    reference_unknown_keys(loss.table, f"loss {loss.name!r}", features, decisions)
 
 
 def reference_rule(h, features, decisions):
@@ -444,6 +522,7 @@ def reference_rule(h, features, decisions):
             raise om.ConfigurationError(
                 f"rule {h.name!r} maps {x!r} to unknown decision {yhat!r}"
             )
+    reference_unknown_keys(h.mapping, f"rule {h.name!r}", features)
 
 
 def reference_weight(w, features, dist):
@@ -467,6 +546,7 @@ def reference_weight(w, features, dist):
                 f"weight function {w.name!r} value {v!r} at {x!r} "
                 f"is outside [0, {w.wmax}]"
             )
+    reference_unknown_keys(w.mapping, f"weight function {w.name!r}", features)
     mean = math.fsum(
         float(dist.probabilities.get(x, 0.0)) * weight(x) for x in features.points
     )
@@ -629,6 +709,22 @@ def unknown_decision(rng, t):
     t["rules"][-1][1][later_feature(rng, t)] = "zz"
 
 
+def extra_row(table_of):
+    """A fault that adds a row for the unknown feature "zz"."""
+    def fault(rng, t):
+        table = table_of(t)
+        table["zz"] = copy.deepcopy(table[later_feature(rng, t)])
+    return fault
+
+
+def extra_cell(table_of):
+    """A fault that adds the unknown decision "zz" to a later row."""
+    def fault(rng, t):
+        row = table_of(t)[later_feature(rng, t)]
+        row["zz"] = copy.deepcopy(row[t["ys"][0]])
+    return fault
+
+
 def weight_mean(rng, t):
     mapping = t["weights"][-1][1]
     for x in mapping:
@@ -660,6 +756,12 @@ FAULTS = {
     "negative-weight": set_weight(-0.5),
     "large-weight": set_weight(4.0),
     "unknown-decision": unknown_decision,
+    "unknown-nature-feature": extra_row(lambda t: t["nature"]),
+    "unknown-nature-decision": extra_cell(lambda t: t["nature"]),
+    "unknown-loss-feature": extra_row(lambda t: t["losses"][-1][2]),
+    "unknown-loss-decision": extra_cell(lambda t: t["losses"][-1][2]),
+    "unknown-rule-feature": extra_row(lambda t: t["rules"][-1][1]),
+    "unknown-weight-feature": extra_row(lambda t: t["weights"][-1][1]),
     "weight-mean": weight_mean,
     "mass-sum": mass_sum,
 }

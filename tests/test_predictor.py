@@ -43,6 +43,57 @@ def brute_vector(terms, x, scenario):
     return out
 
 
+def apply_term_reference(matrix, term, scenario):
+    """The update step over the full matrix: a direction holding the
+    loss's outcome gap at each feature's target decision and 0.0
+    elsewhere, subtracted and clipped at every cell."""
+    arrays = scenario.arrays
+    if term.target_kind == "external":
+        target_idx = arrays.hyp_index[term.target_name]
+    else:
+        tbase = arrays.loss_base[term.target_name]
+        tdelta = arrays.loss_delta[term.target_name]
+        target_idx = np.argmin(tbase + tdelta * matrix, axis=1)
+    cols = np.arange(matrix.shape[1])
+    delta = arrays.loss_delta[term.loss_name]
+    direction = np.where(cols[np.newaxis, :] == target_idx[:, np.newaxis], delta, 0.0)
+    return np.clip(matrix - term.eta * direction, 0.0, 1.0)
+
+
+@st.composite
+def update_cases(draw):
+    """A scenario, a matrix with many cells at exactly 0 and 1, and a term
+    of either kind whose step, up to 2.5 in size against gaps up to 1,
+    often clips at one end or the other."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sc = random_scenario(rng, max_x=12, max_k=4, n_hyps=(1, 4))
+    matrix = rng.random((len(sc.features.points), sc.k))
+    ends = rng.random(matrix.shape)
+    matrix[ends < draw(st.floats(0.0, 0.4))] = 0.0
+    matrix[ends > draw(st.floats(0.6, 1.0))] = 1.0
+    loss = draw(st.sampled_from([l.name for l in sc.losses]))
+    if draw(st.booleans()):
+        kind, target = "external", draw(st.sampled_from([h.name for h in sc.hypotheses]))
+    else:
+        kind, target = "induced", draw(st.sampled_from([l.name for l in sc.losses]))
+    eta = draw(st.floats(-2.5, 2.5, allow_nan=False) | st.sampled_from([-1.0, 0.0, 1.0]))
+    return sc, matrix, om.UpdateTerm(eta=eta, loss_name=loss, target_kind=kind,
+                                     target_name=target)
+
+
+class TestSparseUpdateStep:
+    @settings(max_examples=200, deadline=None)
+    @given(update_cases())
+    def test_matches_dense_reference_bit_for_bit(self, case):
+        sc, matrix, term = case
+        before = matrix.copy()
+        got = om.apply_term(matrix, term, sc)
+        want = apply_term_reference(matrix, term, sc)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert matrix.tobytes() == before.tobytes()  # the input is not written
+
+
 class TestEvaluate:
     def test_no_terms_is_half(self, beta_scenario):
         pred = om.base_predictor(beta_scenario, 0.05)
