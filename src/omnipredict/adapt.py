@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._record import Record
 from .core import (
     MASS_TOLERANCE,
     Scenario,
@@ -57,8 +58,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
+@dataclass(init=False, repr=False, eq=False)
+class MixtureSpec(Record):
     """Convex combination of the weight class's shifted distributions."""
 
     components: tuple[tuple[str, float], ...]
@@ -220,8 +221,8 @@ def _least_risk_candidates(terms, masses: np.ndarray, h: int):
     return kept
 
 
-@dataclass(frozen=True)
-class DistributionCheck:
+@dataclass(init=False, repr=False, eq=False)
+class DistributionCheck(Record):
     """Optimality slack of the predictor's rules on one distribution."""
 
     name: str
@@ -230,8 +231,8 @@ class DistributionCheck:
     per_loss: tuple[tuple[str, float, float], ...]  # (loss, rule risk, best rival risk)
 
 
-@dataclass(frozen=True)
-class AdaptReport:
+@dataclass(init=False, repr=False, eq=False)
+class AdaptReport(Record):
     eps: float
     checks: tuple[DistributionCheck, ...]
     passed: bool
@@ -265,8 +266,8 @@ class AdaptReport:
         return doc
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+@dataclass(init=False, repr=False, eq=False)
+class InvarianceReport(Record):
     passed: bool
     mismatches: tuple[tuple[str, str, str], ...]  # (loss, weight, feature)
 

@@ -53,6 +53,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .core import CSC, EMPIRICAL, EXACT, MODES  # noqa: F401  (re-exported)
 from .core import Hypothesis, Loss, Scenario
 from .errors import ArgumentError, LearnerContractError
@@ -61,8 +62,8 @@ from .rct import RctDataset, ips_risk_estimate, ips_rule_risks, model_risk_estim
 from .rct import model_rule_risks, rule_cells, rule_sums
 
 
-@dataclass(frozen=True)
-class AuditTarget:
+@dataclass(init=False, repr=False, eq=False)
+class AuditTarget(Record):
     """One checked quantity; exactly the fields for its kind are set."""
 
     kind: str  # "poi" | "doi" | "ma" | "dc"
@@ -84,16 +85,16 @@ class AuditTarget:
         return doc
 
 
-@dataclass(frozen=True)
-class Violation:
+@dataclass(init=False, repr=False, eq=False)
+class Violation(Record):
     """A target whose err magnitude reached the tolerance."""
 
     target: AuditTarget
     err: float
 
 
-@dataclass(frozen=True)
-class AuditReport:
+@dataclass(init=False, repr=False, eq=False)
+class AuditReport(Record):
     """Every checked target with its err, plus the pass verdict.
 
     passed is true exactly when all magnitudes are strictly below eps;
@@ -306,8 +307,8 @@ def audit_doi_empirical(
     return _verdict(EMPIRICAL, eps, entries)
 
 
-@dataclass(frozen=True, eq=False)
-class CscInstance:
+@dataclass(init=False, repr=False, eq=False)
+class CscInstance(Record, eq=False):
     """Cost-sensitive classification instance over the decision space,
     as |X| weighted examples.
 

@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._record import Record
 from .audit import (
     CSC,
     EMPIRICAL,
@@ -64,8 +65,8 @@ from .predictor import (
 from .rct import RctDataset
 
 
-@dataclass(frozen=True)
-class BoostConfig:
+@dataclass(init=False, repr=False, eq=False)
+class BoostConfig(Record):
     """Training knobs; empirical and csc modes need data and slice sizes.
 
     poi_n is the length of the fixed labeled prefix reused by every
@@ -83,8 +84,8 @@ class BoostConfig:
     adapt: bool = False
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+@dataclass(init=False, repr=False, eq=False)
+class TraceRecord(Record):
     t: int
     stage: str  # "poi" | "doi"
     target: AuditTarget
@@ -93,8 +94,8 @@ class TraceRecord:
     potential: Optional[float]
 
 
-@dataclass(frozen=True)
-class BoostTrace:
+@dataclass(init=False, repr=False, eq=False)
+class BoostTrace(Record):
     records: tuple[TraceRecord, ...]
 
     @property
@@ -102,8 +103,8 @@ class BoostTrace:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class BoostResult:
+@dataclass(init=False, repr=False, eq=False)
+class BoostResult(Record):
     predictor: AdditivePredictor
     trace: BoostTrace
     termination: str  # "converged" | "bound_exceeded"

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 
 from .core import CSC, EMPIRICAL, EXACT, MODES, load_scenario
@@ -85,6 +86,19 @@ def _output(path):
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_directory(path) -> None:
+    """Refuse an output path whose directory is missing, not a directory
+    or not writable, as _output refuses the write itself (exit 2), so
+    that a command can refuse it before doing any work."""
+    parent = os.path.dirname(path) or os.curdir
+    with _output(path):
+        os.stat(parent)  # raises for a missing directory
+        if not os.path.isdir(parent):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
 def cmd_scenario_show(args) -> int:
     scenario = load_scenario(args.config)
     print(f"scenario: {scenario.name}")
@@ -130,6 +144,9 @@ def cmd_train(args) -> int:
     from .predictor import save_model
     from .rct import read_jsonl
 
+    trace_path = args.trace if args.trace is not None else args.out + ".trace.jsonl"
+    for path in (args.out, trace_path):
+        _check_directory(path)
     train_scenario = load_scenario(args.config)
     if args.adapt:
         from .adapt import augment_scenario
@@ -162,7 +179,6 @@ def cmd_train(args) -> int:
         doi_n=doi_n,
         adapt=args.adapt,
     )
-    trace_path = args.trace if args.trace is not None else args.out + ".trace.jsonl"
     try:
         result = poi_boost(train_scenario, config)
     except BoundExceededError as exc:
@@ -180,8 +196,14 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
         return EXIT_FAIL
-    with _output(args.out):
-        save_model(result.predictor, args.out)
+    try:
+        with _output(args.out):
+            save_model(result.predictor, args.out)
+    except ConfigurationError:
+        # no trace is left behind without its model
+        with contextlib.suppress(OSError):
+            os.remove(trace_path)
+        raise
     print(
         f"converged after {result.trace.updates} updates; "
         f"model written to {args.out}"
@@ -252,6 +274,8 @@ def _parse_mixture_flag(text: str):
 
 
 def cmd_eval(args) -> int:
+    import csv
+
     from .adapt import (
         load_model_with_scenario,
         mixture_distribution,

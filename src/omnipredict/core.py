@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._record import Record
 from .errors import ArgumentError, ConfigurationError, WeightInvariantError
 
 MASS_TOLERANCE = 1e-9
@@ -45,8 +46,8 @@ CSC = "csc"
 MODES = (EXACT, EMPIRICAL, CSC)
 
 
-@dataclass(frozen=True)
-class DecisionSpace:
+@dataclass(init=False, repr=False, eq=False)
+class DecisionSpace(Record):
     """Ordered finite set of available decisions."""
 
     labels: tuple[str, ...]
@@ -62,8 +63,8 @@ class DecisionSpace:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class FeatureSpace:
+@dataclass(init=False, repr=False, eq=False)
+class FeatureSpace(Record):
     """Ordered finite set of feature identifiers (one per individual type)."""
 
     points: tuple[str, ...]
@@ -171,8 +172,8 @@ def _first_outside(values: np.ndarray, lo: float, hi: float):
     return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
 
 
-@dataclass(frozen=True)
-class InputDistribution:
+@dataclass(init=False, repr=False, eq=False)
+class InputDistribution(Record):
     """Probability mass over the feature space.
 
     Masses may be zero; they must be nonnegative and sum to 1 within
@@ -211,8 +212,8 @@ class InputDistribution:
         return masses
 
 
-@dataclass(frozen=True)
-class NatureModel:
+@dataclass(init=False, repr=False, eq=False)
+class NatureModel(Record):
     """True probability of outcome 1 for every (feature, decision) pair."""
 
     table: Mapping[str, Mapping[str, float]]
@@ -243,8 +244,8 @@ class NatureModel:
         return probs
 
 
-@dataclass(frozen=True)
-class Loss:
+@dataclass(init=False, repr=False, eq=False)
+class Loss(Record):
     """Bounded loss over (feature, decision, outcome).
 
     The table maps feature -> decision -> (value at y=0, value at y=1).
@@ -315,8 +316,8 @@ class Loss:
         return values
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+@dataclass(init=False, repr=False, eq=False)
+class Hypothesis(Record):
     """Deterministic decision rule: a total map from features to decisions.
 
     A label that is not a string, such as a JSON number, names the
@@ -366,8 +367,8 @@ class Hypothesis:
         return indices
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+@dataclass(init=False, repr=False, eq=False)
+class WeightFunction(Record):
     """Importance weight over features with a stated upper bound.
 
     Requires unit mean under the scenario's input distribution, so that
@@ -414,8 +415,8 @@ class WeightFunction:
         return weights
 
 
-@dataclass(frozen=True)
-class WeightClass:
+@dataclass(init=False, repr=False, eq=False)
+class WeightClass(Record):
     """Finite collection of importance weights; wmax is the class maximum."""
 
     weights: tuple[WeightFunction, ...]
@@ -515,8 +516,8 @@ class _ScenarioArrays:
         return self.loss_base[loss.name], self.loss_delta[loss.name]
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(init=False, repr=False, eq=False)
+class Scenario(Record):
     """A complete finite decision problem.
 
     Bundles the spaces, the input distribution, the outcome model, the

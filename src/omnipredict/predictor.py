@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .core import DecisionSpace, Hypothesis, Loss, Scenario
 from .errors import ArgumentError, ModelMismatchError
 
@@ -29,8 +30,8 @@ INDUCED = "induced"
 _LMAX_MATCH_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class UpdateTerm:
+@dataclass(init=False, repr=False, eq=False)
+class UpdateTerm(Record):
     """One additive update: step size, driving loss, and its rule target.
 
     target_kind is "external" (target_name names a scenario hypothesis)
@@ -48,8 +49,8 @@ class UpdateTerm:
             raise ArgumentError(f"unknown update-term kind {self.target_kind!r}")
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+@dataclass(init=False, repr=False, eq=False)
+class Fingerprint(Record):
     """Identity of the training run a model belongs to."""
 
     scenario: str
@@ -58,8 +59,8 @@ class Fingerprint:
     adapt: bool = False
 
 
-@dataclass(frozen=True)
-class AdditivePredictor:
+@dataclass(init=False, repr=False, eq=False)
+class AdditivePredictor(Record):
     """Base vector of 1/2 entries plus ordered clipped additive updates."""
 
     k: int

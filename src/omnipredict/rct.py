@@ -52,6 +52,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .core import DecisionSpace, FeatureSpace, Hypothesis, Loss, Scenario
 from .errors import ArgumentError, DataFormatError
 from .predictor import prediction_matrix
@@ -62,8 +63,8 @@ GENERATOR_TAG = "pcg64-icdf-1"
 _BLOCK_LINES = 4096
 
 
-@dataclass(frozen=True)
-class RctMeta:
+@dataclass(init=False, repr=False, eq=False)
+class RctMeta(Record):
     scenario: str
     seed: Optional[int]
     n: int
@@ -80,8 +81,8 @@ def _encode(labels: Sequence, index: Mapping[str, int], what: str) -> np.ndarray
         raise ArgumentError(f"unknown {what} {bad!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class RctDataset:
+@dataclass(init=False, repr=False, eq=False)
+class RctDataset(Record, eq=False):
     """Randomized-trial samples encoded for a scenario's spaces, with
     provenance metadata.
 

@@ -998,6 +998,40 @@ class TestUnwritableOutput:
         assert err == f"error: cannot write {missing}: No such file or directory\n"
         assert not missing.parent.exists()
 
+    @pytest.mark.parametrize("trace", [None, "ok.jsonl"])
+    def test_train_refuses_before_any_work(self, tmp_path, monkeypatch, trace):
+        """train checks where it will write before it reads the scenario,
+        so nothing runs and nothing is written: the missing --config is
+        not reached, and the named --out is the one refused, not the
+        default trace path beside it."""
+        missing = tmp_path / "nodir" / "m.json"
+        argv = ["--out", str(missing)] + ([] if trace is None else ["--trace", trace])
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run("train", "--config", "no_such_config.json",
+                             "--epsilon", "0.05", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {missing}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_refuses_a_trace_in_a_file(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        trace = tmp_path / "file" / "t.jsonl"
+        code, out, err = run("train", "--config", BETA, "--epsilon", "0.05",
+                             "--out", str(tmp_path / "m.json"), "--trace", str(trace))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {trace}: Not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_failed_model_write_leaves_no_trace(self, tmp_path):
+        """An --out the directory check passes but the write refuses, here
+        a directory, still leaves no trace without its model."""
+        (tmp_path / "out").mkdir()
+        code, out, err = run("train", "--config", BETA, "--epsilon", "0.05",
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path / 'out'}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
 
 class TestThreads:
     """train still accepts --threads, checks it and ignores it."""

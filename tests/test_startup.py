@@ -129,16 +129,17 @@ class TestCommandImports:
     def test_scenario_show_loads_core_alone(self):
         loaded = run_command("scenario-show", "--config", BETA)
         assert package_modules(loaded) == {
-            "omnipredict", "omnipredict.cli", "omnipredict.core",
-            "omnipredict.errors"}
+            "omnipredict", "omnipredict._record", "omnipredict.cli",
+            "omnipredict.core", "omnipredict.errors"}
 
     def test_rct_gen_loads_core_rct_and_predictor(self, models):
         workdir = models[0]
         loaded = run_command("rct-gen", "--config", BETA, "--n", "10",
                              "--out", str(workdir / "trial.jsonl"))
         assert package_modules(loaded) == {
-            "omnipredict", "omnipredict.cli", "omnipredict.core",
-            "omnipredict.errors", "omnipredict.rct", "omnipredict.predictor"}
+            "omnipredict", "omnipredict._record", "omnipredict.cli",
+            "omnipredict.core", "omnipredict.errors", "omnipredict.rct",
+            "omnipredict.predictor"}
 
     def test_eval_and_adapt_verify_skip_audit_boost_and_rct(self, models):
         workdir, _, adapt = models
@@ -172,3 +173,46 @@ class TestCommandImports:
         assert "omnipredict.audit" in loaded
         assert "omnipredict.boost" not in loaded
         assert "concurrent.futures" not in loaded
+
+
+# Counts the exec calls dataclasses makes while every package module is
+# imported, then while one bookkeeping-only record is defined.
+EXEC_PROBE = """
+import builtins, dataclasses, importlib, sys
+import numpy
+calls = [0]
+real_exec = builtins.exec
+def counting_exec(*args, **kwargs):
+    if sys._getframe(1).f_globals.get("__name__") == "dataclasses":
+        calls[0] += 1
+    return real_exec(*args, **kwargs)
+builtins.exec = counting_exec
+modules = [importlib.import_module("omnipredict." + m) for m in sys.argv[1:]]
+package = calls[0]
+@dataclasses.dataclass(init=False, repr=False, eq=False)
+class Bookkeeping:
+    x: int = 0
+records = sum(isinstance(v, type) and dataclasses.is_dataclass(v)
+              and v.__module__ == m.__name__ for m in modules for v in vars(m).values())
+print(package, calls[0] - package, records)
+"""
+
+
+class TestRecordSetUp:
+    def test_no_record_code_is_generated_at_import(self):
+        """dataclass(frozen=True) writes and execs six methods per record
+        in every process (152 calls for the package's records on 3.11);
+        the records' base generates none. From 3.13 dataclass execs once
+        per class whatever it adds, so there the package must exec no
+        more than its records' bookkeeping alone does."""
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", EXEC_PROBE, "cli", *PUBLIC],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        package, per_record, records = map(int, proc.stdout.split())
+        assert records == 26
+        assert package == per_record * records
+        if sys.version_info < (3, 13):
+            assert package == 0
