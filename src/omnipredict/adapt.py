@@ -375,9 +375,9 @@ def induced_rule_shift_invariance_check(pred, scenario: Scenario) -> InvarianceR
     points = scenario.features.points
     mismatches = []
     for loss in scenario.losses:
-        values = arrays.loss_values[loss.name]
-        v0, v1 = values[:, :, 0], values[:, :, 1]
-        plain = np.argmin(v0 + (v1 - v0) * matrix, axis=1)
+        v0, delta = arrays.loss_base[loss.name], arrays.loss_delta[loss.name]
+        plain = np.argmin(v0 + delta * matrix, axis=1)
+        v1 = arrays.loss_values[loss.name][:, :, 1]
         for w in scenario.weights.weights:
             weight = arrays.weights[w.name]
             a0, a1 = weight[:, np.newaxis] * v0, weight[:, np.newaxis] * v1

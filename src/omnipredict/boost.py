@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -57,9 +57,9 @@ from .predictor import (
     EXTERNAL,
     INDUCED,
     AdditivePredictor,
-    Fingerprint,
     UpdateTerm,
     apply_term,
+    base_predictor,
     prediction_matrix,
 )
 from .rct import RctDataset
@@ -115,10 +115,23 @@ POTENTIAL_GRACE = 1e-12
 
 
 def iteration_bound(k: int, lmax: float, eps: float) -> int:
-    """Largest number of updates training can ever apply."""
-    if k < 1 or lmax <= 0 or eps <= 0:
-        raise ArgumentError("iteration bound needs positive arguments")
-    return math.ceil(k * lmax * lmax / (eps * eps))
+    """Largest number of updates training can ever apply.
+
+    ArgumentError refuses an argument that is not positive and finite;
+    ConfigurationError a bound past float range, which no run could reach.
+    """
+    if not (k >= 1 and 0 < lmax < math.inf and 0 < eps < math.inf):
+        raise ArgumentError("iteration bound needs positive finite arguments")
+    try:
+        bound = k * lmax * lmax / (eps * eps)
+    except (OverflowError, ZeroDivisionError):  # an int past float range, eps^2 == 0
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ConfigurationError(
+            f"the proven update bound ceil(k*lmax^2/eps^2) for k={k}, "
+            f"lmax={lmax!r}, eps={eps!r} is beyond float range"
+        )
+    return math.ceil(bound)
 
 
 def potential(pred, scenario: Scenario) -> float:
@@ -279,18 +292,8 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
                 trace=BoostTrace(records=tuple(records)),
             )
 
-    predictor = AdditivePredictor(
-        k=scenario.k,
-        terms=tuple(terms),
-        fingerprint=Fingerprint(
-            scenario=scenario.name,
-            epsilon=eps,
-            lmax=float(lmax),
-            adapt=bool(config.adapt),
-        ),
-    )
     return BoostResult(
-        predictor=predictor,
+        predictor=replace(base_predictor(scenario, eps, config.adapt), terms=tuple(terms)),
         trace=BoostTrace(records=tuple(records)),
         termination=termination,
     )

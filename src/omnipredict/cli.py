@@ -1,8 +1,9 @@
 """Command-line surface: generate trial data, train, audit, evaluate.
 
 Exit codes are a contract: 0 success or pass, 1 flag misuse, 2 invalid
-scenario or model files or an output file that cannot be written, 3 an
-audit violation or a failed guarantee.
+scenario or model files, an output file that cannot be written or a
+request too large to compute or hold, 3 an audit violation or a failed
+guarantee.
 All outputs are deterministic given flags and seeds.
 
 Each command imports the modules it runs inside its handler, so that a
@@ -428,6 +429,9 @@ def main(argv=None) -> int:
     except (BoundExceededError, LearnerContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except MemoryError as exc:  # a request too large to hold, such as a huge --n
+        print(f"error: {args.command}: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

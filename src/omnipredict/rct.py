@@ -11,15 +11,16 @@ where the logged decision agrees with the rule, rescaled by k.
 Model-side risks never sample modeled outcomes: the expectation over a
 binary outcome has a closed form, so that side reads only features.
 
-A dataset holds its samples as scenario indices: per sample, the
-position of its feature and of its logged decision in the canonical
-order of the scenario's spaces, and its 0/1 outcome. read_jsonl and
-generate_rct build one for the scenario they read or draw for,
-RctDataset.from_labels encodes identifier columns, and a slice keeps
-views of its parent's columns. Every estimator takes the scenario, refuses a dataset encoded for other spaces, and
-reads only the dataset's (|X|, k, 2) count tensor, the number of
-samples in each (feature, decision, outcome) cell, or its feature
-histogram, so no estimate depends on the order of the records. Nature's
+A dataset holds one column: per sample, the flat index (x*k + yhat)*2 + y
+of its (feature, decision, outcome) cell, where x and yhat are the
+positions of its feature and logged decision in the canonical order of
+the scenario's spaces and y its 0/1 outcome. read_jsonl and generate_rct
+build one for the scenario they read or draw for, RctDataset.from_labels
+encodes identifier columns, and a slice is a view of its parent's cells.
+Every estimator takes the scenario, refuses a dataset encoded for other
+spaces, and reads only the dataset's (|X|, k, 2) count tensor, the
+number of samples in each cell, or its feature histogram, so no estimate
+depends on the order of the records. Nature's
 side sums count times loss value, exactly, so it equals the correctly
 rounded per-sample sum. The model side, and audit's cost-sensitive
 instances, gather an (|X|, k) table weighed by counts at each rule's
@@ -86,31 +87,29 @@ class RctDataset(Record, eq=False):
     """Randomized-trial samples encoded for a scenario's spaces, with
     provenance metadata.
 
-    Per sample, x_idx and yhat_idx hold the positions of its feature in
-    features.points and of its logged decision in decisions.labels, and
-    outcomes holds its outcome, 0 or 1, as int8. read_jsonl and
+    Per sample, cells holds the flat index (x*k + yhat)*2 + y of its
+    cell: x is the position of its feature in features.points, yhat that
+    of its logged decision in decisions.labels, and y its outcome, 0 or 1.
+    np.divmod by 2 and then by k recovers the three. read_jsonl and
     generate_rct build datasets directly; from_labels encodes identifier
     columns.
     """
 
     features: FeatureSpace
     decisions: DecisionSpace
-    x_idx: np.ndarray
-    yhat_idx: np.ndarray
-    outcomes: np.ndarray
+    cells: np.ndarray
     meta: RctMeta
 
     def __post_init__(self):
-        n = self.meta.n
-        if not (len(self.x_idx) == len(self.yhat_idx) == len(self.outcomes) == n):
-            raise ArgumentError("dataset columns and meta.n disagree on length")
-        # numpy gathers wrap negative indices, so an index out of range
+        cells, n = self.cells, self.meta.n
+        if not (isinstance(cells, np.ndarray) and cells.ndim == 1
+                and cells.dtype.kind == "i" and len(cells) == n):
+            raise ArgumentError(f"dataset cells must be a 1-D integer array of n={n}")
+        # numpy gathers wrap negative indices, so a cell out of range
         # would read another cell rather than fail
-        bounds = (len(self.features.points), self.decisions.k, 2)
-        for name, bound in zip(("x_idx", "yhat_idx", "outcomes"), bounds):
-            column = getattr(self, name)
-            if n and not (0 <= column.min() and column.max() < bound):
-                raise ArgumentError(f"dataset {name} must lie in [0, {bound})")
+        bound = 2 * len(self.features.points) * self.decisions.k
+        if n and not (0 <= cells.min() and cells.max() < bound):
+            raise ArgumentError(f"dataset cells must lie in [0, {bound})")
 
     @classmethod
     def from_labels(
@@ -121,19 +120,17 @@ class RctDataset(Record, eq=False):
         ArgumentError names the first outcome that is not the integer 0
         or 1, or else the first feature or decision the scenario lacks.
         """
+        if not len(xs) == len(yhats) == len(ys):
+            raise ArgumentError("xs, yhats and ys must have one entry per sample")
         for y in ys:
             # bool is an int subclass and 1.0 == 1, so test the exact type
             if type(y) is not int or y not in (0, 1):
                 raise ArgumentError(f"outcome must be the integer 0 or 1, got {y!r}")
         arrays = scenario.arrays
-        return cls(
-            features=scenario.features,
-            decisions=scenario.decisions,
-            x_idx=_encode(xs, arrays.x_index, "feature"),
-            yhat_idx=_encode(yhats, arrays.y_index, "decision"),
-            outcomes=np.array(ys, dtype=np.int8),
-            meta=meta,
-        )
+        x = _encode(xs, arrays.x_index, "feature")
+        yhat = _encode(yhats, arrays.y_index, "decision")
+        cells = (x * scenario.k + yhat) * 2 + np.array(ys, dtype=np.intp)
+        return cls(scenario.features, scenario.decisions, cells, meta)
 
     def __eq__(self, other):
         if not isinstance(other, RctDataset):
@@ -141,9 +138,7 @@ class RctDataset(Record, eq=False):
         return (
             (self.meta, self.features, self.decisions)
             == (other.meta, other.features, other.decisions)
-            and np.array_equal(self.x_idx, other.x_idx)
-            and np.array_equal(self.yhat_idx, other.yhat_idx)
-            and np.array_equal(self.outcomes, other.outcomes)
+            and np.array_equal(self.cells, other.cells)
         )
 
     def __len__(self) -> int:
@@ -152,12 +147,6 @@ class RctDataset(Record, eq=False):
     @property
     def n(self) -> int:
         return self.meta.n
-
-    @property
-    def cells(self) -> np.ndarray:
-        """Per sample, the flat index (x*k + yhat)*2 + y of its (feature,
-        decision, outcome) cell."""
-        return (self.x_idx * self.decisions.k + self.yhat_idx) * 2 + self.outcomes
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -170,7 +159,7 @@ class RctDataset(Record, eq=False):
     @cached_property
     def histogram(self) -> np.ndarray:
         """(|X|,) int64: the number of samples at each feature."""
-        return np.bincount(self.x_idx, minlength=len(self.features.points))
+        return self.counts.sum(axis=(1, 2))
 
     def check_scenario(self, scenario: Scenario) -> None:
         """Refuse a scenario whose spaces are not the ones this dataset's
@@ -182,17 +171,10 @@ class RctDataset(Record, eq=False):
             )
 
     def slice(self, start: int, stop: int) -> "RctDataset":
-        """Contiguous sub-dataset whose columns are views of this one's;
+        """Contiguous sub-dataset whose cells are a view of this one's;
         provenance is kept, n is adjusted."""
-        x_idx = self.x_idx[start:stop]
-        return RctDataset(
-            features=self.features,
-            decisions=self.decisions,
-            x_idx=x_idx,
-            yhat_idx=self.yhat_idx[start:stop],
-            outcomes=self.outcomes[start:stop],
-            meta=replace(self.meta, n=len(x_idx)),
-        )
+        cells = self.cells[start:stop]
+        return replace(self, cells=cells, meta=replace(self.meta, n=len(cells)))
 
 
 def generate_rct(scenario: Scenario, n: int, seed: int) -> RctDataset:
@@ -212,18 +194,11 @@ def generate_rct(scenario: Scenario, n: int, seed: int) -> RctDataset:
     rng = np.random.Generator(np.random.PCG64(seed))
     cum = np.cumsum(arrays.dist)
     cum[-1] = 1.0  # guard the float tail so every draw lands in range
-    x_idx = np.searchsorted(cum, rng.random(n), side="right")
-    x_idx = np.minimum(x_idx, n_x - 1)
-    yhat_idx = np.minimum((rng.random(n) * k).astype(np.intp), k - 1)
-    y = (rng.random(n) < arrays.nature[x_idx, yhat_idx]).astype(np.int8)
-    return RctDataset(
-        features=scenario.features,
-        decisions=scenario.decisions,
-        x_idx=x_idx,
-        yhat_idx=yhat_idx,
-        outcomes=y,
-        meta=RctMeta(scenario=scenario.name, seed=int(seed), n=n, gen=GENERATOR_TAG),
-    )
+    x = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), n_x - 1)
+    pairs = x * k + np.minimum((rng.random(n) * k).astype(np.intp), k - 1)
+    cells = pairs * 2 + (rng.random(n) < arrays.nature.ravel()[pairs])
+    meta = RctMeta(scenario=scenario.name, seed=int(seed), n=n, gen=GENERATOR_TAG)
+    return RctDataset(scenario.features, scenario.decisions, cells, meta)
 
 
 # Veltkamp's splitter: m * _SPLIT yields a high half of m with at most 26
@@ -349,11 +324,18 @@ def required_sample_size(
     every one of the n_h * n_l inverse-propensity estimates lands within
     eps of its true risk with probability at least 1 - delta.
     """
-    if min(lmax, k, n_h, n_l, eps) <= 0:
-        raise ArgumentError("all size arguments must be positive")
+    if not all(0 < v < math.inf for v in (lmax, k, n_h, n_l, eps)):
+        raise ArgumentError("all size arguments must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ArgumentError(f"delta must lie in (0, 1), got {delta!r}")
-    bound = 2.0 * lmax * lmax * k * k * math.log(2.0 * n_h * n_l / delta) / (eps * eps)
+    try:
+        bound = 2.0 * lmax * lmax * k * k * math.log(2.0 * n_h * n_l / delta) / (eps * eps)
+    except (OverflowError, ZeroDivisionError):  # an int past float range, eps^2 == 0
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ArgumentError(
+            f"required sample size for lmax={lmax!r}, eps={eps!r} is beyond float range"
+        )
     return math.ceil(bound)
 
 
@@ -509,13 +491,4 @@ def read_jsonl(path, scenario: Scenario) -> RctDataset:
             f"{path}: metadata declares n={meta.n} but the file holds "
             f"{len(cells)} samples"
         )
-    pairs, outcomes = np.divmod(cells, 2)
-    x_idx, yhat_idx = np.divmod(pairs, scenario.k)
-    return RctDataset(
-        features=scenario.features,
-        decisions=scenario.decisions,
-        x_idx=x_idx,
-        yhat_idx=yhat_idx,
-        outcomes=outcomes.astype(np.int8),
-        meta=meta,
-    )
+    return RctDataset(scenario.features, scenario.decisions, cells, meta)

@@ -91,13 +91,21 @@ def features_only(scenario, xs):
     return encode(scenario, [(x, scenario.decisions.labels[0], 0) for x in xs])
 
 
+def sample_indices(data):
+    """(feature, decision, outcome) index arrays of every sample, decoded
+    from its flat cell (x*k + yhat)*2 + y."""
+    pairs, outcomes = np.divmod(data.cells, 2)
+    return (*np.divmod(pairs, data.decisions.k), outcomes)
+
+
 def sample_labels(data):
     """(features, decisions, outcomes) of every sample, as tuples of
     identifiers and integers."""
+    x_idx, yhat_idx, outcomes = sample_indices(data)
     return (
-        tuple(data.features.points[i] for i in data.x_idx.tolist()),
-        tuple(data.decisions.labels[j] for j in data.yhat_idx.tolist()),
-        tuple(data.outcomes.tolist()),
+        tuple(data.features.points[i] for i in x_idx.tolist()),
+        tuple(data.decisions.labels[j] for j in yhat_idx.tolist()),
+        tuple(outcomes.tolist()),
     )
 
 

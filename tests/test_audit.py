@@ -27,6 +27,7 @@ from conftest import (
     partial_trial_data,
     random_matrix,
     random_scenario,
+    sample_indices,
     sample_labels,
 )
 
@@ -510,8 +511,9 @@ def csc_costs_reference(labeled, pred, loss, sigma, scenario):
 def cell_costs_reference(rows, labeled, scenario):
     """The per-sample rows summed per (feature, decision) cell with fsum."""
     table = np.zeros((len(scenario.features.points), scenario.k))
+    x_idx = sample_indices(labeled)[0]
     for i, j in itertools.product(*map(range, table.shape)):
-        table[i, j] = math.fsum(rows[labeled.x_idx == i, j].tolist())
+        table[i, j] = math.fsum(rows[x_idx == i, j].tolist())
     return table
 
 

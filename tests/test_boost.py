@@ -38,6 +38,17 @@ class TestIterationBound:
             om.iteration_bound(2, 1.0, 0.0)
         with pytest.raises(om.ArgumentError):
             om.iteration_bound(2, -1.0, 0.05)
+        for lmax, eps in ((math.nan, 0.05), (math.inf, 0.05), (1.0, math.nan),
+                          (1.0, math.inf)):
+            with pytest.raises(om.ArgumentError, match="positive finite"):
+                om.iteration_bound(2, lmax, eps)
+
+    def test_bound_past_float_range_is_a_configuration_error(self):
+        # eps^2 underflows to 0, lmax^2 overflows, an int k past float range
+        for k, lmax, eps in ((2, 1.0, 1e-200), (2, 1e200, 0.05), (10**400, 1.0, 0.05)):
+            with pytest.raises(om.ConfigurationError, match="beyond float range") as exc:
+                om.iteration_bound(k, lmax, eps)
+            assert f"lmax={lmax!r}, eps={eps!r}" in str(exc.value)
 
 
 class TestPotential:

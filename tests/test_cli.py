@@ -197,6 +197,17 @@ class TestRctGen:
         assert "--seed" in err and "Traceback" not in err
         assert not path.exists()
 
+    def test_request_too_large_to_hold_is_config_error(self, tmp_path):
+        # 10**15 samples need petabytes: the first draw fails at once,
+        # before anything is allocated
+        path = tmp_path / "huge.jsonl"
+        code, out, err = run("rct-gen", "--config", BETA, "--n", str(10**15),
+                             "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: rct-gen: not enough memory: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not path.exists()
+
     def test_deterministic_bytes(self, workdir):
         a, b = workdir / "a.jsonl", workdir / "b.jsonl"
         for path in (a, b):
@@ -406,6 +417,28 @@ class TestTrain:
         assert code == 2, err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, edit, extra", [
+        (BETA, None, ("--epsilon", "1e-200")),
+        (BETA, lambda doc: doc["losses"][0].update(lmax=1e200), ("--epsilon", "0.05")),
+        (BETA_W, lambda doc: doc["weights"][0].update(wmax=1e200),
+         ("--epsilon", "0.05", "--adapt")),
+    ], ids=["tiny-epsilon", "huge-lmax", "huge-wmax-adapt"])
+    def test_bound_past_float_range_is_config_error(self, tmp_path, config, edit,
+                                                    extra):
+        # the proven bound ceil(k * lmax^2 / eps^2) is past float range
+        doc = json.loads(Path(config).read_text())
+        if edit is not None:
+            edit(doc)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        code, out, err = run("train", "--config", str(scenario), *extra,
+                             "--out", str(tmp_path / "model.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "k=2, lmax=" in err and "eps=" in err and "beyond float range" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [scenario]  # no model, no trace
 
     @pytest.mark.parametrize("flag, value", [
         ("--poi-n", "0"), ("--doi-n", "-3"), ("--poi-n", "x"), ("--threads", "0"),

@@ -24,6 +24,7 @@ from conftest import (
     partial_trial_data,
     random_matrix,
     random_scenario,
+    sample_indices,
     sample_labels,
 )
 
@@ -256,13 +257,12 @@ class TestKernelsMatchPerSampleLoops:
                         assert got == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_slices_share_the_parent_codes(self, beta_scenario):
-        # the scenario indices generate_rct supplies are sliced as views
+        # the cells generate_rct supplies are sliced as a view
         d = om.generate_rct(beta_scenario, 100, 4)
         s = d.slice(10, 30)
-        assert np.shares_memory(s.x_idx, d.x_idx)
-        assert np.shares_memory(s.yhat_idx, d.yhat_idx)
-        assert np.shares_memory(s.outcomes, d.outcomes)
-        assert s.outcomes.tolist() == d.outcomes.tolist()[10:30]
+        assert np.shares_memory(s.cells, d.cells)
+        for part, whole in zip(sample_indices(s), sample_indices(d)):
+            assert part.tolist() == whole.tolist()[10:30]
 
     def test_empty_inputs_rejected(self, beta_scenario):
         sc = beta_scenario
@@ -287,9 +287,7 @@ class TestRecordOrder:
             q = random_matrix(rng, sc)
             data, unlogged = partial_trial_data(rng, sc, int(rng.integers(2, 400)))
             perm = rng.permutation(data.n)
-            shuffled = dataclasses.replace(
-                data, x_idx=data.x_idx[perm], yhat_idx=data.yhat_idx[perm],
-                outcomes=data.outcomes[perm])
+            shuffled = dataclasses.replace(data, cells=data.cells[perm])
             for loss in sc.losses:
                 insts = [
                     [om.build_csc_instance(d, q, loss, sigma, sc) for d in (data, shuffled)]
@@ -333,6 +331,15 @@ class TestRequiredSampleSize:
             om.required_sample_size(1.0, 2, 2, 2, 0.05, 1.0)
         with pytest.raises(om.ArgumentError):
             om.required_sample_size(1.0, 2, 2, 2, 0.05, 0.0)
+        nan, inf = math.nan, math.inf
+        for lmax, eps, delta in ((nan, 0.05, 0.1), (1.0, nan, 0.1), (1.0, 0.05, nan),
+                                 (inf, 0.05, 0.1), (1.0, inf, 0.1)):
+            with pytest.raises(om.ArgumentError, match="positive and finite|delta"):
+                om.required_sample_size(lmax, 2, 2, 2, eps, delta)
+        # finite arguments whose bound is past float range
+        for lmax, eps in ((1e200, 0.05), (1.0, 1e-300), (1e200, 1e200)):
+            with pytest.raises(om.ArgumentError, match="beyond float range"):
+                om.required_sample_size(lmax, 2, 2, 2, eps, 0.1)
 
 
 def header_line(sc, samples, **fields):
@@ -463,7 +470,7 @@ class TestJsonlFiles:
         path.write_text('{"x":"+1","yhat":"-1","y":0}\n'
                         '{"x":"-1","yhat":"-1","y":1}\n')
         d = om.read_jsonl(path, beta_scenario)
-        assert d.n == 2 and d.outcomes.tolist() == [0, 1]
+        assert d.n == 2 and sample_labels(d)[2] == (0, 1)
         assert d.meta.scenario == "beta-0.25"
 
     def test_augmented_scenario_reads_base_data(self, tmp_path):
@@ -855,7 +862,7 @@ class TestCountKernel:
             data, unlogged = partial_trial_data(rng, sc, int(rng.integers(1, 300)))
             counts = data.counts
             want = np.zeros_like(counts)
-            np.add.at(want, (data.x_idx, data.yhat_idx, data.outcomes), 1)
+            np.add.at(want, sample_indices(data), 1)
             assert np.array_equal(counts, want)
             assert counts[:, sc.arrays.y_index[unlogged]].sum() == 0
             for h in rules_to_check(sc, unlogged):
@@ -933,21 +940,60 @@ class TestDataOutsideScenario:
         with pytest.raises(om.ArgumentError, match=r"unknown feature \['\+1'\]"):
             encode(self.SCENARIO, [(["+1"], "+1", 1)])
 
+    def test_label_columns_must_agree_on_length(self):
+        meta = om.RctMeta(scenario="beta-0.25", seed=None, n=2, gen="")
+        with pytest.raises(om.ArgumentError, match="one entry per sample"):
+            om.RctDataset.from_labels(self.SCENARIO, ["+1", "-1"], ["+1"], [0, 1], meta)
+
     def test_unknown_decision_is_named(self):
         with pytest.raises(om.ArgumentError, match="unknown decision 'q'"):
             encode(self.SCENARIO, [("+1", "+1", 0), ("+1", "q", 1)])
 
+    # A sample's feature, decision or outcome index one past either end of
+    # its space [0, 2) is refused once encoded as a cell. With the other two
+    # indices at the same end as the bad one, the cell lies outside [0, 8);
+    # elsewhere it would alias another valid cell, which the flat layout
+    # cannot tell apart.
     @pytest.mark.parametrize("column, bad", [
         ("x_idx", -1), ("x_idx", 2), ("yhat_idx", -1), ("yhat_idx", 2),
         ("outcomes", -1), ("outcomes", 2)])
     def test_indices_outside_the_spaces_are_refused(self, column, bad):
         data = om.generate_rct(self.SCENARIO, 5, 0)
-        values = getattr(data, column).copy()
-        values[3] = bad
-        with pytest.raises(om.ArgumentError, match=rf"{column} must lie in \[0, 2\)"):
-            dataclasses.replace(data, **{column: values})
-        values[3] = 1
-        assert dataclasses.replace(data, **{column: values}).n == 5
+        k = data.decisions.k
+
+        def with_sample_3(value):
+            edge = 0 if value < 0 else 1
+            index = {"x_idx": edge, "yhat_idx": edge, "outcomes": edge, column: value}
+            cells = data.cells.copy()
+            cells[3] = (index["x_idx"] * k + index["yhat_idx"]) * 2 + index["outcomes"]
+            return dataclasses.replace(data, cells=cells)
+
+        with pytest.raises(om.ArgumentError, match=r"cells must lie in \[0, 8\)"):
+            with_sample_3(bad)
+        restored = with_sample_3(1)
+        assert restored.n == 5
+        assert [c[3] for c in sample_indices(restored)] == [1, 1, 1]
+
+    # 2·|X|·k = 8 cells: one past either end of [0, 8) is refused
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_cells_outside_the_spaces_are_refused(self, bad):
+        data = om.generate_rct(self.SCENARIO, 5, 0)
+        cells = data.cells.copy()
+        cells[3] = bad
+        with pytest.raises(om.ArgumentError, match=r"cells must lie in \[0, 8\)"):
+            dataclasses.replace(data, cells=cells)
+        for good in (0, 7):
+            cells[3] = good
+            assert dataclasses.replace(data, cells=cells).n == 5
+
+    @pytest.mark.parametrize("cells", [
+        np.zeros(5), np.zeros(5, dtype=bool), np.zeros((5, 1), dtype=np.intp),
+        np.zeros(4, dtype=np.intp), [0] * 5],
+        ids=["float", "bool", "2-D", "short", "list"])
+    def test_cells_must_be_an_integer_array_of_n(self, cells):
+        data = om.generate_rct(self.SCENARIO, 5, 0)
+        with pytest.raises(om.ArgumentError, match="1-D integer array of n=5"):
+            dataclasses.replace(data, cells=cells)
 
     def test_loss_from_outside_the_scenario(self):
         sc = self.SCENARIO

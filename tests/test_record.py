@@ -100,7 +100,7 @@ def samples() -> dict:
         om.RctMeta: (of(data.meta, more.meta), []),
         om.RctDataset: (of(data, more, om.generate_rct(beta, 200, seed=1)),
                         [with_(data, meta=more.meta),
-                         with_(data, x_idx=np.full(200, 7))]),
+                         with_(data, cells=np.full(200, 8))]),
         om.AuditTarget: ([values(e[0]) for e in report.entries[:3]]
                          + [("ma", None, None, None, (0.5, 1.0))], []),
         om.Violation: (of(violation, om.Violation(report.entries[1][0], -0.5)), []),
