@@ -42,7 +42,6 @@ _EXPORTS = {
         "expected_loss_given",
         "io_loss",
         "load_scenario",
-        "make_beta_scenario",
         "optimal_rule_from_model",
         "performative_risk_exact",
         "scenario_from_dict",
@@ -54,12 +53,9 @@ _EXPORTS = {
         "UpdateTerm",
         "apply_term",
         "base_predictor",
-        "evaluate",
         "evaluate_all",
         "induced_rule",
         "load_model",
-        "optimal_decision_from_vector",
-        "outcome_table",
         "prediction_matrix",
         "save_model",
         "serialize",

@@ -131,13 +131,16 @@ def model_scenario(scenario: Scenario, adapt: bool) -> Scenario:
 
 
 def load_model_with_scenario(path, scenario: Scenario):
-    """Read a model file; returns (predictor, the scenario it resolves in)."""
+    """Read a model file; returns (predictor, the scenario it resolves in).
+
+    The fingerprint is checked against the scenario before an adapt
+    model's losses are augmented, and every refusal names the file."""
     doc = read_model_document(path)
     try:
-        target = model_scenario(scenario, read_fingerprint(doc).adapt)
+        target = model_scenario(scenario, read_fingerprint(doc, scenario).adapt)
         return deserialize(doc, target), target
-    except ModelMismatchError as exc:
-        raise ModelMismatchError(f"model file {path}: {exc}") from exc
+    except (ModelMismatchError, ConfigurationError) as exc:
+        raise type(exc)(f"model file {path}: {exc}") from exc
 
 
 def _model_matrix(pred, scenario: Scenario):
@@ -272,6 +275,14 @@ class InvarianceReport(Record):
     mismatches: tuple[tuple[str, str, str], ...]  # (loss, weight, feature)
 
 
+# the most 8-byte cells verify_universal_adaptability may hold for its
+# distributions, 128 MiB: each one holds |X| masses and a report row of
+# about 1.1 KiB per loss plus 1.5 KiB (measured with tracemalloc),
+# counted as REPORT_CELLS per loss plus REPORT_CELLS
+CELL_BUDGET = 1 << 24
+REPORT_CELLS = 256
+
+
 def _distributions(scenario: Scenario, n_mixtures: int, seed: int):
     """(name, masses) of every weight's shift, then of n_mixtures mixtures
     whose coefficients the seed draws."""
@@ -305,7 +316,8 @@ def verify_universal_adaptability(
     """Check 2*eps optimality of the predictor's rules on every shift.
 
     Each weight function's shifted distribution is checked, plus
-    n_mixtures random mixtures drawn from the seed. The loss-optimal
+    n_mixtures random mixtures drawn from the seed; a count whose
+    distributions would pass CELL_BUDGET is refused first. The loss-optimal
     rules are computed once from the predictor and reused for every
     distribution, since positive reweighting cannot change them. A
     distribution passes when, for every loss, the rule's risk is within
@@ -326,6 +338,14 @@ def verify_universal_adaptability(
         raise ArgumentError("n_mixtures must be nonnegative")
     if seed < 0:
         raise ArgumentError(f"seed must be nonnegative, got {seed}")
+    n_x, n_l = len(scenario.features.points), len(scenario.losses)
+    per = n_x + REPORT_CELLS * (n_l + 1)
+    fit = max(0, CELL_BUDGET // per - len(scenario.weights.weights))
+    if n_mixtures > fit:
+        raise ConfigurationError(
+            f"{n_mixtures} mixtures over {n_x} features and {n_l} losses need "
+            f"more than {CELL_BUDGET} cells; at most {fit} mixtures fit"
+        )
     _, terms = rule_terms(_model_matrix(pred, scenario), scenario)
     distributions = _distributions(scenario, n_mixtures, seed)
 

@@ -71,13 +71,11 @@ class BoostConfig(Record):
 
     poi_n is the length of the fixed labeled prefix reused by every
     rule audit; doi_n is the fresh labeled slice consumed by each
-    decision audit. max_iter_override may only extend the proven bound,
-    never lower it.
+    decision audit.
     """
 
     epsilon: float
     mode: str = EXACT
-    max_iter_override: Optional[int] = None
     data: Optional[RctDataset] = None
     poi_n: Optional[int] = None
     doi_n: Optional[int] = None
@@ -198,13 +196,6 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
     eps = float(config.epsilon)
     lmax = scenario.lmax
     bound = iteration_bound(scenario.k, lmax, eps)
-    if config.max_iter_override is not None:
-        if config.max_iter_override < bound:
-            raise ArgumentError(
-                f"max_iter_override={config.max_iter_override} is below the "
-                f"proven bound {bound}; overrides may only extend it"
-            )
-        bound = config.max_iter_override
     emp = None
     if config.mode in (EMPIRICAL, CSC):
         emp = _EmpiricalData(config, scenario)

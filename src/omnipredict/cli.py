@@ -146,6 +146,8 @@ def cmd_train(args) -> int:
     from .rct import read_jsonl
 
     trace_path = args.trace if args.trace is not None else args.out + ".trace.jsonl"
+    if os.path.realpath(trace_path) == os.path.realpath(args.out):
+        raise ArgumentError(f"--trace {args.trace} and --out {args.out} are the same file")
     for path in (args.out, trace_path):
         _check_directory(path)
     train_scenario = load_scenario(args.config)

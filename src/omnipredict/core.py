@@ -276,12 +276,6 @@ class Loss(Record):
         except (TypeError, ValueError, AttributeError):
             return self.name, self.lmax, self.table
 
-    @property
-    def input_oblivious(self) -> bool:
-        """Whether the values ignore the feature: all rows are equal."""
-        rows = [{y: tuple(v) for y, v in row.items()} for row in self.table.values()]
-        return all(row == rows[0] for row in rows)
-
     def values(self, x: str, yhat: str, y: int) -> float:
         row = self.table.get(x)
         if row is None or yhat not in row:
@@ -774,45 +768,6 @@ def builtin_loss(
     else:
         raise ConfigurationError(f"unknown builtin loss {kind!r}")
     return io_loss(name or kind, 1.0, per_decision, features)
-
-
-def make_beta_scenario(beta: float, epsilon: float = 0.05) -> Scenario:
-    """Two-feature, two-decision scenario with opposing steering losses.
-
-    Features and decisions are both {-1, +1}; the outcome probability is
-    1/2 + beta * x * yhat, so decision +1 raises the chance of outcome 1
-    at x=+1 and lowers it at x=-1. The rules h_plus (copy x) and h_minus
-    (negate x) are each optimal for one of the two steering losses.
-    """
-    if not 0.0 < beta < 0.5:
-        raise ArgumentError(f"beta must lie strictly between 0 and 1/2, got {beta!r}")
-    labels = ("-1", "+1")
-    features = FeatureSpace(points=labels)
-    decisions = DecisionSpace(labels=labels)
-    dist = InputDistribution(probabilities={"-1": 0.5, "+1": 0.5})
-    nature = NatureModel(
-        table={
-            x: {y: 0.5 + beta * float(x) * float(y) for y in labels} for x in labels
-        }
-    )
-    losses = (
-        builtin_loss("steer_to_one", features, decisions),
-        builtin_loss("steer_to_zero", features, decisions),
-    )
-    hypotheses = (
-        Hypothesis(name="h_plus", mapping={"-1": "-1", "+1": "+1"}),
-        Hypothesis(name="h_minus", mapping={"-1": "+1", "+1": "-1"}),
-    )
-    return Scenario(
-        name=f"beta-{beta}",
-        features=features,
-        decisions=decisions,
-        input_distribution=dist,
-        nature=nature,
-        losses=losses,
-        hypotheses=hypotheses,
-        epsilon=float(epsilon),
-    )
 
 
 def _require(doc: Mapping, key: str, where: str):

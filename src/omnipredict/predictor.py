@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._record import Record
-from .core import DecisionSpace, Hypothesis, Loss, Scenario
+from .core import Hypothesis, Loss, Scenario
 from .errors import ArgumentError, ModelMismatchError
 
 EXTERNAL = "external"
@@ -144,14 +144,6 @@ def evaluate_all(pred: AdditivePredictor, scenario: Scenario) -> np.ndarray:
     return matrix
 
 
-def evaluate(pred: AdditivePredictor, x: str, scenario: Scenario) -> np.ndarray:
-    """Prediction vector at one feature; entries always within [0, 1]."""
-    arrays = scenario.arrays
-    if x not in arrays.x_index:
-        raise ArgumentError(f"unknown feature {x!r}")
-    return evaluate_all(pred, scenario)[arrays.x_index[x]]
-
-
 def prediction_matrix(pred, scenario: Scenario) -> np.ndarray:
     """Normalize a predictor argument to its (|X|, k) prediction matrix.
 
@@ -171,26 +163,6 @@ def prediction_matrix(pred, scenario: Scenario) -> np.ndarray:
     return matrix
 
 
-def optimal_decision_from_vector(
-    v, loss: Loss, x: str, decisions: DecisionSpace
-) -> str:
-    """Loss-optimal decision under modeled outcome probabilities v.
-
-    Minimizes loss(x, yhat, 0) + (loss(x, yhat, 1) - loss(x, yhat, 0)) * v[j]
-    over decisions; ties go to the lowest canonical index.
-    """
-    best = None
-    best_value = None
-    for j, yhat in enumerate(decisions.labels):
-        at0 = loss.values(x, yhat, 0)
-        at1 = loss.values(x, yhat, 1)
-        value = at0 + (at1 - at0) * float(v[j])
-        if best_value is None or value < best_value:
-            best = yhat
-            best_value = value
-    return best
-
-
 def induced_rule(pred, loss: Loss, scenario: Scenario) -> Hypothesis:
     """The predictor's loss-optimal post-processing as a total rule,
     whose mapping is a view of the argmin decision indices."""
@@ -199,16 +171,6 @@ def induced_rule(pred, loss: Loss, scenario: Scenario) -> Hypothesis:
     base, delta = arrays.loss_arrays(loss)
     idx = np.argmin(base + delta * matrix, axis=1)
     return Hypothesis(name=f"f~({loss.name})", mapping=arrays.view(idx))
-
-
-def outcome_table(pred, scenario: Scenario) -> dict:
-    """Nested feature -> decision -> probability view of a predictor."""
-    matrix = prediction_matrix(pred, scenario)
-    labels = scenario.decisions.labels
-    return {
-        x: {labels[j]: float(matrix[i, j]) for j in range(scenario.k)}
-        for i, x in enumerate(scenario.features.points)
-    }
 
 
 def serialize(pred: AdditivePredictor) -> dict:
@@ -231,12 +193,13 @@ def serialize(pred: AdditivePredictor) -> dict:
     }
 
 
-def read_fingerprint(doc) -> Fingerprint:
+def read_fingerprint(doc, scenario: Scenario) -> Fingerprint:
     """The fingerprint of a model document, checked: epsilon positive
-    and finite, lmax finite, adapt a JSON boolean when present."""
+    and finite, lmax finite, adapt a JSON boolean when present, and the
+    scenario's name."""
     try:
         fp = doc["fingerprint"]
-        scenario, adapt = str(fp["scenario"]), fp.get("adapt", False)
+        name, adapt = str(fp["scenario"]), fp.get("adapt", False)
         eps, lmax = float(fp["epsilon"]), float(fp["lmax"])
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ModelMismatchError(f"model document is malformed: {exc}") from exc
@@ -248,7 +211,11 @@ def read_fingerprint(doc) -> Fingerprint:
         raise ModelMismatchError(f"model epsilon must be positive and finite: {eps!r}")
     if not math.isfinite(lmax):
         raise ModelMismatchError(f"model lmax must be finite: {lmax!r}")
-    return Fingerprint(scenario=scenario, epsilon=eps, lmax=lmax, adapt=adapt)
+    if name != scenario.name:
+        raise ModelMismatchError(
+            f"model was trained on scenario {name!r}, not {scenario.name!r}"
+        )
+    return Fingerprint(scenario=name, epsilon=eps, lmax=lmax, adapt=adapt)
 
 
 def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
@@ -258,7 +225,7 @@ def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
     its lmax, every eta must be finite, and every term reference must
     resolve; otherwise the model file is unusable here.
     """
-    fingerprint = read_fingerprint(doc)
+    fingerprint = read_fingerprint(doc, scenario)
     try:
         base = [float(v) for v in doc["base"]]
         terms = tuple(
@@ -277,11 +244,6 @@ def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
             raise ModelMismatchError(
                 f"model term {i} has a non-finite eta: {term.eta!r}"
             )
-    if fingerprint.scenario != scenario.name:
-        raise ModelMismatchError(
-            f"model was trained on scenario {fingerprint.scenario!r}, "
-            f"not {scenario.name!r}"
-        )
     if abs(fingerprint.lmax - scenario.lmax) > _LMAX_MATCH_TOLERANCE:
         raise ModelMismatchError(
             f"model lmax {fingerprint.lmax!r} does not match scenario "

@@ -233,11 +233,6 @@ def _exact_terms(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.array(planes)
 
 
-def _exact_sum(counts: np.ndarray, values: np.ndarray) -> float:
-    """fsum of counts[i] copies of values[i], for every i."""
-    return math.fsum(_exact_terms(counts, values).ravel().tolist())
-
-
 def rule_cells(rules: Sequence[Hypothesis], scenario: Scenario) -> np.ndarray:
     """(len(rules), |X|) flat indices x*k + rule(x) into a row-major
     (|X|, k) table, as the scenario's rule_cells holds its hypotheses'."""

@@ -275,9 +275,50 @@ def all_rules(scenario):
         )
 
 
+def make_beta_scenario(beta, epsilon=0.05):
+    """Two-feature, two-decision scenario with opposing steering losses.
+
+    Features and decisions are both {-1, +1}; the outcome probability is
+    1/2 + beta * x * yhat, so decision +1 raises the chance of outcome 1
+    at x=+1 and lowers it at x=-1. The rules h_plus (copy x) and h_minus
+    (negate x) are each optimal for one of the two steering losses.
+    scenarios/beta025.json is this scenario at beta 0.25.
+    """
+    if not 0.0 < beta < 0.5:
+        raise om.ArgumentError(f"beta must lie strictly between 0 and 1/2, got {beta!r}")
+    labels = ("-1", "+1")
+    features = om.FeatureSpace(points=labels)
+    decisions = om.DecisionSpace(labels=labels)
+    return om.Scenario(
+        name=f"beta-{beta}",
+        features=features,
+        decisions=decisions,
+        input_distribution=om.InputDistribution(probabilities={"-1": 0.5, "+1": 0.5}),
+        nature=om.NatureModel(table={
+            x: {y: 0.5 + beta * float(x) * float(y) for y in labels} for x in labels
+        }),
+        losses=(
+            om.builtin_loss("steer_to_one", features, decisions),
+            om.builtin_loss("steer_to_zero", features, decisions),
+        ),
+        hypotheses=(
+            om.Hypothesis(name="h_plus", mapping={"-1": "-1", "+1": "+1"}),
+            om.Hypothesis(name="h_minus", mapping={"-1": "+1", "+1": "-1"}),
+        ),
+        epsilon=float(epsilon),
+    )
+
+
+def input_oblivious(loss, features, decisions):
+    """Whether a loss's checked (|X|, k, 2) values are the same at every
+    feature."""
+    values = loss.validate(features, decisions)
+    return bool(np.all(values == values[:1]))
+
+
 @pytest.fixture(scope="session")
 def beta_scenario():
-    return om.make_beta_scenario(0.25)
+    return make_beta_scenario(0.25)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import omnipredict as om
 from omnipredict import adapt
 
-from conftest import features_only, random_scenario
+from conftest import features_only, input_oblivious, random_scenario
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ class TestAugmentLosses:
             assert aug.name == f"{orig.name}@unit"
             assert aug.lmax == orig.lmax
             assert aug.table == orig.table
-            assert aug.input_oblivious is orig.input_oblivious
+            assert input_oblivious(aug, beta_scenario.features, beta_scenario.decisions)
 
     def test_count_and_order(self, weighted_scenario):
         sc = weighted_scenario
@@ -249,6 +249,26 @@ class TestVerifier:
         assert len(mixture_checks) == 25
         if all(c.passed for c in weight_checks):
             assert all(c.passed for c in mixture_checks)
+
+    def test_mixture_count_is_capped_by_the_cell_budget(
+            self, weighted_scenario, adapt_model, monkeypatch):
+        # 2 features, 2 losses and 3 weights: each distribution counts
+        # 2 + 3 * REPORT_CELLS cells, and ten of them fit 10 - 3 mixtures
+        per = 2 + 3 * adapt.REPORT_CELLS
+        monkeypatch.setattr(adapt, "CELL_BUDGET", 10 * per)
+        rep = om.verify_universal_adaptability(
+            adapt_model, weighted_scenario, 0.05, n_mixtures=7)
+        assert len(rep.checks) == 10
+        with pytest.raises(om.ConfigurationError, match="at most 7 mixtures fit"):
+            om.verify_universal_adaptability(
+                adapt_model, weighted_scenario, 0.05, n_mixtures=8)
+        monkeypatch.setattr(adapt, "CELL_BUDGET", 2 * per)  # not even the shifts
+        rep = om.verify_universal_adaptability(
+            adapt_model, weighted_scenario, 0.05, n_mixtures=0)
+        assert len(rep.checks) == 3
+        with pytest.raises(om.ConfigurationError, match="at most 0 mixtures fit"):
+            om.verify_universal_adaptability(
+                adapt_model, weighted_scenario, 0.05, n_mixtures=1)
 
     def test_flat_model_fails(self, weighted_scenario):
         pred = om.base_predictor(weighted_scenario, 0.05)

@@ -23,6 +23,7 @@ from conftest import (
     encode,
     features_only,
     io_loss_scenario,
+    make_beta_scenario,
     near_nature_matrix,
     partial_trial_data,
     random_matrix,
@@ -48,7 +49,9 @@ def population_beta_dataset(scenario, per_cell=4):
 def exact_err_by_enumeration(matrix, scenario, rule, loss):
     """Independent route to the audit error: difference of two closed-form
     risks, one under the predictor's outcome model and one under Nature."""
-    modeled = om.outcome_table(matrix, scenario)
+    labels = scenario.decisions.labels
+    modeled = {x: dict(zip(labels, row))
+               for x, row in zip(scenario.features.points, matrix.tolist())}
     model_side = om.performative_risk_exact(
         rule, modeled, loss, scenario.input_distribution)
     nature_side = om.performative_risk_exact(
@@ -315,7 +318,7 @@ class TestExactDoi:
 
 class TestEmpiricalAudits:
     def test_overestimating_predictor_doi_err(self):
-        sc = om.make_beta_scenario(0.1)
+        sc = make_beta_scenario(0.1)
         solo = dataclasses.replace(sc, losses=(sc.loss_by_name("steer_to_one"),))
         q = np.array([[0.9, 0.7], [0.7, 0.9]])  # Nature plus 0.3 everywhere
         rows = []

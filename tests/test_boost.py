@@ -10,13 +10,13 @@ import pytest
 import omnipredict as om
 from omnipredict import audit, boost
 
-from conftest import random_scenario
+from conftest import make_beta_scenario, random_scenario
 
 
 def const_nature_scenario():
     """Nature ignores the decision and flips a fair coin; the base
     predictor is already exactly right, so training has nothing to do."""
-    sc = om.make_beta_scenario(0.25)
+    sc = make_beta_scenario(0.25)
     flat = om.NatureModel(table={
         x: {y: 0.5 for y in sc.decisions.labels} for x in sc.features.points})
     return dataclasses.replace(sc, nature=flat)
@@ -245,14 +245,6 @@ class TestConfigValidation:
     def test_bad_mode(self, beta_scenario):
         with pytest.raises(om.ArgumentError):
             om.poi_boost(beta_scenario, om.BoostConfig(epsilon=0.05, mode="magic"))
-
-    def test_override_below_bound_rejected(self, beta_scenario):
-        with pytest.raises(om.ArgumentError):
-            om.poi_boost(beta_scenario, om.BoostConfig(
-                epsilon=0.05, max_iter_override=100))
-        res = om.poi_boost(beta_scenario, om.BoostConfig(
-            epsilon=0.05, max_iter_override=1000))
-        assert res.termination == "converged"
 
     def test_estimated_modes_need_data(self, beta_scenario):
         with pytest.raises(om.ConfigurationError):

@@ -18,7 +18,7 @@ import pytest
 import omnipredict as om
 from omnipredict import adapt, boost, cli, core, predictor
 
-from conftest import mid_scenario_doc
+from conftest import make_beta_scenario, mid_scenario_doc
 
 REPO = Path(__file__).resolve().parent.parent
 BETA = str(REPO / "scenarios" / "beta025.json")
@@ -130,7 +130,7 @@ class TestScenarioShow:
         assert code == 2
 
     def test_incomplete_nature_names_pair(self, workdir):
-        doc = om.scenario_to_dict(om.make_beta_scenario(0.25))
+        doc = om.scenario_to_dict(make_beta_scenario(0.25))
         del doc["nature"]["+1"]["-1"]
         path = workdir / "holey.json"
         path.write_text(json.dumps(doc))
@@ -178,7 +178,7 @@ class TestRctGen:
         assert code == 0
         lines = path.read_text().splitlines()
         assert len(lines) == 11
-        data = om.read_jsonl(path, om.make_beta_scenario(0.25))
+        data = om.read_jsonl(path, make_beta_scenario(0.25))
         assert data.meta.seed == 5 and data.n == 10
 
     def test_zero_samples_is_usage_error(self, workdir):
@@ -558,6 +558,16 @@ class TestAudit:
         code, _, _ = run("audit", "--config", BETA_W, "--model", model_path)
         assert code == 2
 
+    def test_adapt_model_on_another_scenario_is_refused_by_name(
+            self, workdir, adapt_model_path):
+        refusals = refused_adapt_model(workdir, adapt_model_path, "audit")
+        assert refusals == [
+            f"error: model file {adapt_model_path}: model was trained on "
+            "scenario 'beta-0.25-w', not 'beta-0.25'\n",
+            f"error: model file {adapt_model_path}: scenario has no weight "
+            "class, so losses cannot be augmented\n",
+        ]
+
     def test_malformed_data_file(self, workdir, model_path):
         bad = workdir / "bad.jsonl"
         bad.write_text('{"x":"+1","yhat":"+1","y":1}\nnot json\n')
@@ -565,6 +575,23 @@ class TestAudit:
                            "--mode", "empirical", "--data", str(bad))
         assert code == 2
         assert ":2" in err
+
+
+def refused_adapt_model(workdir, model, command, *flags):
+    """stderr of command run with an adapt model trained on
+    beta025_weights.json, against beta025.json and against a copy of
+    beta025_weights.json without weights; each run must exit 2 with
+    nothing on stdout."""
+    doc = json.loads(Path(BETA_W).read_text())
+    del doc["weights"]
+    unweighted = workdir / "unweighted.json"
+    unweighted.write_text(json.dumps(doc))
+    errs = []
+    for config in (BETA, str(unweighted)):
+        code, out, err = run(command, "--config", config, "--model", model, *flags)
+        assert (code, out) == (2, ""), err
+        errs.append(err)
+    return errs
 
 
 def tampered_model(workdir, source, name, edit):
@@ -647,7 +674,8 @@ class TestFingerprint:
             assert code == 2 and out == ""
             assert "'adapt'" in err and model in err and "Traceback" not in err
         with pytest.raises(om.ModelMismatchError, match="'adapt'"):
-            predictor.read_fingerprint(json.loads(Path(model).read_text()))
+            predictor.read_fingerprint(json.loads(Path(model).read_text()),
+                                       om.load_scenario(BETA_W))
 
     def test_missing_adapt_reads_as_plain(self, workdir, model_path):
         model = tampered_model(workdir, model_path, "no_adapt.json",
@@ -774,6 +802,16 @@ class TestEval:
                     assert passed == verified[f"weight:{flag[1]}"], (model, flag)
         assert set(verdicts) == {"true", "false"}
 
+    def test_adapt_model_on_another_scenario_is_refused_by_name(
+            self, workdir, adapt_model_path):
+        out_csv = workdir / "refused.csv"
+        errs = refused_adapt_model(workdir, adapt_model_path, "eval",
+                                   "--out", str(out_csv))
+        assert [e.startswith(f"error: model file {adapt_model_path}: ")
+                for e in errs] == [True, True]
+        assert "not 'beta-0.25'" in errs[0] and "no weight class" in errs[1]
+        assert not out_csv.exists()
+
     def test_shift_and_mixture_conflict(self, workdir, adapt_model_path):
         code, _, _ = run("eval", "--config", BETA_W, "--model", adapt_model_path,
                          "--shift", "uniform",
@@ -827,6 +865,17 @@ class TestAdaptVerify:
                              "--model", adapt_model_path, "--mixtures", "-1")
         assert code == 1 and out == ""
         assert "--mixtures" in err and "Traceback" not in err
+
+    def test_mixture_count_past_the_budget_is_config_error(self, adapt_model_path):
+        # refused before any mixture is drawn or any mass allocated
+        # beta025_weights.json: 2 features, 2 losses, 3 weights
+        fit = (1 << 24) // (2 + 256 * 3) - 3
+        code, out, err = run("adapt-verify", "--config", BETA_W, "--model",
+                             adapt_model_path, "--mixtures", "1000000000000000")
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: 1000000000000000 mixtures over 2 features and 2 losses")
+        assert err.endswith(f"at most {fit} mixtures fit\n")
 
     def test_same_bytes_across_blas_thread_counts(self, workdir):
         # a serving-size scenario, where the verifier's matrix products
@@ -1054,6 +1103,18 @@ class TestUnwritableOutput:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {trace}: Not a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.parametrize("spelling", ["m.json", "./sub/../m.json"])
+    def test_train_refuses_a_trace_that_is_the_model(self, tmp_path, monkeypatch,
+                                                     spelling):
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run("train", "--config", BETA, "--epsilon", "0.05",
+                             "--out", "m.json", "--trace", spelling)
+        assert (code, out) == (1, "")
+        assert err == (f"error: --trace {spelling} and --out m.json are the "
+                       "same file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
     def test_failed_model_write_leaves_no_trace(self, tmp_path):
         """An --out the directory check passes but the write refuses, here

@@ -20,7 +20,7 @@ import omnipredict as om
 from omnipredict import core
 from omnipredict.core import MASS_TOLERANCE
 
-from conftest import all_rules, random_scenario
+from conftest import all_rules, input_oblivious, make_beta_scenario, random_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -71,7 +71,7 @@ class TestPerformativeRisk:
         assert r == pytest.approx(0.25, abs=1e-15)
 
     def test_beta_negate_rule_other_loss(self):
-        sc = om.make_beta_scenario(0.1)
+        sc = make_beta_scenario(0.1)
         r = om.performative_risk_exact(
             hyp(sc, "h_minus"), sc.nature.table, beta_loss(sc, "steer_to_zero"),
             sc.input_distribution)
@@ -88,7 +88,7 @@ class TestPerformativeRisk:
 
     def test_copy_rule_risk_formula_for_all_beta(self):
         for beta in (0.05, 0.1, 0.25, 0.4, 0.49):
-            sc = om.make_beta_scenario(beta)
+            sc = make_beta_scenario(beta)
             r = om.performative_risk_exact(
                 hyp(sc, "h_plus"), sc.nature.table, beta_loss(sc, "steer_to_one"),
                 sc.input_distribution)
@@ -181,7 +181,7 @@ class TestBetaScenario:
         assert t["-1"]["+1"] == pytest.approx(0.25, abs=1e-15)
 
     def test_antisymmetry(self):
-        sc = om.make_beta_scenario(0.1)
+        sc = make_beta_scenario(0.1)
         for x in sc.features.points:
             vals = [sc.nature.table[x][y] for y in sc.decisions.labels]
             assert sum(vals) == pytest.approx(1.0, abs=1e-15)
@@ -197,19 +197,20 @@ class TestBetaScenario:
     @pytest.mark.parametrize("beta", [0.0, 0.5, -0.1, 0.75])
     def test_range_rejected(self, beta):
         with pytest.raises(om.ArgumentError):
-            om.make_beta_scenario(beta)
+            make_beta_scenario(beta)
 
 
 class TestLossHelpers:
     def test_squared_forecast_values(self, beta_scenario):
         sc = beta_scenario
-        loss = om.builtin_loss("squared_forecast", sc.features, om.DecisionSpace(labels=("0.0", "0.5", "1.0")))
+        decisions = om.DecisionSpace(labels=("0.0", "0.5", "1.0"))
+        loss = om.builtin_loss("squared_forecast", sc.features, decisions)
         for x in sc.features.points:
             for label in ("0.0", "0.5", "1.0"):
                 v = float(label)
                 assert loss.values(x, label, 0) == pytest.approx(v * v, abs=1e-15)
                 assert loss.values(x, label, 1) == pytest.approx((v - 1.0) ** 2, abs=1e-15)
-        assert loss.input_oblivious
+        assert input_oblivious(loss, sc.features, decisions)
 
     def test_builtin_unknown_kind(self, beta_scenario):
         sc = beta_scenario
@@ -219,11 +220,11 @@ class TestLossHelpers:
     def test_io_flag_inferred_from_table(self, beta_scenario):
         sc = beta_scenario
         for l in sc.losses:
-            assert l.input_oblivious
+            assert input_oblivious(l, sc.features, sc.decisions)
         skew = om.Loss(name="skew", lmax=1.0,
                        table={"-1": {"-1": (0.0, 0.0), "+1": (0.0, 0.0)},
                               "+1": {"-1": (1.0, 1.0), "+1": (0.0, 0.0)}})
-        assert not skew.input_oblivious
+        assert not input_oblivious(skew, sc.features, sc.decisions)
 
 
 class TestBuiltinLossArrays:
@@ -250,7 +251,7 @@ class TestBuiltinLossArrays:
             assert loss.table.array.shape == (3, 3, 2)
             assert loss == self.dict_form(kind, 1.0, row, self.FEATURES)
             assert dict(loss.table) == {x: row for x in self.FEATURES.points}
-            assert loss.input_oblivious
+            assert input_oblivious(loss, self.FEATURES, self.DECISIONS)
 
     def test_io_loss_equals_its_dict_form(self):
         per = {"1.0": (1, 0.5), "0.0": (0.25, 0), "0.25": (0.0, 1.0)}  # any order
@@ -276,7 +277,7 @@ class TestBuiltinLossArrays:
         assert arrays_digest(dataclasses.replace(sc, losses=plain)) == arrays_digest(built)
 
     def test_io_loss_over_other_features_names_the_missing_one(self):
-        sc = om.make_beta_scenario(0.25)
+        sc = make_beta_scenario(0.25)
         per = {"-1": (0.0, 1.0), "+1": (1.0, 0.0)}
         short = om.io_loss("io", 1.0, per, om.FeatureSpace(points=("-1", "0")))
         with pytest.raises(om.ConfigurationError,
@@ -311,7 +312,7 @@ class TestScenarioSerialization:
             om.load_scenario(p)
 
     def test_load_missing_section(self, tmp_path):
-        doc = om.scenario_to_dict(om.make_beta_scenario(0.25))
+        doc = om.scenario_to_dict(make_beta_scenario(0.25))
         del doc["nature"]
         p = tmp_path / "partial.json"
         p.write_text(json.dumps(doc))
@@ -832,19 +833,22 @@ class TestValidationMatchesPerCellReference:
         t = raw_tables(rng)
         row = t["losses"][0][2][t["xs"][0]]
         flat = om.Loss(name="flat", lmax=2.0, table={x: dict(row) for x in t["xs"]})
-        assert flat.input_oblivious
-        assert not om.Loss(name="l", lmax=2.0, table=t["losses"][0][2]).input_oblivious
+        features = om.FeatureSpace(points=tuple(t["xs"]))
+        decisions = om.DecisionSpace(labels=tuple(t["ys"]))
+        assert input_oblivious(flat, features, decisions)
+        varied = om.Loss(name="l", lmax=2.0, table=t["losses"][0][2])
+        assert not input_oblivious(varied, features, decisions)
 
 
 class TestPartEquality:
     def test_json_parts_equal_the_built_ones(self):
         loaded = om.load_scenario(REPO / "scenarios" / "beta025.json")
-        built = om.make_beta_scenario(0.25)
+        built = make_beta_scenario(0.25)
         assert loaded.losses == built.losses
         assert loaded.hypotheses == built.hypotheses
 
     def test_loss_differs_in_any_cell_lmax_or_name(self):
-        loss = om.make_beta_scenario(0.25).losses[0]
+        loss = make_beta_scenario(0.25).losses[0]
         table = {x: {y: list(v) for y, v in row.items()}
                  for x, row in loss.table.items()}
         assert om.Loss(loss.name, int(loss.lmax), table) == loss
@@ -866,7 +870,7 @@ class TestPartEquality:
         assert om.Hypothesis("h", {"a": "1"}) != rule
 
     def test_parts_of_other_kinds_are_unequal(self):
-        loss = om.make_beta_scenario(0.25).losses[0]
+        loss = make_beta_scenario(0.25).losses[0]
         assert loss != om.Hypothesis(loss.name, {})
         assert loss != (loss.name, loss.lmax, loss.table)
 

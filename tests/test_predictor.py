@@ -10,12 +10,26 @@ from hypothesis import strategies as st
 
 import omnipredict as om
 
-from conftest import random_scenario
+from conftest import make_beta_scenario, random_scenario
 
 
 def with_terms(scenario, terms, epsilon=0.05):
     pred = om.base_predictor(scenario, epsilon)
     return dataclasses.replace(pred, terms=tuple(terms))
+
+
+def optimal_decision_from_vector(v, loss, x, decisions):
+    """Loss-optimal decision under modeled outcome probabilities v, one
+    label at a time: minimizes loss(x, yhat, 0) + (loss(x, yhat, 1) -
+    loss(x, yhat, 0)) * v[j] over decisions; ties go to the lowest
+    canonical index."""
+    best = best_value = None
+    for j, yhat in enumerate(decisions.labels):
+        at0, at1 = loss.values(x, yhat, 0), loss.values(x, yhat, 1)
+        value = at0 + (at1 - at0) * float(v[j])
+        if best_value is None or value < best_value:
+            best, best_value = yhat, value
+    return best
 
 
 def brute_vector(terms, x, scenario):
@@ -34,7 +48,7 @@ def brute_vector(terms, x, scenario):
     if term.target_kind == "external":
         chosen = scenario.hypothesis_by_name(term.target_name).mapping[x]
     else:
-        chosen = om.optimal_decision_from_vector(
+        chosen = optimal_decision_from_vector(
             prev, scenario.loss_by_name(term.target_name), x, scenario.decisions)
     out = list(prev)
     j = scenario.decisions.labels.index(chosen)
@@ -104,11 +118,10 @@ class TestEvaluate:
         term = om.UpdateTerm(eta=-0.05, loss_name="steer_to_one",
                              target_kind="external", target_name="h_plus")
         pred = with_terms(beta_scenario, [term])
-        v = om.evaluate(pred, "+1", beta_scenario)
+        u, v = om.evaluate_all(pred, beta_scenario)  # rows "-1", "+1"
         # h_plus picks "+1" there; outcome gap of steer_to_one is -1, so
         # the "+1" entry moves by eta * (-1) * (-1) = -0.05
         assert v.tolist() == [0.5, 0.45]
-        u = om.evaluate(pred, "-1", beta_scenario)
         assert u.tolist() == [0.45, 0.5]
 
     def test_clipping_both_ends(self, beta_scenario):
@@ -116,14 +129,9 @@ class TestEvaluate:
                            target_kind="external", target_name="h_plus")
         dn = om.UpdateTerm(eta=-2.0, loss_name="steer_to_one",
                            target_kind="external", target_name="h_plus")
-        hi = om.evaluate(with_terms(beta_scenario, [up]), "+1", beta_scenario)
-        lo = om.evaluate(with_terms(beta_scenario, [dn]), "+1", beta_scenario)
+        hi = om.evaluate_all(with_terms(beta_scenario, [up]), beta_scenario)[1]
+        lo = om.evaluate_all(with_terms(beta_scenario, [dn]), beta_scenario)[1]
         assert hi[1] == 1.0 and lo[1] == 0.0
-
-    def test_unknown_feature_rejected(self, beta_scenario):
-        pred = om.base_predictor(beta_scenario, 0.05)
-        with pytest.raises(om.ArgumentError):
-            om.evaluate(pred, "zz", beta_scenario)
 
     def test_nan_prediction_matrix_rejected(self, beta_scenario):
         # NaN compares false both ways, so a check for entries below 0 or
@@ -233,19 +241,19 @@ class TestDecisionSelection:
     def test_picks_loss_minimizer(self, beta_scenario):
         loss = beta_scenario.loss_by_name("steer_to_one")
         # expected losses are 1 - v[j]; larger modeled probability wins
-        assert om.optimal_decision_from_vector(
+        assert optimal_decision_from_vector(
             [0.25, 0.75], loss, "+1", beta_scenario.decisions) == "+1"
-        assert om.optimal_decision_from_vector(
+        assert optimal_decision_from_vector(
             [0.75, 0.25], loss, "+1", beta_scenario.decisions) == "-1"
 
     def test_steer_to_zero_prefers_small_probability(self, beta_scenario):
         loss = beta_scenario.loss_by_name("steer_to_zero")
-        assert om.optimal_decision_from_vector(
+        assert optimal_decision_from_vector(
             [0.2, 0.9], loss, "-1", beta_scenario.decisions) == "-1"
 
     def test_tie_takes_lowest_index(self, beta_scenario):
         loss = beta_scenario.loss_by_name("steer_to_one")
-        assert om.optimal_decision_from_vector(
+        assert optimal_decision_from_vector(
             [0.5, 0.5], loss, "+1", beta_scenario.decisions) == "-1"
 
 
@@ -272,7 +280,7 @@ class TestInducedRule:
             for loss in sc.losses:
                 rule = om.induced_rule(matrix, loss, sc)
                 for i, x in enumerate(sc.features.points):
-                    want = om.optimal_decision_from_vector(matrix[i], loss, x, sc.decisions)
+                    want = optimal_decision_from_vector(matrix[i], loss, x, sc.decisions)
                     assert rule.mapping[x] == want
 
     def test_invariant_under_affine_loss_change(self):
@@ -317,7 +325,7 @@ class TestModelFiles:
         pred = om.base_predictor(beta_scenario, 0.05)
         path = tmp_path / "model.json"
         om.save_model(pred, path)
-        other = om.make_beta_scenario(0.1)
+        other = make_beta_scenario(0.1)
         renamed = dataclasses.replace(other, name="beta-0.1")
         with pytest.raises(om.ModelMismatchError):
             om.load_model(path, renamed)

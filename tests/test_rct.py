@@ -21,6 +21,7 @@ from conftest import (
     dyadic_scenario_and_data,
     encode,
     features_only,
+    make_beta_scenario,
     partial_trial_data,
     random_matrix,
     random_scenario,
@@ -29,6 +30,12 @@ from conftest import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def exact_sum(counts, values):
+    """fsum of counts[i] copies of values[i], for every i, from the
+    exact split terms the count kernel sums."""
+    return math.fsum(rct._exact_terms(counts, values).ravel().tolist())
 
 
 class TestGeneration:
@@ -599,7 +606,7 @@ ODD = small_scenario(
     "odd", ODD_FEATURES, ODD_LABELS,
     {x: {y: (0.25, 0.5) for y in ODD_LABELS} for x in ODD_FEATURES},
 )
-BETA = om.make_beta_scenario(0.25)
+BETA = make_beta_scenario(0.25)
 GARBAGE = ["{oops", "[]", "1", '"x"', "null", '{"x":"x0"}', '{"yhat":"d0","y":1}',
            '{"x":"zz","yhat":"d0","y":1}', '{"x":"-1","yhat":"q","y":0}',
            '{"x":1,"yhat":"+1","y":1}', '{"x":"+1","yhat":"+1","y":1,"w":[{}]}',
@@ -913,13 +920,13 @@ class TestCountKernel:
         counts = np.array([c for c, _ in cells], dtype=np.int64)
         values = np.array([v for _, v in cells])
         exact = sum(Fraction(int(c)) * Fraction(float(v)) for c, v in cells)
-        assert rct._exact_sum(counts, values) == float(exact)
+        assert exact_sum(counts, values) == float(exact)
 
     def test_exact_sum_splits_the_largest_values(self):
         # value * (2^27 + 1) would overflow here; the split must not
         top = np.array([1.7e308, np.nextafter(1.7e308, 0.0) / 3])
-        assert rct._exact_sum(np.array([1, 0]), top) == 1.7e308
-        assert rct._exact_sum(np.array([0, 2]), top) == float(2 * Fraction(top[1]))
+        assert exact_sum(np.array([1, 0]), top) == 1.7e308
+        assert exact_sum(np.array([0, 2]), top) == float(2 * Fraction(top[1]))
 
 
 class TestDataOutsideScenario:
@@ -998,7 +1005,7 @@ class TestDataOutsideScenario:
     def test_loss_from_outside_the_scenario(self):
         sc = self.SCENARIO
         data = om.generate_rct(sc, 50, 0)
-        foreign = om.make_beta_scenario(0.25).losses[0]
+        foreign = make_beta_scenario(0.25).losses[0]
         with pytest.raises(om.ArgumentError, match="not one of the scenario's"):
             om.ips_risk_estimate(data, sc.hypotheses[0], foreign, sc)
 

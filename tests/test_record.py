@@ -108,7 +108,7 @@ def samples() -> dict:
         om.CscInstance: (of(csc, csc2), [with_(csc, costs=np.zeros(3)),
                                          with_(csc, costs=csc.costs * np.inf),
                                          with_(csc, scenario=foreign)]),
-        om.BoostConfig: ([(0.05,), (0.1, "csc", 5, data, 10, 20, True)], []),
+        om.BoostConfig: ([(0.05,), (0.1, "csc", data, 10, 20, True)], []),
         om.TraceRecord: (of(*trace.records[:3]), []),
         om.BoostTrace: (of(trace, other.trace), []),
         om.BoostResult: (of(result, other), []),

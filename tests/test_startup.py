@@ -22,12 +22,11 @@ PUBLIC = {
     "core": """BUILTIN_LOSSES DecisionSpace FeatureSpace Hypothesis
         InputDistribution Loss NatureModel Scenario WeightClass WeightFunction
         augment_losses builtin_loss expected_loss_given io_loss load_scenario
-        make_beta_scenario optimal_rule_from_model performative_risk_exact
-        scenario_from_dict scenario_to_dict""",
+        optimal_rule_from_model performative_risk_exact scenario_from_dict
+        scenario_to_dict""",
     "predictor": """AdditivePredictor Fingerprint UpdateTerm apply_term
-        base_predictor evaluate evaluate_all induced_rule load_model
-        optimal_decision_from_vector outcome_table prediction_matrix save_model
-        serialize""",
+        base_predictor evaluate_all induced_rule load_model prediction_matrix
+        save_model serialize""",
     "rct": """GENERATOR_TAG RctDataset RctMeta generate_rct ips_risk_estimate
         model_risk_estimate read_jsonl required_sample_size write_jsonl""",
     "audit": """AuditReport AuditTarget CscInstance Violation
@@ -47,7 +46,7 @@ PUBLIC = {module: names.split() for module, names in PUBLIC.items()}
 class TestPublicApi:
     def test_all_lists_the_same_names(self):
         names = sorted(n for group in PUBLIC.values() for n in group)
-        assert len(names) == 82
+        assert len(names) == 78
         assert sorted(om.__all__) == names
 
     def test_each_name_is_its_defining_modules_object(self):
