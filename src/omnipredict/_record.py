@@ -2,27 +2,24 @@
 
 `@dataclass(frozen=True)` writes the source of six methods per class and
 compiles it in every process that defines the class. A record here is
-instead
-
-    @dataclass(init=False, repr=False, eq=False)
-    class Name(Record):
-        ...
-
-where the decorator only does the bookkeeping (`__dataclass_fields__`,
+declared by its base alone, `class Name(Record):`. Record applies
+`dataclass(init=False, repr=False, eq=False)` to each subclass as it is
+defined, which only does the bookkeeping (`__dataclass_fields__`,
 `__match_args__`, so that `dataclasses.replace`, `fields`, `asdict` and
-`is_dataclass` work) and Record supplies `__init__`, `__repr__`,
-`__eq__`, `__hash__`, `__setattr__` and `__delattr__` once, read from
-the fields. Each behaves as its `dataclass(frozen=True)` counterpart
-does on Python 3.10–3.12, including the wording of its errors.
+`is_dataclass` work), and supplies `__init__`, `__repr__`, `__eq__`,
+`__hash__`, `__setattr__` and `__delattr__` once, read from the fields.
+Each behaves as its `dataclass(frozen=True)` counterpart does on Python
+3.10–3.12, including the wording of its errors.
 `class Name(Record, eq=False)` stands for `dataclass(frozen=True,
 eq=False)`: identity equality and hash. A class that defines its own
 `__eq__` keeps it, with the field hash unless eq=False.
 
-Fields take no `field()` options. The module needs nothing but the
+Fields take no `field()` options; a field with one is refused with
+TypeError when its class is defined. The module needs nothing but the
 standard library.
 """
 
-from dataclasses import MISSING, FrozenInstanceError, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from inspect import Parameter, Signature
 from reprlib import recursive_repr
 
@@ -32,10 +29,6 @@ _SPECS: dict = {}
 
 
 def _spec(cls) -> tuple:
-    try:
-        return _SPECS[cls]
-    except KeyError:
-        pass
     names, defaults = [], {}
     for f in fields(cls):
         if not (f.init and f.repr and f.compare and f.hash is None and not f.kw_only
@@ -45,9 +38,7 @@ def _spec(cls) -> tuple:
         if f.default is not MISSING:
             defaults[f.name] = f.default
     required = frozenset(names) - defaults.keys()
-    spec = (tuple(names), defaults, required, dict.fromkeys(names))
-    _SPECS[cls] = spec
-    return spec
+    return tuple(names), defaults, required, dict.fromkeys(names)
 
 
 def _quoted(names) -> str:
@@ -64,7 +55,7 @@ def _bind(cls, args: tuple, kwargs: dict) -> dict:
     for the signature (self, name, ..., name=default, ...), checked in
     the same order: keywords, then the positional count, then missing
     fields."""
-    names, defaults, required, template = _spec(cls)
+    names, defaults, required, template = _SPECS[cls]
     given = {**dict(zip(names, args)), **kwargs} if args else kwargs
     # a keyword repeating a positional field, or a positional argument
     # past the last field, leaves given shorter than the arguments
@@ -91,7 +82,7 @@ def _bind(cls, args: tuple, kwargs: dict) -> dict:
 
 
 def _values(record) -> tuple:
-    return tuple(getattr(record, name) for name in _spec(type(record))[0])
+    return tuple(getattr(record, name) for name in _SPECS[type(record)][0])
 
 
 class _InitSignature:
@@ -117,6 +108,8 @@ class Record:
 
     def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False)
+        _SPECS[cls] = _spec(cls)
         body = cls.__dict__
         if not eq:
             if "__eq__" not in body:
@@ -127,7 +120,7 @@ class Record:
             cls.__hash__ = Record.__hash__
 
     def __init__(self, *args, **kwargs):
-        names = _spec(type(self))[0]
+        names = _SPECS[type(self)][0]
         if kwargs or len(args) != len(names):
             self.__dict__.update(_bind(type(self), args, kwargs))
         else:
@@ -139,7 +132,7 @@ class Record:
 
     @recursive_repr()
     def __repr__(self):
-        names = _spec(type(self))[0]
+        names = _SPECS[type(self)][0]
         listed = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({listed})"
 

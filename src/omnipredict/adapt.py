@@ -15,20 +15,12 @@ coefficients from a seeded generator, so reports are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._record import Record
-from .core import (
-    MASS_TOLERANCE,
-    Scenario,
-    WeightClass,
-    WeightFunction,
-    _augmented,
-    augment_losses,
-)
+from .core import MASS_TOLERANCE, Scenario, _augmented
 from .errors import ArgumentError, ConfigurationError, ModelMismatchError
 from .predictor import (
     AdditivePredictor,
@@ -39,26 +31,7 @@ from .predictor import (
     read_model_document,
 )
 
-__all__ = [
-    "WeightFunction",
-    "WeightClass",
-    "MixtureSpec",
-    "augment_losses",
-    "augment_scenario",
-    "shift_distribution",
-    "mixture_distribution",
-    "rule_terms",
-    "optimality",
-    "verify_universal_adaptability",
-    "induced_rule_shift_invariance_check",
-    "AdaptReport",
-    "DistributionCheck",
-    "model_scenario",
-    "load_model_with_scenario",
-]
 
-
-@dataclass(init=False, repr=False, eq=False)
 class MixtureSpec(Record):
     """Convex combination of the weight class's shifted distributions."""
 
@@ -224,7 +197,6 @@ def _least_risk_candidates(terms, masses: np.ndarray, h: int):
     return kept
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DistributionCheck(Record):
     """Optimality slack of the predictor's rules on one distribution."""
 
@@ -234,7 +206,6 @@ class DistributionCheck(Record):
     per_loss: tuple[tuple[str, float, float], ...]  # (loss, rule risk, best rival risk)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AdaptReport(Record):
     eps: float
     checks: tuple[DistributionCheck, ...]
@@ -269,7 +240,6 @@ class AdaptReport(Record):
         return doc
 
 
-@dataclass(init=False, repr=False, eq=False)
 class InvarianceReport(Record):
     passed: bool
     mismatches: tuple[tuple[str, str, str], ...]  # (loss, weight, feature)
@@ -395,8 +365,8 @@ def induced_rule_shift_invariance_check(pred, scenario: Scenario) -> InvarianceR
     points = scenario.features.points
     mismatches = []
     for loss in scenario.losses:
-        v0, delta = arrays.loss_base[loss.name], arrays.loss_delta[loss.name]
-        plain = np.argmin(v0 + delta * matrix, axis=1)
+        plain = arrays.optimal_decisions(loss.name, matrix)
+        v0 = arrays.loss_base[loss.name]
         v1 = arrays.loss_values[loss.name][:, :, 1]
         for w in scenario.weights.weights:
             weight = arrays.weights[w.name]

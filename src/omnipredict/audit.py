@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -62,7 +61,6 @@ from .rct import RctDataset, ips_risk_estimate, ips_rule_risks, model_risk_estim
 from .rct import model_rule_risks, rule_cells, rule_sums
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AuditTarget(Record):
     """One checked quantity; exactly the fields for its kind are set."""
 
@@ -85,7 +83,6 @@ class AuditTarget(Record):
         return doc
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Violation(Record):
     """A target whose err magnitude reached the tolerance."""
 
@@ -93,7 +90,6 @@ class Violation(Record):
     err: float
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AuditReport(Record):
     """Every checked target with its err, plus the pass verdict.
 
@@ -171,8 +167,7 @@ def doi_errs(matrix_or_pred, scenario: Scenario) -> np.ndarray:
     products = _loss_products(matrix, scenario)
     errs = np.empty(len(scenario.losses))
     for li, loss in enumerate(scenario.losses):
-        base, delta = arrays.loss_arrays(loss)
-        sel = np.argmin(base + delta * matrix, axis=1)
+        sel = arrays.optimal_decisions(loss.name, matrix)
         errs[li] = rule_sums(products[li], arrays.offsets + sel)
     return errs
 
@@ -307,7 +302,6 @@ def audit_doi_empirical(
     return _verdict(EMPIRICAL, eps, entries)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CscInstance(Record, eq=False):
     """Cost-sensitive classification instance over the decision space,
     as |X| weighted examples.

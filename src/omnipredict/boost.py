@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -65,7 +65,6 @@ from .predictor import (
 from .rct import RctDataset
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BoostConfig(Record):
     """Training knobs; empirical and csc modes need data and slice sizes.
 
@@ -82,7 +81,6 @@ class BoostConfig(Record):
     adapt: bool = False
 
 
-@dataclass(init=False, repr=False, eq=False)
 class TraceRecord(Record):
     t: int
     stage: str  # "poi" | "doi"
@@ -92,7 +90,6 @@ class TraceRecord(Record):
     potential: Optional[float]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BoostTrace(Record):
     records: tuple[TraceRecord, ...]
 
@@ -101,7 +98,6 @@ class BoostTrace(Record):
         return len(self.records)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BoostResult(Record):
     predictor: AdditivePredictor
     trace: BoostTrace

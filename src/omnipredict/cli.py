@@ -22,7 +22,7 @@ import math
 import os
 import sys
 
-from .core import CSC, EMPIRICAL, EXACT, MODES, load_scenario
+from .core import EMPIRICAL, EXACT, MODES, load_scenario
 from .errors import (
     ArgumentError,
     BoundExceededError,
@@ -100,6 +100,18 @@ def _check_directory(path) -> None:
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
+def _check_data_flags(args, *flags) -> None:
+    """Refuse --data missing in an estimated mode, or --data or one of
+    flags given in exact mode, which reads no trial data."""
+    if args.mode != EXACT:
+        if args.data is None:
+            raise ArgumentError(f"--data is required in {args.mode} mode")
+        return
+    for flag in ("data", *flags):
+        if getattr(args, flag) is not None:
+            raise ArgumentError(f"--{flag.replace('_', '-')} is not used in exact mode")
+
+
 def cmd_scenario_show(args) -> int:
     scenario = load_scenario(args.config)
     print(f"scenario: {scenario.name}")
@@ -145,6 +157,7 @@ def cmd_train(args) -> int:
     from .predictor import save_model
     from .rct import read_jsonl
 
+    _check_data_flags(args, "poi_n", "doi_n")
     trace_path = args.trace if args.trace is not None else args.out + ".trace.jsonl"
     if os.path.realpath(trace_path) == os.path.realpath(args.out):
         raise ArgumentError(f"--trace {args.trace} and --out {args.out} are the same file")
@@ -155,13 +168,11 @@ def cmd_train(args) -> int:
         from .adapt import augment_scenario
 
         train_scenario = augment_scenario(train_scenario)
-    if args.mode in (EMPIRICAL, CSC) and args.data is None:
-        raise ArgumentError(f"--data is required in {args.mode} mode")
     data = None
     poi_n = doi_n = None
     if args.data is not None:
         data = read_jsonl(args.data, train_scenario)
-        if args.mode != EXACT and args.poi_n is None and data.n < 2:
+        if args.poi_n is None and data.n < 2:
             raise ConfigurationError(
                 f"training data {args.data} has {data.n} sample"
                 f"{'' if data.n == 1 else 's'}; {args.mode} training needs "
@@ -226,11 +237,10 @@ def cmd_audit(args) -> int:
     from .predictor import prediction_matrix
     from .rct import read_jsonl
 
+    _check_data_flags(args)
     scenario = load_scenario(args.config)
     pred, audit_scenario = load_model_with_scenario(args.model, scenario)
     eps = args.epsilon if args.epsilon is not None else scenario.epsilon
-    if args.mode in (EMPIRICAL, CSC) and args.data is None:
-        raise ArgumentError(f"--data is required in {args.mode} mode")
 
     matrix = prediction_matrix(pred, audit_scenario)
     if args.mode == EXACT:

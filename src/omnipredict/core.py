@@ -23,7 +23,6 @@ import gc
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain, product
 from operator import itemgetter
 from typing import Optional
@@ -46,7 +45,6 @@ CSC = "csc"
 MODES = (EXACT, EMPIRICAL, CSC)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DecisionSpace(Record):
     """Ordered finite set of available decisions."""
 
@@ -63,7 +61,6 @@ class DecisionSpace(Record):
         return len(self.labels)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class FeatureSpace(Record):
     """Ordered finite set of feature identifiers (one per individual type)."""
 
@@ -172,7 +169,6 @@ def _first_outside(values: np.ndarray, lo: float, hi: float):
     return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
 
 
-@dataclass(init=False, repr=False, eq=False)
 class InputDistribution(Record):
     """Probability mass over the feature space.
 
@@ -212,7 +208,6 @@ class InputDistribution(Record):
         return masses
 
 
-@dataclass(init=False, repr=False, eq=False)
 class NatureModel(Record):
     """True probability of outcome 1 for every (feature, decision) pair."""
 
@@ -244,7 +239,6 @@ class NatureModel(Record):
         return probs
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Loss(Record):
     """Bounded loss over (feature, decision, outcome).
 
@@ -310,7 +304,6 @@ class Loss(Record):
         return values
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Hypothesis(Record):
     """Deterministic decision rule: a total map from features to decisions.
 
@@ -361,7 +354,6 @@ class Hypothesis(Record):
         return indices
 
 
-@dataclass(init=False, repr=False, eq=False)
 class WeightFunction(Record):
     """Importance weight over features with a stated upper bound.
 
@@ -409,7 +401,6 @@ class WeightFunction(Record):
         return weights
 
 
-@dataclass(init=False, repr=False, eq=False)
 class WeightClass(Record):
     """Finite collection of importance weights; wmax is the class maximum."""
 
@@ -509,8 +500,13 @@ class _ScenarioArrays:
             )
         return self.loss_base[loss.name], self.loss_delta[loss.name]
 
+    def optimal_decisions(self, name: str, matrix: np.ndarray) -> np.ndarray:
+        """The decision index per feature minimizing loss name's expected
+        value under the (|X|, k) outcome probabilities matrix, ties going
+        to the lowest index."""
+        return np.argmin(self.loss_base[name] + self.loss_delta[name] * matrix, axis=1)
 
-@dataclass(init=False, repr=False, eq=False)
+
 class Scenario(Record):
     """A complete finite decision problem.
 
@@ -525,9 +521,9 @@ class Scenario(Record):
     `losses`; a loss from anywhere else is refused where one of its own is
     required. A part whose table is a view keyed by the same features
     and decisions in canonical order, as after dataclasses.replace, is
-    checked on the view's array without reading a cell. Two scenarios are equal when their canonical forms,
-    scenario_to_dict, are: the names, epsilon, every lmax and wmax, and
-    the checked arrays.
+    checked on the view's array without reading a cell. Two scenarios are
+    equal when their fields are: the names, epsilon, every lmax and wmax,
+    and the parts' tables, which read the checked arrays.
     """
 
     name: str
@@ -580,11 +576,6 @@ class Scenario(Record):
             object.__setattr__(self, field, part)
         arrays._set_losses(self.losses, losses)
         object.__setattr__(self, "_arrays", arrays)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return scenario_to_dict(self) == scenario_to_dict(other)
 
     @property
     def k(self) -> int:

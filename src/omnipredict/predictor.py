@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ INDUCED = "induced"
 _LMAX_MATCH_TOLERANCE = 1e-12
 
 
-@dataclass(init=False, repr=False, eq=False)
 class UpdateTerm(Record):
     """One additive update: step size, driving loss, and its rule target.
 
@@ -49,7 +47,6 @@ class UpdateTerm(Record):
             raise ArgumentError(f"unknown update-term kind {self.target_kind!r}")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Fingerprint(Record):
     """Identity of the training run a model belongs to."""
 
@@ -59,7 +56,6 @@ class Fingerprint(Record):
     adapt: bool = False
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AdditivePredictor(Record):
     """Base vector of 1/2 entries plus ordered clipped additive updates."""
 
@@ -123,9 +119,7 @@ def apply_term(matrix: np.ndarray, term: UpdateTerm, scenario: Scenario) -> np.n
     if term.target_kind == EXTERNAL:
         target_idx = arrays.hyp_index[term.target_name]
     else:
-        tbase = arrays.loss_base[term.target_name]
-        tdelta = arrays.loss_delta[term.target_name]
-        target_idx = np.argmin(tbase + tdelta * matrix, axis=1)
+        target_idx = arrays.optimal_decisions(term.target_name, matrix)
     cells = arrays.offsets + target_idx
     stepped = np.array(matrix, dtype=np.float64)
     step = stepped.take(cells) - term.eta * arrays.loss_delta[term.loss_name].take(cells)
@@ -168,8 +162,8 @@ def induced_rule(pred, loss: Loss, scenario: Scenario) -> Hypothesis:
     whose mapping is a view of the argmin decision indices."""
     matrix = prediction_matrix(pred, scenario)
     arrays = scenario.arrays
-    base, delta = arrays.loss_arrays(loss)
-    idx = np.argmin(base + delta * matrix, axis=1)
+    arrays.loss_arrays(loss)  # rejects a loss from outside the scenario
+    idx = arrays.optimal_decisions(loss.name, matrix)
     return Hypothesis(name=f"f~({loss.name})", mapping=arrays.view(idx))
 
 

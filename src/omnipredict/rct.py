@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 from itertools import islice
 from typing import Mapping, Optional, Sequence
@@ -64,7 +64,6 @@ GENERATOR_TAG = "pcg64-icdf-1"
 _BLOCK_LINES = 4096
 
 
-@dataclass(init=False, repr=False, eq=False)
 class RctMeta(Record):
     scenario: str
     seed: Optional[int]
@@ -82,7 +81,6 @@ def _encode(labels: Sequence, index: Mapping[str, int], what: str) -> np.ndarray
         raise ArgumentError(f"unknown {what} {bad!r}") from None
 
 
-@dataclass(init=False, repr=False, eq=False)
 class RctDataset(Record, eq=False):
     """Randomized-trial samples encoded for a scenario's spaces, with
     provenance metadata.

@@ -199,13 +199,11 @@ def check(cls, twin, samples, bad=()) -> int:
 
 # Synthetic records: every kind of body the base must serve.
 
-@dataclass(init=False, repr=False, eq=False)
 class Point(Record):
     x: int
     y: int = 0
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Labels(Record):
     """A __post_init__ that refuses, and a property."""
 
@@ -224,7 +222,6 @@ class Labels(Record):
         return len(self.labels)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Named(Record):
     """A custom __eq__ over a normal form, so the field hash comes back."""
 
@@ -237,7 +234,6 @@ class Named(Record):
         return (self.name.lower(), self.table) == (other.name.lower(), other.table)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Handle(Record, eq=False):
     """eq=False: identity equality and hash."""
 
@@ -246,7 +242,6 @@ class Handle(Record, eq=False):
     labels: Labels
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Dataset(Record, eq=False):
     """eq=False with its own __eq__, so unhashable; a cached property."""
 
@@ -263,7 +258,6 @@ class Dataset(Record, eq=False):
         return sum(self.rows)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Mutating(Record):
     """A __post_init__ that writes a field and an attribute through
     object.__setattr__, as the package's Scenario does."""

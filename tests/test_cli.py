@@ -258,6 +258,18 @@ class TestTrain:
                          "--epsilon", "0.05", "--out", str(workdir / "m.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--data", "/nonexistent/train.jsonl"), ("--poi-n", "10"), ("--doi-n", "2"),
+    ])
+    def test_exact_mode_refuses_data_flags(self, tmp_path, flag, value):
+        # exact training reads no trial data: the flag is refused before
+        # any file is read or written
+        code, out, err = run("train", "--config", BETA, "--epsilon", "0.05",
+                             flag, value, "--out", str(tmp_path / "m.json"))
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} is not used in exact mode\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_empirical_training_via_file(self, workdir):
         data = workdir / "train.jsonl"
         assert run("rct-gen", "--config", BETA, "--n", "20000", "--seed", "0",
@@ -506,6 +518,12 @@ class TestAudit:
             assert code == 2
             assert "some-other-scenario" in err
 
+    def test_exact_mode_refuses_data(self, model_path):
+        code, out, err = run("audit", "--config", BETA, "--model", model_path,
+                             "--data", "/nonexistent/audit.jsonl")
+        assert code == 1 and out == ""
+        assert err == "error: --data is not used in exact mode\n"
+
     def test_clean_model_passes(self, model_path):
         code, out, _ = run("audit", "--config", BETA, "--model", model_path)
         assert code == 0
@@ -550,9 +568,11 @@ class TestAudit:
         assert doc["poi"]["targets"] == []
 
     def test_estimated_mode_requires_data(self, model_path):
-        code, _, _ = run("audit", "--config", BETA, "--model", model_path,
-                         "--mode", "empirical")
-        assert code == 1
+        for mode in ("empirical", "csc"):
+            code, out, err = run("audit", "--config", BETA, "--model", model_path,
+                                 "--mode", mode)
+            assert code == 1 and out == ""
+            assert err == f"error: --data is required in {mode} mode\n"
 
     def test_model_config_mismatch(self, model_path):
         code, _, _ = run("audit", "--config", BETA_W, "--model", model_path)

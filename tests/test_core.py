@@ -1022,6 +1022,24 @@ class TestLoaderInput:
         assert om.ips_risk_estimate(data, sc.hypotheses[0], loss, sc) > 0.0
 
 
+def reordered(value):
+    """value with the keys of every JSON object in reverse order."""
+    if isinstance(value, dict):
+        return {k: reordered(v) for k, v in reversed(value.items())}
+    if isinstance(value, list):
+        return [reordered(v) for v in value]
+    return value
+
+
+def integral_as_int(value):
+    """value with every integral float written as a JSON integer."""
+    if isinstance(value, dict):
+        return {k: integral_as_int(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [integral_as_int(v) for v in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 class TestScenarioEquality:
     def test_loaded_scenario_equals_its_round_trip(self):
         sc = om.load_scenario(REPO / "scenarios" / "beta025_weights.json")
@@ -1043,6 +1061,26 @@ class TestScenarioEquality:
         sc = om.scenario_from_dict(doc)
         edit(doc)
         assert om.scenario_from_dict(doc) != sc
+
+    @pytest.mark.parametrize("name", ["beta025.json", "beta025_weights.json"])
+    @pytest.mark.parametrize("edit, equal", [
+        (lambda doc: doc, True),
+        (reordered, True),
+        (integral_as_int, True),
+        (lambda doc: doc["nature"]["+1"].update({"+1": 0.5}), False),
+        (lambda doc: doc["losses"][1]["table"]["-1"]["+1"].__setitem__(0, 0.5), False),
+    ], ids=["copy", "reordered-keys", "int-cells", "nature-cell", "loss-cell"])
+    def test_equal_exactly_when_the_documents_are(self, name, edit, equal):
+        """Field equality agrees with the canonical document form, with
+        and without weights."""
+        doc = json.loads((REPO / "scenarios" / name).read_text())
+        sc = om.scenario_from_dict(doc)
+        changed = copy.deepcopy(doc)
+        other = om.scenario_from_dict(edit(changed) or changed)
+        same_doc = om.scenario_to_dict(sc) == om.scenario_to_dict(other)
+        assert same_doc is equal
+        assert (sc == other) is equal and (other == sc) is equal
+        assert (sc != other) is not equal
 
 
 def eager_augment_losses(losses, weights):

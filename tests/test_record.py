@@ -165,3 +165,30 @@ class TestRecords:
         assert calls == [scenario.name]
         dataclasses.replace(scenario, epsilon=0.1)
         assert calls == [scenario.name] * 2
+
+
+class TestDeclaration:
+    def test_the_base_alone_declares_a_record(self):
+        class Pair(Record):
+            a: int
+            b: str = "x"
+
+        pair = Pair(1)
+        assert dataclasses.is_dataclass(Pair) and dataclasses.is_dataclass(pair)
+        assert [f.name for f in dataclasses.fields(Pair)] == ["a", "b"]
+        assert Pair.__match_args__ == ("a", "b")
+        assert dataclasses.replace(pair, b="y") == Pair(1, "y")
+        match pair:
+            case Pair(a, b):
+                assert (a, b) == (1, "x")
+            case _:
+                pytest.fail("a record matches its own class pattern")
+
+    @pytest.mark.parametrize("option", [
+        {"default_factory": list}, {"init": False}, {"repr": False},
+        {"compare": False}, {"hash": True}, {"kw_only": True},
+    ], ids=lambda option: next(iter(option)))
+    def test_a_field_option_is_refused_where_the_class_is_defined(self, option):
+        with pytest.raises(TypeError, match=r"Bad\.a takes no field\(\) options"):
+            class Bad(Record):
+                a: list = dataclasses.field(**option)
