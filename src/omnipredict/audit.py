@@ -37,9 +37,11 @@ exact table is (dist * delta) * (modeled - true). The weighted gap
 dist * delta is formed once per scenario (its loss_gap), so each audit
 does one multiply per loss. poi_err_matrix and the lazy rows training
 reads (poi_entries_exact) share its row function, so their errs agree
-bit for bit, and doi_errs gathers it at the predictor's own rules. The empirical model side weighs expected losses by feature
-counts, and a cost-sensitive instance is the table of summed sample
-costs per (feature, logged decision) cell, so no estimate reads a sample.
+bit for bit, and doi_errs gathers it at the predictor's own rules.
+Multiaccuracy gathers a per-decision table at the same rule_cells. The
+empirical model side weighs expected losses by feature counts, and a
+cost-sensitive instance is the table of summed sample costs per
+(feature, logged decision) cell, so no estimate reads a sample.
 Decision calibration's grid scan is described at
 audit_decision_calibration.
 """
@@ -440,11 +442,11 @@ def multiaccuracy_errs(matrix_or_pred, scenario: Scenario) -> np.ndarray:
     arrays = scenario.arrays
     gap = arrays.nature - matrix
     values = np.empty((len(scenario.hypotheses), scenario.k))
-    for hi, h in enumerate(scenario.hypotheses):
-        sel = arrays.hyp_index[h.name]
-        for j in range(scenario.k):
-            mask = (sel == j).astype(np.float64)
-            values[hi, j] = np.add.reduce(arrays.dist * mask * gap[:, j])
+    for j in range(scenario.k):
+        # a rule's cell at another decision adds the masked product's signed zero
+        table = np.outer(arrays.dist * 0.0 * gap[:, j], np.ones(scenario.k))
+        table[:, j] = arrays.dist * gap[:, j]
+        values[:, j] = rule_sums(table.ravel(), arrays.rule_cells)
     return values
 
 

@@ -13,17 +13,19 @@ epsilon^2 / lmax^2 per update, which is what proves termination: the
 distance starts at most k/4, so at most ceil(k * lmax^2 / epsilon^2)
 updates can ever be applied.
 
-Audits run in one of three modes. Exact mode enumerates the scenario;
-there an update that lowers the potential by less than epsilon^2 /
-lmax^2, or one past the proven bound, is an internal inconsistency and
-raises. Its rule audit computes errs one hypothesis at a time and stops
-at the first violation. Empirical mode estimates Nature's side from
-randomized-trial data: one fixed prefix of the dataset serves every rule audit (those
-estimates do not depend on the predictor), while each decision audit
-consumes a fresh slice, because its rules are chosen by the trained
-predictor itself; running out of slices is a configuration error. The
-cost-sensitive mode replaces the rule audit with two learner calls per
-loss on instances built from the same fixed prefix.
+The mode picks the run's two audit functions once, before the first
+step, so the loop calls them without asking which mode it is in. Exact
+mode enumerates the scenario; there an update that lowers the potential
+by less than epsilon^2 / lmax^2, or one past the proven bound, is an
+internal inconsistency and raises. Its rule audit computes errs one
+hypothesis at a time and stops at the first violation. Empirical mode
+estimates Nature's side from randomized-trial data: one fixed prefix of
+the dataset serves every rule audit (those estimates do not depend on
+the predictor), while each decision audit consumes a fresh slice,
+because its rules are chosen by the trained predictor itself; running
+out of slices is a configuration error. The cost-sensitive mode
+replaces the rule audit with two learner calls per loss on instances
+built from the same fixed prefix.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import numpy as np
 from ._record import Record
 from .audit import (
     CSC,
-    EMPIRICAL,
     EXACT,
     MODES,
     AuditTarget,
@@ -136,40 +137,51 @@ def potential(pred, scenario: Scenario) -> float:
     return float(np.add.reduce(arrays.dist * sq))
 
 
-class _EmpiricalData:
-    """Slice bookkeeping for empirical and cost-sensitive training."""
+def _audits(config: BoostConfig, scenario: Scenario, eps: float):
+    """The run's rule audit f(matrix) and decision audit f(matrix, t),
+    each returning the first Violation or None; estimated modes check
+    their slice sizes here."""
+    if config.mode == EXACT:
+        return (
+            lambda matrix: first_violation(poi_entries_exact(matrix, scenario), eps),
+            lambda matrix, t: first_violation(doi_entries_exact(matrix, scenario), eps),
+        )
+    data, poi_n, doi_n = config.data, config.poi_n, config.doi_n
+    if data is None:
+        raise ConfigurationError(f"{config.mode} mode needs a labeled dataset")
+    if poi_n is None or doi_n is None:
+        raise ConfigurationError(f"{config.mode} mode needs poi_n and doi_n slice sizes")
+    if poi_n < 1 or doi_n < 1:
+        raise ConfigurationError("poi_n and doi_n must be at least 1")
+    if poi_n + doi_n > data.n:
+        raise ConfigurationError(
+            f"poi_n={poi_n} plus doi_n={doi_n} exceeds the "
+            f"dataset size {data.n}, so training could never converge"
+        )
+    fixed = data.slice(0, poi_n)
+    if config.mode == CSC:
+        rule_audit = lambda matrix: audit_poi_csc(matrix, fixed, scenario, eps)[0]
+    else:
+        # Nature's side of a rule audit never depends on the predictor,
+        # so the fixed prefix's estimates are computed once.
+        nature = tuple(ips_rule_risks(fixed, scenario))
+        rule_audit = lambda matrix: first_violation(
+            poi_entries_empirical(matrix, data, scenario, nature), eps
+        )
+    starts = itertools.count(poi_n, doi_n)
 
-    def __init__(self, config: BoostConfig, scenario: Scenario):
-        if config.data is None:
-            raise ConfigurationError(f"{config.mode} mode needs a labeled dataset")
-        if config.poi_n is None or config.doi_n is None:
-            raise ConfigurationError(
-                f"{config.mode} mode needs poi_n and doi_n slice sizes"
-            )
-        if config.poi_n < 1 or config.doi_n < 1:
-            raise ConfigurationError("poi_n and doi_n must be at least 1")
-        if config.poi_n + config.doi_n > config.data.n:
-            raise ConfigurationError(
-                f"poi_n={config.poi_n} plus doi_n={config.doi_n} exceeds the "
-                f"dataset size {config.data.n}, so training could never converge"
-            )
-        self.data = config.data
-        self.doi_n = config.doi_n
-        self.fixed = self.data.slice(0, config.poi_n)
-        self.cursor = config.poi_n
-        # Rule-audit Nature-side estimates never depend on the predictor,
-        # so they are computed once from the fixed prefix.
-        self.nature_side = tuple(ips_rule_risks(self.fixed, scenario))
-
-    def fresh_slice(self, t: int) -> RctDataset:
-        start, stop = self.cursor, self.cursor + self.doi_n
-        if stop > self.data.n:
+    def decision_audit(matrix, t: int):
+        start = next(starts)
+        stop = start + doi_n
+        if stop > data.n:
             raise ConfigurationError(
                 f"training data exhausted at iteration {t}: needed samples "
-                f"[{start}, {stop}) of {self.data.n}"
+                f"[{start}, {stop}) of {data.n}"
             )
-        self.cursor = stop
-        return self.data.slice(start, stop)
+        fresh = data.slice(start, stop)
+        return first_violation(doi_entries_empirical(matrix, fresh, data, scenario), eps)
+
+    return rule_audit, decision_audit
 
 
 def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
@@ -179,9 +191,9 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
     Exact mode raises BoundExceededError (with the partial trace
     attached) if the proven update bound is ever exceeded, or if an
     update lowers the potential by less than epsilon^2 / lmax^2 (less
-    POTENTIAL_GRACE for rounding); estimated
-    modes report termination="bound_exceeded" instead, since noisy
-    audits can legitimately fail to settle.
+    POTENTIAL_GRACE for rounding); estimated modes report
+    termination="bound_exceeded" instead, since noisy audits can
+    legitimately fail to settle.
     """
     if not (math.isfinite(config.epsilon) and config.epsilon > 0):
         raise ArgumentError(
@@ -192,87 +204,50 @@ def poi_boost(scenario: Scenario, config: BoostConfig) -> BoostResult:
     eps = float(config.epsilon)
     lmax = scenario.lmax
     bound = iteration_bound(scenario.k, lmax, eps)
-    emp = None
-    if config.mode in (EMPIRICAL, CSC):
-        emp = _EmpiricalData(config, scenario)
+    rule_audit, decision_audit = _audits(config, scenario, eps)
+    exact = config.mode == EXACT
 
     step = eps / (lmax * lmax)
-    n_x = len(scenario.features.points)
-    matrix = np.full((n_x, scenario.k), 0.5, dtype=np.float64)
+    matrix = np.full((len(scenario.features.points), scenario.k), 0.5)
     # the termination proof needs each exact update to lower the
     # potential by at least eps^2 / lmax^2
-    pot = potential(matrix, scenario) if config.mode == EXACT else None
+    pot = potential(matrix, scenario) if exact else None
     min_drop = eps * eps / (lmax * lmax) - POTENTIAL_GRACE
     terms: list[UpdateTerm] = []
     records: list[TraceRecord] = []
     termination = "converged"
 
     for t in itertools.count(1):
-        stage = "poi"
-        if config.mode == EXACT:
-            entries = poi_entries_exact(matrix, scenario)
-            violation = first_violation(entries, eps)
-        elif config.mode == EMPIRICAL:
-            entries = poi_entries_empirical(
-                matrix, emp.data, scenario, emp.nature_side
-            )
-            violation = first_violation(entries, eps)
-        else:
-            violation, _ = audit_poi_csc(matrix, emp.fixed, scenario, eps)
+        violation = rule_audit(matrix) or decision_audit(matrix, t)
         if violation is None:
-            stage = "doi"
-            if config.mode == EXACT:
-                entries = doi_entries_exact(matrix, scenario)
-            else:
-                fresh = emp.fresh_slice(t)
-                entries = doi_entries_empirical(matrix, fresh, emp.data, scenario)
-            violation = first_violation(entries, eps)
-
-        if violation is None:
-            termination = "converged"
             break
         if t > bound:
-            trace = BoostTrace(records=tuple(records))
-            if config.mode == EXACT:
+            if exact:
                 raise BoundExceededError(
                     f"exact-mode training exceeded its proven bound of {bound} "
                     f"updates; this should be impossible",
-                    trace=trace,
+                    trace=BoostTrace(records=tuple(records)),
                 )
             termination = "bound_exceeded"
             break
 
+        target = violation.target
         eta = math.copysign(step, violation.err)
-        if violation.target.kind == "poi":
-            term = UpdateTerm(
-                eta=eta,
-                loss_name=violation.target.loss,
-                target_kind=EXTERNAL,
-                target_name=violation.target.hypothesis,
-            )
-        else:
-            term = UpdateTerm(
-                eta=eta,
-                loss_name=violation.target.loss,
-                target_kind=INDUCED,
-                target_name=violation.target.loss,
-            )
+        # a rule target steps along its hypothesis, a decision target
+        # along its loss's own optimal rule
+        rule = target.kind == "poi"
+        term = UpdateTerm(
+            eta=eta,
+            loss_name=target.loss,
+            target_kind=EXTERNAL if rule else INDUCED,
+            target_name=target.hypothesis if rule else target.loss,
+        )
         matrix = apply_term(matrix, term, scenario)
         terms.append(term)
-        prev = pot
-        if config.mode == EXACT:
-            pot = potential(matrix, scenario)
-        records.append(
-            TraceRecord(
-                t=t,
-                stage=stage,
-                target=violation.target,
-                err=violation.err,
-                eta=eta,
-                potential=pot,
-            )
-        )
-        if pot is not None and prev - pot < min_drop:
+        prev, pot = pot, potential(matrix, scenario) if exact else None
+        records.append(TraceRecord(t=t, stage=target.kind, target=target,
+                                   err=violation.err, eta=eta, potential=pot))
+        if exact and prev - pot < min_drop:
             raise BoundExceededError(
                 f"exact-mode update {t} lowered the potential by {prev - pot!r}, "
                 f"less than the proven {min_drop!r}; this should be impossible",
@@ -290,17 +265,6 @@ def write_trace(trace: BoostTrace, path) -> None:
     """One JSON object per applied update, in order."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in trace.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "t": r.t,
-                        "stage": r.stage,
-                        "target": r.target.to_json(),
-                        "err": r.err,
-                        "eta": r.eta,
-                        "potential": r.potential,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            doc = {"t": r.t, "stage": r.stage, "target": r.target.to_json(),
+                   "err": r.err, "eta": r.eta, "potential": r.potential}
+            fh.write(json.dumps(doc, separators=(",", ":")) + "\n")

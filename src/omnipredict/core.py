@@ -22,6 +22,8 @@ import copy
 import gc
 import json
 import math
+import numbers
+import reprlib
 from collections.abc import Mapping
 from itertools import chain, product
 from operator import itemgetter
@@ -761,55 +763,68 @@ def builtin_loss(
     return io_loss(name or kind, 1.0, per_decision, features)
 
 
-def _require(doc: Mapping, key: str, where: str):
+_JSON_TYPES = {"string": str, "number": numbers.Real, "array": (list, tuple)}
+
+
+def json_value(value, kind: str, what: str, error=ConfigurationError):
+    """value, if it has the JSON type kind: a "string", a "number" (real,
+    not bool) or an "array" (a list or tuple); else error names what.
+    Nothing is coerced."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise error(f"{what} must be a JSON {kind}, got {reprlib.repr(value)}")
+    return value
+
+
+def _require(doc: Mapping, key: str, where: str, kind: Optional[str] = None):
     if key not in doc:
         raise ConfigurationError(f"{where} is missing required key {key!r}")
-    return doc[key]
+    return doc[key] if kind is None else json_value(doc[key], kind, f"{where} key {key!r}")
+
+
+def _labels(doc: Mapping, key: str) -> tuple[str, ...]:
+    labels, what = _require(doc, key, "scenario", "array"), f"scenario key {key!r} item"
+    return tuple(json_value(label, "string", what) for label in labels)
 
 
 def scenario_from_dict(doc: Mapping) -> Scenario:
     """Build and validate a Scenario from its JSON document form.
 
+    Names, labels and numbers must have their JSON types (json_value).
     The tables are passed to the parts as the document holds them; each
     part's validate reads its table into a checked array once, and the
     scenario keeps only those arrays.
     """
     if not isinstance(doc, Mapping):
         raise ConfigurationError("scenario document must be a JSON object")
-    name = str(_require(doc, "name", "scenario"))
-    features = FeatureSpace(
-        points=tuple(str(x) for x in _require(doc, "features", "scenario"))
-    )
-    decisions = DecisionSpace(
-        labels=tuple(str(y) for y in _require(doc, "decisions", "scenario"))
-    )
+    name = _require(doc, "name", "scenario", "string")
+    features = FeatureSpace(points=_labels(doc, "features"))
+    decisions = DecisionSpace(labels=_labels(doc, "decisions"))
     losses = []
-    for entry in _require(doc, "losses", "scenario"):
+    for entry in _require(doc, "losses", "scenario", "array"):
         if "builtin" in entry:
-            losses.append(
-                builtin_loss(
-                    str(entry["builtin"]), features, decisions, entry.get("name")
-                )
-            )
+            kind = _require(entry, "builtin", "loss entry", "string")
+            if "name" in entry:
+                _require(entry, "name", f"builtin loss {kind!r}", "string")
+            losses.append(builtin_loss(kind, features, decisions, entry.get("name")))
         else:
-            loss_name = str(_require(entry, "name", "loss entry"))
+            loss_name = _require(entry, "name", "loss entry", "string")
             where = f"loss {loss_name!r}"
-            lmax = float(_require(entry, "lmax", where))
+            lmax = float(_require(entry, "lmax", where, "number"))
             table = _require(entry, "table", where)
             losses.append(Loss(name=loss_name, lmax=lmax, table=table))
     hypotheses = []
-    for entry in _require(doc, "hypotheses", "scenario"):
-        hyp_name = str(_require(entry, "name", "hypothesis entry"))
+    for entry in _require(doc, "hypotheses", "scenario", "array"):
+        hyp_name = _require(entry, "name", "hypothesis entry", "string")
         mapping = _require(entry, "map", f"hypothesis {hyp_name!r}")
         hypotheses.append(Hypothesis(name=hyp_name, mapping=mapping))
     weights = None
     if doc.get("weights") is not None:
         funcs = []
-        for entry in doc["weights"]:
-            w_name = str(_require(entry, "name", "weight entry"))
+        for entry in _require(doc, "weights", "scenario", "array"):
+            w_name = _require(entry, "name", "weight entry", "string")
             where = f"weight {w_name!r}"
             mapping = _require(entry, "map", where)
-            wmax = float(_require(entry, "wmax", where))
+            wmax = float(_require(entry, "wmax", where, "number"))
             funcs.append(WeightFunction(name=w_name, mapping=mapping, wmax=wmax))
         weights = WeightClass(weights=tuple(funcs))
     return Scenario(
@@ -822,7 +837,7 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
         nature=NatureModel(table=_require(doc, "nature", "scenario")),
         losses=tuple(losses),
         hypotheses=tuple(hypotheses),
-        epsilon=float(_require(doc, "epsilon", "scenario")),
+        epsilon=float(_require(doc, "epsilon", "scenario", "number")),
         weights=weights,
     )
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 
 from ._record import Record
-from .core import Hypothesis, Loss, Scenario
+from .core import Hypothesis, Loss, Scenario, json_value
 from .errors import ArgumentError, ModelMismatchError
 
 EXTERNAL = "external"
@@ -187,14 +188,20 @@ def serialize(pred: AdditivePredictor) -> dict:
     }
 
 
+# json_value for model documents: a value of the wrong type is a mismatch
+_typed = partial(json_value, error=ModelMismatchError)
+
+
 def read_fingerprint(doc, scenario: Scenario) -> Fingerprint:
     """The fingerprint of a model document, checked: epsilon positive
     and finite, lmax finite, adapt a JSON boolean when present, and the
     scenario's name."""
     try:
         fp = doc["fingerprint"]
-        name, adapt = str(fp["scenario"]), fp.get("adapt", False)
-        eps, lmax = float(fp["epsilon"]), float(fp["lmax"])
+        name = _typed(fp["scenario"], "string", "fingerprint key 'scenario'")
+        eps, lmax = (float(_typed(fp[k], "number", f"fingerprint key {k!r}"))
+                     for k in ("epsilon", "lmax"))
+        adapt = fp.get("adapt", False)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ModelMismatchError(f"model document is malformed: {exc}") from exc
     if not isinstance(adapt, bool):
@@ -221,15 +228,16 @@ def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
     """
     fingerprint = read_fingerprint(doc, scenario)
     try:
-        base = [float(v) for v in doc["base"]]
+        base = _typed(doc["base"], "array", "key 'base'")
+        base = [float(_typed(v, "number", "key 'base' item")) for v in base]
         terms = tuple(
             UpdateTerm(
-                eta=float(t["eta"]),
-                loss_name=str(t["loss"]),
-                target_kind=str(t["target"]["kind"]),
-                target_name=str(t["target"]["name"]),
+                eta=float(_typed(t["eta"], "number", "term key 'eta'")),
+                loss_name=_typed(t["loss"], "string", "term key 'loss'"),
+                target_kind=_typed(t["target"]["kind"], "string", "term target key 'kind'"),
+                target_name=_typed(t["target"]["name"], "string", "term target key 'name'"),
             )
-            for t in doc["terms"]
+            for t in _typed(doc["terms"], "array", "key 'terms'")
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelMismatchError(f"model document is malformed: {exc}") from exc

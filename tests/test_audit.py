@@ -160,6 +160,21 @@ def doi_errs_reference(matrix_or_pred, scenario):
     return errs
 
 
+def multiaccuracy_errs_reference(matrix_or_pred, scenario):
+    """Multiaccuracy before the shared gather: one masked reduction per
+    (hypothesis, decision) pair."""
+    matrix = prediction_matrix(matrix_or_pred, scenario)
+    arrays = scenario.arrays
+    gap = arrays.nature - matrix
+    values = np.empty((len(scenario.hypotheses), scenario.k))
+    for hi, h in enumerate(scenario.hypotheses):
+        sel = arrays.hyp_index[h.name]
+        for j in range(scenario.k):
+            mask = (sel == j).astype(np.float64)
+            values[hi, j] = np.add.reduce(arrays.dist * mask * gap[:, j])
+    return values
+
+
 @st.composite
 def kernel_cases(draw):
     """A scenario and a prediction matrix, often degenerate: one feature,
@@ -236,6 +251,27 @@ class TestFusedRuleKernel:
         want = doi_errs_reference(q, sc)
         assert np.array_equal(om.doi_errs(q, sc), want)
 
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_cases())
+    def test_multiaccuracy_matches_reference_bit_for_bit(self, case):
+        sc, q = case
+        want = multiaccuracy_errs_reference(q, sc)
+        assert om.multiaccuracy_errs(q, sc).tobytes() == want.tobytes()
+
+    def test_multiaccuracy_keeps_the_signed_zero(self, beta_scenario):
+        # no hypothesis selects "+1" and the model is above Nature
+        # everywhere, so each term of that decision's sum is -0.0; the
+        # sum's sign is the reduction's, and both routes must agree
+        sc = dataclasses.replace(
+            beta_scenario,
+            hypotheses=(om.Hypothesis(name="always_minus",
+                                      mapping={"-1": "-1", "+1": "-1"}),))
+        q = np.ones((2, 2))
+        want = multiaccuracy_errs_reference(q, sc)
+        got = om.multiaccuracy_errs(q, sc)
+        assert want[0, sc.decisions.labels.index("+1")] == 0.0
+        assert got.tobytes() == want.tobytes()
+
     def test_long_rows_match_reference(self):
         # rows longer than numpy's 8192-element buffer and its pairwise
         # summation blocks
@@ -268,6 +304,8 @@ class TestFusedRuleKernel:
         assert np.array_equal(om.poi_err_matrix(q, big), want)
         lazy = [e for _, e in audit.poi_entries_exact(q, big)]
         assert np.array_equal(np.array(lazy), want.ravel())
+        ma = multiaccuracy_errs_reference(q, big)
+        assert om.multiaccuracy_errs(q, big).tobytes() == ma.tobytes()
 
 
 class TestExactDoi:

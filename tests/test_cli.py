@@ -486,6 +486,60 @@ class TestTrain:
         assert not out.exists()
 
 
+# Training runs on the shipped scenarios: scenario, trial data drawn as
+# (n, seed) or None, extra flags, and the sha256 of the model (None: the
+# run exits 3 and writes only its trace) and of the trace.
+TRAINING_PINS = {
+    "exact": (BETA, None, (),
+              "fa0261835e03efeb3c511c3a5918b225a9bcca82f2ea6adeb54330ab5dfbf35c",
+              "a87e37eaf7cb62b4bd1c33b625b5d996e48513d1a4a12dcd9eb7060f948c54b8"),
+    "empirical": (BETA, (20000, 0), ("--mode", "empirical"),
+                  "da1b0bbfdd3a416b20558d3a09a5364d2caa13261a00f2621072c23514b170de",
+                  "c1c15da39685a4d7c813da13e42425a40d02bdc0d54ed622dd0a501866f7246a"),
+    "csc": (BETA, (20000, 1), ("--mode", "csc"),
+            "fa0261835e03efeb3c511c3a5918b225a9bcca82f2ea6adeb54330ab5dfbf35c",
+            "2374aad879dbcc8d586b41a2f7e674a74ed8742016f91de224eda0d41fb3ceaf"),
+    "adapt": (BETA_W, None, ("--adapt",),
+              "c9fc73ae70bd3ffd34001dd93560745812e0fb68cb375c27e565e6e0641723c1",
+              "df5b4bc0fd4dc0818dddee415dfeb6e08d9ac40789610a5e2225ff7e8895a65c"),
+    "bound_exceeded": (BETA, (60, 2),
+                       ("--mode", "empirical", "--poi-n", "50", "--doi-n", "10"),
+                       None,
+                       "e362cf6ef06ea267670028bd0831fe8e0ca08b7e661ac08902fcefa029eeff2c"),
+}
+
+
+class TestTrainingBytes:
+    """Each mode's model and trace, pinned by digest across code changes;
+    reruns of the same code are compared by ACCEPTANCE 9. A supported
+    numpy that changes a digest is a finding to report, not a pin to
+    update."""
+
+    @pytest.mark.parametrize("name", list(TRAINING_PINS))
+    def test_model_and_trace_are_pinned(self, tmp_path, name):
+        config, draw, extra, model_sha, trace_sha = TRAINING_PINS[name]
+        out = tmp_path / "model.json"
+        argv = ["train", "--config", config, "--epsilon", "0.05", *extra,
+                "--out", str(out)]
+        if draw is not None:
+            data = str(tmp_path / "data.jsonl")
+            assert run("rct-gen", "--config", config, "--n", str(draw[0]),
+                       "--seed", str(draw[1]), "--out", data)[0] == 0
+            argv += ["--data", data]
+        code, _, err = run(*argv)
+        digest = lambda path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        if model_sha is None:
+            assert code == 3 and not out.exists(), err
+        else:
+            assert code == 0, err
+            assert digest(out) == model_sha
+        trace = Path(f"{out}.trace.jsonl")
+        assert digest(trace) == trace_sha
+        # a record's stage is the kind of the target it stepped against
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert records and all(r["stage"] == r["target"]["kind"] for r in records)
+
+
 class TestAudit:
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     def test_unusable_epsilon_is_usage_error(self, model_path, eps):
@@ -678,6 +732,51 @@ class TestNonFiniteModelNumbers:
         doc = json.loads(Path(model).read_text())
         with pytest.raises(om.ModelMismatchError, match="too large"):
             predictor.deserialize(doc, om.load_scenario(BETA))
+
+
+# Scenario values of the wrong JSON type: the edit, and the key the
+# refusal names. Each used to be coerced by str() or float().
+WRONG_SCENARIO_TYPES = {
+    "features_text": (lambda doc: doc.update(features="ab"), "'features'"),
+    "decisions_text": (lambda doc: doc.update(decisions="01"), "'decisions'"),
+    "epsilon_bool": (lambda doc: doc.update(epsilon=True), "'epsilon'"),
+    "epsilon_text": (lambda doc: doc.update(epsilon="0.05"), "'epsilon'"),
+    "lmax_text": (lambda doc: doc["losses"][0].update(lmax="1.0"), "'lmax'"),
+    "name_number": (lambda doc: doc.update(name=7), "'name'"),
+}
+
+# Model values of the wrong JSON type, and the key the refusal names.
+WRONG_MODEL_TYPES = {
+    "eta_text": (lambda doc: doc["terms"][0].update(eta="-0.05"), "'eta'"),
+    "epsilon_text": (lambda doc: doc["fingerprint"].update(epsilon="0.05"),
+                     "'epsilon'"),
+}
+
+
+class TestStrictTypes:
+    """A name or label must be a JSON string, a number a JSON number that
+    is not a boolean, and a list a JSON array; nothing is coerced."""
+
+    @pytest.mark.parametrize("case", list(WRONG_SCENARIO_TYPES))
+    def test_scenario_value_of_the_wrong_type(self, tmp_path, case):
+        edit, key = WRONG_SCENARIO_TYPES[case]
+        doc = json.loads(Path(BETA).read_text())
+        edit(doc)
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run("scenario-show", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: scenario file {path}: ")
+        assert f"key {key} must be a JSON" in err
+
+    @pytest.mark.parametrize("case", list(WRONG_MODEL_TYPES))
+    def test_model_value_of_the_wrong_type(self, workdir, model_path, case):
+        edit, key = WRONG_MODEL_TYPES[case]
+        model = tampered_model(workdir, model_path, f"typed_{case}.json", edit)
+        code, out, err = run("audit", "--config", BETA, "--model", model)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: model file {model}: ")
+        assert f"key {key} must be a JSON number" in err
 
 
 class TestFingerprint:
