@@ -48,7 +48,10 @@ class MixtureSpec(Record):
             ) from None
         if not all(math.isfinite(lam) and lam >= 0 for _, lam in pairs):
             raise ArgumentError("mixture coefficients must be finite and nonnegative")
-        total = math.fsum(lam for _, lam in pairs)
+        try:
+            total = math.fsum(lam for _, lam in pairs)
+        except OverflowError:  # finite coefficients whose sum is past float range
+            total = math.inf
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ArgumentError(
                 f"mixture coefficients sum to {total!r}, expected 1"

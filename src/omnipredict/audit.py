@@ -30,18 +30,23 @@ results. Every audit yields (target, err) entries in that order, and
 first_violation and audit_report turn them into its verdict; training
 reads the same entries, lazily, only up to the first violation.
 
-Every rule audit is one bilinear kernel: a per-loss (|X|, k) table,
-gathered at each hypothesis's cells x*k + h(x) (the scenario's
-rule_cells) and summed per row with np.add.reduce (rct.rule_sums). The
-exact table is (dist * delta) * (modeled - true). The weighted gap
-dist * delta is formed once per scenario (its loss_gap), so each audit
-does one multiply per loss. poi_err_matrix and the lazy rows training
-reads (poi_entries_exact) share its row function, so their errs agree
-bit for bit, and doi_errs gathers it at the predictor's own rules.
-Multiaccuracy gathers a per-decision table at the same rule_cells. The
-empirical model side weighs expected losses by feature counts, and a
-cost-sensitive instance is the table of summed sample costs per
-(feature, logged decision) cell, so no estimate reads a sample.
+Every rule and decision audit is one bilinear kernel: per loss, (|X|, k)
+tables gathered at each rule's cells x*k + h(x) (for hypotheses, the
+scenario's rule_cells) and summed per row with np.add.reduce
+(rct.rule_sums). Exact mode and the estimated modes differ only in the
+tables. The exact table is (dist * delta) * (modeled - true), with the
+weighted gap dist * delta formed once per scenario (its loss_gap). An
+estimated err is the model side's gather of feature counts times
+expected losses, over the unlabeled count, minus k over the labeled
+count times Nature's gather of count times loss value: each pair has
+the bits of model_risk_estimate minus ips_risk_estimate, which are
+deterministic but not the correctly rounded per-sample sums.
+poi_err_matrix and the lazy rows training reads (poi_entries) share one
+row function, so their errs agree bit for bit, and doi_errs gathers the
+same tables at the predictor's own rules. Multiaccuracy gathers a
+per-decision table at the same rule_cells, and a cost-sensitive
+instance is the table of summed sample costs per (feature, logged
+decision) cell, so no estimate reads a sample.
 Decision calibration's grid scan is described at
 audit_decision_calibration.
 """
@@ -58,9 +63,8 @@ from ._record import Record
 from .core import CSC, EMPIRICAL, EXACT, MODES  # noqa: F401  (re-exported)
 from .core import Hypothesis, Loss, Scenario
 from .errors import ArgumentError, LearnerContractError
-from .predictor import induced_rule, prediction_matrix
-from .rct import RctDataset, ips_risk_estimate, ips_rule_risks, model_risk_estimate
-from .rct import model_rule_risks, rule_cells, rule_sums
+from .predictor import prediction_matrix
+from .rct import RctDataset, ips_tables, model_tables, rule_cells, rule_sums
 
 
 class AuditTarget(Record):
@@ -122,56 +126,66 @@ class AuditReport(Record):
         return doc
 
 
-def _loss_products(matrix: np.ndarray, scenario: Scenario) -> list[np.ndarray]:
-    """Per loss, the product (dist * delta) * (modeled - true) over the
-    (|X|, k) table, flat, so cell (x, j) is at x * k + j. The weighted
-    gap dist * delta is the scenario's loss_gap, formed once."""
-    arrays = scenario.arrays
-    mismatch = matrix - arrays.nature
-    return [(arrays.loss_gap[loss.name] * mismatch).ravel() for loss in scenario.losses]
+def _err_kernel(matrix: np.ndarray, scenario: Scenario, labeled=None, unlabeled=None):
+    """err as a function of a gather, which sums each loss's flat
+    (|X|, k) table at the cells it chooses.
+
+    Exact err gathers (dist * delta) * (modeled - true), whose weighted gap
+    dist * delta is the scenario's loss_gap, formed once. Given trial data,
+    err is the model side over the unlabeled count minus k over the
+    labeled count times Nature's side, each gathered from one table per
+    loss (rct.model_tables, rct.ips_tables).
+    """
+    if labeled is None:
+        arrays = scenario.arrays
+        mismatch = matrix - arrays.nature
+        products = [(arrays.loss_gap[l.name] * mismatch).ravel() for l in scenario.losses]
+        return lambda gather: gather(products)
+    nature = ips_tables(labeled, scenario, scenario.losses)
+    model = model_tables(unlabeled, matrix, scenario, scenario.losses)
+    n, scale = unlabeled.n, scenario.k / labeled.n
+    return lambda gather: gather(model) / n - scale * gather(nature)
 
 
-def _rule_err_rows(matrix_or_pred, scenario: Scenario) -> Callable[[slice], np.ndarray]:
-    """The exact rule-audit kernel, as a function of a hypothesis slice.
+def _rule_err_rows(matrix_or_pred, scenario: Scenario, labeled=None, unlabeled=None):
+    """The rule-audit kernel, as a function of a hypothesis slice.
 
-    Forms each loss's product once; the returned function gathers it at
+    Forms each loss's tables once; the returned function gathers them at
     the cells the sliced hypotheses choose and reduces each row, giving
     the (rows, |L|) block of poi_err_matrix.
     """
-    arrays = scenario.arrays
-    products = _loss_products(prediction_matrix(matrix_or_pred, scenario), scenario)
+    matrix = prediction_matrix(matrix_or_pred, scenario)
+    err = _err_kernel(matrix, scenario, labeled, unlabeled)
+    rule_cells = scenario.arrays.rule_cells
 
     def rows(sel: slice) -> np.ndarray:
-        cells = arrays.rule_cells[sel]
-        errs = np.empty((len(cells), len(products)))
-        for li, product in enumerate(products):
-            errs[:, li] = rule_sums(product, cells)
-        return errs
+        cells = rule_cells[sel]
+        return err(lambda tables: np.stack([rule_sums(t, cells) for t in tables], axis=-1))
 
     return rows
 
 
-def poi_err_matrix(matrix_or_pred, scenario: Scenario) -> np.ndarray:
-    """Exact err for every (hypothesis, loss) pair, canonical order.
+def poi_err_matrix(matrix_or_pred, scenario: Scenario, labeled=None, unlabeled=None):
+    """Err for every (hypothesis, loss) pair, canonical order.
 
     err[h, l] = sum_x dist(x) * gap_l(x, h(x)) * (modeled - true)
     probability at (x, h(x)), where gap_l is the loss's outcome spread
     loss(x, yhat, 1) - loss(x, yhat, 0). Equal to the model-side risk
-    minus Nature-side risk of h under l.
+    minus Nature-side risk of h under l. Given labeled trial data and
+    unlabeled features, both risks are estimated instead, as
+    model_risk_estimate minus ips_risk_estimate, bit for bit.
     """
-    return _rule_err_rows(matrix_or_pred, scenario)(slice(None))
+    return _rule_err_rows(matrix_or_pred, scenario, labeled, unlabeled)(slice(None))
 
 
-def doi_errs(matrix_or_pred, scenario: Scenario) -> np.ndarray:
-    """Exact err for each loss under the predictor's own optimal rule."""
+def doi_errs(matrix_or_pred, scenario: Scenario, labeled=None, unlabeled=None):
+    """Err for each loss under the predictor's own optimal rule; exact, or
+    estimated from trial data as poi_err_matrix is."""
     matrix = prediction_matrix(matrix_or_pred, scenario)
     arrays = scenario.arrays
-    products = _loss_products(matrix, scenario)
-    errs = np.empty(len(scenario.losses))
-    for li, loss in enumerate(scenario.losses):
-        sel = arrays.optimal_decisions(loss.name, matrix)
-        errs[li] = rule_sums(products[li], arrays.offsets + sel)
-    return errs
+    own = [arrays.offsets + arrays.optimal_decisions(l.name, matrix) for l in scenario.losses]
+    err = _err_kernel(matrix, scenario, labeled, unlabeled)
+    return err(lambda tables: np.array([rule_sums(t, c) for t, c in zip(tables, own)]))
 
 
 def _check_eps(eps: float) -> None:
@@ -226,45 +240,22 @@ def _decision_entries(scenario: Scenario, errs: Iterable[float]):
     return zip(targets, errs)
 
 
-def poi_entries_exact(pred, scenario: Scenario):
-    """Exact rule-audit entries, computed lazily one hypothesis row at a
-    time, so a reader that stops at a violation computes no later row."""
-    rows = _rule_err_rows(pred, scenario)
+def poi_entries(pred, scenario: Scenario, labeled=None, unlabeled=None):
+    """Rule-audit entries, exact or estimated as poi_err_matrix's,
+    computed lazily one hypothesis row at a time, so a reader that stops
+    at a violation computes no later row."""
+    rows = _rule_err_rows(pred, scenario, labeled, unlabeled)
     errs = itertools.chain.from_iterable(
         rows(slice(h, h + 1)).ravel().tolist() for h in range(len(scenario.hypotheses))
     )
     return _rule_entries(scenario, errs)
 
 
-def doi_entries_exact(pred, scenario: Scenario):
-    return _decision_entries(scenario, doi_errs(pred, scenario).tolist())
-
-
-def poi_entries_empirical(
-    pred, unlabeled: RctDataset, scenario: Scenario, nature: Iterable[float]
-):
-    """Estimated rule-audit entries; nature is in ips_rule_risks order and
-    read lazily."""
-    model = model_rule_risks(unlabeled, pred, scenario).ravel().tolist()
-    return _rule_entries(scenario, (m - risk for m, risk in zip(model, nature)))
-
-
-def doi_entries_empirical(
-    pred, labeled: RctDataset, unlabeled: RctDataset, scenario: Scenario
-):
-    """Lazy estimated decision-audit entries.
-
-    The rules themselves are computed analytically from the predictor;
-    only Nature's side of each risk is estimated from the trial data.
-    """
-    matrix = prediction_matrix(pred, scenario)
-
-    def err(loss: Loss) -> float:
-        rule = induced_rule(matrix, loss, scenario)
-        model = model_risk_estimate(unlabeled, matrix, rule, loss, scenario)
-        return model - ips_risk_estimate(labeled, rule, loss, scenario)
-
-    return _decision_entries(scenario, map(err, scenario.losses))
+def doi_entries(pred, scenario: Scenario, labeled=None, unlabeled=None):
+    """Decision-audit entries, exact or estimated as doi_errs's. The rules
+    themselves are computed analytically from the predictor."""
+    errs = doi_errs(pred, scenario, labeled, unlabeled)
+    return _decision_entries(scenario, errs.tolist())
 
 
 def audit_poi_exact(pred, scenario: Scenario, eps: float):
@@ -281,7 +272,7 @@ def audit_poi_exact(pred, scenario: Scenario, eps: float):
 def audit_doi_exact(pred, scenario: Scenario, eps: float):
     """Audit each loss under the predictor's own loss-optimal rule."""
     _check_eps(eps)
-    return _verdict(EXACT, eps, doi_entries_exact(pred, scenario))
+    return _verdict(EXACT, eps, doi_entries(pred, scenario))
 
 
 def audit_poi_empirical(
@@ -290,9 +281,8 @@ def audit_poi_empirical(
     """Estimated rule audit: trial data on Nature's side, only the
     features of the unlabeled dataset on the model side."""
     _check_eps(eps)
-    nature = ips_rule_risks(labeled, scenario)
-    entries = poi_entries_empirical(pred, unlabeled, scenario, nature)
-    return _verdict(EMPIRICAL, eps, entries)
+    errs = poi_err_matrix(pred, scenario, labeled, unlabeled)
+    return _verdict(EMPIRICAL, eps, _rule_entries(scenario, errs.ravel().tolist()))
 
 
 def audit_doi_empirical(
@@ -300,8 +290,7 @@ def audit_doi_empirical(
 ):
     """Estimated decision audit under the predictor's own optimal rules."""
     _check_eps(eps)
-    entries = doi_entries_empirical(pred, labeled, unlabeled, scenario)
-    return _verdict(EMPIRICAL, eps, entries)
+    return _verdict(EMPIRICAL, eps, doi_entries(pred, scenario, labeled, unlabeled))
 
 
 class CscInstance(Record, eq=False):

@@ -14,12 +14,13 @@ distance starts at most k/4, so at most ceil(k * lmax^2 / epsilon^2)
 updates can ever be applied.
 
 The mode picks the run's two audit functions once, before the first
-step, so the loop calls them without asking which mode it is in. Exact
-mode enumerates the scenario; there an update that lowers the potential
-by less than epsilon^2 / lmax^2, or one past the proven bound, is an
-internal inconsistency and raises. Its rule audit computes errs one
-hypothesis at a time and stops at the first violation. Empirical mode
-estimates Nature's side from randomized-trial data: one fixed prefix of
+step, so the loop calls them without asking which mode it is in. The
+exact and empirical rule audits compute errs one hypothesis at a time
+and stop at the first violation. Exact mode enumerates the scenario;
+there an update that lowers the potential by less than epsilon^2 /
+lmax^2, or one past the proven bound, is an internal inconsistency and
+raises. Empirical mode estimates Nature's side from randomized-trial
+data, through the same gathers over other tables: one fixed prefix of
 the dataset serves every rule audit (those estimates do not depend on
 the predictor), while each decision audit consumes a fresh slice,
 because its rules are chosen by the trained predictor itself; running
@@ -45,12 +46,9 @@ from .audit import (
     MODES,
     AuditTarget,
     audit_poi_csc,
-    doi_entries_empirical,
-    doi_entries_exact,
+    doi_entries,
     first_violation,
-    ips_rule_risks,
-    poi_entries_empirical,
-    poi_entries_exact,
+    poi_entries,
 )
 from .core import Scenario
 from .errors import ArgumentError, BoundExceededError, ConfigurationError
@@ -143,8 +141,8 @@ def _audits(config: BoostConfig, scenario: Scenario, eps: float):
     their slice sizes here."""
     if config.mode == EXACT:
         return (
-            lambda matrix: first_violation(poi_entries_exact(matrix, scenario), eps),
-            lambda matrix, t: first_violation(doi_entries_exact(matrix, scenario), eps),
+            lambda matrix: first_violation(poi_entries(matrix, scenario), eps),
+            lambda matrix, t: first_violation(doi_entries(matrix, scenario), eps),
         )
     data, poi_n, doi_n = config.data, config.poi_n, config.doi_n
     if data is None:
@@ -162,11 +160,8 @@ def _audits(config: BoostConfig, scenario: Scenario, eps: float):
     if config.mode == CSC:
         rule_audit = lambda matrix: audit_poi_csc(matrix, fixed, scenario, eps)[0]
     else:
-        # Nature's side of a rule audit never depends on the predictor,
-        # so the fixed prefix's estimates are computed once.
-        nature = tuple(ips_rule_risks(fixed, scenario))
         rule_audit = lambda matrix: first_violation(
-            poi_entries_empirical(matrix, data, scenario, nature), eps
+            poi_entries(matrix, scenario, fixed, data), eps
         )
     starts = itertools.count(poi_n, doi_n)
 
@@ -179,7 +174,7 @@ def _audits(config: BoostConfig, scenario: Scenario, eps: float):
                 f"[{start}, {stop}) of {data.n}"
             )
         fresh = data.slice(start, stop)
-        return first_violation(doi_entries_empirical(matrix, fresh, data, scenario), eps)
+        return first_violation(doi_entries(matrix, scenario, fresh, data), eps)
 
     return rule_audit, decision_audit
 

@@ -1,9 +1,9 @@
 """Command-line surface: generate trial data, train, audit, evaluate.
 
 Exit codes are a contract: 0 success or pass, 1 flag misuse, 2 invalid
-scenario or model files, an output file that cannot be written or a
-request too large to compute or hold, 3 an audit violation or a failed
-guarantee.
+scenario or model files, an output file or a closed stdout that cannot
+be written or a request too large to compute or hold, 3 an audit
+violation or a failed guarantee.
 All outputs are deterministic given flags and seeds.
 
 Each command imports the modules it runs inside its handler, so that a
@@ -425,6 +425,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,11 +20,13 @@ encodes identifier columns, and a slice is a view of its parent's cells.
 Every estimator takes the scenario, refuses a dataset encoded for other
 spaces, and reads only the dataset's (|X|, k, 2) count tensor, the
 number of samples in each cell, or its feature histogram, so no estimate
-depends on the order of the records. Nature's
-side sums count times loss value, exactly, so it equals the correctly
-rounded per-sample sum. The model side, and audit's cost-sensitive
-instances, gather an (|X|, k) table weighed by counts at each rule's
-cells (rule_sums): |X| cells per rule, whatever n is.
+depends on the order of the records. Each side is one (|X|, k) table
+per loss, gathered at each rule's cells and summed pairwise (rule_sums):
+|X| cells per rule, whatever n is. Nature's side (ips_tables) holds
+count times loss value per cell, the model side (model_tables) feature
+counts times expected losses, and audit's cost-sensitive instances
+summed sample costs. An estimate is thus the same float for the same
+counts, but not always the correctly rounded per-sample sum.
 
 Files are JSON lines. The line write_jsonl writes for a sample is fully
 determined by its (feature, decision, outcome) cell, so the canonical
@@ -199,38 +201,6 @@ def generate_rct(scenario: Scenario, n: int, seed: int) -> RctDataset:
     return RctDataset(scenario.features, scenario.decisions, cells, meta)
 
 
-# Veltkamp's splitter: m * _SPLIT yields a high half of m with at most 26
-# significant bits, and the low half fits in 26 more. m is a mantissa in
-# [0.5, 1), so the product cannot overflow.
-_SPLIT = 2.0**27 + 1.0
-# A count digit of at most 27 bits times a half of at most 26 bits is
-# exact in a double's 53.
-_DIGIT_BITS = 27
-
-
-def _exact_terms(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(planes, *values.shape) exact products: a cell's terms sum exactly
-    to its count times its value, and are +0.0 where the count is 0.
-
-    Each value is split into two halves of at most 26 significant bits
-    and each count into base-2^27 digits, so every product is exact.
-    fsum of exact terms is the correctly rounded total: the same float
-    as fsum over the copies one by one, in any order.
-    """
-    mantissas, exponents = np.frexp(values)
-    scaled = mantissas * _SPLIT
-    hi = np.ldexp(scaled - (scaled - mantissas), exponents)
-    lo = values - hi
-    planes = []
-    scale = 1.0
-    while not planes or counts.any():
-        digit = (counts & ((1 << _DIGIT_BITS) - 1)).astype(np.float64) * scale
-        planes += [digit * hi + 0.0, digit * lo + 0.0]
-        counts = counts >> _DIGIT_BITS
-        scale *= float(1 << _DIGIT_BITS)
-    return np.array(planes)
-
-
 def rule_cells(rules: Sequence[Hypothesis], scenario: Scenario) -> np.ndarray:
     """(len(rules), |X|) flat indices x*k + rule(x) into a row-major
     (|X|, k) table, as the scenario's rule_cells holds its hypotheses'."""
@@ -245,6 +215,23 @@ def rule_sums(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.add.reduce(table.take(cells), axis=-1)
 
 
+def ips_tables(data: RctDataset, scenario: Scenario, losses: Sequence[Loss]) -> list:
+    """Per loss, the flat (|X|*k) table C_0*l_0 + C_1*l_1: the realized
+    losses of data's samples summed per (feature, logged decision) cell,
+    where C_y counts the cell's samples with outcome y and l_y is the
+    loss there. k/n times its sum at a rule's cells is the rule's
+    ips_risk_estimate."""
+    if data.n == 0:
+        raise ArgumentError("cannot estimate risk from an empty dataset")
+    data.check_scenario(scenario)
+    arrays = scenario.arrays
+    tables = []
+    for loss in losses:
+        arrays.loss_arrays(loss)  # rejects a loss from outside the scenario
+        tables.append((data.counts * arrays.loss_values[loss.name]).sum(axis=2).ravel())
+    return tables
+
+
 def ips_risk_estimate(
     data: RctDataset, h: Hypothesis, loss: Loss, scenario: Scenario
 ) -> float:
@@ -254,29 +241,28 @@ def ips_risk_estimate(
     logged decision equals h(x_i), with k the scenario's. Unbiased for
     the rule's true risk because the uniform assignment gives every
     decision propensity 1/k. h and loss belong to the scenario, whose
-    spaces the dataset must be encoded for.
+    spaces the dataset must be encoded for. The sum is ips_tables'
+    per-cell totals summed pairwise at h's |X| cells: deterministic and
+    independent of the order of the samples, and within the rounding of
+    |X| + 3 operations of the exact value, but not always the correctly
+    rounded per-sample sum.
     """
-    return next(ips_rule_risks(data, scenario, (h,), (loss,)))
+    table = ips_tables(data, scenario, (loss,))[0]
+    return float(scenario.k / data.n * rule_sums(table, rule_cells((h,), scenario))[0])
 
 
-def ips_rule_risks(data: RctDataset, scenario: Scenario, rules=None, losses=None):
-    """Lazy ips_risk_estimate of every (rule, loss) pair, rule-major, by
-    default over the scenario's hypotheses and losses. Each sum reads the
-    count tensor at the rule's cells and is exact before its one rounding,
-    so it is the per-sample sum's float; each loss's values split once."""
+def model_tables(data: RctDataset, pred, scenario: Scenario, losses: Sequence[Loss]) -> list:
+    """Per loss, the flat (|X|*k) table of feature counts times the
+    expected loss base + delta * q under the predictor's outcome
+    probability q at each cell. Its sum at a rule's cells over n is the
+    rule's model_risk_estimate; no outcomes are read."""
     if data.n == 0:
-        raise ArgumentError("cannot estimate risk from an empty dataset")
+        raise ArgumentError("cannot estimate model risk from empty features")
     data.check_scenario(scenario)
-    arrays = scenario.arrays
-    losses = scenario.losses if losses is None else losses
-    for loss in losses:
-        arrays.loss_arrays(loss)  # rejects a loss from outside the scenario
-    cells = arrays.rule_cells if rules is None else rule_cells(rules, scenario)
-    counts = data.counts.reshape(-1, 2)
-    values = [arrays.loss_values[loss.name].reshape(-1, 2) for loss in losses]
-    terms = [_exact_terms(counts, v) for v in values]
-    scale = scenario.k / data.n
-    return (scale * math.fsum(t[:, c].ravel().tolist()) for c in cells for t in terms)
+    matrix = prediction_matrix(pred, scenario)
+    weight = data.histogram[:, np.newaxis]
+    pairs = map(scenario.arrays.loss_arrays, losses)
+    return [(weight * (b + d * matrix)).ravel() for b, d in pairs]
 
 
 def model_risk_estimate(
@@ -287,25 +273,8 @@ def model_risk_estimate(
     Each term is the closed-form expected loss at (x, rule(x)) under the
     predictor's outcome probability there; no outcomes are read.
     """
-    return float(model_rule_risks(data, pred, scenario, (rule,), (loss,))[0, 0])
-
-
-def model_rule_risks(
-    data: RctDataset, pred, scenario: Scenario, rules=None, losses=None
-) -> np.ndarray:
-    """model_risk_estimate of every (rule, loss) pair as a (rules, losses)
-    array, by default over the scenario's hypotheses and losses: per loss,
-    feature counts times expected losses, gathered at every rule's cells."""
-    if data.n == 0:
-        raise ArgumentError("cannot estimate model risk from empty features")
-    data.check_scenario(scenario)
-    matrix = prediction_matrix(pred, scenario)
-    arrays = scenario.arrays
-    losses = scenario.losses if losses is None else losses
-    weight = data.histogram[:, np.newaxis]
-    tables = [weight * (b + d * matrix) for b, d in map(arrays.loss_arrays, losses)]
-    cells = arrays.rule_cells if rules is None else rule_cells(rules, scenario)
-    return np.stack([rule_sums(t.ravel(), cells) for t in tables], axis=-1) / data.n
+    table = model_tables(data, pred, scenario, (loss,))[0]
+    return float(rule_sums(table, rule_cells((rule,), scenario))[0] / data.n)
 
 
 def required_sample_size(

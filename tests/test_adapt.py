@@ -151,6 +151,11 @@ class TestMixtures:
         with pytest.raises(om.ArgumentError):
             om.MixtureSpec(components=("uniform", "focus_minus"))
 
+    def test_coefficients_summing_past_float_range(self):
+        # each is finite, but fsum of the two overflows
+        with pytest.raises(om.ArgumentError, match="sum to inf, expected 1"):
+            om.MixtureSpec(components=(("uniform", 1e308), ("focus_plus", 1e308)))
+
     def test_unknown_component_name(self, weighted_scenario):
         sc = weighted_scenario
         spec = om.MixtureSpec(components=(("nope", 1.0),))

@@ -241,7 +241,7 @@ class TestFusedRuleKernel:
     @given(kernel_cases())
     def test_lazy_entries_match_full_matrix(self, case):
         sc, q = case
-        lazy = [e for _, e in audit.poi_entries_exact(q, sc)]
+        lazy = [e for _, e in audit.poi_entries(q, sc)]
         assert np.array_equal(np.array(lazy), om.poi_err_matrix(q, sc).ravel())
 
     @settings(max_examples=80, deadline=None)
@@ -302,7 +302,7 @@ class TestFusedRuleKernel:
         q = rng.random((n_x, big.k))
         want = poi_err_matrix_reference(q, big)
         assert np.array_equal(om.poi_err_matrix(q, big), want)
-        lazy = [e for _, e in audit.poi_entries_exact(q, big)]
+        lazy = [e for _, e in audit.poi_entries(q, big)]
         assert np.array_equal(np.array(lazy), want.ravel())
         ma = multiaccuracy_errs_reference(q, big)
         assert om.multiaccuracy_errs(q, big).tobytes() == ma.tobytes()
@@ -411,6 +411,24 @@ class TestEmpiricalAudits:
                     assert got[(h.name, loss.name)] == pytest.approx(
                         model_side - nature_side, abs=1e-12)
 
+    def test_population_data_gives_the_exact_errs(self):
+        # each (feature, decision) cell of the dyadic data holds n*D(x)/k
+        # samples with exactly the expected positives, so with that data on
+        # both sides every estimated err is the exact one in exact
+        # arithmetic: exact mode is the estimated modes' infinite-sample
+        # limit. Risks lie in [0, lmax] = [0, 1], so the two routes may
+        # differ only by the rounding of a few terms below 1.
+        tol = 4 * math.ulp(1.0)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            sc, data, dyadic = dyadic_scenario_and_data(rng)
+            for q in (dyadic, rng.random(dyadic.shape)):
+                _, rules = om.audit_poi_empirical(q, data, data, sc, 10.0)
+                _, decisions = om.audit_doi_empirical(q, data, data, sc, 10.0)
+                for rep, exact in ((rules, om.poi_err_matrix(q, sc)),
+                                   (decisions, om.doi_errs(q, sc))):
+                    got = np.array([e for _, e in rep.entries])
+                    assert np.abs(got - exact.ravel()).max() <= tol, seed
 
     def test_each_induced_rule_is_validated_once(self, monkeypatch):
         # the benchmark's trial-data scenario (seed 0) has 4 losses, so a
@@ -497,22 +515,25 @@ class TestFirstViolation:
     def test_lazy_rule_audit_estimates_only_up_to_the_hit(
             self, beta_scenario, monkeypatch):
         # the flat predictor's first (hypothesis, loss) pair already
-        # violates, so the rule audit reads one Nature-side estimate; the
-        # model side of every pair comes from one batched call, one
-        # gather per loss
+        # violates, so the estimated rule audit gathers the first
+        # hypothesis's row alone: one model-side and one Nature-side
+        # gather of one row per loss, from tables built once per side
         sc = beta_scenario
         data = om.generate_rct(sc, 4000, 0)
-        read = []
-        nature = (read.append(r) or r for r in audit.ips_rule_risks(data, sc))
-        calls = []
-        real = audit.model_rule_risks
-        monkeypatch.setattr(audit, "model_rule_risks",
-                            lambda *a: calls.append(a) or real(*a))
-        entries = audit.poi_entries_empirical(
-            om.base_predictor(sc, 0.05), data, sc, nature)
+        rows, built = [], []
+        sums = audit.rule_sums
+        monkeypatch.setattr(audit, "rule_sums",
+                            lambda t, cells: rows.append(len(cells)) or sums(t, cells))
+        for name in ("ips_tables", "model_tables"):
+            real = getattr(audit, name)
+            monkeypatch.setattr(audit, name, lambda *a, real=real, name=name:
+                                built.append(name) or real(*a))
+        entries = audit.poi_entries(om.base_predictor(sc, 0.05), sc, data, data)
+        assert sorted(built) == ["ips_tables", "model_tables"] and rows == []
         v = first_violation(entries, 0.1)
         assert (v.target.hypothesis, v.target.loss) == ("h_plus", "steer_to_one")
-        assert len(read) == 1 and len(calls) == 1
+        assert rows == [1] * (2 * len(sc.losses))
+        assert len(built) == 2
 
     def test_every_audit_reports_its_first_violation(self, beta_scenario):
         sc = beta_scenario
@@ -626,13 +647,15 @@ class TestCscKernelsMatchPerSampleLoops:
                 inst = om.build_csc_instance(data, q, loss, sigma, sc)
                 batch = inst.mean_costs(rules).tolist()
                 assert batch == [inst.mean_cost(h) for h in rules]
-            model = rct.model_rule_risks(data, q, sc, rules, sc.losses)
-            nature = list(rct.ips_rule_risks(data, sc, rules, sc.losses))
+            cells = rct.rule_cells(rules, sc)
+            model = [rct.rule_sums(t, cells) / data.n
+                     for t in rct.model_tables(data, q, sc, sc.losses)]
+            nature = [sc.k / data.n * rct.rule_sums(t, cells)
+                      for t in rct.ips_tables(data, sc, sc.losses)]
             for (i, h), (j, loss) in itertools.product(enumerate(rules),
                                                        enumerate(sc.losses)):
-                assert model[i, j] == om.model_risk_estimate(data, q, h, loss, sc)
-                assert nature[i * len(sc.losses) + j] == om.ips_risk_estimate(
-                    data, h, loss, sc)
+                assert model[j][i] == om.model_risk_estimate(data, q, h, loss, sc)
+                assert nature[j][i] == om.ips_risk_estimate(data, h, loss, sc)
             _, rep = om.audit_poi_empirical(q, data, data, sc, 10.0)
             want = [
                 om.model_risk_estimate(data, q, h, loss, sc)
@@ -640,6 +663,8 @@ class TestCscKernelsMatchPerSampleLoops:
                 for h, loss in itertools.product(sc.hypotheses, sc.losses)
             ]
             assert [e for _, e in rep.entries] == want
+            lazy = audit.poi_entries(q, sc, data, data)
+            assert [e for _, e in lazy] == want
 
     def test_empty_dataset_rejected(self, beta_scenario):
         sc = beta_scenario

@@ -868,6 +868,13 @@ class TestEval:
                              "--mixture", flag, "--out", str(workdir / "y.csv"))
             assert code == 1, flag
 
+    def test_mixture_summing_past_float_range(self, workdir, adapt_model_path):
+        code, out, err = run("eval", "--config", BETA_W, "--model", adapt_model_path,
+                             "--mixture", "uniform:1e308,focus_plus:1e308",
+                             "--out", str(workdir / "overflow.csv"))
+        assert (code, out) == (1, "")
+        assert err == "error: mixture coefficients sum to inf, expected 1\n"
+
     def test_rows_are_exact_risks_and_verdicts_match_adapt_verify(
             self, workdir, adapt_model_path):
         # a plain model stamped with a tighter epsilon than it was trained
@@ -1298,6 +1305,30 @@ class TestJsonParserLimits:
         assert str(bad) in err and "Traceback" not in err
         if kind in ("header", "sample"):
             assert f"{bad}:{1 if kind == 'header' else 2}: invalid JSON" in err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the output is written gets exit 2
+    and one error line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["audit", "adapt-verify"])
+    def test_closed_pipe(self, command, model_path, adapt_model_path):
+        argv = {
+            "audit": ["--config", BETA, "--model", model_path],
+            "adapt-verify": ["--config", BETA_W, "--model", adapt_model_path,
+                             "--mixtures", "200"],
+        }[command]
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "omnipredict", command, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path})
+        # closed before the command starts up, so its first write fails
+        proc.stdout.close()
+        err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 2, err
+        assert err == "error: stdout was closed before the output was written\n"
 
 
 class TestEntryPoint:

@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -32,10 +31,31 @@ from conftest import (
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def exact_sum(counts, values):
-    """fsum of counts[i] copies of values[i], for every i, from the
-    exact split terms the count kernel sums."""
-    return math.fsum(rct._exact_terms(counts, values).ravel().tolist())
+# Unit roundoff of a double.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(m):
+    """Higham's gamma_m = m*u / (1 - m*u): a product of m factors 1 + d_i,
+    each |d_i| <= u, lies within gamma_m of 1."""
+    return m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF)
+
+
+def ips_bound(reference, scenario):
+    """The most ips_risk_estimate may differ from ips_reference.
+
+    Every term is nonnegative, so relative bounds add up. Let E be the
+    exact k/n times the sum. The estimate rounds each cell's C_0*l_0 and
+    C_1*l_1 and their sum (2 roundings on any path), adds the rule's |X|
+    cell totals, which in any order of summation passes each through at
+    most |X| - 1 roundings (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2), then rounds k/n and the product:
+    within gamma(|X| + 3) * E of E. ips_reference rounds k/n, the
+    correctly rounded fsum and the product: within gamma(3) * E, so
+    E <= reference / (1 - gamma(3)).
+    """
+    m = len(scenario.features.points)
+    return (gamma(m + 3) + gamma(3)) * reference / (1 - gamma(3))
 
 
 class TestGeneration:
@@ -214,9 +234,12 @@ def rules_to_check(scenario, unlogged):
 
 
 class TestKernelsMatchPerSampleLoops:
-    """The gathers over encoded columns give the loops' results bit for bit."""
+    """The gathers over encoded columns give the loops' results within
+    each kernel's rounding."""
 
     def test_ips_on_partial_data_and_slices(self):
+        # within ips_bound of the per-sample fsum, and the same bits for
+        # the samples in reverse order
         rng = np.random.default_rng(101)
         for _ in range(15):
             sc = random_scenario(rng)
@@ -225,10 +248,13 @@ class TestKernelsMatchPerSampleLoops:
             b = int(rng.integers(a + 1, data.n + 1))
             part = data.slice(a, b)
             for d in (data, part, part.slice(0, max(1, (b - a) // 2))):
+                reverse = dataclasses.replace(d, cells=d.cells[::-1])
                 for h in rules_to_check(sc, unlogged):
                     for loss in sc.losses:
                         got = om.ips_risk_estimate(d, h, loss, sc)
-                        assert got == ips_reference(d, h, loss, sc.k)
+                        want = ips_reference(d, h, loss, sc.k)
+                        assert abs(got - want) <= ips_bound(want, sc)
+                        assert om.ips_risk_estimate(reverse, h, loss, sc) == got
 
     def test_rule_on_unlogged_decision_gives_zero(self):
         rng = np.random.default_rng(103)
@@ -244,8 +270,9 @@ class TestKernelsMatchPerSampleLoops:
             data = om.generate_rct(sc, 500, int(rng.integers(0, 1000)))
             for h in sc.hypotheses:
                 for loss in sc.losses:
-                    assert (om.ips_risk_estimate(data, h, loss, sc)
-                            == ips_reference(data, h, loss, sc.k))
+                    got = om.ips_risk_estimate(data, h, loss, sc)
+                    want = ips_reference(data, h, loss, sc.k)
+                    assert abs(got - want) <= ips_bound(want, sc)
 
     def test_model_risk_on_data_and_slice(self):
         rng = np.random.default_rng(109)
@@ -851,7 +878,8 @@ FULL_MANTISSA = (float.fromhex("0x1.e3fa85468ae3cp-1"), 127,
 
 
 class TestCountKernel:
-    """The count-tensor estimate equals the per-sample fsum bit for bit."""
+    """The count-tensor estimate is within ips_bound of the per-sample
+    fsum, and equal for equal samples."""
 
     def test_one_feature_one_decision_one_sample(self):
         sc = small_scenario("one", ["only"], ["d"], {"only": {"d": (0.1, 0.7)}})
@@ -874,8 +902,9 @@ class TestCountKernel:
             assert counts[:, sc.arrays.y_index[unlogged]].sum() == 0
             for h in rules_to_check(sc, unlogged):
                 for loss in sc.losses:
-                    assert (om.ips_risk_estimate(data, h, loss, sc)
-                            == ips_reference(data, h, loss, sc.k))
+                    got = om.ips_risk_estimate(data, h, loss, sc)
+                    want = ips_reference(data, h, loss, sc.k)
+                    assert abs(got - want) <= ips_bound(want, sc)
 
     def test_slices_of_slices_and_hand_built_copies(self):
         rng = np.random.default_rng(311)
@@ -894,8 +923,9 @@ class TestCountKernel:
             for h in sc.hypotheses:
                 for loss in sc.losses:
                     want = ips_reference(inner, h, loss, sc.k)
-                    assert om.ips_risk_estimate(inner, h, loss, sc) == want
-                    assert om.ips_risk_estimate(by_hand, h, loss, sc) == want
+                    got = om.ips_risk_estimate(inner, h, loss, sc)
+                    assert abs(got - want) <= ips_bound(want, sc)
+                    assert om.ips_risk_estimate(by_hand, h, loss, sc) == got
 
     def test_full_mantissa_values_at_large_counts(self):
         v0, c0, v1, c1 = FULL_MANTISSA
@@ -907,26 +937,11 @@ class TestCountKernel:
         h, loss = sc.hypotheses[0], sc.losses[0]
         want = ips_reference(data, h, loss, 1)
         assert om.ips_risk_estimate(data, h, loss, sc) == want
-        # without the split, each product count * value rounds once
+        # summed per feature instead, each product count * value rounds
+        # once and the total misses by an ulp
         counts = data.counts[:, 0].sum(axis=1)
         unsplit = (1 / data.n) * math.fsum((counts * np.array([v0, v1])).tolist())
         assert unsplit != want
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 2**62),
-                              st.floats(0.0, 1e6, allow_subnormal=False)),
-                    min_size=1, max_size=6))
-    def test_exact_sum_at_counts_beyond_27_bits(self, cells):
-        counts = np.array([c for c, _ in cells], dtype=np.int64)
-        values = np.array([v for _, v in cells])
-        exact = sum(Fraction(int(c)) * Fraction(float(v)) for c, v in cells)
-        assert exact_sum(counts, values) == float(exact)
-
-    def test_exact_sum_splits_the_largest_values(self):
-        # value * (2^27 + 1) would overflow here; the split must not
-        top = np.array([1.7e308, np.nextafter(1.7e308, 0.0) / 3])
-        assert exact_sum(np.array([1, 0]), top) == 1.7e308
-        assert exact_sum(np.array([0, 2]), top) == float(2 * Fraction(top[1]))
 
 
 class TestDataOutsideScenario:
