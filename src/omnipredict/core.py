@@ -124,7 +124,7 @@ def _viewed(table, shape: tuple, kind: str, xs, ys=None):
         and table.array.shape == shape
         and table.array.dtype.kind == kind
         and (ys is None or table.labels == ys)
-        and list(table.x_index) == list(xs)
+        and tuple(table.x_index) == tuple(xs)
     ):
         return table.array
     return None
@@ -281,13 +281,9 @@ class Loss(Record):
             )
         return float(row[yhat][y])
 
-    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
-        """The (|X|, k, 2) values, [i, j, y] the value at outcome y,
-        checked against lmax."""
-        if not (math.isfinite(self.lmax) and self.lmax > 0):
-            raise ConfigurationError(
-                f"loss {self.name!r} must have a finite lmax > 0, got {self.lmax!r}"
-            )
+    def read_table(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
+        """The (|X|, k, 2) values, [i, j, y] the value at outcome y, as
+        the table holds them: unchecked."""
         xs, ys = features.points, decisions.labels
         shape = (len(xs), len(ys), 2)
         values = _viewed(self.table, shape, "f", xs, ys)
@@ -295,6 +291,16 @@ class Loss(Record):
             what = f"loss {self.name!r}"
             cells = _read(self.table, xs, ys, what, lambda x, yhat: self.values(x, yhat, 0))
             values = _array(cells, shape, what, xs, ys)
+        return values
+
+    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
+        """The (|X|, k, 2) values, [i, j, y] the value at outcome y,
+        checked against lmax."""
+        if not (math.isfinite(self.lmax) and self.lmax > 0):
+            raise ConfigurationError(
+                f"loss {self.name!r} must have a finite lmax > 0, got {self.lmax!r}"
+            )
+        values = self.read_table(features, decisions)
         bad = _first_outside(values, 0.0, self.lmax)
         if bad is not None:
             i, j, y = bad
@@ -335,8 +341,9 @@ class Hypothesis(Record):
             ) from None
         return label if isinstance(label, str) else str(label)
 
-    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
-        """The decision index of every feature in canonical order, checked."""
+    def read_table(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
+        """The decision index of every feature in canonical order, -1 for
+        a label that names no decision: unchecked."""
         xs, ys = features.points, decisions.labels
         indices = _viewed(self.mapping, (len(xs),), "i", xs, ys)
         if indices is None:
@@ -346,6 +353,11 @@ class Hypothesis(Record):
                 indices = np.fromiter(map(index.__getitem__, labels), np.int64, len(xs))
             except (KeyError, TypeError):  # a miss may be a JSON number
                 indices = np.array([index.get(str(y), -1) for y in labels], dtype=np.int64)
+        return indices
+
+    def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
+        """The decision index of every feature in canonical order, checked."""
+        indices = self.read_table(features, decisions)
         bad = _first_outside(indices, 0, decisions.k - 1)
         if bad is not None:
             x = features.points[bad[0]]
@@ -374,6 +386,17 @@ class WeightFunction(Record):
             )
         return float(self.mapping[x])
 
+    def read_table(self, features: FeatureSpace) -> np.ndarray:
+        """The weights in canonical feature order, as the map holds them:
+        unchecked."""
+        xs = features.points
+        weights = _viewed(self.mapping, (len(xs),), "f", xs)
+        if weights is None:
+            what = f"weight function {self.name!r}"
+            cells = _read(self.mapping, xs, None, what, self.weight)
+            weights = _array(cells, (len(xs),), what, xs)
+        return weights
+
     def validate(self, features: FeatureSpace, masses: np.ndarray) -> np.ndarray:
         """The weights in canonical feature order, checked; masses are the
         input distribution's."""
@@ -382,12 +405,7 @@ class WeightFunction(Record):
                 f"weight function {self.name!r} must have a finite wmax > 0, "
                 f"got {self.wmax!r}"
             )
-        xs = features.points
-        weights = _viewed(self.mapping, (len(xs),), "f", xs)
-        if weights is None:
-            what = f"weight function {self.name!r}"
-            cells = _read(self.mapping, xs, None, what, self.weight)
-            weights = _array(cells, (len(xs),), what, xs)
+        weights = self.read_table(features)
         bad = _first_outside(weights, 0.0, self.wmax)
         if bad is not None:
             raise WeightInvariantError(
@@ -522,8 +540,9 @@ class Scenario(Record):
     no table given is kept. A scenario's own Loss objects are the ones in
     `losses`; a loss from anywhere else is refused where one of its own is
     required. A part whose table is a view keyed by the same features
-    and decisions in canonical order, as after dataclasses.replace, is
-    checked on the view's array without reading a cell. Two scenarios are
+    and decisions in canonical order, as after dataclasses.replace or
+    from load_scenario, is checked on the view's array without reading
+    a cell. Two scenarios are
     equal when their fields are: the names, epsilon, every lmax and wmax,
     and the parts' tables, which read the checked arrays.
     """
@@ -763,13 +782,15 @@ def builtin_loss(
     return io_loss(name or kind, 1.0, per_decision, features)
 
 
-_JSON_TYPES = {"string": str, "number": numbers.Real, "array": (list, tuple)}
+_JSON_TYPES = {
+    "string": str, "number": numbers.Real, "array": (list, tuple), "object": Mapping,
+}
 
 
 def json_value(value, kind: str, what: str, error=ConfigurationError):
     """value, if it has the JSON type kind: a "string", a "number" (real,
-    not bool) or an "array" (a list or tuple); else error names what.
-    Nothing is coerced."""
+    not bool), an "array" (a list or tuple) or an "object" (a mapping);
+    else error names what. Nothing is coerced."""
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise error(f"{what} must be a JSON {kind}, got {reprlib.repr(value)}")
     return value
@@ -781,9 +802,15 @@ def _require(doc: Mapping, key: str, where: str, kind: Optional[str] = None):
     return doc[key] if kind is None else json_value(doc[key], kind, f"{where} key {key!r}")
 
 
+def _items(doc: Mapping, key: str, kind: str):
+    """The items of the JSON array doc[key], each checked to have the JSON
+    type kind as it is taken."""
+    items, what = _require(doc, key, "scenario", "array"), f"scenario key {key!r} item"
+    return (json_value(item, kind, what) for item in items)
+
+
 def _labels(doc: Mapping, key: str) -> tuple[str, ...]:
-    labels, what = _require(doc, key, "scenario", "array"), f"scenario key {key!r} item"
-    return tuple(json_value(label, "string", what) for label in labels)
+    return tuple(_items(doc, key, "string"))
 
 
 def scenario_from_dict(doc: Mapping) -> Scenario:
@@ -800,7 +827,7 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
     features = FeatureSpace(points=_labels(doc, "features"))
     decisions = DecisionSpace(labels=_labels(doc, "decisions"))
     losses = []
-    for entry in _require(doc, "losses", "scenario", "array"):
+    for entry in _items(doc, "losses", "object"):
         if "builtin" in entry:
             kind = _require(entry, "builtin", "loss entry", "string")
             if "name" in entry:
@@ -813,14 +840,14 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
             table = _require(entry, "table", where)
             losses.append(Loss(name=loss_name, lmax=lmax, table=table))
     hypotheses = []
-    for entry in _require(doc, "hypotheses", "scenario", "array"):
+    for entry in _items(doc, "hypotheses", "object"):
         hyp_name = _require(entry, "name", "hypothesis entry", "string")
         mapping = _require(entry, "map", f"hypothesis {hyp_name!r}")
         hypotheses.append(Hypothesis(name=hyp_name, mapping=mapping))
     weights = None
     if doc.get("weights") is not None:
         funcs = []
-        for entry in _require(doc, "weights", "scenario", "array"):
+        for entry in _items(doc, "weights", "object"):
             w_name = _require(entry, "name", "weight entry", "string")
             where = f"weight {w_name!r}"
             mapping = _require(entry, "map", where)
@@ -842,8 +869,115 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
     )
 
 
+# What reading a scenario's parts may raise besides ConfigurationError;
+# OverflowError: an integer too large for a float.
+_MALFORMED = (AttributeError, TypeError, ValueError, KeyError, IndexError, OverflowError)
+
+# Per array of entries in a scenario document: the key of an entry's
+# table, and its part's reader of the table into the array validate checks.
+_TABLE_READERS = {
+    "losses": ("table", lambda name, t, *spaces: Loss(name, 1.0, t).read_table(*spaces)),
+    "hypotheses": ("map", lambda name, t, *spaces: Hypothesis(name, t).read_table(*spaces)),
+    "weights": ("map", lambda name, t, features, _:
+                WeightFunction(name, t, 1.0).read_table(features)),
+}
+
+_decode = json.JSONDecoder().raw_decode  # json.loads's parser, at an offset
+_skip = json.decoder.WHITESPACE.match  # JSON's whitespace, from an offset
+
+
+def _spaces(doc: dict):
+    """(features, decisions, feature index) when doc holds features and
+    decisions that form valid spaces, else None."""
+    if "features" not in doc or "decisions" not in doc:
+        return None
+    try:
+        features = FeatureSpace(points=_labels(doc, "features"))
+        decisions = DecisionSpace(labels=_labels(doc, "decisions"))
+    except ConfigurationError:
+        return None
+    return features, decisions, {x: i for i, x in enumerate(features.points)}
+
+
+def _expect(text: str, i: int, token: str) -> int:
+    """The offset past token at text[i] and the whitespace after it."""
+    if not text.startswith(token, i):
+        raise ValueError(f"expected {token!r} at {i}")
+    return _skip(text, i + len(token)).end()
+
+
+def _walk_entries(text: str, i: int, key: str, spaces) -> tuple[list, int]:
+    """The JSON array of doc[key]'s entries at text[i], and the offset past
+    it, parsed one entry at a time. With spaces (_spaces) known, each
+    entry's table is read into its array before the next entry is parsed,
+    and a view of the array replaces it. An entry that is no object or
+    whose table does not read stays as parsed, for scenario_from_dict to
+    refuse in order."""
+    (table_key, read), entries, i = _TABLE_READERS[key], [], _expect(text, i, "[")
+    while not text.startswith("]", i):
+        if entries:
+            i = _expect(text, i, ",")
+        entry, i = _decode(text, i)
+        entries.append(entry)
+        i = _skip(text, i).end()
+        if spaces is None or not isinstance(entry, dict):
+            continue
+        features, decisions, x_index = spaces
+        try:
+            array = read(entry.get("name"), entry[table_key], features, decisions)
+        except (ConfigurationError, *_MALFORMED):  # KeyError: no table
+            continue
+        # a rule's refusal of an unknown label (index -1) quotes it from the map
+        if array.dtype.kind != "i" or array.min(initial=0) >= 0:
+            entry[table_key] = _TableView(array, x_index, decisions.labels)
+    return entries, i + 1
+
+
+def _walk(text: str) -> dict:
+    """The JSON object text holds, parsed one member at a time and the
+    arrays of _TABLE_READERS one entry at a time. Raises ValueError (such
+    as JSONDecodeError) or RecursionError where text is not such an
+    object, repeats a top-level key, or trails data."""
+    doc, spaces, i = {}, None, _expect(text, _skip(text, 0).end(), "{")
+    while not text.startswith("}", i):
+        if doc:
+            i = _expect(text, i, ",")
+        if not text.startswith('"', i):
+            raise ValueError(f"expected a key at {i}")
+        key, i = _decode(text, i)
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        i = _expect(text, _skip(text, i).end(), ":")
+        if key in _TABLE_READERS and text.startswith("[", i):
+            doc[key], i = _walk_entries(text, i, key, spaces)
+        else:
+            doc[key], i = _decode(text, i)
+            if key in ("features", "decisions"):
+                spaces = _spaces(doc)
+        i = _skip(text, i).end()
+    if _skip(text, i + 1).end() != len(text):
+        raise ValueError("extra data")
+    return doc
+
+
+def _parse(text: str):
+    """_walk(text), or json.loads(text) where the walk fails: it raises
+    its error for the text or returns the whole document."""
+    try:
+        return _walk(text)
+    except (ValueError, RecursionError):
+        return json.loads(text)
+
+
 def load_scenario(path) -> Scenario:
     """Read a scenario JSON file and validate it.
+
+    The whole parsed document is never held: the file's text is parsed
+    one top-level member, or one entry of losses, hypotheses or weights,
+    at a time (_walk), and each entry's table becomes its unchecked array
+    as soon as the entry is parsed, by the reader its part's validate
+    uses. Errors, and their order, are those of
+    scenario_from_dict(json.loads(text)).
 
     The cyclic garbage collector is paused while the file is parsed and
     built, and left as it was found: the parsed document holds no
@@ -853,7 +987,7 @@ def load_scenario(path) -> Scenario:
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _parse(fh.read())
         return scenario_from_dict(doc)
     except OSError as exc:
         raise ConfigurationError(f"cannot read scenario file {path}: {exc}")
@@ -861,9 +995,7 @@ def load_scenario(path) -> Scenario:
         raise ConfigurationError(f"scenario file {path} is not valid JSON: {exc}")
     except ConfigurationError as exc:  # keeps WeightInvariantError's type
         raise type(exc)(f"scenario file {path}: {exc}") from exc
-    except (
-        AttributeError, TypeError, ValueError, KeyError, IndexError, OverflowError
-    ) as exc:  # OverflowError: an integer too large for a float
+    except _MALFORMED as exc:
         raise ConfigurationError(f"scenario file {path} is malformed: {exc}") from exc
     finally:
         if enabled:

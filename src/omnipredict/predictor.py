@@ -197,7 +197,8 @@ def read_fingerprint(doc, scenario: Scenario) -> Fingerprint:
     and finite, lmax finite, adapt a JSON boolean when present, and the
     scenario's name."""
     try:
-        fp = doc["fingerprint"]
+        doc = _typed(doc, "object", "model document")
+        fp = _typed(doc["fingerprint"], "object", "key 'fingerprint'")
         name = _typed(fp["scenario"], "string", "fingerprint key 'scenario'")
         eps, lmax = (float(_typed(fp[k], "number", f"fingerprint key {k!r}"))
                      for k in ("epsilon", "lmax"))
@@ -219,6 +220,20 @@ def read_fingerprint(doc, scenario: Scenario) -> Fingerprint:
     return Fingerprint(scenario=name, epsilon=eps, lmax=lmax, adapt=adapt)
 
 
+def _read_term(t) -> UpdateTerm:
+    """One item of a model document's terms, its keys read in order."""
+    t = _typed(t, "object", "key 'terms' item")
+    eta = float(_typed(t["eta"], "number", "term key 'eta'"))
+    loss_name = _typed(t["loss"], "string", "term key 'loss'")
+    target = _typed(t["target"], "object", "term key 'target'")
+    return UpdateTerm(
+        eta=eta,
+        loss_name=loss_name,
+        target_kind=_typed(target["kind"], "string", "term target key 'kind'"),
+        target_name=_typed(target["name"], "string", "term target key 'name'"),
+    )
+
+
 def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
     """Rebuild a predictor and check it belongs to the given scenario.
 
@@ -230,15 +245,7 @@ def deserialize(doc: dict, scenario: Scenario) -> AdditivePredictor:
     try:
         base = _typed(doc["base"], "array", "key 'base'")
         base = [float(_typed(v, "number", "key 'base' item")) for v in base]
-        terms = tuple(
-            UpdateTerm(
-                eta=float(_typed(t["eta"], "number", "term key 'eta'")),
-                loss_name=_typed(t["loss"], "string", "term key 'loss'"),
-                target_kind=_typed(t["target"]["kind"], "string", "term target key 'kind'"),
-                target_name=_typed(t["target"]["name"], "string", "term target key 'name'"),
-            )
-            for t in _typed(doc["terms"], "array", "key 'terms'")
-        )
+        terms = tuple(map(_read_term, _typed(doc["terms"], "array", "key 'terms'")))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelMismatchError(f"model document is malformed: {exc}") from exc
     for i, term in enumerate(terms):

@@ -743,13 +743,27 @@ WRONG_SCENARIO_TYPES = {
     "epsilon_text": (lambda doc: doc.update(epsilon="0.05"), "'epsilon'"),
     "lmax_text": (lambda doc: doc["losses"][0].update(lmax="1.0"), "'lmax'"),
     "name_number": (lambda doc: doc.update(name=7), "'name'"),
+    # an entry that is no object: "builtin" in a text entry is a substring
+    # test, and a list entry has no key "name"
+    "hypothesis_number": (lambda doc: doc["hypotheses"].__setitem__(0, 5),
+                          "'hypotheses' item"),
+    "loss_text": (lambda doc: doc["losses"].__setitem__(0, "steer_to_one"),
+                  "'losses' item"),
+    "weight_list": (lambda doc: doc.update(weights=[[1]]), "'weights' item"),
 }
 
-# Model values of the wrong JSON type, and the key the refusal names.
+# Model values of the wrong JSON type: where each goes, as a path of keys
+# into the document (the document itself when empty), and the refusal.
 WRONG_MODEL_TYPES = {
-    "eta_text": (lambda doc: doc["terms"][0].update(eta="-0.05"), "'eta'"),
-    "epsilon_text": (lambda doc: doc["fingerprint"].update(epsilon="0.05"),
-                     "'epsilon'"),
+    "eta_text": (("terms", 0, "eta"), "-0.05", "key 'eta' must be a JSON number"),
+    "epsilon_text": (("fingerprint", "epsilon"), "0.05",
+                     "key 'epsilon' must be a JSON number"),
+    "document_number": ((), 5, "model document must be a JSON object, got 5"),
+    "fingerprint_list": (("fingerprint",), [1],
+                         "key 'fingerprint' must be a JSON object, got [1]"),
+    "term_number": (("terms", 0), 5, "key 'terms' item must be a JSON object, got 5"),
+    "target_text": (("terms", 0, "target"), "external",
+                    "key 'target' must be a JSON object, got 'external'"),
 }
 
 
@@ -771,12 +785,21 @@ class TestStrictTypes:
 
     @pytest.mark.parametrize("case", list(WRONG_MODEL_TYPES))
     def test_model_value_of_the_wrong_type(self, workdir, model_path, case):
-        edit, key = WRONG_MODEL_TYPES[case]
-        model = tampered_model(workdir, model_path, f"typed_{case}.json", edit)
-        code, out, err = run("audit", "--config", BETA, "--model", model)
+        path, value, refusal = WRONG_MODEL_TYPES[case]
+        doc = json.loads(Path(model_path).read_text())
+        if path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            doc = value
+        model = workdir / f"typed_{case}.json"
+        model.write_text(json.dumps(doc))
+        code, out, err = run("audit", "--config", BETA, "--model", str(model))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: model file {model}: ")
-        assert f"key {key} must be a JSON number" in err
+        assert refusal in err
 
 
 class TestFingerprint:

@@ -9,6 +9,7 @@ import json
 import math
 import runpy
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1279,6 +1280,168 @@ class TestLoaderFuzz:
                 om.load_scenario(path)
             except om.ConfigurationError:  # WeightInvariantError is one too
                 pass
+
+
+def load_whole(path):
+    """The whole-document loader, kept as load_scenario's oracle:
+    scenario_from_dict(json.loads(text)), its errors wrapped as
+    load_scenario wraps them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
+        return om.scenario_from_dict(doc)
+    except OSError as exc:
+        raise om.ConfigurationError(f"cannot read scenario file {path}: {exc}")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise om.ConfigurationError(f"scenario file {path} is not valid JSON: {exc}")
+    except om.ConfigurationError as exc:
+        raise type(exc)(f"scenario file {path}: {exc}") from exc
+    except (
+        AttributeError, TypeError, ValueError, KeyError, IndexError, OverflowError
+    ) as exc:
+        raise om.ConfigurationError(f"scenario file {path} is malformed: {exc}") from exc
+
+
+def check_loads_as_oracle(path):
+    """load_scenario(path) raises what load_whole(path) raises, type and
+    message, or returns a scenario equal to it field by field and in its
+    checked arrays."""
+    loaded = {}
+
+    def keep(load):
+        def build():
+            loaded[load] = load(path)
+        return build
+
+    assert outcome(keep(om.load_scenario)) == outcome(keep(load_whole))
+    if loaded:
+        got, want = loaded[om.load_scenario], loaded[load_whole]
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert arrays_digest(got) == arrays_digest(want)
+
+
+TABLE_KEYS = {"losses": "table", "hypotheses": "map", "weights": "map"}
+
+# JSON text layouts of a document
+LAYOUTS = {
+    "default": json.dumps,
+    "compact": lambda doc: json.dumps(doc, separators=(",", ":")),
+    "indent-2": lambda doc: json.dumps(doc, indent=2),
+    "tab": lambda doc: json.dumps(doc, indent="\t"),
+    "crlf": lambda doc: json.dumps(doc, indent=2).replace("\n", "\r\n"),
+}
+
+
+@st.composite
+def scenario_texts(draw):
+    """(text, member order) of degenerate_documents' scenarios in every
+    layout, members in any order, with built-in losses and empty arrays."""
+    doc = draw(degenerate_documents())
+    if draw(st.booleans()):
+        doc["losses"].insert(draw(st.integers(0, len(doc["losses"]))),
+                             {"builtin": "steer_to_zero", "name": "zero"})
+    if draw(st.booleans()):
+        doc["losses"].append({"builtin": "steer_to_one"})
+    empty = draw(st.sampled_from([None, "losses", "hypotheses", "weights"]))
+    if empty:
+        doc[empty] = []
+    order = draw(st.permutations(list(doc)))
+    text = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]({key: doc[key] for key in order})
+    return text, order
+
+
+class TestStreamingLoader:
+    """load_scenario parses one member and one table entry at a time, and
+    loads what the whole-document loader does."""
+
+    @staticmethod
+    def written(text):
+        directory = tempfile.TemporaryDirectory()
+        path = Path(directory.name) / "scenario.json"
+        path.write_bytes(text.encode("utf-8"))
+        return directory, path
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenario_texts())
+    def test_equals_the_whole_document_loader(self, text_and_order):
+        text, order = text_and_order
+        # every layout and order is walked, not left to json.loads; a
+        # table becomes a view once features and decisions are read
+        walked = core._walk(text)
+        spaces_at = max(order.index("features"), order.index("decisions"))
+        for key, table_key in TABLE_KEYS.items():
+            for entry in walked[key]:
+                if table_key in entry:
+                    viewed = isinstance(entry[table_key], core._TableView)
+                    assert viewed == (order.index(key) > spaces_at), key
+        directory, path = self.written(text)
+        with directory:
+            check_loads_as_oracle(path)
+
+    @pytest.mark.parametrize("repeated", ["features", "losses", "epsilon"])
+    def test_a_repeated_top_level_key_is_read_whole(self, repeated):
+        # json.loads keeps a repeated key's last value
+        doc = json.loads((REPO / "scenarios" / "beta025_weights.json").read_text())
+        value = {"features": doc["features"][::-1], "losses": doc["losses"][::-1],
+                 "epsilon": 0.2}[repeated]
+        text = json.dumps(doc, indent=2)[:-2] + f', "{repeated}": {json.dumps(value)}}}'
+        with pytest.raises(ValueError, match="repeated key"):
+            core._walk(text)
+        directory, path = self.written(text)
+        with directory:
+            check_loads_as_oracle(path)
+            assert getattr(om.load_scenario(path), repeated) != getattr(
+                om.load_scenario(REPO / "scenarios" / "beta025_weights.json"), repeated)
+
+    @pytest.mark.parametrize("text", [
+        "", "{", "[]", "5", "{}", '{"name": "a",}', '{"name": "a"} {}', '{"name" "a"}',
+        '{"losses": [1 2]}', '{"losses": [1,]}', '{"losses": [', "\ufeff{}",
+        '{"a": 1}   \r\n\t', '{"losses": []}', '{"features": ["a"], "decisions": ["d"], '
+        '"losses": [{"name": "l", "lmax": 1, "table": {"a": {"d": [0, 1]}}}, 5]}',
+        '{"nature": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"losses": [' + "[" * 100_000 + "]" * 100_000 + "]}",
+        '{"epsilon": 1' + "0" * 5000 + "}",
+    ])
+    def test_malformed_and_edge_texts(self, text):
+        directory, path = self.written(text)
+        with directory:
+            check_loads_as_oracle(path)
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("tables_first", [False, True])
+    def test_faults_in_tables_are_refused_in_order(self, fault, tables_first):
+        for seed in range(3):
+            rng = np.random.default_rng([71, seed])
+            t = raw_tables(rng)
+            FAULTS[fault](rng, t)
+            doc = raw_document(t)
+            if tables_first:
+                doc = {**{key: doc.pop(key) for key in TABLE_KEYS}, **doc}
+            directory, path = self.written(json.dumps(doc))
+            with directory:
+                check_loads_as_oracle(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_documents(), st.data())
+    def test_errors_match_the_whole_document_loader(self, doc, data):
+        order = data.draw(st.permutations(list(doc)))
+        text = LAYOUTS[data.draw(st.sampled_from(sorted(LAYOUTS)))](
+            {key: doc[key] for key in order})
+        directory, path = self.written(text)
+        with directory:
+            check_loads_as_oracle(path)
+
+    def test_load_peak_is_below_three_times_the_file(self, workload_files):
+        # the whole parsed document alone is about seven times the text
+        path = workload_files["exact-large"]
+        tracemalloc.start()
+        try:
+            om.load_scenario(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
 
 
 # The benchmark's scenarios: each workload's sizes in perfbench/run.py
