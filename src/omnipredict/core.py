@@ -130,7 +130,7 @@ def _viewed(table, shape: tuple, kind: str, xs, ys=None):
     return None
 
 
-def _array(cells, shape: tuple, what: str, xs, ys=()) -> np.ndarray:
+def _array(cells, shape: tuple, what: str, xs, ys=None) -> np.ndarray:
     """cells, one per feature or per (feature, decision) pair flat in
     canonical order, as a float64 array of shape (|X|,), (|X|, k) or
     (|X|, k, 2), where a loss cell holds its two values. The values are
@@ -165,6 +165,17 @@ def _array(cells, shape: tuple, what: str, xs, ys=()) -> np.ndarray:
     return np.array(converted).reshape(shape)  # cells of another sequence type
 
 
+def _float_table(table, what: str, lookup, xs, ys=None, pairs=False) -> np.ndarray:
+    """table as a float64 array of shape (|X|,), or (|X|, k) when ys is
+    given, (|X|, k, 2) with pairs: a view's array (_viewed), else its
+    cells read (_read) and converted (_array). Unchecked."""
+    shape = (len(xs),) if ys is None else (len(xs), len(ys)) + ((2,) if pairs else ())
+    values = _viewed(table, shape, "f", xs, ys)
+    if values is None:
+        values = _array(_read(table, xs, ys, what, lookup), shape, what, xs, ys)
+    return values
+
+
 def _first_outside(values: np.ndarray, lo: float, hi: float):
     """First index outside [lo, hi] (NaN counts) in canonical order, or None."""
     bad = ~((values >= lo) & (values <= hi))
@@ -195,8 +206,7 @@ class InputDistribution(Record):
                     raise ConfigurationError(
                         f"input distribution assigns mass to unknown feature {x!r}"
                     )
-            get = self.probabilities.get
-            cells = [get(x, 0.0) for x in xs]
+            cells = [self.probabilities.get(x, 0.0) for x in xs]
             masses = _array(cells, (len(xs),), "input distribution", xs)
         if not np.all(np.isfinite(masses) & (masses >= 0)):
             raise ConfigurationError(
@@ -225,12 +235,9 @@ class NatureModel(Record):
 
     def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
         """The (|X|, k) probabilities in canonical order, checked."""
-        xs, ys = features.points, decisions.labels
-        shape = (len(xs), len(ys))
-        probs = _viewed(self.table, shape, "f", xs, ys)
-        if probs is None:
-            cells = _read(self.table, xs, ys, "outcome model", self.prob)
-            probs = _array(cells, shape, "outcome model", xs, ys)
+        probs = _float_table(
+            self.table, "outcome model", self.prob, features.points, decisions.labels
+        )
         bad = _first_outside(probs, 0.0, 1.0)
         if bad is not None:
             raise ConfigurationError(
@@ -247,30 +254,13 @@ class Loss(Record):
     The table maps feature -> decision -> (value at y=0, value at y=1).
     A scenario reads it once into an (|X|, k, 2) array and checks there
     that every value lies in [0, lmax]. Two losses are equal when their
-    names are and their lmax and cells are as floats, so a table loaded
-    from JSON equals the same table built in code.
+    fields are; a scenario's losses have views as tables, whose cells read
+    back as (value at y=0, value at y=1) tuples of floats.
     """
 
     name: str
     lmax: float
     table: Mapping[str, Mapping[str, tuple[float, float]]]
-
-    def __eq__(self, other):
-        if not isinstance(other, Loss):
-            return NotImplemented
-        return self._normal_form() == other._normal_form()
-
-    def _normal_form(self):
-        """The name, with lmax and every cell as floats; a loss whose
-        lmax or cells are not numbers keeps them as given."""
-        try:
-            cells = {
-                x: {y: tuple(map(float, v)) for y, v in row.items()}
-                for x, row in self.table.items()
-            }
-            return self.name, float(self.lmax), cells
-        except (TypeError, ValueError, AttributeError):
-            return self.name, self.lmax, self.table
 
     def values(self, x: str, yhat: str, y: int) -> float:
         row = self.table.get(x)
@@ -284,14 +274,10 @@ class Loss(Record):
     def read_table(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
         """The (|X|, k, 2) values, [i, j, y] the value at outcome y, as
         the table holds them: unchecked."""
-        xs, ys = features.points, decisions.labels
-        shape = (len(xs), len(ys), 2)
-        values = _viewed(self.table, shape, "f", xs, ys)
-        if values is None:
-            what = f"loss {self.name!r}"
-            cells = _read(self.table, xs, ys, what, lambda x, yhat: self.values(x, yhat, 0))
-            values = _array(cells, shape, what, xs, ys)
-        return values
+        return _float_table(
+            self.table, f"loss {self.name!r}", lambda x, yhat: self.values(x, yhat, 0),
+            features.points, decisions.labels, pairs=True,
+        )
 
     def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
         """The (|X|, k, 2) values, [i, j, y] the value at outcome y,
@@ -315,35 +301,24 @@ class Loss(Record):
 class Hypothesis(Record):
     """Deterministic decision rule: a total map from features to decisions.
 
-    A label that is not a string, such as a JSON number, names the
-    decision whose label is its str form, and two rules are equal when
-    their names and these str labels are.
+    Decisions are named by their string labels; any other value, such as
+    a JSON number, names no decision. Rules compare by their fields.
     """
 
     name: str
     mapping: Mapping[str, str]
 
-    def __eq__(self, other):
-        if not isinstance(other, Hypothesis):
-            return NotImplemented
-        return self._normal_form() == other._normal_form()
-
-    def _normal_form(self):
-        """The name, with every decision as its str label."""
-        return self.name, {x: self.decide(x) for x in self.mapping}
-
     def decide(self, x: str) -> str:
         try:
-            label = self.mapping[x]
+            return self.mapping[x]
         except KeyError:
             raise ConfigurationError(
                 f"rule {self.name!r} has no decision for feature {x!r}"
             ) from None
-        return label if isinstance(label, str) else str(label)
 
     def read_table(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
         """The decision index of every feature in canonical order, -1 for
-        a label that names no decision: unchecked."""
+        a label that names no decision or is no string: unchecked."""
         xs, ys = features.points, decisions.labels
         indices = _viewed(self.mapping, (len(xs),), "i", xs, ys)
         if indices is None:
@@ -351,8 +326,9 @@ class Hypothesis(Record):
             labels = _read(self.mapping, xs, None, f"rule {self.name!r}", self.decide)
             try:
                 indices = np.fromiter(map(index.__getitem__, labels), np.int64, len(xs))
-            except (KeyError, TypeError):  # a miss may be a JSON number
-                indices = np.array([index.get(str(y), -1) for y in labels], dtype=np.int64)
+            except (KeyError, TypeError):  # an unknown or an unhashable label
+                named = [index.get(y, -1) if isinstance(y, str) else -1 for y in labels]
+                indices = np.array(named, dtype=np.int64)
         return indices
 
     def validate(self, features: FeatureSpace, decisions: DecisionSpace) -> np.ndarray:
@@ -389,13 +365,9 @@ class WeightFunction(Record):
     def read_table(self, features: FeatureSpace) -> np.ndarray:
         """The weights in canonical feature order, as the map holds them:
         unchecked."""
-        xs = features.points
-        weights = _viewed(self.mapping, (len(xs),), "f", xs)
-        if weights is None:
-            what = f"weight function {self.name!r}"
-            cells = _read(self.mapping, xs, None, what, self.weight)
-            weights = _array(cells, (len(xs),), what, xs)
-        return weights
+        return _float_table(
+            self.mapping, f"weight function {self.name!r}", self.weight, features.points
+        )
 
     def validate(self, features: FeatureSpace, masses: np.ndarray) -> np.ndarray:
         """The weights in canonical feature order, checked; masses are the
@@ -440,10 +412,10 @@ class WeightClass(Record):
 
 class _TableView(Mapping):
     """A part's table as a read-only view of its checked array, keyed
-    through x_index. Row x reads in normal form: a float for a mass or a
-    weight, a str label for a rule (an integer array of decision
-    indices), and for the outcome model or a loss a dict from each label
-    to a float or to a (value at y=0, value at y=1) tuple."""
+    through x_index. Row x reads as a float for a mass or a weight, a str
+    label for a rule (an integer array of decision indices), and for the
+    outcome model or a loss a dict from each label to a float or to a
+    (value at y=0, value at y=1) tuple."""
 
     def __init__(self, array: np.ndarray, x_index: dict, labels: tuple):
         self.array, self.x_index, self.labels = array, x_index, labels
@@ -535,16 +507,15 @@ class Scenario(Record):
     Construction reads every component's table into its array once and
     checks that array, so any scenario object in hand is safe to compute
     with; `arrays` holds the checked arrays. They are then the only copy:
-    the scenario's parts are rebuilt with tables that are read-only views
-    of them, equal (==) to the parts given but not the same objects, and
-    no table given is kept. A scenario's own Loss objects are the ones in
-    `losses`; a loss from anywhere else is refused where one of its own is
-    required. A part whose table is a view keyed by the same features
-    and decisions in canonical order, as after dataclasses.replace or
-    from load_scenario, is checked on the view's array without reading
-    a cell. Two scenarios are
-    equal when their fields are: the names, epsilon, every lmax and wmax,
-    and the parts' tables, which read the checked arrays.
+    the parts are rebuilt with tables that are read-only views of them,
+    and no part or table given is kept. A scenario's own Loss objects are
+    the ones in `losses`; a loss from anywhere else is refused where one
+    of its own is required. A part whose table is a view keyed by the
+    same features and decisions in canonical order, as after
+    dataclasses.replace or from load_scenario, is checked on the view's
+    array without reading a cell. Two scenarios are equal when their
+    fields are: the names, epsilon, every lmax and wmax, and the parts'
+    tables, which read the checked arrays.
     """
 
     name: str
@@ -671,8 +642,7 @@ def expected_loss_given(x: str, yhat: str, p: float, loss: Loss) -> float:
     Closed form: loss(x, yhat, 0) + (loss(x, yhat, 1) - loss(x, yhat, 0)) * p.
     Linear in p, so it interpolates the two outcome values.
     """
-    at0 = loss.values(x, yhat, 0)
-    at1 = loss.values(x, yhat, 1)
+    at0, at1 = loss.values(x, yhat, 0), loss.values(x, yhat, 1)
     return at0 + (at1 - at0) * p
 
 
@@ -720,13 +690,11 @@ def optimal_rule_from_model(model, loss: Loss, decisions: DecisionSpace) -> Hypo
     table = model.table if isinstance(model, NatureModel) else model
     mapping = {}
     for x in table:
-        best = None
-        best_value = math.inf
+        best, best_value = None, math.inf
         for yhat in decisions.labels:
             value = expected_loss_given(x, yhat, _model_prob(model, x, yhat), loss)
             if value < best_value:
-                best = yhat
-                best_value = value
+                best, best_value = yhat, value
         mapping[x] = best
     return Hypothesis(name=f"argmin({loss.name})", mapping=mapping)
 
@@ -778,7 +746,9 @@ def builtin_loss(
                 )
             per_decision[yhat] = (v * v, (v - 1.0) * (v - 1.0))
     else:
-        raise ConfigurationError(f"unknown builtin loss {kind!r}")
+        raise ConfigurationError(
+            f"unknown builtin loss {kind!r}; expected one of {', '.join(BUILTIN_LOSSES)}"
+        )
     return io_loss(name or kind, 1.0, per_decision, features)
 
 
@@ -809,10 +779,6 @@ def _items(doc: Mapping, key: str, kind: str):
     return (json_value(item, kind, what) for item in items)
 
 
-def _labels(doc: Mapping, key: str) -> tuple[str, ...]:
-    return tuple(_items(doc, key, "string"))
-
-
 def scenario_from_dict(doc: Mapping) -> Scenario:
     """Build and validate a Scenario from its JSON document form.
 
@@ -824,8 +790,8 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
     if not isinstance(doc, Mapping):
         raise ConfigurationError("scenario document must be a JSON object")
     name = _require(doc, "name", "scenario", "string")
-    features = FeatureSpace(points=_labels(doc, "features"))
-    decisions = DecisionSpace(labels=_labels(doc, "decisions"))
+    features = FeatureSpace(points=tuple(_items(doc, "features", "string")))
+    decisions = DecisionSpace(labels=tuple(_items(doc, "decisions", "string")))
     losses = []
     for entry in _items(doc, "losses", "object"):
         if "builtin" in entry:
@@ -892,8 +858,8 @@ def _spaces(doc: dict):
     if "features" not in doc or "decisions" not in doc:
         return None
     try:
-        features = FeatureSpace(points=_labels(doc, "features"))
-        decisions = DecisionSpace(labels=_labels(doc, "decisions"))
+        features = FeatureSpace(points=tuple(_items(doc, "features", "string")))
+        decisions = DecisionSpace(labels=tuple(_items(doc, "decisions", "string")))
     except ConfigurationError:
         return None
     return features, decisions, {x: i for i, x in enumerate(features.points)}

@@ -390,13 +390,13 @@ def _sample_cell(path, lineno: int, raw: str, scenario: Scenario) -> int:
     if not isinstance(obj, dict):
         raise DataFormatError(f"{path}:{lineno}: sample must be an object")
     try:
-        x, yh, y = str(obj["x"]), str(obj["yhat"]), obj["y"]
+        x, yh, y = obj["x"], obj["yhat"], obj["y"]
     except KeyError as exc:
         raise DataFormatError(f"{path}:{lineno}: missing key {exc}")
     x_index, y_index = scenario.arrays.x_index, scenario.arrays.y_index
-    if x not in x_index:
+    if not isinstance(x, str) or x not in x_index:
         raise DataFormatError(f"{path}:{lineno}: unknown feature {x!r}")
-    if yh not in y_index:
+    if not isinstance(yh, str) or yh not in y_index:
         raise DataFormatError(f"{path}:{lineno}: unknown decision {yh!r}")
     # bool is an int subclass and 1.0 == 1, so test the exact type
     if type(y) is not int or y not in (0, 1):

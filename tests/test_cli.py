@@ -93,6 +93,26 @@ class TestParsing:
                    "--threads", "2")[0] == 1
 
 
+# A scenario document, an edit of it, and the message that refuses the
+# edited file. A rule names a decision by its string label only, so -1
+# does not name decision "-1".
+FILE_REFUSALS = {
+    "rule-label-number": (json.loads(Path(BETA).read_text()),
+                          lambda d: d["hypotheses"][0]["map"].update({"+1": -1}),
+                          "rule 'h_plus' maps '+1' to unknown decision -1"),
+    "rule-label-boolean": (json.loads(Path(BETA).read_text()),
+                           lambda d: d["hypotheses"][0]["map"].update({"+1": True}),
+                           "rule 'h_plus' maps '+1' to unknown decision True"),
+    "squared-forecast-range": (
+        json.loads(Path(BETA).read_text()),
+        lambda d: d["losses"].append({"builtin": "squared_forecast"}),
+        "squared_forecast needs decision labels in [0, 1], got '-1'"),
+    "squared-forecast-text": (
+        mid_scenario_doc(n_x=3, k=2, n_losses=0, n_hyps=1),
+        lambda d: d["losses"].append({"builtin": "squared_forecast"}),
+        "squared_forecast needs numeric decision labels, got 'd0'"),
+}
+
 # Per table kind, an edit of beta025_weights.json that adds the unknown
 # key "zzz", and the message that refuses it.
 UNKNOWN_KEYS = {
@@ -154,6 +174,17 @@ class TestScenarioShow:
         doc = json.loads(Path(BETA_W).read_text())
         edit(doc)
         path = workdir / f"unknown_{kind}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run("scenario-show", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: scenario file {path}: {message}\n"
+
+    @pytest.mark.parametrize("case", sorted(FILE_REFUSALS))
+    def test_refusal_names_the_file(self, workdir, case):
+        doc, edit, message = FILE_REFUSALS[case]
+        doc = json.loads(json.dumps(doc))
+        edit(doc)
+        path = workdir / f"refused_{case}.json"
         path.write_text(json.dumps(doc))
         code, out, err = run("scenario-show", "--config", str(path))
         assert (code, out) == (2, "")
@@ -800,6 +831,30 @@ class TestStrictTypes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: model file {model}: ")
         assert refusal in err
+
+
+# Model files that parse but do not fit beta025.json: the edit of the
+# trained model, and the refusal.
+MODEL_REFUSALS = {
+    "lmax": (lambda doc: doc["fingerprint"].update(lmax=2.0),
+             "model lmax 2.0 does not match scenario lmax 1.0"),
+    "base-length": (lambda doc: doc.update(base=[0.5]),
+                    "model base vector must be all 1/2 of length k"),
+    "base-value": (lambda doc: doc.update(base=[0.5, 0.25]),
+                   "model base vector must be all 1/2 of length k"),
+    "induced-loss": (lambda doc: doc["terms"][0].update(
+                         target={"kind": "induced", "name": "nope"}),
+                     "induced update term references unknown loss 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_REFUSALS))
+def test_model_refusal_names_the_file(workdir, model_path, case):
+    edit, refusal = MODEL_REFUSALS[case]
+    model = tampered_model(workdir, model_path, f"refused_{case}.json", edit)
+    code, out, err = run("audit", "--config", BETA, "--model", model)
+    assert (code, out) == (2, "")
+    assert err == f"error: model file {model}: {refusal}\n"
 
 
 class TestFingerprint:

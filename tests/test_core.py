@@ -215,8 +215,22 @@ class TestLossHelpers:
 
     def test_builtin_unknown_kind(self, beta_scenario):
         sc = beta_scenario
-        with pytest.raises(om.ConfigurationError):
+        with pytest.raises(om.ConfigurationError) as exc:
             om.builtin_loss("nope", sc.features, sc.decisions)
+        assert str(exc.value) == (
+            "unknown builtin loss 'nope'; expected one of "
+            "steer_to_one, steer_to_zero, squared_forecast")
+
+    @pytest.mark.parametrize("label, refusal", [
+        ("yes", "squared_forecast needs numeric decision labels, got 'yes'"),
+        ("1.5", "squared_forecast needs decision labels in [0, 1], got '1.5'"),
+        ("nan", "squared_forecast needs decision labels in [0, 1], got 'nan'"),
+    ])
+    def test_squared_forecast_refuses_labels(self, beta_scenario, label, refusal):
+        decisions = om.DecisionSpace(labels=("0.0", label))
+        with pytest.raises(om.ConfigurationError) as exc:
+            om.builtin_loss("squared_forecast", beta_scenario.features, decisions)
+        assert str(exc.value) == refusal
 
     def test_io_flag_inferred_from_table(self, beta_scenario):
         sc = beta_scenario
@@ -246,6 +260,7 @@ class TestBuiltinLossArrays:
             "squared_forecast": {y: (float(y) ** 2, (float(y) - 1.0) ** 2)
                                  for y in self.DECISIONS.labels},
         }
+        assert tuple(rows) == om.BUILTIN_LOSSES  # so every listed kind is built
         for kind, row in rows.items():
             loss = om.builtin_loss(kind, self.FEATURES, self.DECISIONS)
             assert isinstance(loss.table, core._TableView)
@@ -828,6 +843,11 @@ class TestValidationMatchesPerCellReference:
         matrix = np.full((len(sc.features.points), sc.k), 0.5)
         with pytest.raises(om.ArgumentError):
             om.induced_rule(matrix, twin, sc)
+        # augment_losses scales a scenario's own array; a plain table has none
+        plain = om.Loss(name=own.name, lmax=own.lmax, table=dict(own.table))
+        with pytest.raises(om.ArgumentError) as exc:
+            om.augment_losses((plain,), sc.weights)
+        assert str(exc.value) == f"loss {own.name!r} is not a scenario's own loss"
 
     def test_input_oblivious_is_read_from_the_table(self):
         rng = np.random.default_rng(53)
@@ -850,22 +870,24 @@ class TestPartEquality:
 
     def test_loss_differs_in_any_cell_lmax_or_name(self):
         loss = make_beta_scenario(0.25).losses[0]
-        table = {x: {y: list(v) for y, v in row.items()}
-                 for x, row in loss.table.items()}
+        # a scenario's loss table is a view whose cells read as tuples
+        table = {x: dict(row) for x, row in loss.table.items()}
         assert om.Loss(loss.name, int(loss.lmax), table) == loss
         for x, row in loss.table.items():
             for y, (v0, v1) in row.items():
                 for cell in ((v0 + 0.5, v1), (v0, v1 + 0.5)):
                     edited = copy.deepcopy(table)
-                    edited[x][y] = list(cell)
+                    edited[x][y] = cell
                     assert om.Loss(loss.name, loss.lmax, edited) != loss
         assert om.Loss(loss.name, 2.0, table) != loss
         assert om.Loss("other", loss.lmax, table) != loss
 
     def test_rule_compares_str_labels(self):
         rule = om.Hypothesis("h", {"a": "1", "b": "0"})
-        assert om.Hypothesis("h", {"a": 1, "b": 0}) == rule
-        assert om.Hypothesis("h", {"a": 1.0, "b": 0}) != rule
+        assert om.Hypothesis("h", {"a": "1", "b": "0"}) == rule
+        # a number is no label: it does not name decision "1"
+        assert om.Hypothesis("h", {"a": 1, "b": "0"}) != rule
+        assert om.Hypothesis("h", {"a": 1, "b": 0}) != rule
         assert om.Hypothesis("h", {"a": "1", "b": "1"}) != rule
         assert om.Hypothesis("g", {"a": "1", "b": "0"}) != rule
         assert om.Hypothesis("h", {"a": "1"}) != rule
@@ -1005,22 +1027,28 @@ class TestLoaderInput:
         assert str(path) in str(exc.value)
 
     def test_json_number_labels_in_rule_maps(self, tmp_path):
+        """A rule names a decision by its string label; a JSON number,
+        boolean or list whose str form is a decision label names none."""
         doc = json.loads((REPO / "scenarios" / "beta025.json").read_text())
-        doc["decisions"] = ["0", "1"]
+        doc["decisions"] = ["0", "1", "True", "1.0", "[1]"]
         for table in [doc["nature"]] + [l["table"] for l in doc["losses"]]:
             for x, row in table.items():
-                table[x] = {"0": row["-1"], "1": row["+1"]}
-        doc["hypotheses"][0]["map"] = {"-1": 0, "+1": 1}
-        doc["hypotheses"][1]["map"] = {"-1": "1", "+1": 0}
+                table[x] = dict.fromkeys(doc["decisions"], row["-1"])
+        doc["hypotheses"][1]["map"] = {"-1": "1", "+1": "0"}
         path = tmp_path / "numeric_labels.json"
-        path.write_text(json.dumps(doc))
-        sc = om.load_scenario(path)
+        for label in (1, True, 1.0, [1]):
+            doc["hypotheses"][0]["map"] = {"-1": "0", "+1": label}
+            refusal = f"rule 'h_plus' maps '+1' to unknown decision {label!r}"
+            with pytest.raises(om.ConfigurationError) as exc:
+                om.scenario_from_dict(copy.deepcopy(doc))
+            assert str(exc.value) == refusal
+            path.write_text(json.dumps(doc))
+            with pytest.raises(om.ConfigurationError) as exc:
+                om.load_scenario(path)
+            assert str(exc.value) == f"scenario file {path}: {refusal}"
+        doc["hypotheses"][0]["map"]["+1"] = "1"
+        sc = om.scenario_from_dict(doc)
         assert sc.arrays.hyp_index["h_plus"].tolist() == [0, 1]
-        assert sc.arrays.hyp_index["h_minus"].tolist() == [1, 0]
-        assert [sc.hypotheses[0].decide(x) for x in sc.features.points] == ["0", "1"]
-        data = om.generate_rct(sc, 400, 3)
-        loss = sc.losses[0]
-        assert om.ips_risk_estimate(data, sc.hypotheses[0], loss, sc) > 0.0
 
 
 def reordered(value):
@@ -1114,8 +1142,7 @@ def per_cell_values(loss, xs, ys):
 @st.composite
 def degenerate_documents(draw, n_x=st.integers(1, 4), k=st.integers(1, 3)):
     """Scenario documents with degenerate shapes: k = 1, |X| = 1, zero
-    masses, zero weights, tied values, JSON integers in number cells and
-    JSON-number labels in rule maps."""
+    masses, zero weights, tied values and JSON integers in number cells."""
     n_x, k = draw(n_x), draw(k)
     xs, ys = [f"x{i}" for i in range(n_x)], [str(j) for j in range(k)]
     parts = draw(st.lists(st.integers(0, 3), min_size=n_x, max_size=n_x).filter(any))
@@ -1129,8 +1156,7 @@ def degenerate_documents(draw, n_x=st.integers(1, 4), k=st.integers(1, 3)):
     rules = []
     for i in range(draw(st.integers(1, 3))):
         labels = [draw(st.integers(0, k - 1)) for _ in xs]
-        rules.append({"name": f"h{i}", "map": {
-            x: j if draw(st.booleans()) else str(j) for x, j in zip(xs, labels)}})
+        rules.append({"name": f"h{i}", "map": {x: ys[j] for x, j in zip(xs, labels)}})
     weights = []
     for i in range(draw(st.integers(1, 2))):
         raw = draw(st.lists(st.integers(0, 3), min_size=n_x, max_size=n_x))

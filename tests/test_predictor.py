@@ -1,6 +1,7 @@
 """Additive predictor evaluation, induced rules, and model files."""
 
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -142,6 +143,16 @@ class TestEvaluate:
                 om.prediction_matrix(bad, beta_scenario)
         ok = om.prediction_matrix([[0.0, 1.0], [0.5, 0.5]], beta_scenario)
         assert ok.tolist() == [[0.0, 1.0], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4,)])
+    def test_prediction_matrix_of_the_wrong_shape_rejected(self, beta_scenario, shape):
+        matrix = np.full(shape, 0.5)
+        refusal = f"prediction matrix has shape {shape}, expected (2, 2)"
+        with pytest.raises(om.ArgumentError) as exc:
+            om.prediction_matrix(matrix, beta_scenario)
+        assert str(exc.value) == refusal
+        with pytest.raises(om.ArgumentError, match=re.escape(refusal)):
+            om.induced_rule(matrix, beta_scenario.losses[0], beta_scenario)
 
     def test_unknown_term_references(self, beta_scenario):
         bad_loss = om.UpdateTerm(eta=0.1, loss_name="nope",

@@ -435,6 +435,25 @@ class TestJsonlFiles:
         with pytest.raises(om.DataFormatError):
             om.read_jsonl(path, beta_scenario)
 
+    @pytest.mark.parametrize("sample, refusal", [
+        ('{"x": 1, "yhat": "+1", "y": 1}', "unknown feature 1"),
+        ('{"x": true, "yhat": "+1", "y": 1}', "unknown feature True"),
+        ('{"x": ["1"], "yhat": "+1", "y": 1}', "unknown feature ['1']"),
+        ('{"x": "1", "yhat": 1, "y": 1}', "unknown decision 1"),
+        ('{"x": "1", "yhat": {"+1": 1}, "y": 1}', "unknown decision {'+1': 1}"),
+    ], ids=["number-x", "boolean-x", "list-x", "number-yhat", "object-yhat"])
+    def test_label_that_is_no_string_names_line(self, tmp_path, sample, refusal):
+        # the features and decisions are the str forms of the labels
+        labels = ("+1", "1")
+        sc = small_scenario("digits", ("0", "1", "True", "['1']"), labels,
+                            {x: {y: (0.25, 0.5) for y in labels}
+                             for x in ("0", "1", "True", "['1']")})
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"x": "1", "yhat": "+1", "y": 0}\n' + sample + "\n")
+        with pytest.raises(om.DataFormatError) as exc:
+            om.read_jsonl(path, sc)
+        assert str(exc.value) == f"{path}:2: {refusal}"
+
     def test_bad_outcome_rejected(self, beta_scenario, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"x":"+1","yhat":"+1","y":2}\n')
@@ -584,12 +603,12 @@ def line_reader_reference(path, scenario):
             if not isinstance(obj, dict):
                 raise om.DataFormatError(f"{path}:{lineno}: sample must be an object")
             try:
-                x, yh, y = str(obj["x"]), str(obj["yhat"]), obj["y"]
+                x, yh, y = obj["x"], obj["yhat"], obj["y"]
             except KeyError as exc:
                 raise om.DataFormatError(f"{path}:{lineno}: missing key {exc}")
-            if x not in features:
+            if not isinstance(x, str) or x not in features:
                 raise om.DataFormatError(f"{path}:{lineno}: unknown feature {x!r}")
-            if yh not in labels:
+            if not isinstance(yh, str) or yh not in labels:
                 raise om.DataFormatError(f"{path}:{lineno}: unknown decision {yh!r}")
             if type(y) is not int or y not in (0, 1):
                 raise om.DataFormatError(

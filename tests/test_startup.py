@@ -71,18 +71,37 @@ class TestPublicApi:
             exec("from omnipredict import no_such_name", {})
 
 
-def loaded_after(code, *argv):
-    """The module names a fresh interpreter holds after running code."""
+def source_env():
+    """The environment, with src first on PYTHONPATH."""
     path = os.pathsep.join(
         p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def readme_library_sketch():
+    """The Python block under README.md's "Library sketch" heading."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library sketch\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_sketch_runs():
+    # from the repo root, as a reader would: a renamed name or argument fails
+    proc = subprocess.run([sys.executable, "-c", readme_library_sketch()],
+                          capture_output=True, text=True, cwd=REPO, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("steer_to_one ")
+
+
+def loaded_after(code, *argv):
+    """The module names a fresh interpreter holds after running code."""
     probe = (
         "import sys\n"
         f"{code}\n"
         "print('\\n'.join(sorted(sys.modules)), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe, *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=source_env())
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
 
