@@ -37,7 +37,7 @@ _EXPORTS = {
         "Scenario",
         "WeightClass",
         "WeightFunction",
-        "augment_losses",
+        "augment_scenario",
         "builtin_loss",
         "expected_loss_given",
         "io_loss",
@@ -102,7 +102,6 @@ _EXPORTS = {
     "adapt": (
         "AdaptReport",
         "MixtureSpec",
-        "augment_scenario",
         "induced_rule_shift_invariance_check",
         "mixture_distribution",
         "shift_distribution",

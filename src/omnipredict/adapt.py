@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ._record import Record
-from .core import MASS_TOLERANCE, Scenario, _augmented
+from .core import MASS_TOLERANCE, Scenario, augment_scenario
 from .errors import ArgumentError, ConfigurationError, ModelMismatchError
 from .predictor import (
     AdditivePredictor,
@@ -58,19 +58,6 @@ class MixtureSpec(Record):
             )
 
 
-def augment_scenario(scenario: Scenario) -> Scenario:
-    """The same scenario with its losses replaced by the augmented ones.
-
-    The augmented arrays are products of the scenario's checked arrays,
-    so nothing is read from the tables or checked again.
-    """
-    if scenario.weights is None:
-        raise ConfigurationError(
-            "scenario has no weight class, so losses cannot be augmented"
-        )
-    return _augmented(scenario)
-
-
 def _weights(scenario: Scenario, name: str) -> np.ndarray:
     weights = scenario.arrays.weights
     if name not in weights:
@@ -97,15 +84,6 @@ def mixture_distribution(scenario: Scenario, spec: MixtureSpec) -> np.ndarray:
     return np.array([math.fsum(column) for column in terms.T.tolist()])
 
 
-def model_scenario(scenario: Scenario, adapt: bool) -> Scenario:
-    """The scenario a model's terms resolve in.
-
-    A model trained with adapt=True names augmented losses like
-    "loss@weight", which exist only in augment_scenario(scenario).
-    """
-    return augment_scenario(scenario) if adapt else scenario
-
-
 def load_model_with_scenario(path, scenario: Scenario):
     """Read a model file; returns (predictor, the scenario it resolves in).
 
@@ -113,7 +91,8 @@ def load_model_with_scenario(path, scenario: Scenario):
     model's losses are augmented, and every refusal names the file."""
     doc = read_model_document(path)
     try:
-        target = model_scenario(scenario, read_fingerprint(doc, scenario).adapt)
+        adapt = read_fingerprint(doc, scenario).adapt
+        target = augment_scenario(scenario) if adapt else scenario
         return deserialize(doc, target), target
     except (ModelMismatchError, ConfigurationError) as exc:
         raise type(exc)(f"model file {path}: {exc}") from exc
@@ -121,8 +100,9 @@ def load_model_with_scenario(path, scenario: Scenario):
 
 def _model_matrix(pred, scenario: Scenario):
     """The prediction matrix of pred, a model or a matrix, over scenario."""
-    adapt = isinstance(pred, AdditivePredictor) and pred.fingerprint.adapt
-    return prediction_matrix(pred, model_scenario(scenario, adapt))
+    if isinstance(pred, AdditivePredictor) and pred.fingerprint.adapt:
+        scenario = augment_scenario(scenario)  # it names "loss@weight" losses
+    return prediction_matrix(pred, scenario)
 
 
 def rule_terms(matrix, scenario: Scenario):
@@ -359,7 +339,7 @@ def induced_rule_shift_invariance_check(pred, scenario: Scenario) -> InvarianceR
 
     Both rules are argmins over the scenario's loss and weight arrays.
     The reweighted outcome values are w(x) * v0 and w(x) * v1, as
-    augment_losses writes them, and its gap is their difference.
+    augment_scenario writes them, and its gap is their difference.
     """
     if scenario.weights is None:
         raise ConfigurationError("rule invariance needs a weight class")

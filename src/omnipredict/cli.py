@@ -277,7 +277,7 @@ def _parse_mixture_flag(text: str):
             raise ArgumentError(
                 f"bad mixture component {part!r}; expected name:coefficient"
             )
-        name, _, raw = part.partition(":")
+        name, _, raw = part.rpartition(":")
         try:
             lam = float(raw)
         except ValueError:

@@ -581,56 +581,44 @@ class Scenario(Record):
     def arrays(self) -> _ScenarioArrays:
         return self._arrays  # type: ignore[attr-defined]
 
-    def loss_by_name(self, name: str) -> Loss:
-        for l in self.losses:
-            if l.name == name:
-                return l
-        raise ConfigurationError(f"scenario has no loss named {name!r}")
 
-    def hypothesis_by_name(self, name: str) -> Hypothesis:
-        for h in self.hypotheses:
-            if h.name == name:
-                return h
-        raise ConfigurationError(f"scenario has no hypothesis named {name!r}")
-
-
-def augment_losses(losses: tuple[Loss, ...], weights: WeightClass) -> tuple[Loss, ...]:
-    """Every loss rescaled pointwise by every weight function, loss-major.
+def augment_scenario(scenario: Scenario) -> Scenario:
+    """The same scenario with its losses replaced by every loss rescaled
+    pointwise by every weight function, loss-major.
 
     The augmented loss named "loss@weight" has values w(x) * loss(x, yhat, y)
-    and bound loss.lmax * wmax (class-level wmax). The losses are a
-    scenario's own; each augmented table is a view of the broadcast
-    product of the loss's array and the weights over its features.
+    and bound loss.lmax * wmax (class-level wmax). Each array is the
+    product of two checked arrays, so its values lie in [0, lmax * wmax]
+    and nothing is read from the tables or checked again. Two pairs that
+    would make one name are refused before any array is built.
     """
-    return tuple(
-        Loss(f"{l.name}@{w.name}", l.lmax * weights.wmax, _scaled(l, w))
-        for l in losses
-        for w in weights.weights
+    if scenario.weights is None:
+        raise ConfigurationError(
+            "scenario has no weight class, so losses cannot be augmented"
+        )
+    pairs = {}
+    for l in scenario.losses:
+        for w in scenario.weights.weights:
+            name = f"{l.name}@{w.name}"
+            if name in pairs:
+                first = pairs[name]
+                raise ConfigurationError(
+                    f"augmented loss name {name!r} is made twice: by loss "
+                    f"{first[0].name!r} with weight {first[1].name!r} and by "
+                    f"loss {l.name!r} with weight {w.name!r}"
+                )
+            pairs[name] = (l, w)
+    arrays, wmax = copy.copy(scenario.arrays), scenario.weights.wmax
+    values = {
+        name: arrays.weights[w.name][:, np.newaxis, np.newaxis] * arrays.loss_values[l.name]
+        for name, (l, w) in pairs.items()
+    }
+    losses = tuple(
+        Loss(name, l.lmax * wmax, arrays.view(values[name]))
+        for name, (l, _) in pairs.items()
     )
-
-
-def _scaled(loss: Loss, w: WeightFunction) -> _TableView:
-    """The view of loss's array with row x multiplied by w(x). A weight
-    whose mapping is a view over the same features is read as an array."""
-    table = loss.table
-    if not isinstance(table, _TableView):
-        raise ArgumentError(f"loss {loss.name!r} is not a scenario's own loss")
-    weight = w.mapping
-    if isinstance(weight, _TableView) and weight.x_index is table.x_index:
-        values = weight.array
-    else:
-        values = np.array([w.weight(x) for x in table.x_index], dtype=np.float64)
-    product = values[:, np.newaxis, np.newaxis] * table.array
-    return _TableView(product, table.x_index, table.labels)
-
-
-def _augmented(scenario: Scenario) -> Scenario:
-    """scenario with its losses replaced by augment_losses, run through
-    no checks: each loss@weight array is the product of two checked
-    arrays, so its values lie in [0, lmax * wmax]."""
-    losses = augment_losses(scenario.losses, scenario.weights)
-    derived, arrays = copy.copy(scenario), copy.copy(scenario.arrays)
-    arrays._set_losses(losses, {l.name: l.table.array for l in losses})
+    arrays._set_losses(losses, values)
+    derived = copy.copy(scenario)
     object.__setattr__(derived, "losses", losses)
     object.__setattr__(derived, "_arrays", arrays)
     return derived

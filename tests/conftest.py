@@ -263,6 +263,11 @@ def io_loss_scenario(rng, n_losses, name="io-rand"):
     )
 
 
+def named(parts, name):
+    """The loss, rule or weight function called name among parts."""
+    return {part.name: part for part in parts}[name]
+
+
 def all_rules(scenario):
     """Every deterministic decision rule on the scenario's feature space."""
     import itertools

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import omnipredict as om
 from omnipredict import adapt
 
-from conftest import features_only, input_oblivious, random_scenario
+from conftest import features_only, input_oblivious, named, random_scenario
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +34,8 @@ def unit_weight(scenario, wmax=1.0):
 
 class TestAugmentLosses:
     def test_identity_weight_preserves_values(self, beta_scenario):
-        w = om.WeightClass(weights=(unit_weight(beta_scenario),))
-        out = om.augment_losses(beta_scenario.losses, w)
+        sc = with_weights(beta_scenario, unit_weight(beta_scenario))
+        out = om.augment_scenario(sc).losses
         for orig, aug in zip(beta_scenario.losses, out):
             assert aug.name == f"{orig.name}@unit"
             assert aug.lmax == orig.lmax
@@ -43,8 +43,7 @@ class TestAugmentLosses:
             assert input_oblivious(aug, beta_scenario.features, beta_scenario.decisions)
 
     def test_count_and_order(self, weighted_scenario):
-        sc = weighted_scenario
-        out = om.augment_losses(sc.losses, sc.weights)
+        out = om.augment_scenario(weighted_scenario).losses
         assert [l.name for l in out] == [
             "steer_to_one@uniform", "steer_to_one@focus_minus",
             "steer_to_one@focus_plus", "steer_to_zero@uniform",
@@ -54,9 +53,8 @@ class TestAugmentLosses:
 
     def test_pointwise_rescaling(self, beta_scenario):
         w15 = om.WeightFunction(name="tilt", mapping={"-1": 0.5, "+1": 1.5}, wmax=2.0)
-        cls = om.WeightClass(weights=(w15,))
-        out = om.augment_losses(beta_scenario.losses, cls)
-        steer = next(l for l in out if l.name == "steer_to_one@tilt")
+        out = om.augment_scenario(with_weights(beta_scenario, w15)).losses
+        steer = named(out, "steer_to_one@tilt")
         assert steer.values("+1", "+1", 0) == 1.5
         assert steer.values("+1", "+1", 1) == 0.0
         assert steer.values("-1", "+1", 0) == 0.5
@@ -70,6 +68,39 @@ class TestAugmentLosses:
     def test_augment_needs_weights(self, beta_scenario):
         with pytest.raises(om.ConfigurationError):
             om.augment_scenario(beta_scenario)
+
+    def test_colliding_names_are_refused(self, weighted_scenario):
+        # losses "a@uniform" and "a" with weights "uniform" and
+        # "uniform@uniform" both make "a@uniform@uniform"
+        sc = weighted_scenario
+        one, zero = sc.losses
+        uniform, plus = sc.weights.weights[0], sc.weights.weights[2]
+        clash = dataclasses.replace(
+            sc,
+            losses=(dataclasses.replace(one, name="a@uniform"),
+                    dataclasses.replace(zero, name="a")),
+            weights=om.WeightClass(weights=(
+                uniform, dataclasses.replace(uniform, name="uniform@uniform"), plus)),
+        )
+        with pytest.raises(om.ConfigurationError) as exc:
+            om.augment_scenario(clash)
+        assert str(exc.value) == (
+            "augmented loss name 'a@uniform@uniform' is made twice: by loss "
+            "'a@uniform' with weight 'uniform' and by loss 'a' with weight "
+            "'uniform@uniform'"
+        )
+
+    def test_names_with_at_signs_that_do_not_collide(self, weighted_scenario):
+        sc = weighted_scenario
+        at = dataclasses.replace(
+            sc, losses=tuple(dataclasses.replace(l, name=f"{l.name}@v2")
+                             for l in sc.losses))
+        wide, plain = om.augment_scenario(at), om.augment_scenario(sc)
+        assert [l.name for l in wide.losses] == [
+            l.name.replace("@", "@v2@", 1) for l in plain.losses]
+        for a, b in zip(wide.losses, plain.losses):
+            assert wide.arrays.loss_values[a.name].tobytes() == (
+                plain.arrays.loss_values[b.name].tobytes())
 
 
 def with_weights(scenario, *functions):
@@ -289,7 +320,7 @@ class TestVerifier:
         matrix = om.prediction_matrix(adapt_model, om.augment_scenario(sc))
         check = rep.checks[0]  # weight:uniform leaves the distribution alone
         for loss_name, risk, best in check.per_loss:
-            loss = sc.loss_by_name(loss_name)
+            loss = named(sc.losses, loss_name)
             rule = om.induced_rule(matrix, loss, sc)
             want = om.performative_risk_exact(
                 rule, sc.nature.table, loss, sc.input_distribution)
@@ -413,14 +444,41 @@ class TestRuleInvariance:
             beta_nature_matrix, weighted_scenario)
         sc = weighted_scenario
         plain = om.induced_rule(beta_nature_matrix,
-                                sc.loss_by_name("steer_to_one"), sc)
+                                named(sc.losses, "steer_to_one"), sc)
         assert plain.mapping["+1"] == "+1"
         wide = om.augment_scenario(sc)
-        tilted = wide.loss_by_name("steer_to_one@focus_minus")
+        tilted = named(wide.losses, "steer_to_one@focus_minus")
         shifted_rule = om.induced_rule(beta_nature_matrix, tilted, wide)
         assert shifted_rule.mapping["+1"] == "-1"  # tie falls to first label
-        assert not any(x == "+1" and "focus_minus" in name
-                       for name, x in rep.mismatches)
+        assert not any(x == "+1" and weight == "focus_minus"
+                       for _, weight, x in rep.mismatches)
+
+    def test_rounding_tie_is_reported(self, beta_scenario):
+        # found by a seeded search: at x=-1 both decisions' expected plain
+        # losses round to one value, so the argmin takes the first label,
+        # while w(-1) * v0 and w(-1) * v1 round apart and the reweighted
+        # argmin takes the second
+        loss = om.Loss(name="tied", lmax=1.0, table={
+            "-1": {"-1": (0.981, 0.686), "+1": (0.65, 0.688)},
+            "+1": {"-1": (0.389, 0.135), "+1": (0.721, 0.525)}})
+        tilt = om.WeightFunction(name="tilt", mapping={"-1": 0.31, "+1": 1.69},
+                                 wmax=2.0)
+        sc = with_weights(dataclasses.replace(beta_scenario, losses=(loss,)), tilt)
+        q = 0.9939939939939941
+        matrix = np.array([[q, q], [0.5, 0.5]])
+        wide = om.augment_scenario(sc)
+        plain = om.induced_rule(matrix, sc.losses[0], sc)
+        shifted = om.induced_rule(matrix, wide.losses[0], wide)
+        assert (plain.mapping["-1"], shifted.mapping["-1"]) == ("-1", "+1")
+        rep = om.induced_rule_shift_invariance_check(matrix, sc)
+        assert not rep.passed
+        assert rep.mismatches == (("tied", "tilt", "-1"),)
+        verdict = om.verify_universal_adaptability(matrix, sc, sc.epsilon)
+        doc = dataclasses.replace(verdict, rule_invariance=rep).to_json_dict()
+        assert doc["rule_invariance"] == {
+            "pass": False,
+            "mismatches": [{"loss": "tied", "weight": "tilt", "feature": "-1"}],
+        }
 
     def test_identity_weight_never_mismatches(self, beta_scenario):
         rng = np.random.default_rng(149)

@@ -24,6 +24,7 @@ from conftest import (
     features_only,
     io_loss_scenario,
     make_beta_scenario,
+    named,
     near_nature_matrix,
     partial_trial_data,
     random_matrix,
@@ -111,8 +112,8 @@ class TestExactPoi:
             _, rep = om.audit_poi_exact(q, sc, 10.0)
             for t, err in rep.entries:
                 want = exact_err_by_enumeration(
-                    q, sc, sc.hypothesis_by_name(t.hypothesis),
-                    sc.loss_by_name(t.loss))
+                    q, sc, named(sc.hypotheses, t.hypothesis),
+                    named(sc.losses, t.loss))
                 assert err == pytest.approx(want, abs=1e-12)
 
     def test_first_violation_is_canonical(self, beta_scenario):
@@ -329,7 +330,7 @@ class TestExactDoi:
             q = random_matrix(rng, sc)
             _, rep = om.audit_doi_exact(q, sc, 10.0)
             for t, err in rep.entries:
-                loss = sc.loss_by_name(t.loss)
+                loss = named(sc.losses, t.loss)
                 rule = om.induced_rule(q, loss, sc)
                 want = exact_err_by_enumeration(q, sc, rule, loss)
                 assert err == pytest.approx(want, abs=1e-12)
@@ -357,7 +358,7 @@ class TestExactDoi:
 class TestEmpiricalAudits:
     def test_overestimating_predictor_doi_err(self):
         sc = make_beta_scenario(0.1)
-        solo = dataclasses.replace(sc, losses=(sc.loss_by_name("steer_to_one"),))
+        solo = dataclasses.replace(sc, losses=(named(sc.losses, "steer_to_one"),))
         q = np.array([[0.9, 0.7], [0.7, 0.9]])  # Nature plus 0.3 everywhere
         rows = []
         for x in ("-1", "+1"):
@@ -691,7 +692,7 @@ class TestCostSensitive:
         sc = beta_scenario
         pred = om.base_predictor(sc, 0.05)
         data = encode(sc, [("+1", "+1", 1)])
-        loss = sc.loss_by_name("steer_to_one")
+        loss = named(sc.losses, "steer_to_one")
         inst = om.build_csc_instance(data, pred, loss, 1, sc)
         # modeled expected loss 0.5, realized loss 0, scale 1/(4*k*lmax);
         # the table is zero except at the one logged (feature, decision)
@@ -699,8 +700,9 @@ class TestCostSensitive:
         assert inst.costs.shape == (2, 2)
         assert inst.costs[plus].tolist() == pytest.approx([0.0, 0.0625], abs=1e-15)
         assert inst.costs[1 - plus].tolist() == [0.0, 0.0]
-        assert inst.mean_cost(sc.hypothesis_by_name("h_plus")) == pytest.approx(0.0625, abs=1e-15)
-        assert inst.mean_cost(sc.hypothesis_by_name("h_minus")) == 0.0
+        assert inst.mean_cost(named(sc.hypotheses, "h_plus")) == pytest.approx(
+            0.0625, abs=1e-15)
+        assert inst.mean_cost(named(sc.hypotheses, "h_minus")) == 0.0
         neg = om.build_csc_instance(data, pred, loss, -1, sc)
         assert neg.costs[plus].tolist() == pytest.approx([0.0, -0.0625], abs=1e-15)
 
@@ -731,7 +733,7 @@ class TestCostSensitive:
         sc = dataclasses.replace(sc, losses=sc.losses + (flat,))
         data = om.generate_rct(sc, 64, 0)
         pred = om.base_predictor(sc, 0.05)
-        inst = om.build_csc_instance(data, pred, sc.loss_by_name("flat"), 1, sc)
+        inst = om.build_csc_instance(data, pred, named(sc.losses, "flat"), 1, sc)
         assert np.all(inst.costs == 0.0)
 
     def test_cost_bounds(self):
@@ -750,10 +752,10 @@ class TestCostSensitive:
         sc = beta_scenario
         pred = om.base_predictor(sc, 0.05)
         data = population_beta_dataset(sc)
-        loss = sc.loss_by_name("steer_to_one")
+        loss = named(sc.losses, "steer_to_one")
         inst = om.build_csc_instance(data, pred, loss, -1, sc)
-        assert inst.mean_cost(sc.hypothesis_by_name("h_plus")) == -0.015625
-        assert inst.mean_cost(sc.hypothesis_by_name("h_minus")) == 0.015625
+        assert inst.mean_cost(named(sc.hypotheses, "h_plus")) == -0.015625
+        assert inst.mean_cost(named(sc.hypotheses, "h_minus")) == 0.015625
 
     def test_flat_predictor_found_through_reduction(self, beta_scenario):
         sc = beta_scenario
@@ -787,7 +789,7 @@ class TestCostSensitive:
         sc = beta_scenario
         pred = om.base_predictor(sc, 0.05)
         data = population_beta_dataset(sc)
-        h_minus = sc.hypothesis_by_name("h_minus")
+        h_minus = named(sc.hypotheses, "h_minus")
 
         def bad_learner(inst, rho):
             # h_minus has positive mean cost on the first fired instance,
@@ -801,7 +803,7 @@ class TestCostSensitive:
         sc = beta_scenario
         pred = om.base_predictor(sc, 0.05)
         data = population_beta_dataset(sc)
-        loss = sc.loss_by_name("steer_to_one")
+        loss = named(sc.losses, "steer_to_one")
         inst = om.build_csc_instance(data, pred, loss, -1, sc)
         found = om.baseline_weak_learner(inst, sc.hypotheses, 0.0125)
         assert found is not None and found.name == "h_plus"
@@ -811,7 +813,7 @@ class TestCostSensitive:
         sc = beta_scenario
         pred = om.base_predictor(sc, 0.05)
         data = population_beta_dataset(sc)
-        inst = om.build_csc_instance(data, pred, sc.loss_by_name("steer_to_one"), -1, sc)
+        inst = om.build_csc_instance(data, pred, named(sc.losses, "steer_to_one"), -1, sc)
         # mean cost of h_plus is exactly -0.015625; the admission bar is
         # -rho/2, closed at the boundary
         assert om.baseline_weak_learner(inst, sc.hypotheses, 0.03125) is not None
@@ -831,8 +833,8 @@ class TestCostSensitive:
             if v_csc is not None:
                 # the reported err must be a genuine exact-audit entry
                 want = exact_err_by_enumeration(
-                    q, sc, sc.hypothesis_by_name(v_csc.target.hypothesis),
-                    sc.loss_by_name(v_csc.target.loss))
+                    q, sc, named(sc.hypotheses, v_csc.target.hypothesis),
+                    named(sc.losses, v_csc.target.loss))
                 assert v_csc.err == pytest.approx(want, abs=1e-12)
                 assert abs(v_csc.err) >= sc.epsilon - 1e-12
 
@@ -882,7 +884,7 @@ class TestMultiaccuracy:
             q = random_matrix(rng, sc)
             rep = om.audit_multiaccuracy(q, sc, 10.0)
             for t, err in rep.entries:
-                h = sc.hypothesis_by_name(t.hypothesis)
+                h = named(sc.hypotheses, t.hypothesis)
                 want = math.fsum(
                     sc.input_distribution.probabilities[x]
                     * (sc.nature.table[x][t.decision] - q[i, sc.decisions.labels.index(t.decision)])

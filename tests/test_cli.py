@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import omnipredict as om
-from omnipredict import adapt, boost, cli, core, predictor
+from omnipredict import adapt, boost, cli, predictor
 
-from conftest import make_beta_scenario, mid_scenario_doc
+from conftest import make_beta_scenario, mid_scenario_doc, named
 
 REPO = Path(__file__).resolve().parent.parent
 BETA = str(REPO / "scenarios" / "beta025.json")
@@ -997,7 +997,7 @@ class TestEval:
                         for line in out_csv.read_text().splitlines()[1:]]
                 for rule, loss, risk, _ in rows:
                     assert float(risk) == om.performative_risk_exact(
-                        rules[rule], sc.nature, sc.loss_by_name(loss), dist)
+                        rules[rule], sc.nature, named(sc.losses, loss), dist)
                 if flag[:1] == ("--shift",):
                     own = [r[3] for r in rows if r[3]]
                     assert len(own) == len(sc.losses)
@@ -1022,6 +1022,63 @@ class TestEval:
                          "--mixture", "focus_minus:0.5,focus_plus:0.5",
                          "--out", str(workdir / "z.csv"))
         assert code == 1
+
+
+def renamed_weights_scenario(path, losses=None, weights=None):
+    """beta025_weights.json with its losses and weights renamed by the
+    given old-to-new maps, written to path."""
+    doc = json.loads(Path(BETA_W).read_text())
+    for key, names in (("losses", losses or {}), ("weights", weights or {})):
+        for part in doc[key]:
+            part["name"] = names.get(part["name"], part["name"])
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestAugmentedNames:
+    # losses "a@uniform" and "a" with weights "uniform" and
+    # "uniform@uniform" both make the augmented name "a@uniform@uniform"
+    REFUSAL = ("augmented loss name 'a@uniform@uniform' is made twice: by loss "
+               "'a@uniform' with weight 'uniform' and by loss 'a' with weight "
+               "'uniform@uniform'")
+
+    @pytest.fixture(scope="class")
+    def clash(self, workdir):
+        return renamed_weights_scenario(
+            workdir / "clash.json",
+            losses={"steer_to_one": "a@uniform", "steer_to_zero": "a"},
+            weights={"focus_minus": "uniform@uniform"})
+
+    def test_train_adapt_refuses_and_writes_nothing(self, workdir, clash):
+        out = workdir / "clash_model.json"
+        code, stdout, err = run("train", "--config", clash, "--epsilon", "0.05",
+                                "--adapt", "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: {self.REFUSAL}\n")
+        assert not out.exists() and not Path(f"{out}.trace.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["audit", "adapt-verify"])
+    def test_loading_an_adapt_model_refuses(self, clash, adapt_model_path, command):
+        code, out, err = run(command, "--config", clash, "--model", adapt_model_path)
+        assert (code, out) == (2, "")
+        assert err == f"error: model file {adapt_model_path}: {self.REFUSAL}\n"
+
+    def test_mixture_of_a_weight_named_with_a_colon(self, workdir):
+        # --mixture splits each component at its last colon, as a weight
+        # named "focus:plus" mixes as "focus_plus" does
+        colon = renamed_weights_scenario(workdir / "colon.json",
+                                         weights={"focus_plus": "focus:plus"})
+        model = workdir / "colon_model.json"
+        assert run("train", "--config", BETA_W, "--epsilon", "0.05",
+                   "--out", str(model))[0] == 0
+        tables = []
+        for config, weight in ((colon, "focus:plus"), (BETA_W, "focus_plus")):
+            out = workdir / f"colon_{len(tables)}.csv"
+            code, _, err = run("eval", "--config", config, "--model", str(model),
+                               "--mixture", f"uniform:0.5,{weight}:0.5",
+                               "--out", str(out))
+            assert code == 0, err
+            tables.append(out.read_text())
+        assert tables[0] == tables[1]
 
 
 class TestAdaptVerify:
@@ -1134,9 +1191,9 @@ class TestAdaptVerify:
             self, adapt_model_path, monkeypatch):
         # 3 weights and 10 mixtures: the mixtures reuse the 3 shifts, and
         # the invariance check reads the scenario's arrays, so the only
-        # augment_losses call is the one that loads the adapt model
-        calls = {"shift": 0, "augment_losses": 0}
-        shift, augment = adapt.shift_distribution, core.augment_losses
+        # augmentation is the one that loads the adapt model
+        calls = {"shift": 0, "augment": 0}
+        shift, augment = adapt.shift_distribution, adapt.augment_scenario
 
         def counted(name, fn):
             def wrapper(*args):
@@ -1145,12 +1202,11 @@ class TestAdaptVerify:
             return wrapper
 
         monkeypatch.setattr(adapt, "shift_distribution", counted("shift", shift))
-        monkeypatch.setattr(core, "augment_losses",
-                            counted("augment_losses", augment))
+        monkeypatch.setattr(adapt, "augment_scenario", counted("augment", augment))
         code, out, _ = run("adapt-verify", "--config", BETA_W,
                            "--model", adapt_model_path)
         assert code == 0 and len(json.loads(out)["distributions"]) == 13
-        assert calls == {"shift": 3, "augment_losses": 1}
+        assert calls == {"shift": 3, "augment": 1}
 
 
     @pytest.mark.parametrize("command", ["audit", "eval", "adapt-verify"])

@@ -21,7 +21,13 @@ import omnipredict as om
 from omnipredict import core
 from omnipredict.core import MASS_TOLERANCE
 
-from conftest import all_rules, input_oblivious, make_beta_scenario, random_scenario
+from conftest import (
+    all_rules,
+    input_oblivious,
+    make_beta_scenario,
+    named,
+    random_scenario,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -843,11 +849,6 @@ class TestValidationMatchesPerCellReference:
         matrix = np.full((len(sc.features.points), sc.k), 0.5)
         with pytest.raises(om.ArgumentError):
             om.induced_rule(matrix, twin, sc)
-        # augment_losses scales a scenario's own array; a plain table has none
-        plain = om.Loss(name=own.name, lmax=own.lmax, table=dict(own.table))
-        with pytest.raises(om.ArgumentError) as exc:
-            om.augment_losses((plain,), sc.weights)
-        assert str(exc.value) == f"loss {own.name!r} is not a scenario's own loss"
 
     def test_input_oblivious_is_read_from_the_table(self):
         rng = np.random.default_rng(53)
@@ -1113,7 +1114,7 @@ class TestScenarioEquality:
 
 
 def eager_augment_losses(losses, weights):
-    """augment_losses as it was before its tables became views: every
+    """Loss augmentation as it was before its tables became views: every
     table built cell by cell, from tables whose cells the loader had
     converted with float(). The reference for the views and for the
     augmented arrays."""
@@ -1222,8 +1223,6 @@ class TestArraysMatchPerCellReferences:
         eager = eager_augment_losses(sc.losses, sc.weights)
         names = [(l.name, l.lmax) for l in eager]
         assert [(l.name, l.lmax) for l in wide.losses] == names
-        views = om.augment_losses(sc.losses, sc.weights)
-        assert [(l.name, l.lmax) for l in views] == names
         for view, ref in zip(wide.losses, eager):
             want = per_cell_values(ref, xs, ys)
             assert per_cell_values(view, xs, ys).tobytes() == want.tobytes()
@@ -1638,7 +1637,7 @@ class TestPartViews:
         assert wide.arrays.loss_values["extra"].tolist() == [
             [[0.5, 1.5 * (j % 2)] for j in range(len(ys))] for _ in xs]
         pred = om.base_predictor(wide, 0.1)
-        rule = om.induced_rule(pred, wide.loss_by_name("extra"), wide)
+        rule = om.induced_rule(pred, named(wide.losses, "extra"), wide)
         assert all(rule.mapping[x] == ys[0] for x in xs)
         om.audit_poi_exact(pred, wide, 0.1)
         aug = om.augment_scenario(wide)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import omnipredict as om
 
-from conftest import make_beta_scenario, random_scenario
+from conftest import make_beta_scenario, named, random_scenario
 
 
 def with_terms(scenario, terms, epsilon=0.05):
@@ -45,12 +45,12 @@ def brute_vector(terms, x, scenario):
         return [0.5] * k
     prev = brute_vector(terms[:-1], x, scenario)
     term = terms[-1]
-    loss = scenario.loss_by_name(term.loss_name)
+    loss = named(scenario.losses, term.loss_name)
     if term.target_kind == "external":
-        chosen = scenario.hypothesis_by_name(term.target_name).mapping[x]
+        chosen = named(scenario.hypotheses, term.target_name).mapping[x]
     else:
         chosen = optimal_decision_from_vector(
-            prev, scenario.loss_by_name(term.target_name), x, scenario.decisions)
+            prev, named(scenario.losses, term.target_name), x, scenario.decisions)
     out = list(prev)
     j = scenario.decisions.labels.index(chosen)
     delta = loss.values(x, chosen, 1) - loss.values(x, chosen, 0)
@@ -250,7 +250,7 @@ class TestEvaluate:
 
 class TestDecisionSelection:
     def test_picks_loss_minimizer(self, beta_scenario):
-        loss = beta_scenario.loss_by_name("steer_to_one")
+        loss = named(beta_scenario.losses, "steer_to_one")
         # expected losses are 1 - v[j]; larger modeled probability wins
         assert optimal_decision_from_vector(
             [0.25, 0.75], loss, "+1", beta_scenario.decisions) == "+1"
@@ -258,12 +258,12 @@ class TestDecisionSelection:
             [0.75, 0.25], loss, "+1", beta_scenario.decisions) == "-1"
 
     def test_steer_to_zero_prefers_small_probability(self, beta_scenario):
-        loss = beta_scenario.loss_by_name("steer_to_zero")
+        loss = named(beta_scenario.losses, "steer_to_zero")
         assert optimal_decision_from_vector(
             [0.2, 0.9], loss, "-1", beta_scenario.decisions) == "-1"
 
     def test_tie_takes_lowest_index(self, beta_scenario):
-        loss = beta_scenario.loss_by_name("steer_to_one")
+        loss = named(beta_scenario.losses, "steer_to_one")
         assert optimal_decision_from_vector(
             [0.5, 0.5], loss, "+1", beta_scenario.decisions) == "-1"
 
@@ -277,10 +277,12 @@ class TestInducedRule:
 
     def test_truth_matrix_induces_optimal_rules(self, beta_scenario, beta_nature_matrix):
         copy = om.induced_rule(
-            beta_nature_matrix, beta_scenario.loss_by_name("steer_to_one"), beta_scenario)
+            beta_nature_matrix, named(beta_scenario.losses, "steer_to_one"),
+            beta_scenario)
         assert copy.mapping == {"-1": "-1", "+1": "+1"}
         negate = om.induced_rule(
-            beta_nature_matrix, beta_scenario.loss_by_name("steer_to_zero"), beta_scenario)
+            beta_nature_matrix, named(beta_scenario.losses, "steer_to_zero"),
+            beta_scenario)
         assert negate.mapping == {"-1": "+1", "+1": "-1"}
 
     def test_agrees_with_per_feature_selection(self):
@@ -308,7 +310,7 @@ class TestInducedRule:
             }
             scaled = om.Loss(name="scaled", lmax=3.5, table=table)
             sc = dataclasses.replace(sc, losses=sc.losses + (scaled,))
-            own, own_scaled = sc.loss_by_name(loss.name), sc.loss_by_name("scaled")
+            own, own_scaled = named(sc.losses, loss.name), named(sc.losses, "scaled")
             assert (om.induced_rule(matrix, own, sc).mapping
                     == om.induced_rule(matrix, own_scaled, sc).mapping)
 
@@ -348,7 +350,7 @@ class TestModelFiles:
         path = tmp_path / "model.json"
         om.save_model(pred, path)
         smaller = dataclasses.replace(
-            beta_scenario, hypotheses=(beta_scenario.hypothesis_by_name("h_minus"),))
+            beta_scenario, hypotheses=(named(beta_scenario.hypotheses, "h_minus"),))
         with pytest.raises(om.ModelMismatchError):
             om.load_model(path, smaller)
 

@@ -21,6 +21,7 @@ from conftest import (
     encode,
     features_only,
     make_beta_scenario,
+    named,
     partial_trial_data,
     random_matrix,
     random_scenario,
@@ -113,16 +114,16 @@ class TestIpsEstimate:
     def test_no_matching_samples_gives_zero(self, beta_scenario):
         rows = [("+1", "+1", 1), ("-1", "-1", 0), ("+1", "+1", 0)]
         d = encode(beta_scenario, rows)
-        h_minus = beta_scenario.hypothesis_by_name("h_minus")
-        loss = beta_scenario.loss_by_name("steer_to_one")
+        h_minus = named(beta_scenario.hypotheses, "h_minus")
+        loss = named(beta_scenario.losses, "steer_to_one")
         assert om.ips_risk_estimate(d, h_minus, loss, beta_scenario) == 0.0
 
     def test_two_sample_hand_value(self, beta_scenario):
         # h_plus matches only the first sample, whose realized loss is 1
         rows = [("+1", "+1", 0), ("-1", "+1", 1)]
         d = encode(beta_scenario, rows)
-        h_plus = beta_scenario.hypothesis_by_name("h_plus")
-        loss = beta_scenario.loss_by_name("steer_to_one")
+        h_plus = named(beta_scenario.hypotheses, "h_plus")
+        loss = named(beta_scenario.losses, "steer_to_one")
         assert om.ips_risk_estimate(d, h_plus, loss, beta_scenario) == 1.0
 
     def test_empty_dataset_rejected(self, beta_scenario):
@@ -144,8 +145,8 @@ class TestIpsEstimate:
 
     def test_unbiased_over_repeated_draws(self, beta_scenario):
         sc = beta_scenario
-        h = sc.hypothesis_by_name("h_plus")
-        loss = sc.loss_by_name("steer_to_one")
+        h = named(sc.hypotheses, "h_plus")
+        loss = named(sc.losses, "steer_to_one")
         true = om.performative_risk_exact(h, sc.nature.table, loss, sc.input_distribution)
         trials = 2000
         vals = [
@@ -169,8 +170,8 @@ class TestIpsEstimate:
 class TestModelRiskEstimate:
     def test_flat_predictor_on_beta(self, beta_scenario):
         pred = om.base_predictor(beta_scenario, 0.05)
-        h = beta_scenario.hypothesis_by_name("h_plus")
-        loss = beta_scenario.loss_by_name("steer_to_one")
+        h = named(beta_scenario.hypotheses, "h_plus")
+        loss = named(beta_scenario.losses, "steer_to_one")
         xs = features_only(beta_scenario, ["+1", "-1", "+1"])
         est = om.model_risk_estimate(xs, pred, h, loss, beta_scenario)
         assert est == pytest.approx(0.5, abs=1e-15)
@@ -186,8 +187,8 @@ class TestModelRiskEstimate:
                 assert est == pytest.approx(true, abs=1e-12)
 
     def test_single_feature(self, beta_scenario, beta_nature_matrix):
-        h = beta_scenario.hypothesis_by_name("h_plus")
-        loss = beta_scenario.loss_by_name("steer_to_one")
+        h = named(beta_scenario.hypotheses, "h_plus")
+        loss = named(beta_scenario.losses, "steer_to_one")
         xs = features_only(beta_scenario, ["+1"])
         est = om.model_risk_estimate(xs, beta_nature_matrix, h, loss, beta_scenario)
         assert est == pytest.approx(0.25, abs=1e-15)
