@@ -45,7 +45,6 @@ _EXPORTS = {
         "optimal_rule_from_model",
         "performative_risk_exact",
         "scenario_from_dict",
-        "scenario_to_dict",
     ),
     "predictor": (
         "AdditivePredictor",

@@ -8,8 +8,11 @@ defined, which only does the bookkeeping (`__dataclass_fields__`,
 `__match_args__`, so that `dataclasses.replace`, `fields`, `asdict` and
 `is_dataclass` work), and supplies `__init__`, `__repr__`, `__eq__`,
 `__hash__`, `__setattr__` and `__delattr__` once, read from the fields.
-Each behaves as its `dataclass(frozen=True)` counterpart does on Python
-3.10–3.12, including the wording of its errors.
+Each behaves as its `dataclass(frozen=True)` counterpart does. A call
+that does not fit the fields is made again on a stub of the `__init__`
+that dataclass would write, compiled only for that call, so its
+TypeError is Python's own; no code is compiled at import or for a call
+that fits.
 `class Name(Record, eq=False)` stands for `dataclass(frozen=True,
 eq=False)`: identity equality and hash. A class that defines its own
 `__eq__` keeps it, with the field hash unless eq=False.
@@ -41,44 +44,24 @@ def _spec(cls) -> tuple:
     return tuple(names), defaults, required, dict.fromkeys(names)
 
 
-def _quoted(names) -> str:
-    """'a'; 'a' and 'b'; 'a', 'b', and 'c': how Python lists missing arguments."""
-    quoted = [repr(name) for name in names]
-    if len(quoted) < 3:
-        return " and ".join(quoted)
-    return ", ".join(quoted[:-1]) + ", and " + quoted[-1]
-
-
 def _bind(cls, args: tuple, kwargs: dict) -> dict:
     """{name: value} of every field of cls(*args, **kwargs), in field
-    order. A call that does not fit raises the TypeError Python raises
-    for the signature (self, name, ..., name=default, ...), checked in
-    the same order: keywords, then the positional count, then missing
-    fields."""
+    order. A call that does not fit is made again on a stub of the
+    __init__ that dataclass would write, compiled for that call alone,
+    so that Python raises its own TypeError."""
     names, defaults, required, template = _SPECS[cls]
     given = {**dict(zip(names, args)), **kwargs} if args else kwargs
     # a keyword repeating a positional field, or a positional argument
     # past the last field, leaves given shorter than the arguments
     if len(given) == len(args) + len(kwargs) and required <= given.keys() <= template.keys():
         return {**template, **defaults, **given}
-    where = f"{cls.__qualname__}.__init__()"
-    for name in kwargs:
-        if name not in template:
-            raise TypeError(f"{where} got an unexpected keyword argument '{name}'")
-        if name in names[:len(args)]:
-            raise TypeError(f"{where} got multiple values for argument '{name}'")
-    if len(args) > len(names):
-        takes = len(names) + 1  # self counts
-        if defaults:
-            takes = f"from {takes - len(defaults)} to {takes}"
-        raise TypeError(
-            f"{where} takes {takes} positional arguments but {len(args) + 1} were given"
-        )
-    missing = [name for name in names if name in required and name not in given]
-    s = "s" if len(missing) > 1 else ""
-    raise TypeError(
-        f"{where} missing {len(missing)} required positional argument{s}: {_quoted(missing)}"
-    )
+    first = "__dataclass_self__" if "self" in template else "self"  # as dataclass names it
+    scope = {}
+    exec(f"def __init__({', '.join((first, *names))}): pass", scope)
+    stub = scope["__init__"]
+    stub.__defaults__ = tuple(defaults.values())
+    stub.__qualname__ = f"{cls.__qualname__}.__init__"
+    stub(None, *args, **kwargs)  # raises
 
 
 def _values(record) -> tuple:
@@ -119,7 +102,7 @@ class Record:
             # dataclass(frozen=True) gives it the field hash
             cls.__hash__ = Record.__hash__
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, /, *args, **kwargs):
         names = _SPECS[type(self)][0]
         if kwargs or len(args) != len(names):
             self.__dict__.update(_bind(type(self), args, kwargs))

@@ -955,28 +955,3 @@ def load_scenario(path) -> Scenario:
         if enabled:
             gc.enable()
 
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Document form of a scenario, read from its parts' views of the
-    checked arrays (losses are written as full tables)."""
-    doc = {
-        "name": scenario.name,
-        "features": list(scenario.features.points),
-        "decisions": list(scenario.decisions.labels),
-        "input_distribution": dict(scenario.input_distribution.probabilities),
-        "nature": dict(scenario.nature.table),
-        "losses": [
-            {"name": l.name, "lmax": l.lmax, "table": dict(l.table)}
-            for l in scenario.losses
-        ],
-        "hypotheses": [
-            {"name": h.name, "map": dict(h.mapping)} for h in scenario.hypotheses
-        ],
-        "epsilon": scenario.epsilon,
-    }
-    if scenario.weights is not None:
-        doc["weights"] = [
-            {"name": w.name, "map": dict(w.mapping), "wmax": w.wmax}
-            for w in scenario.weights.weights
-        ]
-    return doc

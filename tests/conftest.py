@@ -268,6 +268,33 @@ def named(parts, name):
     return {part.name: part for part in parts}[name]
 
 
+def scenario_to_dict(scenario):
+    """Document form of a scenario, read from its parts' views of the
+    checked arrays (losses are written as full tables): the writer
+    oracle of the loader's tests."""
+    doc = {
+        "name": scenario.name,
+        "features": list(scenario.features.points),
+        "decisions": list(scenario.decisions.labels),
+        "input_distribution": dict(scenario.input_distribution.probabilities),
+        "nature": dict(scenario.nature.table),
+        "losses": [
+            {"name": l.name, "lmax": l.lmax, "table": dict(l.table)}
+            for l in scenario.losses
+        ],
+        "hypotheses": [
+            {"name": h.name, "map": dict(h.mapping)} for h in scenario.hypotheses
+        ],
+        "epsilon": scenario.epsilon,
+    }
+    if scenario.weights is not None:
+        doc["weights"] = [
+            {"name": w.name, "map": dict(w.mapping), "wmax": w.wmax}
+            for w in scenario.weights.weights
+        ]
+    return doc
+
+
 def all_rules(scenario):
     """Every deterministic decision rule on the scenario's feature space."""
     import itertools

@@ -187,6 +187,7 @@ def check(cls, twin, samples, bad=()) -> int:
         "two too many": ((*args, args[0], args[0]), {}),
         "an unexpected keyword": (args, {"not_a_field": 1}),
         "a field given twice": (args, {names[0]: args[0]}),
+        "a keyword named self": (args, {"self": args[0]}),
         "only the last field": ((), {names[-1]: args[-1]}),
         "all but the last": (args[:-1], {}),
     }
@@ -270,6 +271,13 @@ class Mutating(Record):
         object.__setattr__(self, "_cache", sum(self.values))
 
 
+class Itself(Record):
+    """A field named self, which dataclass allows."""
+
+    self: int
+    other: int = 0
+
+
 SYNTHETIC = {
     Point: ([(1, 2), (3,), (1.0, 2)], []),
     Labels: ([(("a", "b"),), (("a",), "note", 2.0), (["c"], None)],
@@ -278,6 +286,7 @@ SYNTHETIC = {
     Handle: ([("a.json", 3, Labels(("a",))), ("b.json", 0, Labels(("b",)))], []),
     Dataset: ([((1, 2), Point(1)), ([1, 2], Point(1)), ((3,), Point(2))], []),
     Mutating: ([((3, 1, 2),), ((1.0,), 1.0), ((2, 1), float("inf"))], []),
+    Itself: ([(1,), (2, 3)], []),
 }
 SYNTHETIC_IDENTITY = (Handle, Dataset)
 

@@ -18,7 +18,7 @@ import pytest
 import omnipredict as om
 from omnipredict import adapt, boost, cli, predictor
 
-from conftest import make_beta_scenario, mid_scenario_doc, named
+from conftest import make_beta_scenario, mid_scenario_doc, named, scenario_to_dict
 
 REPO = Path(__file__).resolve().parent.parent
 BETA = str(REPO / "scenarios" / "beta025.json")
@@ -150,7 +150,7 @@ class TestScenarioShow:
         assert code == 2
 
     def test_incomplete_nature_names_pair(self, workdir):
-        doc = om.scenario_to_dict(make_beta_scenario(0.25))
+        doc = scenario_to_dict(make_beta_scenario(0.25))
         del doc["nature"]["+1"]["-1"]
         path = workdir / "holey.json"
         path.write_text(json.dumps(doc))

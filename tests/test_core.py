@@ -27,6 +27,7 @@ from conftest import (
     make_beta_scenario,
     named,
     random_scenario,
+    scenario_to_dict,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -291,7 +292,7 @@ class TestBuiltinLossArrays:
                   om.io_loss("io", 1.0, dict(reversed(per.items())), sc.features),
                   om.builtin_loss("steer_to_zero", sc.features, sc.decisions))
         built = dataclasses.replace(sc, losses=losses)
-        doc = json.loads(json.dumps(om.scenario_to_dict(built)))
+        doc = json.loads(json.dumps(scenario_to_dict(built)))
         assert om.scenario_from_dict(doc) == built
         plain = tuple(
             om.Loss(l.name, l.lmax, {x: dict(row) for x, row in l.table.items()})
@@ -315,7 +316,7 @@ class TestScenarioSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         sc = random_scenario(rng)
-        doc = om.scenario_to_dict(sc)
+        doc = scenario_to_dict(sc)
         back = om.scenario_from_dict(json.loads(json.dumps(doc)))
         assert back == sc
 
@@ -324,7 +325,7 @@ class TestScenarioSerialization:
         assert sc.weights is not None
         assert {w.name for w in sc.weights.weights} == {"uniform", "focus_minus", "focus_plus"}
         p = tmp_path / "again.json"
-        p.write_text(json.dumps(om.scenario_to_dict(sc)))
+        p.write_text(json.dumps(scenario_to_dict(sc)))
         assert om.load_scenario(p) == sc
 
     def test_load_malformed_file(self, tmp_path):
@@ -334,7 +335,7 @@ class TestScenarioSerialization:
             om.load_scenario(p)
 
     def test_load_missing_section(self, tmp_path):
-        doc = om.scenario_to_dict(make_beta_scenario(0.25))
+        doc = scenario_to_dict(make_beta_scenario(0.25))
         del doc["nature"]
         p = tmp_path / "partial.json"
         p.write_text(json.dumps(doc))
@@ -1076,7 +1077,7 @@ class TestScenarioEquality:
         # the loaded tables are views of the checked arrays, whose cells
         # read back as (value at y=0, value at y=1) tuples of floats
         assert sc.losses[0].table["-1"]["-1"] == (1.0, 0.0)
-        assert om.scenario_from_dict(om.scenario_to_dict(sc)) == sc
+        assert om.scenario_from_dict(scenario_to_dict(sc)) == sc
         assert sc != om.augment_scenario(sc)
 
     @pytest.mark.parametrize("edit", [
@@ -1107,7 +1108,7 @@ class TestScenarioEquality:
         sc = om.scenario_from_dict(doc)
         changed = copy.deepcopy(doc)
         other = om.scenario_from_dict(edit(changed) or changed)
-        same_doc = om.scenario_to_dict(sc) == om.scenario_to_dict(other)
+        same_doc = scenario_to_dict(sc) == scenario_to_dict(other)
         assert same_doc is equal
         assert (sc == other) is equal and (other == sc) is equal
         assert (sc != other) is not equal
@@ -1239,10 +1240,10 @@ class TestArraysMatchPerCellReferences:
     @given(degenerate_documents())
     def test_document_round_trip(self, doc):
         sc = om.scenario_from_dict(json.loads(json.dumps(doc)))
-        again = json.loads(json.dumps(om.scenario_to_dict(sc)))
+        again = json.loads(json.dumps(scenario_to_dict(sc)))
         assert om.scenario_from_dict(again) == sc
         wide = om.augment_scenario(sc)
-        again = json.loads(json.dumps(om.scenario_to_dict(wide)))
+        again = json.loads(json.dumps(scenario_to_dict(wide)))
         assert om.scenario_from_dict(again) == wide
 
 
