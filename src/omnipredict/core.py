@@ -22,6 +22,7 @@ import copy
 import gc
 import json
 import math
+from json.encoder import encode_basestring, encode_basestring_ascii
 import numbers
 import reprlib
 from collections.abc import Mapping
@@ -767,6 +768,13 @@ def _items(doc: Mapping, key: str, kind: str):
     return (json_value(item, kind, what) for item in items)
 
 
+def _spaces(doc: Mapping):
+    """(features, decisions, feature index) that doc's labels form, checked."""
+    features = FeatureSpace(points=tuple(_items(doc, "features", "string")))
+    decisions = DecisionSpace(labels=tuple(_items(doc, "decisions", "string")))
+    return features, decisions, {x: i for i, x in enumerate(features.points)}
+
+
 def scenario_from_dict(doc: Mapping) -> Scenario:
     """Build and validate a Scenario from its JSON document form.
 
@@ -775,11 +783,15 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
     part's validate reads its table into a checked array once, and the
     scenario keeps only those arrays.
     """
+    return _from_dict(doc, None)
+
+
+def _from_dict(doc: Mapping, spaces) -> Scenario:
+    """scenario_from_dict(doc), given doc's spaces (_spaces) or None."""
     if not isinstance(doc, Mapping):
         raise ConfigurationError("scenario document must be a JSON object")
     name = _require(doc, "name", "scenario", "string")
-    features = FeatureSpace(points=tuple(_items(doc, "features", "string")))
-    decisions = DecisionSpace(labels=tuple(_items(doc, "decisions", "string")))
+    features, decisions, _ = spaces or _spaces(doc)
     losses = []
     for entry in _items(doc, "losses", "object"):
         if "builtin" in entry:
@@ -838,89 +850,116 @@ _TABLE_READERS = {
 
 _decode = json.JSONDecoder().raw_decode  # json.loads's parser, at an offset
 _skip = json.decoder.WHITESPACE.match  # JSON's whitespace, from an offset
-
-
-def _spaces(doc: dict):
-    """(features, decisions, feature index) when doc holds features and
-    decisions that form valid spaces, else None."""
-    if "features" not in doc or "decisions" not in doc:
-        return None
-    try:
-        features = FeatureSpace(points=tuple(_items(doc, "features", "string")))
-        decisions = DecisionSpace(labels=tuple(_items(doc, "decisions", "string")))
-    except ConfigurationError:
-        return None
-    return features, decisions, {x: i for i, x in enumerate(features.points)}
+_KEY_TEXTS = (encode_basestring_ascii, encode_basestring)  # as json.dumps writes keys
 
 
 def _expect(text: str, i: int, token: str) -> int:
-    """The offset past token at text[i] and the whitespace after it."""
+    """The offset past the whitespace at text[i], token, and whitespace."""
+    i = _skip(text, i).end()
     if not text.startswith(token, i):
         raise ValueError(f"expected {token!r} at {i}")
     return _skip(text, i + len(token)).end()
+
+
+def _members(text: str, i: int, value) -> tuple[dict, int]:
+    """(The JSON object at text[i], the offset past it), value(obj, key, j)
+    parsing each member's value at text[j] into (value, offset past it).
+    Raises ValueError where text[i] holds no object or a key repeats."""
+    obj, i = {}, _expect(text, i, "{")
+    while not text.startswith("}", i):
+        if obj:
+            i = _expect(text, i, ",")
+        if not text.startswith('"', i):
+            raise ValueError(f"expected a key at {i}")
+        key, i = _decode(text, i)
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key], i = value(obj, key, _expect(text, i, ":"))
+        i = _skip(text, i).end()
+    return obj, i + 1
+
+
+def _repeated_row(text: str, i: int, spaces):
+    """(A view of the loss table at text[i], the offset past it) when its
+    text is one row under every feature key in canonical order, keys and
+    separators written as the first member's; else None. The row is read
+    (Loss.read_table) once and repeated: a JSON value decodes from its own
+    characters only. The second member is compared before the rest of the
+    text is built, so a table of distinct rows costs one row decode."""
+    features, decisions, x_index = spaces
+    xs = features.points
+    try:
+        first = _expect(text, i, "{")
+        encode = next(e for e in _KEY_TEXTS if text.startswith(e(xs[0]), first))
+        at = first + len(encode(xs[0]))
+        row, end = _decode(text, _expect(text, at, ":"))
+        one = Loss("", 1.0, {xs[0]: row}).read_table(FeatureSpace(xs[:1]), decisions)
+        if len(xs) > 1:
+            start, member = _expect(text, end, ","), text[at:end]
+            _expect(text, start, encode(xs[1]) + member)
+            end = _expect(text, start, text[at:start].join(map(encode, xs[1:])) + member)
+        array = np.repeat(one, len(xs), axis=0)
+        return _TableView(array, x_index, decisions.labels), _expect(text, end, "}")
+    except (StopIteration, ConfigurationError, RecursionError, *_MALFORMED):
+        return None
 
 
 def _walk_entries(text: str, i: int, key: str, spaces) -> tuple[list, int]:
     """The JSON array of doc[key]'s entries at text[i], and the offset past
     it, parsed one entry at a time. With spaces (_spaces) known, each
     entry's table is read into its array before the next entry is parsed,
-    and a view of the array replaces it. An entry that is no object or
-    whose table does not read stays as parsed, for scenario_from_dict to
-    refuse in order."""
+    and a view of the array replaces it; a loss entry is parsed by member,
+    its table read as one repeated row (_repeated_row) where its text is
+    one. An entry that is no object or whose table does not read stays as
+    parsed, for scenario_from_dict to refuse in order."""
     (table_key, read), entries, i = _TABLE_READERS[key], [], _expect(text, i, "[")
+    def member(entry, name, at):  # a loss table's view, or the value decoded
+        return name == "table" and _repeated_row(text, at, spaces) or _decode(text, at)
     while not text.startswith("]", i):
         if entries:
             i = _expect(text, i, ",")
-        entry, i = _decode(text, i)
+        by_member = key == "losses" and spaces and text.startswith("{", i)
+        entry, i = _members(text, i, member) if by_member else _decode(text, i)
         entries.append(entry)
         i = _skip(text, i).end()
         if spaces is None or not isinstance(entry, dict):
             continue
-        features, decisions, x_index = spaces
         try:
-            array = read(entry.get("name"), entry[table_key], features, decisions)
+            array = read(entry.get("name"), entry[table_key], *spaces[:2])
         except (ConfigurationError, *_MALFORMED):  # KeyError: no table
             continue
         # a rule's refusal of an unknown label (index -1) quotes it from the map
         if array.dtype.kind != "i" or array.min(initial=0) >= 0:
-            entry[table_key] = _TableView(array, x_index, decisions.labels)
+            entry[table_key] = _TableView(array, spaces[2], spaces[1].labels)
     return entries, i + 1
 
 
-def _walk(text: str) -> dict:
-    """The JSON object text holds, parsed one member at a time and the
-    arrays of _TABLE_READERS one entry at a time. Raises ValueError (such
-    as JSONDecodeError) or RecursionError where text is not such an
-    object, repeats a top-level key, or trails data."""
-    doc, spaces, i = {}, None, _expect(text, _skip(text, 0).end(), "{")
-    while not text.startswith("}", i):
-        if doc:
-            i = _expect(text, i, ",")
-        if not text.startswith('"', i):
-            raise ValueError(f"expected a key at {i}")
-        key, i = _decode(text, i)
-        if key in doc:
-            raise ValueError(f"repeated key {key!r}")
-        i = _expect(text, _skip(text, i).end(), ":")
+def _walk(text: str):
+    """(The JSON object text holds, its spaces (_spaces) or None), parsed by
+    member (_members) and the arrays of _TABLE_READERS by entry. Raises
+    ValueError, RecursionError or ConfigurationError where text is not such
+    an object, its labels form no spaces, a key repeats, or data trails it."""
+    spaces = None
+    def member(doc, key, i):
+        nonlocal spaces
+        if spaces is None and "features" in doc and "decisions" in doc:
+            spaces = _spaces(doc)
         if key in _TABLE_READERS and text.startswith("[", i):
-            doc[key], i = _walk_entries(text, i, key, spaces)
-        else:
-            doc[key], i = _decode(text, i)
-            if key in ("features", "decisions"):
-                spaces = _spaces(doc)
-        i = _skip(text, i).end()
-    if _skip(text, i + 1).end() != len(text):
+            return _walk_entries(text, i, key, spaces)
+        return _decode(text, i)
+    doc, i = _members(text, 0, member)
+    if _skip(text, i).end() != len(text):
         raise ValueError("extra data")
-    return doc
+    return doc, spaces
 
 
 def _parse(text: str):
-    """_walk(text), or json.loads(text) where the walk fails: it raises
-    its error for the text or returns the whole document."""
+    """_walk(text), or (json.loads(text), None) where the walk fails: it
+    raises its error for the text or returns the whole document."""
     try:
         return _walk(text)
-    except (ValueError, RecursionError):
-        return json.loads(text)
+    except (ValueError, RecursionError, ConfigurationError):
+        return json.loads(text), None
 
 
 def load_scenario(path) -> Scenario:
@@ -928,10 +967,11 @@ def load_scenario(path) -> Scenario:
 
     The whole parsed document is never held: the file's text is parsed
     one top-level member, or one entry of losses, hypotheses or weights,
-    at a time (_walk), and each entry's table becomes its unchecked array
-    as soon as the entry is parsed, by the reader its part's validate
-    uses. Errors, and their order, are those of
-    scenario_from_dict(json.loads(text)).
+    at a time (_walk). Each entry's table becomes its unchecked array as
+    soon as the entry is parsed, by the reader its part's validate uses;
+    a loss table that writes one row under every feature is read as that
+    row, once (_repeated_row). The labels are checked once. Errors, and
+    their order, are those of scenario_from_dict(json.loads(text)).
 
     The cyclic garbage collector is paused while the file is parsed and
     built, and left as it was found: the parsed document holds no
@@ -941,8 +981,8 @@ def load_scenario(path) -> Scenario:
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = _parse(fh.read())
-        return scenario_from_dict(doc)
+            doc, spaces = _parse(fh.read())
+        return _from_dict(doc, spaces)
     except OSError as exc:
         raise ConfigurationError(f"cannot read scenario file {path}: {exc}")
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep

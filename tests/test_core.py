@@ -7,10 +7,12 @@ import hashlib
 import importlib
 import json
 import math
+import re
 import runpy
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1349,6 +1351,34 @@ def check_loads_as_oracle(path):
 
 TABLE_KEYS = {"losses": "table", "hypotheses": "map", "weights": "map"}
 
+
+def oblivious_document(xs, ys=("0", "1")):
+    """A scenario over features xs with two input-oblivious losses, each
+    table one row under every feature in canonical order, and a
+    built-in loss."""
+    rows = [{y: [0.25 * (j + 1), 0.5] for j, y in enumerate(ys)},
+            {y: [1.0, 0.0] for y in ys}]
+    return {
+        "name": "oblivious",
+        "features": list(xs),
+        "decisions": list(ys),
+        "input_distribution": {x: 1 / len(xs) for x in xs},
+        "nature": {x: {y: 0.5 for y in ys} for x in xs},
+        "losses": [{"name": f"io{i}", "lmax": 1.0, "table": {x: dict(row) for x in xs}}
+                   for i, row in enumerate(rows)] + [{"builtin": "steer_to_one"}],
+        "hypotheses": [{"name": "h", "map": {x: ys[0] for x in xs}}],
+        "epsilon": 0.1,
+    }
+
+
+def edit_first_table(text, old, new):
+    """text with old replaced by new, once, inside the first loss table."""
+    start = text.index('"table":') + len('"table":')
+    end = json.JSONDecoder().raw_decode(text, start + 1)[1]
+    assert old in text[start:end]
+    return text[:start] + text[start:end].replace(old, new, 1) + text[end:]
+
+
 # JSON text layouts of a document
 LAYOUTS = {
     "default": json.dumps,
@@ -1362,8 +1392,13 @@ LAYOUTS = {
 @st.composite
 def scenario_texts(draw):
     """(text, member order) of degenerate_documents' scenarios in every
-    layout, members in any order, with built-in losses and empty arrays."""
+    layout, members in any order, with built-in losses, input-oblivious
+    tables (one row under every feature) and empty arrays."""
     doc = draw(degenerate_documents())
+    for loss in doc["losses"]:
+        if draw(st.booleans()):
+            first = next(iter(loss["table"].values()))
+            loss["table"] = {x: first for x in doc["features"]}
     if draw(st.booleans()):
         doc["losses"].insert(draw(st.integers(0, len(doc["losses"]))),
                              {"builtin": "steer_to_zero", "name": "zero"})
@@ -1394,7 +1429,7 @@ class TestStreamingLoader:
         text, order = text_and_order
         # every layout and order is walked, not left to json.loads; a
         # table becomes a view once features and decisions are read
-        walked = core._walk(text)
+        walked, _ = core._walk(text)
         spaces_at = max(order.index("features"), order.index("decisions"))
         for key, table_key in TABLE_KEYS.items():
             for entry in walked[key]:
@@ -1457,6 +1492,129 @@ class TestStreamingLoader:
         directory, path = self.written(text)
         with directory:
             check_loads_as_oracle(path)
+
+    @classmethod
+    def repeated_reads(cls, text):
+        """Checks text against check_loads_as_oracle, and returns for each
+        loss table the walk met whether it was read as one repeated row."""
+        taken, read = [], core._repeated_row
+
+        def spy(*args):
+            result = read(*args)
+            taken.append(result is not None)
+            return result
+
+        directory, path = cls.written(text)
+        with directory, mock.patch.object(core, "_repeated_row", spy):
+            check_loads_as_oracle(path)
+        return taken
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("n_x", [1, 2, 5])
+    def test_oblivious_tables_are_read_once_in_every_layout(self, layout, n_x):
+        doc = oblivious_document([f"x{i}" for i in range(n_x)])
+        assert self.repeated_reads(LAYOUTS[layout](doc)) == [True, True]
+
+    @pytest.mark.parametrize("at", [1, 2, 4])  # the second, a middle and the last feature
+    @pytest.mark.parametrize("layout", ["default", "indent-2"])
+    def test_a_row_that_differs_is_read_whole(self, at, layout):
+        doc = oblivious_document([f"x{i}" for i in range(5)])
+        doc["losses"][0]["table"][f"x{at}"]["1"] = [0.5, 0.75]
+        assert self.repeated_reads(LAYOUTS[layout](doc)) == [False, True]
+
+    def test_equal_values_written_otherwise_are_read_whole(self):
+        # the row's text differs, not its values: the table reads the same
+        text = json.dumps(oblivious_document(["x0", "x1", "x2"]))
+        text = edit_first_table(text, '"x2": {"0": [0.25,', '"x2": {"0": [0.250,')
+        assert self.repeated_reads(text) == [False, True]
+
+    @pytest.mark.parametrize("edit", [
+        ("reordered", None),
+        ("escaped first key", ('"x": ', '"\\u0078": ')),
+        ("escaped second key", ('"y": ', '"\\u0079": ')),
+        ("separator", (', "z": ', ',  "z": ')),
+    ])
+    def test_keys_written_otherwise_are_read_whole(self, edit):
+        doc = oblivious_document(["x", "y", "z"])
+        name, replace = edit
+        if replace is None:
+            doc["losses"][0]["table"] = dict(reversed(doc["losses"][0]["table"].items()))
+            text = json.dumps(doc)
+        else:
+            text = edit_first_table(json.dumps(doc), *replace)
+        assert self.repeated_reads(text) == [False, True], name
+
+    @pytest.mark.parametrize("ensure_ascii", [True, False])
+    @pytest.mark.parametrize("xs", [["é", "ü", "\u2028"], ["x", "é"], ["é", "x"]])
+    def test_non_ascii_features(self, xs, ensure_ascii):
+        text = json.dumps(oblivious_document(xs), ensure_ascii=ensure_ascii)
+        # keys are taken to be written as the first one is: an ASCII first
+        # key under ensure_ascii false leaves "é" unmatched, read whole
+        read_once = ensure_ascii or xs[0] != "x"
+        assert self.repeated_reads(text) == [read_once, read_once]
+
+    @pytest.mark.parametrize("row", [
+        {"0": ["half", 0.5], "1": [0.5, 0.5]},  # a string cell
+        {"0": [0.0, 0.5, 1.0], "1": [0.5, 0.5]},  # a three-value cell
+        {"0": [0.5, 0.5], "1": [0.5, 0.5], "9": [0.5, 0.5]},  # an unknown decision
+        {"0": [0.5, 0.5]},  # a missing decision
+        {"0": [0.5, 2.0], "1": [0.5, 0.5]},  # a value above lmax: the row reads
+        {"0": [0.5, 10 ** 400], "1": [0.5, 0.5]},  # too large for a float
+        [[0.5, 0.5], [0.5, 0.5]],  # no object
+        {"0": [[[[0.5]]]] * 2, "1": [0.5, 0.5]},  # cells of nested lists
+    ])
+    def test_rows_that_do_not_read_are_refused_as_whole(self, row):
+        doc = oblivious_document(["x0", "x1", "x2"])
+        doc["losses"][0]["table"] = {x: row for x in doc["features"]}
+        taken = self.repeated_reads(json.dumps(doc))
+        assert taken == [row == {"0": [0.5, 2.0], "1": [0.5, 0.5]}, True]
+
+    @pytest.mark.parametrize("edit", [
+        # the last row written again under its key: json.loads keeps it
+        ('"x2": {"0": [0.25, 0.5], "1": [0.5, 0.5]}}',
+         '"x2": {"0": [0.25, 0.5], "1": [0.5, 0.5]}, "x2": {"0": [0.0, 0.0], "1": [0.0, 0.0]}}'),
+        ('"x1": {"0": [0.25, 0.5], "1": [0.5, 0.5]},', ""),  # a feature left out
+    ])
+    def test_a_repeated_or_missing_key_in_the_table_is_read_whole(self, edit):
+        text = edit_first_table(json.dumps(oblivious_document(["x0", "x1", "x2"])), *edit)
+        assert self.repeated_reads(text) == [False, True]
+
+    def test_a_repeated_member_of_a_loss_entry_is_read_whole(self):
+        # json.loads keeps the last table; the walk leaves the text to it
+        doc = oblivious_document(["x0", "x1"])
+        text = json.dumps(doc).replace(
+            '"lmax": 1.0, "table"', '"lmax": 1.0, "table": {}, "table"', 1)
+        with pytest.raises(ValueError, match="repeated key"):
+            core._walk(text)
+        assert self.repeated_reads(text) == [False]
+
+    def test_an_oblivious_table_is_decoded_once(self, workload_files, monkeypatch):
+        # each random loss of exact-large writes one row under 4000
+        # features; the loader decodes that row, not the table
+        path = workload_files["exact-large"]
+        text = path.read_text(encoding="utf-8")
+        tables = []
+        for found in re.finditer('"table": ', text):
+            tables.append((found.end(), json.JSONDecoder().raw_decode(text, found.end())[1]))
+        spans, decode = [], core._decode
+
+        def counted(s, i):
+            value, end = decode(s, i)
+            spans.append((i, end))
+            return value, end
+
+        monkeypatch.setattr(core, "_decode", counted)
+        sc = om.load_scenario(path)
+        inside = sum(max(0, min(end, b) - max(i, a)) for i, end in spans for a, b in tables)
+        assert len(tables) == 6
+        assert inside < 0.01 * sum(b - a for a, b in tables)
+        monkeypatch.undo()
+        whole = load_whole(path)
+        assert [l.name for l in sc.losses] == [l.name for l in whole.losses]
+        for loss in whole.losses:
+            got, want = sc.arrays.loss_values[loss.name], whole.arrays.loss_values[loss.name]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_load_peak_is_below_three_times_the_file(self, workload_files):
         # the whole parsed document alone is about seven times the text
