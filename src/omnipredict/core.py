@@ -118,14 +118,14 @@ def _viewed(table, shape: tuple, kind: str, xs, ys=None):
     """The array behind table when it is a _TableView keyed by xs in
     canonical order, holding an array of the given shape and dtype kind
     whose rows are labelled by ys when ys is given; else None, and the
-    table is read cell by cell. Such a view reads back as that array, so
-    a part can check the array itself."""
+    table is read cell by cell. Such a view reads back as that array, so a
+    part checks the array itself; one keyed by xs itself is taken at once."""
     if (
         isinstance(table, _TableView)
         and table.array.shape == shape
         and table.array.dtype.kind == kind
         and (ys is None or table.labels == ys)
-        and tuple(table.x_index) == tuple(xs)
+        and (table.points is xs or table.points == tuple(xs))
     ):
         return table.array
     return None
@@ -134,11 +134,11 @@ def _viewed(table, shape: tuple, kind: str, xs, ys=None):
 def _array(cells, shape: tuple, what: str, xs, ys=None) -> np.ndarray:
     """cells, one per feature or per (feature, decision) pair flat in
     canonical order, as a float64 array of shape (|X|,), (|X|, k) or
-    (|X|, k, 2), where a loss cell holds its two values. The values are
-    read flat and reshaped. A cell of the wrong kind or shape, such as a
-    list or object where a number belongs or a loss cell without exactly
-    two values, raises ConfigurationError naming the first such cell;
-    null reads as NaN, which the range checks reject."""
+    (|X|, k, 2), where a loss cell holds its two values, read flat and
+    reshaped. Nothing is coerced: a cell of the wrong kind or shape, such
+    as text, a boolean, a list or object where a number belongs, or a loss
+    cell without exactly two values, raises ConfigurationError naming the
+    first such cell; null reads as NaN, which the range checks reject."""
     pairs = len(shape) == 3
     # Loss cells are chained into their values only when each is a list
     # or tuple of two: chaining would split a text or object cell into
@@ -146,20 +146,19 @@ def _array(cells, shape: tuple, what: str, xs, ys=None) -> np.ndarray:
     if not pairs or (
         set(map(type, cells)) <= {list, tuple} and set(map(len, cells)) == {2}
     ):
-        try:
-            values = list(chain.from_iterable(cells)) if pairs else cells
-            array = np.array(values, dtype=np.float64)
-            if array.shape == (math.prod(shape),):
-                return array.reshape(shape)
-        except (TypeError, ValueError):
-            pass
+        values = list(chain.from_iterable(cells)) if pairs else cells
+        # one pass over the types: numpy would parse text and take booleans
+        if set(map(type, values)) <= {float, int, type(None)}:
+            return np.array(values, dtype=np.float64).reshape(shape)
     converted = []
     for (x, y), cell in zip(product(xs, ys or (None,)), cells):
         try:
             value = np.array(cell, dtype=np.float64)
         except (TypeError, ValueError):
             value = None
-        if value is None or value.shape != shape[2:]:
+        if value is None or value.shape != shape[2:] or not all(
+                v is None or isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in (cell if pairs else (cell,))):
             at = repr(x) if y is None else f"({x!r}, {y!r})"
             raise ConfigurationError(f"{what} has a malformed cell at {at}: {cell!r}")
         converted.append(value)
@@ -412,14 +411,14 @@ class WeightClass(Record):
 
 
 class _TableView(Mapping):
-    """A part's table as a read-only view of its checked array, keyed
-    through x_index. Row x reads as a float for a mass or a weight, a str
-    label for a rule (an integer array of decision indices), and for the
-    outcome model or a loss a dict from each label to a float or to a
-    (value at y=0, value at y=1) tuple."""
+    """A part's table as a read-only view of its checked array, keyed by
+    points through their index x_index. Row x reads as a float for a mass
+    or a weight, a str label for a rule (an integer array of decision
+    indices), and for the outcome model or a loss a dict from each label
+    to a float or to a (value at y=0, value at y=1) tuple."""
 
-    def __init__(self, array: np.ndarray, x_index: dict, labels: tuple):
-        self.array, self.x_index, self.labels = array, x_index, labels
+    def __init__(self, array: np.ndarray, points: tuple, x_index: dict, labels: tuple):
+        self.array, self.points, self.x_index, self.labels = array, points, x_index, labels
 
     def __getitem__(self, x):
         row = self.array[self.x_index[x]]
@@ -429,10 +428,10 @@ class _TableView(Mapping):
         return dict(zip(self.labels, map(tuple, cells) if row.ndim == 2 else cells))
 
     def __iter__(self):
-        return iter(self.x_index)
+        return iter(self.points)
 
     def __len__(self):
-        return len(self.x_index)
+        return len(self.points)
 
     def __repr__(self):
         return f"_TableView(shape={self.array.shape})"
@@ -463,7 +462,7 @@ class _ScenarioArrays:
 
     def view(self, array: np.ndarray) -> _TableView:
         """array, indexed by feature first, as a part's table."""
-        return _TableView(array, self.x_index, self.decisions.labels)
+        return _TableView(array, self.features.points, self.x_index, self.decisions.labels)
 
     def _set_losses(self, owners: tuple, values: dict) -> None:
         self.loss_values, self._own_losses = values, {l.name: l for l in owners}
@@ -704,7 +703,7 @@ def io_loss(
     points = features.points
     values = np.tile(np.array(row, dtype=np.float64).reshape(-1, 2), (len(points), 1, 1))
     x_index = {x: i for i, x in enumerate(points)}
-    return Loss(name, float(lmax), _TableView(values, x_index, tuple(per_decision)))
+    return Loss(name, float(lmax), _TableView(values, points, x_index, tuple(per_decision)))
 
 
 def builtin_loss(
@@ -899,8 +898,45 @@ def _repeated_row(text: str, i: int, spaces):
             _expect(text, start, encode(xs[1]) + member)
             end = _expect(text, start, text[at:start].join(map(encode, xs[1:])) + member)
         array = np.repeat(one, len(xs), axis=0)
-        return _TableView(array, x_index, decisions.labels), _expect(text, end, "}")
+        return _TableView(array, xs, x_index, decisions.labels), _expect(text, end, "}")
     except (StopIteration, ConfigurationError, RecursionError, *_MALFORMED):
+        return None
+
+
+def _rule_map(text: str, i: int, spaces, templates: dict):
+    """(A view of the decision indices of the rule map at text[i], the
+    offset past it) when its text is its keys' template, with a label's
+    text (all of one width) in each slot; else None. A template writes the
+    feature keys in canonical order as json.dumps does, members separated
+    as the first; templates holds them by separators. One lookup of the
+    value texts gives the indices, and the whole text is compared."""
+    features, decisions, x_index = spaces
+    xs, encode = features.points, _KEY_TEXTS[not text.isascii()]
+    # ASCII bytes or UTF-32 code units, so that offsets are the text's
+    codec, unit, kind = ("ascii", "u1", "S") if text.isascii() else ("utf-32-le", "<u4", "<U")
+    labels = sorted((encode(y), j) for j, y in enumerate(decisions.labels))
+    width, units = len(labels[0][0]), lambda s: np.frombuffer(s.encode(codec), unit)
+    try:
+        first = _expect(text, i, "{")
+        at = first + len(encode(xs[0]))
+        start = _expect(text, at, ":")
+        comma = text[start + width:_expect(text, start + width, ",")] if len(xs) > 1 else ""
+        layout = (text[at:start], comma)
+        if layout not in templates and {len(label) for label, _ in labels} == {width}:
+            codes = units(comma.join([encode(x) + layout[0] + "\0" * width for x in xs]))
+            slots = np.flatnonzero(codes == 0).reshape(len(xs), width)  # the value slots
+            keys = np.flatnonzero(codes)  # the keys and separators
+            texts = units("".join(label for label, _ in labels)).view(f"{kind}{width}")
+            order = np.array([j for _, j in labels], dtype=np.int64)
+            templates[layout] = len(codes), keys, codes[keys], slots, texts, order
+        size, keys, key_codes, slots, texts, order = templates[layout]
+        found = units(text[first:first + size])
+        values = found[slots].view(texts.dtype)[:, 0]
+        at = np.searchsorted(texts, values).clip(max=len(texts) - 1)
+        if np.array_equal(found[keys], key_codes) and np.array_equal(texts[at], values):
+            view = _TableView(order[at], xs, x_index, decisions.labels)
+            return view, _expect(text, first + size, "}")
+    except (KeyError, IndexError, ValueError):  # unequal label widths, short text, no object
         return None
 
 
@@ -908,17 +944,21 @@ def _walk_entries(text: str, i: int, key: str, spaces) -> tuple[list, int]:
     """The JSON array of doc[key]'s entries at text[i], and the offset past
     it, parsed one entry at a time. With spaces (_spaces) known, each
     entry's table is read into its array before the next entry is parsed,
-    and a view of the array replaces it; a loss entry is parsed by member,
-    its table read as one repeated row (_repeated_row) where its text is
-    one. An entry that is no object or whose table does not read stays as
+    and a view of the array replaces it. A loss or rule entry is parsed by
+    member, a loss table read as one repeated row (_repeated_row) and a
+    rule map matched against its template (_rule_map) where they can be.
+    An entry that is no object or whose table does not read stays as
     parsed, for scenario_from_dict to refuse in order."""
     (table_key, read), entries, i = _TABLE_READERS[key], [], _expect(text, i, "[")
-    def member(entry, name, at):  # a loss table's view, or the value decoded
-        return name == "table" and _repeated_row(text, at, spaces) or _decode(text, at)
+    templates = {}
+    def member(entry, name, at):  # a table's view, or the value decoded
+        return name == table_key and (
+            _repeated_row(text, at, spaces) if key == "losses"
+            else _rule_map(text, at, spaces, templates)) or _decode(text, at)
     while not text.startswith("]", i):
         if entries:
             i = _expect(text, i, ",")
-        by_member = key == "losses" and spaces and text.startswith("{", i)
+        by_member = key != "weights" and spaces and text.startswith("{", i)
         entry, i = _members(text, i, member) if by_member else _decode(text, i)
         entries.append(entry)
         i = _skip(text, i).end()
@@ -930,7 +970,7 @@ def _walk_entries(text: str, i: int, key: str, spaces) -> tuple[list, int]:
             continue
         # a rule's refusal of an unknown label (index -1) quotes it from the map
         if array.dtype.kind != "i" or array.min(initial=0) >= 0:
-            entry[table_key] = _TableView(array, spaces[2], spaces[1].labels)
+            entry[table_key] = _TableView(array, spaces[0].points, spaces[2], spaces[1].labels)
     return entries, i + 1
 
 
@@ -967,11 +1007,11 @@ def load_scenario(path) -> Scenario:
 
     The whole parsed document is never held: the file's text is parsed
     one top-level member, or one entry of losses, hypotheses or weights,
-    at a time (_walk). Each entry's table becomes its unchecked array as
-    soon as the entry is parsed, by the reader its part's validate uses;
-    a loss table that writes one row under every feature is read as that
-    row, once (_repeated_row). The labels are checked once. Errors, and
-    their order, are those of scenario_from_dict(json.loads(text)).
+    at a time (_walk), and each entry's table becomes its unchecked array
+    as soon as it is parsed, by its part's reader: a loss table of one row
+    under every feature is read as that row (_repeated_row), a rule map
+    matched against its keys' template (_rule_map). The labels are checked
+    once. Errors, and their order, are scenario_from_dict(json.loads(text))'s.
 
     The cyclic garbage collector is paused while the file is parsed and
     built, and left as it was found: the parsed document holds no
