@@ -841,10 +841,9 @@ _MALFORMED = (AttributeError, TypeError, ValueError, KeyError, IndexError, Overf
 # Per array of entries in a scenario document: the key of an entry's
 # table, and its part's reader of the table into the array validate checks.
 _TABLE_READERS = {
-    "losses": ("table", lambda name, t, *spaces: Loss(name, 1.0, t).read_table(*spaces)),
-    "hypotheses": ("map", lambda name, t, *spaces: Hypothesis(name, t).read_table(*spaces)),
-    "weights": ("map", lambda name, t, features, _:
-                WeightFunction(name, t, 1.0).read_table(features)),
+    "losses": ("table", lambda t, *spaces: Loss("", 1.0, t).read_table(*spaces)),
+    "hypotheses": ("map", lambda t, *spaces: Hypothesis("", t).read_table(*spaces)),
+    "weights": ("map", lambda t, features, _: WeightFunction("", t, 1.0).read_table(features)),
 }
 
 _decode = json.JSONDecoder().raw_decode  # json.loads's parser, at an offset
@@ -879,38 +878,37 @@ def _members(text: str, i: int, value) -> tuple[dict, int]:
 
 
 def _repeated_row(text: str, i: int, spaces):
-    """(A view of the loss table at text[i], the offset past it) when its
-    text is one row under every feature key in canonical order, keys and
-    separators written as the first member's; else None. The row is read
+    """(The array of the loss table at text[i], the offset past it) when its
+    text is one row under every feature key in canonical order, keys written
+    as in _rule_map and members as the first; else None. The row is read
     (Loss.read_table) once and repeated: a JSON value decodes from its own
-    characters only. The second member is compared before the rest of the
-    text is built, so a table of distinct rows costs one row decode."""
-    features, decisions, x_index = spaces
-    xs = features.points
+    characters only. The second member is compared before the whole text
+    is built, so a table of distinct rows costs one row decode."""
+    features, decisions, _ = spaces
+    xs, encode = features.points, _KEY_TEXTS[not text.isascii()]
     try:
         first = _expect(text, i, "{")
-        encode = next(e for e in _KEY_TEXTS if text.startswith(e(xs[0]), first))
         at = first + len(encode(xs[0]))
         row, end = _decode(text, _expect(text, at, ":"))
         one = Loss("", 1.0, {xs[0]: row}).read_table(FeatureSpace(xs[:1]), decisions)
+        member, start = text[at:end], end
         if len(xs) > 1:
-            start, member = _expect(text, end, ","), text[at:end]
+            start = _expect(text, end, ",")
             _expect(text, start, encode(xs[1]) + member)
-            end = _expect(text, start, text[at:start].join(map(encode, xs[1:])) + member)
-        array = np.repeat(one, len(xs), axis=0)
-        return _TableView(array, xs, x_index, decisions.labels), _expect(text, end, "}")
-    except (StopIteration, ConfigurationError, RecursionError, *_MALFORMED):
+        end = _expect(text, first, text[at:start].join(map(encode, xs)) + member)
+        return np.repeat(one, len(xs), axis=0), _expect(text, end, "}")
+    except (ConfigurationError, RecursionError, *_MALFORMED):
         return None
 
 
 def _rule_map(text: str, i: int, spaces, templates: dict):
-    """(A view of the decision indices of the rule map at text[i], the
-    offset past it) when its text is its keys' template, with a label's
-    text (all of one width) in each slot; else None. A template writes the
-    feature keys in canonical order as json.dumps does, members separated
-    as the first; templates holds them by separators. One lookup of the
-    value texts gives the indices, and the whole text is compared."""
-    features, decisions, x_index = spaces
+    """(The decision indices of the rule map at text[i], the offset past it)
+    when its text is its keys' template with a label's text, all of one
+    width, in each slot; else None. A template writes the feature keys in
+    canonical order as json.dumps does, escaped to ASCII if text is ASCII,
+    members separated as the first; templates holds them by separators. One
+    lookup of the value texts gives the indices; the whole text is compared."""
+    features, decisions, _ = spaces
     xs, encode = features.points, _KEY_TEXTS[not text.isascii()]
     # ASCII bytes or UTF-32 code units, so that offsets are the text's
     codec, unit, kind = ("ascii", "u1", "S") if text.isascii() else ("utf-32-le", "<u4", "<U")
@@ -934,43 +932,46 @@ def _rule_map(text: str, i: int, spaces, templates: dict):
         values = found[slots].view(texts.dtype)[:, 0]
         at = np.searchsorted(texts, values).clip(max=len(texts) - 1)
         if np.array_equal(found[keys], key_codes) and np.array_equal(texts[at], values):
-            view = _TableView(order[at], xs, x_index, decisions.labels)
-            return view, _expect(text, first + size, "}")
+            return order[at], _expect(text, first + size, "}")
     except (KeyError, IndexError, ValueError):  # unequal label widths, short text, no object
         return None
 
 
 def _walk_entries(text: str, i: int, key: str, spaces) -> tuple[list, int]:
     """The JSON array of doc[key]'s entries at text[i], and the offset past
-    it, parsed one entry at a time. With spaces (_spaces) known, each
-    entry's table is read into its array before the next entry is parsed,
-    and a view of the array replaces it. A loss or rule entry is parsed by
-    member, a loss table read as one repeated row (_repeated_row) and a
-    rule map matched against its template (_rule_map) where they can be.
-    An entry that is no object or whose table does not read stays as
-    parsed, for scenario_from_dict to refuse in order."""
+    it. With spaces (_spaces) known, each entry is parsed by member and its
+    table read once, as it is parsed, into an array that a view of it then
+    replaces: as one repeated row (_repeated_row), against a template
+    (_rule_map), or decoded and read by its part's reader (_TABLE_READERS).
+    An entry that is no object, a table that does not read, or a map naming
+    an unknown label stays as parsed, for scenario_from_dict to refuse in
+    order."""
     (table_key, read), entries, i = _TABLE_READERS[key], [], _expect(text, i, "[")
     templates = {}
-    def member(entry, name, at):  # a table's view, or the value decoded
-        return name == table_key and (
-            _repeated_row(text, at, spaces) if key == "losses"
-            else _rule_map(text, at, spaces, templates)) or _decode(text, at)
+    def member(entry, name, at):  # the table's view, or the value decoded
+        if name != table_key:
+            return _decode(text, at)
+        found = (_repeated_row(text, at, spaces) if key == "losses" else
+                 _rule_map(text, at, spaces, templates) if key == "hypotheses" else None)
+        if found is None:
+            table, end = _decode(text, at)
+            try:
+                array = read(table, *spaces[:2])
+            except (ConfigurationError, *_MALFORMED):
+                return table, end
+            # a rule's refusal of an unknown label (index -1) quotes it from the map
+            if array.dtype.kind == "i" and array.min(initial=0) < 0:
+                return table, end
+            found = array, end
+        array, end = found
+        return _TableView(array, spaces[0].points, spaces[2], spaces[1].labels), end
     while not text.startswith("]", i):
         if entries:
             i = _expect(text, i, ",")
-        by_member = key != "weights" and spaces and text.startswith("{", i)
+        by_member = spaces and text.startswith("{", i)
         entry, i = _members(text, i, member) if by_member else _decode(text, i)
         entries.append(entry)
         i = _skip(text, i).end()
-        if spaces is None or not isinstance(entry, dict):
-            continue
-        try:
-            array = read(entry.get("name"), entry[table_key], *spaces[:2])
-        except (ConfigurationError, *_MALFORMED):  # KeyError: no table
-            continue
-        # a rule's refusal of an unknown label (index -1) quotes it from the map
-        if array.dtype.kind != "i" or array.min(initial=0) >= 0:
-            entry[table_key] = _TableView(array, spaces[0].points, spaces[2], spaces[1].labels)
     return entries, i + 1
 
 
@@ -1006,12 +1007,10 @@ def load_scenario(path) -> Scenario:
     """Read a scenario JSON file and validate it.
 
     The whole parsed document is never held: the file's text is parsed
-    one top-level member, or one entry of losses, hypotheses or weights,
-    at a time (_walk), and each entry's table becomes its unchecked array
-    as soon as it is parsed, by its part's reader: a loss table of one row
-    under every feature is read as that row (_repeated_row), a rule map
-    matched against its keys' template (_rule_map). The labels are checked
-    once. Errors, and their order, are scenario_from_dict(json.loads(text))'s.
+    one top-level member, or one member of a losses, hypotheses or weights
+    entry, at a time (_walk), and each table is read once, as it is parsed,
+    into its unchecked array (_walk_entries). The labels are checked once.
+    Errors, and their order, are scenario_from_dict(json.loads(text))'s.
 
     The cyclic garbage collector is paused while the file is parsed and
     built, and left as it was found: the parsed document holds no

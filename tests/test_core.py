@@ -1,5 +1,6 @@
 """Scenario model, closed-form risks, and optimal rules."""
 
+import collections
 import contextlib
 import copy
 import dataclasses
@@ -1632,10 +1633,9 @@ class TestStreamingLoader:
     @pytest.mark.parametrize("xs", [["é", "ü", "\u2028"], ["x", "é"], ["é", "x"]])
     def test_non_ascii_features(self, xs, ensure_ascii):
         text = json.dumps(oblivious_document(xs), ensure_ascii=ensure_ascii)
-        # keys are taken to be written as the first one is: an ASCII first
-        # key under ensure_ascii false leaves "é" unmatched, read whole
-        read_once = ensure_ascii or xs[0] != "x"
-        assert self.repeated_reads(text) == [read_once, read_once]
+        # keys are written escaped to ASCII when the whole text is ASCII, as
+        # they are otherwise, so an ASCII first key does not decide for "é"
+        assert self.repeated_reads(text) == [True, True]
 
     @pytest.mark.parametrize("row", [
         {"0": ["half", 0.5], "1": [0.5, 0.5]},  # a string cell
@@ -1732,6 +1732,20 @@ class TestStreamingLoader:
             core._walk(text)
         assert self.repeated_reads(text, "_rule_map") == [True, False]
 
+    def test_a_repeated_member_of_a_weight_entry_is_read_whole(self):
+        # a weight entry is parsed by member, as loss and rule entries are:
+        # json.loads keeps the last map, and the walk leaves the text to it
+        path = REPO / "scenarios" / "beta025_weights.json"
+        text = json.dumps(json.loads(path.read_text())).replace(
+            '{"name": "uniform", "map"',
+            '{"name": "uniform", "map": {"-1": 0.0, "+1": 2.0}, "map"', 1)
+        with pytest.raises(ValueError, match="repeated key"):
+            core._walk(text)
+        directory, written = self.written(text)
+        with directory:
+            check_loads_as_oracle(written)
+            assert om.load_scenario(written).weights == om.load_scenario(path).weights
+
     def test_labels_of_unequal_width_are_read_whole(self):
         doc = rule_document(["x", "y", "z"], ["d9", "d10"])
         assert self.repeated_reads(json.dumps(doc), "_rule_map") == [False, False]
@@ -1790,6 +1804,59 @@ class TestStreamingLoader:
         for rule in whole.hypotheses:
             got, want = sc.arrays.hyp_index[rule.name], whole.arrays.hyp_index[rule.name]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    # per seed-1 workload load: Hypothesis.read_table and Loss.read_table
+    # calls and views built; a fast reader's table is read once, in the
+    # walk, and its part's check takes the view's array
+    READS = {"exact-large": (64, 14, 146), "trial-data": (16, 6, 42), "adapt-serve": (32, 6, 82)}
+
+    @pytest.mark.parametrize("workload", sorted(READS))
+    def test_each_table_is_read_once(self, workload, workload_files, monkeypatch):
+        path = workload_files[workload]
+        text = path.read_text(encoding="utf-8")
+        matched, reached, calls = [], [], collections.Counter()
+
+        def spied(reader):
+            def spy(*args):
+                found = reader(*args)
+                if found is not None:  # before, a fast reader returned a view
+                    matched.append(getattr(found[0], "array", found[0]))
+                return found
+            return spy
+
+        def counted(cls, name, table=None):
+            method = getattr(cls, name)
+
+            def count(self, *args):
+                calls[cls.__name__] += 1
+                if table:
+                    reached.append(getattr(getattr(self, table), "array", None))
+                return method(self, *args)
+            monkeypatch.setattr(cls, name, count)
+
+        for reader in ("_repeated_row", "_rule_map"):
+            monkeypatch.setattr(core, reader, spied(getattr(core, reader)))
+        counted(core.Loss, "read_table", "table")
+        counted(core.Hypothesis, "read_table", "mapping")
+        counted(core.WeightFunction, "read_table", "mapping")
+        counted(core._TableView, "__init__")
+        walked, _ = core._walk(text)
+        tables = [entry[TABLE_KEYS[key]] for key in TABLE_KEYS for entry in walked.get(key) or ()
+                  if TABLE_KEYS[key] in entry]
+        # every table of these files is matched or read, and viewed once
+        assert all(isinstance(t, core._TableView) for t in tables)
+        assert calls["_TableView"] == len(tables)
+        assert len(matched) == len(walked["hypotheses"]) + sum(
+            "table" in entry for entry in walked["losses"])
+        assert not any(a is m for a in reached for m in matched)
+        calls.clear()
+        sc = om.load_scenario(path)
+        builtins = sum("builtin" in entry for entry in walked["losses"])
+        functions = sc.weights.weights if sc.weights else ()
+        parts = 2 + len(sc.losses) + len(sc.hypotheses) + len(functions)
+        assert calls["_TableView"] == len(tables) + builtins + parts
+        got = calls["Hypothesis"], calls["Loss"], calls["_TableView"]
+        assert got == self.READS[workload]
 
     def test_load_peak_holds_no_copy_of_the_file(self, workload_files):
         # reading the file holds its bytes and its text, twice its size;
